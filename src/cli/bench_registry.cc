@@ -129,12 +129,12 @@ BenchReport RunMicroCosts(const BenchParams& params) {
 }
 
 // Drives one access mix through the batch-apply interface the engine's
-// apply pass uses since PR 5: ops gather into per-core windows (flushed
-// when the issuing core changes or the window fills, like a merge drain)
-// and resolve via CacheHierarchy::ApplyBatch, so the measurement includes
-// the prefetch pipelining the real apply pass gets. `gen(i, &core, &addr,
-// &size_w)` produces op i; one simulated cycle elapses per op. Returns host
-// ns per access.
+// apply pass uses: ops gather into per-core windows (flushed when the
+// issuing core changes or the window fills, like a merge drain) and resolve
+// via CacheHierarchy::ApplyBatch, so the measurement includes the per-span
+// stat flush the real apply pass gets. `gen(i, &core, &addr, &size_w)`
+// produces op i; one simulated cycle elapses per op. Returns host ns per
+// access.
 template <typename Gen>
 double TimeBatchApply(CacheHierarchy& h, uint64_t* now, uint64_t ops, Gen&& gen) {
   constexpr uint32_t kWindow = 64;
@@ -293,8 +293,8 @@ BenchReport RunHierarchyBench(const BenchParams& params) {
 
 // Simulated memcached throughput, stock vs. the paper's core-local tx fix.
 // Runs on the epoch engine (the default execution strategy everywhere
-// else); with no profiling session attached every epoch qualifies for
-// record elision, so this is the "profiling off is free" operating point.
+// else) with no profiling session attached: the "profiling off" operating
+// point.
 BenchReport RunMemcachedThroughput(const BenchParams& params) {
   BenchReport report;
   report.bench = "memcached_throughput";
@@ -419,12 +419,10 @@ BenchReport RunParallelEngine(const BenchParams& params) {
   // session pipeline on the step-the-minimum-clock-core loop.
   ScenarioReport last_report;
   auto run_once = [&](int threads, bool use_engine, bool sampled = false,
-                      const std::string& topology = std::string(),
-                      bool socket_aware = true) {
+                      const std::string& topology = std::string()) {
     RunSpec sp;
     sp.cores = 16;
     sp.topology = topology;
-    sp.socket_aware_apply = socket_aware;
     sp.seed = params.seed;
     sp.collect_cycles = cycles;
     sp.threads = threads;
@@ -503,20 +501,10 @@ BenchReport RunParallelEngine(const BenchParams& params) {
         {"speedup_threads4_vs_threads1", engine_t1_s / engine_t4_s, "x"});
   }
 
-  // Big-preset rows (4 sockets x 16 cores): socket-aware apply sharding vs
-  // the flat per-shard claim at four threads — the NUMA sharding headline.
-  // The two arms differ only in EngineConfig::socket_aware_apply and commit
-  // identical streams, so the ratio isolates shard-claim and locality cost;
-  // both arms oversubscribe a small host identically, which keeps the
-  // comparison meaningful even below four hardware threads.
-  {
-    const double socket_s = run_once(4, true, false, "big", true);
-    const double flat_s = run_once(4, true, false, "big", false);
-    report.metrics.push_back({"big_threads4_socket_seconds", socket_s, "s"});
-    report.metrics.push_back({"big_threads4_flat_seconds", flat_s, "s"});
-    report.metrics.push_back(
-        {"big_socket_vs_flat_speedup", socket_s > 0 ? flat_s / socket_s : 0.0, "x"});
-  }
+  // Big-preset row (4 sockets x 16 cores) at four threads: the socket
+  // dispatch with work stealing. Run even below four hardware threads, so
+  // the row exists on every runner.
+  report.metrics.push_back({"big_threads4_socket_seconds", run_once(4, true, false, "big"), "s"});
   // Deeper fixed-thread scaling on the big preset, same skip convention as
   // the threads2/threads4 rows above. engine_threads8_seconds is CI-gated.
   for (const int threads : {8, 16}) {
@@ -528,32 +516,22 @@ BenchReport RunParallelEngine(const BenchParams& params) {
     push_engine_run(prefix, run_once(threads, true, false, "big"), last_report);
   }
 
-  // Unprofiled stretch: the record-elision operating point. No session is
-  // attached, so no hook or observer can consume an event and every epoch
-  // is eligible; elision off vs on isolates the record+merge cost of the
-  // materialized SoA lanes (the committed stream is identical either way).
-  auto run_unprofiled = [&](bool elide) {
+  // Unprofiled stretch: no session is attached, so the row isolates the
+  // engine's record, apply and commit cost from profiling work.
+  {
     auto rig = MakeRig(16, params.seed);
     Machine& machine = *rig->machine;
     MemcachedWorkload workload(rig->env.get(), MemcachedConfig{});
     workload.Install(machine);
     EngineConfig engine_config;
     engine_config.threads = 1;
-    engine_config.allow_record_elision = elide;
     Engine engine(&machine, engine_config);
     machine.SetExecutor(&engine);
     const auto start = Clock::now();
     machine.RunFor(cycles);
-    const double seconds = ElapsedNs(start) / 1e9;
-    DPROF_CHECK(!elide ||
-                engine.phase_stats().elided_epochs == engine.phase_stats().epochs);
+    report.metrics.push_back({"engine_threads1_unprofiled_seconds", ElapsedNs(start) / 1e9, "s"});
     machine.SetExecutor(nullptr);
-    return seconds;
-  };
-  report.metrics.push_back(
-      {"engine_threads1_unprofiled_seconds", run_unprofiled(false), "s"});
-  report.metrics.push_back(
-      {"engine_threads1_unprofiled_elided_seconds", run_unprofiled(true), "s"});
+  }
   return report;
 }
 

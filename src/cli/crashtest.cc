@@ -71,11 +71,6 @@ RunSpec CellSpec(const SeamCase& sc, int threads) {
     spec.sampling_period = 200'000;
     spec.sampling_window = 10'000;
   }
-  if (sc.seam == FaultSeam::kLaneDrop || sc.seam == FaultSeam::kLaneDup) {
-    // Lane faults live in the recorded apply path; forcing records on makes
-    // every epoch eligible instead of only the event-consumer ones.
-    spec.record_elision = false;
-  }
   if (sc.seam == FaultSeam::kEpochStall) {
     // The stall begins at epoch 64 (FaultPlanConfig::stall_after_epochs);
     // a tight stall budget turns it into a diagnostic quickly.

@@ -18,11 +18,6 @@
 //   --topology NAME    machine topology preset (run, whatif): paper-amd
 //                      (4 sockets x 4 cores, 4MB L3 slice each) or big
 //                      (4 sockets x 16 cores, 16MB slices); overrides --cores
-//   --flat-sharding    disable socket-aware apply sharding; workers claim
-//                      individual shards instead of whole sockets (run,
-//                      whatif; output is byte-identical either way)
-//   --no-work-stealing disable epoch-boundary shard stealing between socket
-//                      workers (run, whatif; output is byte-identical)
 //   --cycles N         phase-1 collection length in simulated cycles
 //   --threads N        host worker threads (run: epoch engine workers;
 //                      whatif: parallel candidate experiments; default 0 =
@@ -42,9 +37,6 @@
 //                      connections (run, whatif)
 //   --legacy-loop      run on the legacy sequential loop instead of the
 //                      epoch engine (run; the validation baseline)
-//   --no-record-elision keep materializing full access records even for
-//                      epochs with no event consumer (run, whatif; output
-//                      is byte-identical either way — CI diffs the two)
 //   --sampled          statistical fast-forward: alternate short detailed
 //                      windows with functional-only stretches and report
 //                      scaled estimates with confidence intervals (run,
@@ -96,8 +88,6 @@ int Usage(FILE* out) {
                "  --json        machine-readable output\n"
                "  --cores N     simulated cores (run, whatif; default 16)\n"
                "  --topology NAME  preset: paper-amd or big (run, whatif)\n"
-               "  --flat-sharding  per-shard instead of per-socket apply workers\n"
-               "  --no-work-stealing  no shard stealing between socket workers\n"
                "  --cycles N    phase-1 collection cycles (run, whatif)\n"
                "  --type NAME   drill-down type (run) / transform target (whatif)\n"
                "  --fix KIND    candidate transform for the preceding --type (whatif)\n"
@@ -106,7 +96,6 @@ int Usage(FILE* out) {
                "  --local-tx-queue    memcached core-local transmit fix\n"
                "  --admission-control apache admission-control fix\n"
                "  --legacy-loop run on the legacy loop, not the engine (run)\n"
-               "  --no-record-elision always materialize access records\n"
                "  --sampled     statistical fast-forward with confidence intervals\n"
                "  --sampling-period N  cycles between detailed windows (sampled)\n"
                "  --sampling-window N  detailed-window length in cycles (sampled)\n"
@@ -124,14 +113,11 @@ struct ParsedFlags {
   bool json = false;
   int cores = 16;
   std::string topology;
-  bool socket_aware_apply = true;
-  bool work_stealing = true;
   uint64_t cycles = 0;
   uint64_t seed = 1;
   double scale = 1.0;
   int threads = 0;
   bool legacy_loop = false;
-  bool record_elision = true;
   bool local_tx_queue = false;
   bool admission_control = false;
   bool sampled = false;
@@ -155,13 +141,10 @@ RunSpec SpecFromFlags(const ParsedFlags& flags) {
   RunSpec spec;
   spec.cores = flags.cores;
   spec.topology = flags.topology;
-  spec.socket_aware_apply = flags.socket_aware_apply;
-  spec.work_stealing = flags.work_stealing;
   spec.seed = flags.seed;
   spec.collect_cycles = flags.cycles;
   spec.threads = flags.threads;
   spec.use_engine = !flags.legacy_loop;
-  spec.record_elision = flags.record_elision;
   spec.build_view_json = flags.json;
   spec.local_tx_queue = flags.local_tx_queue;
   spec.admission_control = flags.admission_control;
@@ -231,12 +214,6 @@ bool ParseFlags(const std::vector<std::string>& args, size_t start, std::string_
       const char* v = next_value("--topology");
       if (v == nullptr) return false;
       flags->topology = v;
-    } else if (arg == "--flat-sharding") {
-      flags->socket_aware_apply = false;
-    } else if (arg == "--no-work-stealing") {
-      flags->work_stealing = false;
-    } else if (arg == "--no-record-elision") {
-      flags->record_elision = false;
     } else if (arg == "--json") {
       flags->json = true;
     } else if (arg == "--auto") {
@@ -422,9 +399,8 @@ int CmdRun(const std::vector<std::string>& args) {
   if (!FindScenarioArg(args, &name, &flag_start)) return 2;
   ParsedFlags flags;
   if (!ParseFlags(args, flag_start,
-                  "--json --cores --topology --flat-sharding --no-work-stealing "
-                  "--cycles --threads --type --seed --legacy-loop "
-                  "--no-record-elision --local-tx-queue --admission-control "
+                  "--json --cores --topology --cycles --threads --type --seed "
+                  "--legacy-loop --local-tx-queue --admission-control "
                   "--sampled --sampling-period --sampling-window --audit --fault "
                   "--fault-seed --watchdog-stall-epochs --watchdog-seconds --scenario",
                   &flags))
@@ -486,8 +462,7 @@ int CmdWhatIf(const std::vector<std::string>& args) {
   if (!FindScenarioArg(args, &name, &flag_start)) return 2;
   ParsedFlags flags;
   if (!ParseFlags(args, flag_start,
-                  "--json --cores --topology --flat-sharding --no-work-stealing "
-                  "--cycles --threads --seed --no-record-elision --scenario "
+                  "--json --cores --topology --cycles --threads --seed --scenario "
                   "--type --fix --auto --top --local-tx-queue --admission-control "
                   "--sampled --sampling-period --sampling-window",
                   &flags))

@@ -60,11 +60,12 @@ std::string ValidateRunSpec(const RunSpec& spec) {
            std::to_string(spec.threads);
   }
   if (!spec.sampled && (spec.sampling_period > 0 || spec.sampling_window > 0)) {
-    return "--period/--window only apply to sampled runs; add --sampled";
+    return "--sampling-period/--sampling-window only apply to sampled runs; add --sampled";
   }
   if (spec.sampled && spec.sampling_period > 0 && spec.sampling_window > spec.sampling_period) {
-    return "--window (" + std::to_string(spec.sampling_window) +
-           ") must not exceed --period (" + std::to_string(spec.sampling_period) + ")";
+    return "--sampling-window (" + std::to_string(spec.sampling_window) +
+           ") must not exceed --sampling-period (" + std::to_string(spec.sampling_period) +
+           ")";
   }
   if (!spec.fault_seams.empty()) {
     uint32_t mask = 0;
@@ -254,9 +255,6 @@ ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& 
   if (spec.use_engine) {
     EngineConfig engine_config;
     engine_config.threads = spec.threads;
-    engine_config.allow_record_elision = spec.record_elision;
-    engine_config.socket_aware_apply = spec.socket_aware_apply;
-    engine_config.apply_work_stealing = spec.work_stealing;
     engine_config.sampling.enabled = spec.sampled;
     if (spec.sampling_period > 0) {
       engine_config.sampling.period_cycles = spec.sampling_period;

@@ -31,14 +31,7 @@ HistoryCollector::HistoryCollector(Machine* machine, DebugRegisterFile* regs, Ty
     DPROF_CHECK(offsets_.size() >= 2);
   }
   regs_->SetHandler([this](const AccessEvent& event, int reg) { OnDebugHit(event, reg); });
-  // OnAlloc arms debug registers from a commit-time allocation callback —
-  // mid-epoch, invisible to the engine's epoch-start elision gate — so the
-  // engine must keep materializing access records while this collector
-  // lives (see Machine::AddElisionInhibitor).
-  machine_->AddElisionInhibitor();
 }
-
-HistoryCollector::~HistoryCollector() { machine_->RemoveElisionInhibitor(); }
 
 uint32_t HistoryCollector::histories_per_set() const {
   const uint32_t n = NumOffsets();

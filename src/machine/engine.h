@@ -19,16 +19,10 @@
 //      and each shard's merge order is a pure function of the recorded
 //      queues. At one thread the same suborders are produced by a single
 //      fused merge with no shard lists. Every merge drain is a single-core
-//      span handed to CacheHierarchy::ApplyBatch, whose software pipeline
-//      prefetches the tag rows of the access kPrefetchDepth ahead while
-//      the current one resolves; each op's packed latency/level/
-//      invalidation result is stored back into its lane (or ring) record.
-//
-//      Epochs that provably have no event consumer stream their accesses
-//      through compact 16-byte per-core rings instead of the full lane +
-//      meta columns (record elision — see
-//      EngineConfig::allow_record_elision); the rings are the ApplyLane
-//      span format, so the fused merge applies them in place.
+//      span handed to CacheHierarchy::ApplyBatch; each op's packed latency/
+//      level/invalidation result is stored back into its lane record.
+//      On a multi-socket hierarchy each worker drains whole sockets' shard
+//      ranges and then steals remaining shards from other sockets.
 //   3. COMMIT (sequential): exact core clocks are reconstructed — memory
 //      latencies, PMU interrupt charges, and lock waits accumulate per
 //      core — and every observer, PMU hook, lock observer, and allocation
@@ -98,28 +92,11 @@ struct EngineConfig {
   // comparable while giving the host long same-core runs — the simulated
   // L1/L2 state stays hot and the merge tree amortizes across runs.
   int apply_quantum_bits = 11;  // 2048-cycle quanta; fidelity data in tests/engine_validation_test.cc
-  // Record elision: an epoch whose machine state, read at epoch start,
-  // proves that no consumer can act on any access event (no observers, no
-  // armed access filter, every counting PMU hook unbounded-quiet, no
-  // elision inhibitor held — see Engine::ElisionMode) streams its
-  // accesses through a compact 16-byte per-core ring straight into the
-  // batch applier instead of materializing the 24-byte lane + 8-byte meta
-  // records. The committed stream is bit-identical either way (the apply
-  // merge order and clock reconstruction are unchanged); this knob exists
-  // so tests and CI can force the recorded path and diff the two.
+  // Unread; kept only until the benchmark (perfbench/op.cc) stops naming it.
   bool allow_record_elision = true;
-  // Topology-aware apply: on a multi-socket hierarchy, the apply phase
-  // dispatches one task per socket — a worker drains whole L3 slices (the
-  // socket's contiguous shard range), keeping its tag walks inside one
-  // slice's arrays — instead of claiming the flat shard list one shard at a
-  // time. Off = the flat line-hash dispatch (the comparison arm benches
-  // record). Single-socket topologies always use the flat dispatch.
+  // Unread; kept only until the benchmark (perfbench/op.cc) stops naming it.
   bool socket_aware_apply = true;
-  // Deterministic work stealing for the socket-aware apply: a worker that
-  // drains its own socket's slices takes remaining shards from other
-  // sockets' ranges via per-socket cursors. Shard state is disjoint, so
-  // which worker applies a shard (and in what order across sockets) cannot
-  // change any result — stealing rebalances wall-clock only.
+  // Unread; kept only until the benchmark (perfbench/op.cc) stops naming it.
   bool apply_work_stealing = true;
   // Sampled execution (statistical fast-forward): when enabled, a
   // SamplingController alternates detailed windows (full hierarchy walks +
@@ -157,7 +134,7 @@ struct EnginePhaseStats {
   double commit_seconds = 0.0;
   double deliver_seconds = 0.0;
   uint64_t epochs = 0;
-  uint64_t elided_epochs = 0;  // epochs that streamed every access record-elided
+  uint64_t elided_epochs = 0;  // always 0; kept only until the benchmark stops naming it
   uint64_t ff_epochs = 0;      // epochs fast-forwarded by the sampling controller
 };
 
@@ -237,24 +214,11 @@ class Engine final : public Executor {
   void RunAudit();
   void SimulateCore(int core, uint64_t epoch_end);
   void ApplyShard(uint32_t shard);
-  // Socket-aware apply task: drains the socket's own shard range, then (when
-  // work stealing is on) helps other sockets finish theirs.
+  // Multi-socket apply task: drains the socket's own shard range, then helps
+  // other sockets finish theirs.
   void ApplySocket(int socket);
   void ApplyGlobal();
   void CommitEpoch();
-
-  // What the record-elision gate allows for the coming epoch, read from the
-  // machine's observer/hook state at epoch start. kFull: no consumer can act
-  // on any access (no observers, no armed filter, every counting hook
-  // unbounded-quiet, no inhibitor held) — every access streams through the
-  // ring. kPrefix: same, except some counting hook has a bounded quiet
-  // countdown — each core streams its countdown-guaranteed quiet prefix and
-  // records the rest. kOff: a consumer (observer, armed filter, inhibitor)
-  // forces full records. Hook and observer sets change only between RunFor
-  // calls, and mid-epoch arming from commit callbacks is excluded by
-  // Machine::elision_inhibitors.
-  enum class ElideMode { kOff, kPrefix, kFull };
-  ElideMode ElisionMode() const;
 
   // Commits ops of `core` starting at `begin` within a sync-free segment
   // ending at `end`, advancing the core's committed clock in place. Stops
@@ -301,18 +265,14 @@ class Engine final : public Executor {
   // Shard-parallel apply when worker threads exist; fused single merge
   // (bit-identical results, no shard lists) otherwise.
   bool shard_apply_ = false;
-  // Socket-major dispatch of the shard-parallel apply (see
-  // EngineConfig::socket_aware_apply); shards_per_socket_ is the contiguous
-  // shard range each socket owns, socket_cursor_ the per-socket claim state.
+  // Socket-major dispatch of the shard-parallel apply on multi-socket
+  // hierarchies; shards_per_socket_ is the contiguous shard range each
+  // socket owns, socket_cursor_ the per-socket claim state.
   bool socket_apply_ = false;
   int num_sockets_ = 1;
   uint32_t shards_per_socket_ = 1;
   std::vector<std::atomic<uint32_t>> socket_cursor_;
-  // This epoch streams every access through the elision rings (set per
-  // epoch from the gate above; identical for every host thread count).
-  bool elide_epoch_ = false;
-  // This epoch fast-forwards (sampled execution; mutually exclusive with
-  // elide_epoch_ — fast-forward wins, there is nothing to elide).
+  // This epoch fast-forwards (sampled execution).
   bool ff_epoch_ = false;
   std::unique_ptr<SamplingController> sampler_;
   std::vector<CoreRecorder> recorders_;

@@ -21,17 +21,6 @@ void CoreRecorder::Grow() {
   capacity = new_cap;
 }
 
-void CoreRecorder::GrowRing() {
-  const size_t new_cap = ring_capacity == 0 ? 4096 : ring_capacity * 2;
-  auto new_ring = std::make_unique<ApplyLane[]>(new_cap);
-  if (ring_n > 0) {
-    __builtin_memcpy(new_ring.get(), ring, ring_n * sizeof(ApplyLane));
-  }
-  ring_store_ = std::move(new_ring);
-  ring = ring_store_.get();
-  ring_capacity = new_cap;
-}
-
 Machine::Machine(const MachineConfig& config)
     : config_(config),
       hierarchy_(config.hierarchy),
@@ -170,18 +159,11 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
       const uint32_t line_room =
           static_cast<uint32_t>(line_size - (at & (line_size - 1)));
       const uint32_t chunk = remaining < line_room ? remaining : line_room;
-      const bool use_ring = rec.elide & (rec.elide_budget > 0);
       ++rec.accesses;
       if (rec.record_shards) {
-        rec.shard_ops[m.hierarchy_.ShardOf(at)].push_back(static_cast<uint32_t>(
-            use_ring ? (rec.ring_n | CoreRecorder::kRingTag) : rec.size()));
+        rec.shard_ops[m.hierarchy_.ShardOf(at)].push_back(static_cast<uint32_t>(rec.size()));
       }
-      if (use_ring) {
-        --rec.elide_budget;
-        rec.PushElidedAccess(rec.lb, at, chunk | write_bit);
-      } else {
-        rec.PushAccess(rec.lb, at, chunk | write_bit, ip);
-      }
+      rec.PushAccess(rec.lb, at, chunk | write_bit, ip);
       rec.ChargeAccess(raw_cost);
       total.latency += l1_latency;
       ++total.lines;

@@ -257,8 +257,6 @@ struct SimOp {
     kIdle,             // aux = cycles
     kProbeBegin,       // latency probe window opens
     kProbeEnd,         // addr = RunningStat*, aux = divisor bits
-    kElidedRun,        // engine-internal run of elided accesses: addr = first
-                       // ring index, size_w = count (see CoreRecorder::ring)
     kFfRun,            // engine-internal fast-forwarded run: addr = access
                        // count, payload = estimated cycles (sampled mode)
     kLockAcquire,      // addr = SimLock*; wait + acquire callback at commit
@@ -337,8 +335,8 @@ class CoreRecorder {
   }
 
   // num_shards == 0 disables shard-list recording (single-thread apply).
-  // The engine sets the per-epoch mode fields (elide/elide_budget for ring
-  // streaming, ff/ff_lo/ff_hi for fast-forward) after Reset.
+  // The engine sets the per-epoch fast-forward fields (ff/ff_lo/ff_hi)
+  // after Reset.
   void Reset(uint64_t committed_clock, size_t num_shards) {
     n = 0;
     sync_points.clear();
@@ -349,12 +347,9 @@ class CoreRecorder {
     for (auto& list : shard_ops) {
       list.clear();
     }
-    elide = false;
-    elide_budget = 0;
     ff = false;
     ff_lo = kNullAddr;
     ff_hi = kNullAddr;
-    ring_n = 0;
     run_open = false;
     accesses = 0;
     lb = committed_clock;
@@ -412,8 +407,9 @@ class CoreRecorder {
     run_open = false;
   }
   // Fast-forwarded run marker: addr accumulates the access count, the
-  // payload accumulates the estimated cycle charge. Coalesced like elided
-  // runs so a quiet fast-forward epoch records O(1) ops.
+  // payload accumulates the estimated cycle charge. Consecutive
+  // fast-forwarded accesses extend the open marker, so a quiet fast-forward
+  // epoch records O(1) ops.
   void PushFfRun(uint64_t t, uint64_t est) {
     if (run_open) {
       ++lane[n - 1].addr;
@@ -439,38 +435,6 @@ class CoreRecorder {
     run_open = false;
   }
 
-  // Elided-access push: the access streams into the 16-byte ring (in the
-  // hierarchy's ApplyLane layout, so the apply pass resolves it in place)
-  // and the lane stream carries one kElidedRun marker per contiguous run —
-  // enough for the commit pass to rebuild clocks and latency probes from
-  // the packed results the apply pass leaves in the ring. The op's t is
-  // implied: epoch_start_clock + entry.t_delta. No ip is kept; elision is
-  // only legal when nothing can consume an access event.
-  void PushElidedAccess(uint64_t t, Addr addr, uint32_t size_w) {
-    if (__builtin_expect(ring_n == ring_capacity, 0)) {
-      GrowRing();
-    }
-    // Ring times are epoch-relative 32-bit deltas; an epoch's lower-bound
-    // clock advance is bounded by epoch_cycles plus one driver step, so
-    // this only fires for a driver that advances >= 2^32 cycles in a
-    // single step — always-on, since a silent wrap would corrupt the
-    // apply merge order (the compare is against a constant and never
-    // taken in practice).
-    DPROF_CHECK(t - epoch_start_clock <= 0xffff'ffffull);
-    ring[ring_n] = ApplyLane{addr, static_cast<uint32_t>(t - epoch_start_clock), size_w};
-    ++ring_n;
-    if (run_open) {
-      ++lane[n - 1].size_w;  // extend the open run's count
-      return;
-    }
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, static_cast<Addr>(ring_n - 1), 1, 0};
-    meta[n] = Meta{kInvalidFunction, SimOp::kElidedRun, {0, 0, 0}};
-    ++n;
-    run_open = true;
-  }
   // Extends the previous op instead of pushing when it is the same cycle
   // burst kind from the same function: consecutive compute/idle steps fuse
   // into one op with the summed payload (clock effect identical; observers
@@ -519,19 +483,6 @@ class CoreRecorder {
   Meta* meta = nullptr;
   size_t n = 0;
   size_t capacity = 0;
-  // Record-elision ring: accesses of elide epochs, in program order, as
-  // 16-byte ApplyLane records (half the lane+meta footprint, and the exact
-  // span format CacheHierarchy::ApplyBatch consumes in place). After the
-  // apply pass each entry's size_w holds the packed AccessResult.
-  ApplyLane* ring = nullptr;
-  size_t ring_n = 0;
-  size_t ring_capacity = 0;
-  bool elide = false;
-  // Remaining ring-eligible accesses this epoch. Full elision sets ~0ull;
-  // bounded-quiet (prefix) elision sets the countdown-guaranteed quiet run
-  // (min PmuHook::QuietOps across hooks at epoch start) so accesses past the
-  // budget fall back to recorded lanes and can take their PMU interrupts.
-  uint64_t elide_budget = 0;
   // Fast-forward mode (sampled execution): accesses charge the calibrated
   // estimate and coalesce into kFfRun markers instead of walking the
   // hierarchy at apply time. Accesses overlapping [ff_lo, ff_hi) — the armed
@@ -540,14 +491,11 @@ class CoreRecorder {
   bool ff = false;
   Addr ff_lo = kNullAddr;
   Addr ff_hi = kNullAddr;
-  bool run_open = false;  // last op is this epoch's open kElidedRun/kFfRun
+  bool run_open = false;  // last op is this epoch's open kFfRun
   uint64_t accesses = 0;  // line-chunk accesses recorded this epoch (any mode)
   std::vector<uint32_t> sync_points;
   // Indices of kAccess ops per hierarchy shard, in program order; filled
-  // only when record_shards (shard-parallel apply). Ring-streamed accesses
-  // are tagged kRingTag and index the ring instead of the lanes, so mixed
-  // prefix-elision epochs keep one uniform per-shard list.
-  static constexpr uint32_t kRingTag = 1u << 31;
+  // only when record_shards (shard-parallel apply).
   bool record_shards = false;
   std::vector<std::vector<uint32_t>> shard_ops;
   uint64_t lb = 0;
@@ -559,12 +507,10 @@ class CoreRecorder {
   uint32_t cost_scale16 = 16;
 
  private:
-  void Grow();      // doubles the column storage (cold; capacity persists)
-  void GrowRing();  // doubles the elision ring (cold; capacity persists)
+  void Grow();  // doubles the column storage (cold; capacity persists)
 
   std::unique_ptr<Lane[]> lane_store_;
   std::unique_ptr<Meta[]> meta_store_;
-  std::unique_ptr<ApplyLane[]> ring_store_;
 };
 
 struct MachineConfig {
@@ -616,16 +562,6 @@ class Machine {
   // loop ignores it.
   void SetEpochFocus(bool focus) { epoch_focus_ = focus; }
   bool epoch_focus() const { return epoch_focus_; }
-
-  // Record-elision inhibitors. The engine may elide access records for an
-  // epoch whose hook/observer state, read at epoch start, proves no event
-  // consumer exists. That snapshot cannot see arming that happens mid-epoch
-  // from a commit-time callback (the history collector arming debug
-  // registers from an allocation event), so any component able to do that
-  // holds an inhibitor while attached and elision stays off.
-  void AddElisionInhibitor() { ++elision_inhibitors_; }
-  void RemoveElisionInhibitor() { --elision_inhibitors_; }
-  int elision_inhibitors() const { return elision_inhibitors_; }
 
   // Installs an execution strategy; RunFor delegates to it when set.
   void SetExecutor(Executor* executor) { executor_ = executor; }
@@ -679,7 +615,6 @@ class Machine {
   FaultPlan* fault_plan_ = nullptr;
   std::vector<TypeId> mailbox_fed_types_;
   bool epoch_focus_ = false;
-  int elision_inhibitors_ = 0;
 };
 
 // Lightweight per-core handle passed to drivers and the allocator. All

@@ -687,17 +687,8 @@ void CacheHierarchy::ApplyBatch(int core, uint64_t base, ApplyLane* lanes, size_
   if (count == 0) {
     return;
   }
-  // Prime the pipeline: the first kPrefetchDepth accesses' rows start their
-  // way toward the host caches before any of them resolves.
-  const size_t lead = count < kPrefetchDepth ? count : kPrefetchDepth;
-  for (size_t i = 0; i < lead; ++i) {
-    PrefetchAccess(core, lanes[i].addr);
-  }
   StatStripe scratch;
   for (size_t i = 0; i < count; ++i) {
-    if (i + kPrefetchDepth < count) {
-      PrefetchAccess(core, lanes[i + kPrefetchDepth].addr);
-    }
     ApplyLane& lane = lanes[i];
     const uint32_t size = lane.size_w & ~ApplyLane::kWriteBit;
     const AccessResult r =

@@ -116,8 +116,7 @@ inline bool PackedAccessInvalidation(uint32_t packed) {
 }
 
 // One access of a batch-apply span: the compact 16-byte record the engine
-// streams accesses through (its record-elision rings use exactly this
-// layout, so an elided stream is applied in place). `size_w` carries
+// gathers its recorded accesses into before applying them. `size_w` carries
 // size | kWriteBit on entry and the packed AccessResult on return.
 struct ApplyLane {
   static constexpr uint32_t kWriteBit = 0x8000'0000u;
@@ -203,24 +202,16 @@ class CacheHierarchy {
                     : Access<false>(core, addr, size, now);
   }
 
-  // Software-pipelined batch apply: resolves `count` accesses by `core` in
-  // order (access i happens at base + lanes[i].t_delta) and writes each
-  // packed result into lanes[i].size_w. While resolving access i it issues
-  // host prefetches for the L1/L2 tag rows and the L3 set/directory rows of
-  // access i + kPrefetchDepth, so a span of random addresses overlaps its
-  // host cache misses on the tag columns instead of serializing them; the
-  // per-access stat counters accumulate in a span-local scratch stripe and
-  // flush once per span. State effects and results are exactly those of
+  // Batch apply, the engine's one entry point into the hierarchy: resolves
+  // `count` accesses by `core` in order (access i happens at base +
+  // lanes[i].t_delta) and writes each packed result into lanes[i].size_w.
+  // The per-access stat counters accumulate in a span-local scratch stripe
+  // and flush once per span. State effects and results are exactly those of
   // `count` sequential Access calls. Concurrency contract: when spans are
   // applied from concurrent shard workers, every line of a span must belong
   // to the calling worker's shard (the engine's per-shard drains satisfy
   // this by construction); single-threaded callers may span shards freely.
   void ApplyBatch(int core, uint64_t base, ApplyLane* lanes, size_t count);
-
-  // Prefetch distance of ApplyBatch: far enough ahead to cover a host DRAM
-  // miss at a few ns per simulated access, short enough that the prefetched
-  // rows are still resident when their access resolves.
-  static constexpr size_t kPrefetchDepth = 8;
 
   const HierarchyConfig& config() const { return config_; }
   uint32_t line_size() const { return config_.l1.line_size; }
@@ -295,10 +286,6 @@ class CacheHierarchy {
 
  private:
   friend class InvariantAuditor;
-  // Pulls the tag/stamp rows an access to `addr` will walk toward the host
-  // caches: the issuing core's L1 and L2 set rows and the line's L3 set row
-  // (both halves of the 16-way tag rows; the stamp rows ride along because
-  // every hit stamps recency). Used by ApplyBatch's lookahead.
   // Starts the L1/L2 tag rows of (core, line) toward the host caches.
   // An extension-bank reclaim back-invalidates every sharer of the
   // reclaimed tag in turn; issuing all sharers' row prefetches before the
@@ -311,25 +298,6 @@ class CacheHierarchy {
     __builtin_prefetch(l2_.tags.data() + l2_.RowOf(core, line));
   }
 
-  void PrefetchAccess(int core, Addr addr) const {
-#if DPROF_DISABLE_PREFETCH
-    (void)core; (void)addr;
-#else
-    const uint64_t line = addr >> line_shift_;
-    const size_t row1 = l1_.RowOf(core, line);
-    __builtin_prefetch(l1_.tags.data() + row1);
-    __builtin_prefetch(l1_.stamps.data() + row1, 1);
-    const size_t row2 = l2_.RowOf(core, line);
-    __builtin_prefetch(l2_.tags.data() + row2);
-    __builtin_prefetch(l2_.stamps.data() + row2, 1);
-    const size_t l3_base = L3SetOf(line) * l3_ways_;
-    __builtin_prefetch(l3_tags_.data() + l3_base);
-    if (l3_ways_ > 8) {  // second host line of a 16-way tag row
-      __builtin_prefetch(l3_tags_.data() + l3_base + 8);
-    }
-    __builtin_prefetch(l3_stamps_.data() + l3_base, 1);
-#endif
-  }
   static constexpr uint64_t kNoLine = ~0ull;
   // Exclusive-owner bit packed into private (L1/L2) tag words: the line is
   // held by this core as sole modified owner, so write hits skip the

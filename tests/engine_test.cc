@@ -11,13 +11,11 @@ namespace {
 // the whole profiling report, views included — is bit-identical for every
 // host thread count. These run full DProf sessions (IBS sampling, history
 // collection, view construction) through `dprof run`'s code path.
-std::string RunJson(const std::string& scenario, int cores, uint64_t cycles, int threads,
-                    bool record_elision = true) {
+std::string RunJson(const std::string& scenario, int cores, uint64_t cycles, int threads) {
   RunSpec params;
   params.cores = cores;
   params.collect_cycles = cycles;
   params.threads = threads;
-  params.record_elision = record_elision;
   const ScenarioReport report =
       RunScenario(ScenarioRegistry::Default(), scenario, params);
   return ScenarioReportToJson(report);
@@ -41,47 +39,30 @@ TEST(EngineDeterminismTest, ApacheIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t1, RunJson("apache", 4, 1'500'000, 2));
 }
 
-TEST(EngineDeterminismTest, RecordElisionIdenticalOnOffAndAcrossThreads) {
-  // Record elision must be invisible in the committed stream: the full
-  // report is byte-identical with elision allowed or forced off, at any
-  // thread count.
-  const std::string base = RunJson("memcached", 4, 2'000'000, 1, /*record_elision=*/true);
-  EXPECT_EQ(base, RunJson("memcached", 4, 2'000'000, 1, false));
-  EXPECT_EQ(base, RunJson("memcached", 4, 2'000'000, 4, true));
-  EXPECT_EQ(base, RunJson("memcached", 4, 2'000'000, 4, false));
-}
-
-TEST(EngineDeterminismTest, PaperTopologyIdenticalAcrossThreadsAndModes) {
+TEST(EngineDeterminismTest, PaperTopologyIdenticalAcrossThreadCounts) {
   // The NUMA machine adds per-socket L3 slices, interconnect latency, and
-  // socket-aware apply sharding with work stealing — none of which may leak
+  // socket-major apply dispatch with work stealing — none of which may leak
   // host threading into the committed stream. The full report must be
-  // byte-identical across thread counts, record elision, flat sharding, and
-  // stealing on/off.
-  auto run = [](int threads, bool elide, bool socket_aware, bool stealing) {
+  // byte-identical across thread counts.
+  auto run = [](int threads) {
     RunSpec params;
     params.topology = "paper-amd";
     params.collect_cycles = 500'000;
     params.threads = threads;
-    params.record_elision = elide;
-    params.socket_aware_apply = socket_aware;
-    params.work_stealing = stealing;
     return ScenarioReportToJson(
         RunScenario(ScenarioRegistry::Default(), "memcached", params));
   };
-  const std::string base = run(1, true, true, true);
+  const std::string base = run(1);
   EXPECT_NE(base.find("num_sockets"), std::string::npos);
-  EXPECT_EQ(base, run(4, true, true, true));
-  EXPECT_EQ(base, run(8, true, true, true));
-  EXPECT_EQ(base, run(1, false, true, true));
-  EXPECT_EQ(base, run(4, false, true, true));
-  EXPECT_EQ(base, run(4, true, false, true));  // flat sharding
-  EXPECT_EQ(base, run(4, true, true, false));  // stealing off
+  EXPECT_EQ(base, run(4));
+  EXPECT_EQ(base, run(8));
 }
 
-TEST(EngineTest, UnprofiledRunElidesEveryEpochAndMatchesRecordedPath) {
-  // With no session attached nothing can consume an access event, so every
-  // epoch is elision-eligible; clocks (and everything derived from them)
-  // must match the recorded path exactly.
+TEST(EngineTest, UnprofiledRunClocksMatchAcrossThreadCounts) {
+  // With no session attached the commit pass takes its passthrough path
+  // (no hook or observer can act on an access); the committed clocks must
+  // still be the same whether the apply pass runs fused on one thread or
+  // shard-parallel on four.
   struct Driver final : CoreDriver {
     bool Step(CoreContext& ctx) override {
       const Addr base = 0x2000000 + static_cast<Addr>(ctx.core()) * 0x100000;
@@ -94,8 +75,7 @@ TEST(EngineTest, UnprofiledRunElidesEveryEpochAndMatchesRecordedPath) {
     uint64_t steps = 0;
   };
   uint64_t clocks[2][4];
-  uint64_t elided[2];
-  for (const bool elide : {false, true}) {
+  for (const int threads : {1, 4}) {
     MachineConfig config;
     config.hierarchy.num_cores = 4;
     Machine machine(config);
@@ -104,19 +84,16 @@ TEST(EngineTest, UnprofiledRunElidesEveryEpochAndMatchesRecordedPath) {
       machine.SetDriver(c, &drivers[c]);
     }
     EngineConfig engine_config;
-    engine_config.threads = 1;
+    engine_config.threads = threads;
     engine_config.epoch_cycles = 10'000;
-    engine_config.allow_record_elision = elide;
     Engine engine(&machine, engine_config);
     machine.SetExecutor(&engine);
     machine.RunFor(100'000);
     for (int c = 0; c < 4; ++c) {
-      clocks[elide ? 1 : 0][c] = machine.CoreClock(c);
+      clocks[threads == 1 ? 0 : 1][c] = machine.CoreClock(c);
     }
-    elided[elide ? 1 : 0] = engine.phase_stats().elided_epochs;
+    EXPECT_GT(engine.phase_stats().epochs, 0u);
   }
-  EXPECT_EQ(elided[0], 0u);
-  EXPECT_GT(elided[1], 0u);
   for (int c = 0; c < 4; ++c) {
     EXPECT_EQ(clocks[0][c], clocks[1][c]) << "core " << c;
   }

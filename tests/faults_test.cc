@@ -88,7 +88,6 @@ TEST(FaultPlanTest, FaultedRunsAreByteIdenticalAcrossThreads) {
   for (const char* seams :
        {"slab_grow", "lane_drop,lane_dup", "clock_skew", "mailbox_overflow"}) {
     RunSpec spec = SmallSpec(seams);
-    spec.record_elision = false;
     spec.threads = 1;
     const std::string one = RunJson(spec);
     spec.threads = 3;
@@ -194,21 +193,15 @@ TEST(FaultPlanTest, MailboxOverflowDropsAreCountedNotFatal) {
 
 // Ext-bank pressure shrinks the directory extension bank to one way: the
 // hierarchy must absorb it with reclaims/back-invalidations (not corruption:
-// the periodic audit stays clean) across elision modes and thread counts.
+// the periodic audit stays clean) across thread counts.
 TEST(FaultPlanTest, ExtBankPressureStormsStayAuditClean) {
-  for (const bool elision : {true, false}) {
-    for (const int threads : {1, 2}) {
-      RunSpec spec = SmallSpec("ext_pressure");
-      spec.audit_epochs = 16;
-      spec.record_elision = elision;
-      spec.threads = threads;
-      const ScenarioReport report =
-          RunScenario(ScenarioRegistry::Default(), "memcached", spec);
-      EXPECT_TRUE(report.status.ok())
-          << "elision=" << elision << " threads=" << threads << ": "
-          << report.status.ToString();
-      EXPECT_GT(report.hierarchy.tag_reclaims, 0u);
-    }
+  for (const int threads : {1, 2}) {
+    RunSpec spec = SmallSpec("ext_pressure");
+    spec.audit_epochs = 16;
+    spec.threads = threads;
+    const ScenarioReport report = RunScenario(ScenarioRegistry::Default(), "memcached", spec);
+    EXPECT_TRUE(report.status.ok()) << "threads=" << threads << ": " << report.status.ToString();
+    EXPECT_GT(report.hierarchy.tag_reclaims, 0u);
   }
 }
 
@@ -249,7 +242,7 @@ TEST(ValidateRunSpecTest, RejectsInconsistentAndMalformedFields) {
   spec.sampled = true;
   spec.sampling_period = 1000;
   spec.sampling_window = 2000;
-  EXPECT_NE(ValidateRunSpec(spec).find("--window"), std::string::npos);
+  EXPECT_NE(ValidateRunSpec(spec).find("--sampling-window"), std::string::npos);
   spec = RunSpec{};
   spec.fault_seams = "no_such_seam";
   EXPECT_NE(ValidateRunSpec(spec).find("no_such_seam"), std::string::npos);
@@ -257,6 +250,23 @@ TEST(ValidateRunSpecTest, RejectsInconsistentAndMalformedFields) {
   spec.threads = 4096;
   EXPECT_NE(ValidateRunSpec(spec).find("--threads"), std::string::npos);
   EXPECT_EQ(ValidateRunSpec(RunSpec{}), "");
+}
+
+TEST(ValidateRunSpecTest, SamplingErrorsNameTheRealFlags) {
+  // The CLI flags are --sampling-period/--sampling-window; an error naming
+  // --period/--window points the user at flags that do not exist.
+  RunSpec spec;
+  spec.sampling_period = 1000;
+  std::string error = ValidateRunSpec(spec);
+  EXPECT_NE(error.find("--sampling-period/--sampling-window"), std::string::npos) << error;
+  EXPECT_EQ(error.find(" --period"), std::string::npos) << error;
+  spec = RunSpec{};
+  spec.sampled = true;
+  spec.sampling_period = 1000;
+  spec.sampling_window = 2000;
+  error = ValidateRunSpec(spec);
+  EXPECT_EQ(error.rfind("--sampling-window (2000)", 0), 0u) << error;
+  EXPECT_NE(error.find("--sampling-period (1000)"), std::string::npos) << error;
 }
 
 }  // namespace
