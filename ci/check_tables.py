@@ -391,8 +391,7 @@ def check_sampled_scenario(dprof, c, scenario, expected_top):
     reported per-type confidence interval covers the exact-mode share. The
     tolerances are the intervals themselves — sampling widens them, it must
     not move the conclusions."""
-    base = [dprof, "run", scenario, "--json",
-            "--cycles", "10000000", "--threads", "4"]
+    base = [dprof, "run", scenario, "--json", "--cycles", "10000000"]
     exact_proc = subprocess.run(base, capture_output=True, text=True)
     sampled_proc = subprocess.run(base + ["--sampled"], capture_output=True, text=True)
     c.check("exact run succeeded", exact_proc.returncode == 0)

@@ -59,8 +59,8 @@ def main():
     # *baseline* lacks is a newly added row (the merge base predates it) and
     # gates from the next change on. One absent from both sides is accepted
     # only when the bench says so itself — it must emit a matching
-    # *_skipped_* annotation (e.g. engine_threads4_skipped_hw_too_small for
-    # engine_threads4_seconds on a <4-thread runner); without one, a
+    # *_skipped_* annotation (e.g. <stem>_skipped_hw_too_small for
+    # <stem>_seconds on a runner too small to time it); without one, a
     # misspelled gate name or a silently dropped row must still fail.
     def skip_annotated(name, metrics):
         stem = name[: -len("_seconds")] if name.endswith("_seconds") else name

@@ -48,7 +48,7 @@ SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry, const Sla
 
   // One arena per core plus the trailing metadata arena. Page tables are
   // fully sized and slab arrays fully reserved up front: the owning core may
-  // append during the engine's parallel phase while other cores resolve
+  // append during the engine's simulate phase while other cores resolve
   // addresses published in earlier epochs.
   const int num_arenas = machine_->num_cores() + 1;
   const size_t pages_per_arena = config_.arena_stride / config_.page_size;
@@ -203,7 +203,8 @@ SimLock* SlabAllocator::CacheLock(TypeId type) { return CacheFor(type).lock.get(
 void SlabAllocator::PrepareParallel(int num_cores) {
   DPROF_CHECK(num_cores == machine_->num_cores());
   // Lazily-created kmem_caches allocate metadata from the shared arena; make
-  // sure every registered type has its cache before drivers run in parallel.
+  // sure every registered type has its cache before the first epoch, so
+  // drivers never touch the shared metadata arena from the simulate phase.
   for (TypeId type = 0; type < static_cast<TypeId>(registry_->size()); ++type) {
     CacheFor(type);
   }
@@ -213,9 +214,8 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
                                   bool allow_fault) {
   Arena& arena = arenas_[ctx.core()];
   // Injected transient grow failure: keyed on (core, slab ordinal) only, so
-  // faulted runs stay bit-identical across host thread counts. The caller
-  // (Refill) charges the reclaim pass the kernel would run and retries with
-  // allow_fault off.
+  // faulted runs are deterministic. The caller (Refill) charges the reclaim
+  // pass the kernel would run and retries with allow_fault off.
   FaultPlan* const faults = machine_->fault_plan();
   if (allow_fault && faults != nullptr &&
       faults->SlabGrowFails(ctx.core(), arena.slabs.size())) {
@@ -226,7 +226,6 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
     // the preallocated emergency reserve so the epoch in flight stays
     // memory-safe; the engine polls status() at the epoch boundary and
     // stops the run with this diagnostic.
-    std::lock_guard<std::mutex> lk(status_mu_);
     status_.Update(Status(StatusCode::kResourceExhausted, "slab_grow",
                           "core " + std::to_string(ctx.core()) + " arena reached " +
                               std::to_string(config_.max_slabs_per_arena) +
@@ -505,7 +504,7 @@ void SlabAllocator::DrainAlien(CoreContext& ctx, KmemCache& cache, PerCoreCache&
       // Engine mode: the simulated traffic is recorded now, but the host
       // transfer into the home core's magazine lands at the epoch boundary
       // (FlushEpoch) so the home core's state stays core-owned during the
-      // parallel phase.
+      // simulate phase.
       pc.staged.push_back(entry);
       continue;
     }

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -111,12 +110,8 @@ class SlabAllocator : public AllocatorIface {
   void CommitFreeEvent(TypeId type, Addr base, uint32_t size, int core, uint64_t now,
                        bool alien) override;
   // Sticky: set on genuine arena exhaustion (the injected transient grow
-  // failures recover and never surface here). Cores may exhaust
-  // concurrently during the parallel phase, hence the lock.
-  Status status() const override {
-    std::lock_guard<std::mutex> lk(status_mu_);
-    return status_;
-  }
+  // failures recover and never surface here).
+  Status status() const override { return status_; }
 
   // Maps any address (interior pointers included) to its containing object.
   // Works for slab objects, slab headers, allocator metadata, and static
@@ -286,7 +281,6 @@ class SlabAllocator : public AllocatorIface {
   std::vector<AllocationObserver*> observers_;
   AllocatorTypeStats empty_stats_;
 
-  mutable std::mutex status_mu_;
   Status status_;
 };
 

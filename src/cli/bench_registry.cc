@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "src/cli/scenario_registry.h"
@@ -387,7 +386,6 @@ BenchReport RunWhatIfSmoke(const BenchParams& params) {
 
   const auto start = Clock::now();
   RunSpec probe = spec;
-  probe.threads = 1;
   probe.collect_histories = false;
   probe.build_view_json = false;
   const ScenarioReport baseline = RunScenario(registry, "memcached", probe);
@@ -403,11 +401,11 @@ BenchReport RunWhatIfSmoke(const BenchParams& params) {
   return report;
 }
 
-// Epoch-engine scaling on the paper's 16-core memcached scenario: the full
+// Epoch-engine cost on the paper's 16-core memcached scenario: the full
 // `dprof run` pipeline (phase-1 IBS collection + phase-2 histories + views)
-// timed on the legacy sequential loop, the engine at one thread, and the
-// engine at hardware concurrency. Engine outputs are bit-identical across
-// thread counts; only wall-clock moves.
+// timed on the legacy sequential loop, the engine in exact mode, and the
+// engine in sampled mode. The engine runs on one host thread; the
+// `engine_threads1` row names are kept so bench comparisons span history.
 BenchReport RunParallelEngine(const BenchParams& params) {
   BenchReport report;
   report.bench = "parallel_engine";
@@ -418,14 +416,11 @@ BenchReport RunParallelEngine(const BenchParams& params) {
   // JSON rendering is skipped on both). The legacy baseline is the same
   // session pipeline on the step-the-minimum-clock-core loop.
   ScenarioReport last_report;
-  auto run_once = [&](int threads, bool use_engine, bool sampled = false,
-                      const std::string& topology = std::string()) {
+  auto run_once = [&](bool use_engine, bool sampled) {
     RunSpec sp;
     sp.cores = 16;
-    sp.topology = topology;
     sp.seed = params.seed;
     sp.collect_cycles = cycles;
-    sp.threads = threads;
     sp.use_engine = use_engine;
     sp.build_view_json = false;
     sp.sampled = sampled;
@@ -436,8 +431,7 @@ BenchReport RunParallelEngine(const BenchParams& params) {
 
   // Per-phase wall-clock breakdown rides along with each engine row, so
   // phase shares are measured rather than estimated. deliver is a subset of
-  // commit at one thread (delivery runs inline); at >1 threads it overlaps
-  // the next epoch's simulate phase on the delivery thread.
+  // commit (delivery runs inline at the end of each commit).
   auto push_engine_run = [&report](const std::string& prefix, double seconds,
                                    const ScenarioReport& r) {
     report.metrics.push_back({prefix + "_seconds", seconds, "s"});
@@ -447,74 +441,22 @@ BenchReport RunParallelEngine(const BenchParams& params) {
     report.metrics.push_back({prefix + "_deliver_seconds", r.engine_deliver_seconds, "s"});
   };
 
-  const double legacy_s = run_once(0, false);
-  const double engine_t1_s = run_once(1, true);
+  const double legacy_s = run_once(false, false);
+  const double engine_t1_s = run_once(true, false);
   const ScenarioReport t1 = last_report;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-
   report.metrics.push_back({"legacy_loop_seconds", legacy_s, "s"});
   push_engine_run("engine_threads1", engine_t1_s, t1);
   report.metrics.push_back(
       {"engine_threads1_epochs", static_cast<double>(t1.engine_epochs), "epochs"});
-  report.metrics.push_back({"engine_hw_threads", static_cast<double>(hw), "threads"});
-
-  // Fixed-thread-count scaling rows, so parallel speedup is tracked (and CI
-  // gated) at points every reasonable runner can reproduce. A row whose
-  // thread count exceeds the hardware is skipped and annotated — timing an
-  // oversubscribed run measures the scheduler, not the engine.
-  double engine_t2_s = 0.0;
-  double engine_t4_s = 0.0;
-  for (const int threads : {2, 4}) {
-    const std::string prefix = "engine_threads" + std::to_string(threads);
-    if (hw < threads) {
-      report.metrics.push_back({prefix + "_skipped_hw_too_small", 1.0, ""});
-      continue;
-    }
-    const double seconds = run_once(threads, true);
-    (threads == 2 ? engine_t2_s : engine_t4_s) = seconds;
-    push_engine_run(prefix, seconds, last_report);
-  }
-
-  const double engine_thw_s = run_once(0, true);
-  push_engine_run("engine_hw", engine_thw_s, last_report);
 
   // Sampled execution: the same pipeline with statistical fast-forward at
-  // the default period/window, same thread count as the exact hw row — the
-  // speedup row is the sampled mode's headline number.
-  const double engine_sampled_s = run_once(0, true, /*sampled=*/true);
+  // the default period/window — the speedup row is the sampled mode's
+  // headline number.
+  const double engine_sampled_s = run_once(true, true);
   push_engine_run("engine_sampled", engine_sampled_s, last_report);
   report.metrics.push_back(
       {"engine_sampled_speedup_vs_exact",
-       engine_sampled_s > 0 ? engine_thw_s / engine_sampled_s : 0.0, "x"});
-  report.metrics.push_back(
-      {"speedup_hw_vs_legacy", engine_thw_s > 0 ? legacy_s / engine_thw_s : 0.0, "x"});
-  report.metrics.push_back(
-      {"speedup_hw_vs_threads1", engine_thw_s > 0 ? engine_t1_s / engine_thw_s : 0.0, "x"});
-  report.metrics.push_back(
-      {"speedup_threads1_vs_legacy", engine_t1_s > 0 ? legacy_s / engine_t1_s : 0.0, "x"});
-  if (engine_t2_s > 0) {
-    report.metrics.push_back(
-        {"speedup_threads2_vs_threads1", engine_t1_s / engine_t2_s, "x"});
-  }
-  if (engine_t4_s > 0) {
-    report.metrics.push_back(
-        {"speedup_threads4_vs_threads1", engine_t1_s / engine_t4_s, "x"});
-  }
-
-  // Big-preset row (4 sockets x 16 cores) at four threads: the socket
-  // dispatch with work stealing. Run even below four hardware threads, so
-  // the row exists on every runner.
-  report.metrics.push_back({"big_threads4_socket_seconds", run_once(4, true, false, "big"), "s"});
-  // Deeper fixed-thread scaling on the big preset, same skip convention as
-  // the threads2/threads4 rows above. engine_threads8_seconds is CI-gated.
-  for (const int threads : {8, 16}) {
-    const std::string prefix = "engine_threads" + std::to_string(threads);
-    if (hw < threads) {
-      report.metrics.push_back({prefix + "_skipped_hw_too_small", 1.0, ""});
-      continue;
-    }
-    push_engine_run(prefix, run_once(threads, true, false, "big"), last_report);
-  }
+       engine_sampled_s > 0 ? engine_t1_s / engine_sampled_s : 0.0, "x"});
 
   // Unprofiled stretch: no session is attached, so the row isolates the
   // engine's record, apply and commit cost from profiling work.
@@ -523,9 +465,7 @@ BenchReport RunParallelEngine(const BenchParams& params) {
     Machine& machine = *rig->machine;
     MemcachedWorkload workload(rig->env.get(), MemcachedConfig{});
     workload.Install(machine);
-    EngineConfig engine_config;
-    engine_config.threads = 1;
-    Engine engine(&machine, engine_config);
+    Engine engine(&machine);
     machine.SetExecutor(&engine);
     const auto start = Clock::now();
     machine.RunFor(cycles);
@@ -633,7 +573,7 @@ void RegisterBuiltinBenches(BenchRegistry& registry) {
                     "simulated Apache req/s at peak / drop-off / fixed",
                     RunApacheThroughput);
   registry.Register("parallel_engine",
-                    "epoch-engine wall-clock: legacy loop vs 1 / N host threads "
+                    "epoch-engine wall-clock: legacy loop vs exact vs sampled "
                     "on the 16-core memcached scenario",
                     RunParallelEngine);
   registry.Register("whatif_smoke",

@@ -1,9 +1,6 @@
 #include "src/cli/crashtest.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/cli/scenario_registry.h"
 #include "src/machine/faults.h"
@@ -49,14 +46,13 @@ struct CellResult {
   bool degraded = false;
 };
 
-RunSpec CellSpec(const SeamCase& sc, int threads) {
+RunSpec CellSpec(const SeamCase& sc) {
   RunSpec spec;
   // Small geometry: the matrix is 4 scenarios x 9 seams, so each cell must
   // be cheap; every seam's default cadence fires many times in 2M cycles.
   spec.cores = 8;
   spec.seed = 1;
   spec.collect_cycles = 2'000'000;
-  spec.threads = threads;
   spec.build_view_json = false;
   spec.collect_histories = false;
   spec.audit_epochs = 16;
@@ -79,9 +75,9 @@ RunSpec CellSpec(const SeamCase& sc, int threads) {
   return spec;
 }
 
-CellResult RunCell(const std::string& scenario, const SeamCase& sc, int threads) {
+CellResult RunCell(const std::string& scenario, const SeamCase& sc) {
   const ScenarioReport report =
-      RunScenario(ScenarioRegistry::Default(), scenario, CellSpec(sc, threads));
+      RunScenario(ScenarioRegistry::Default(), scenario, CellSpec(sc));
   CellResult cell;
   cell.scenario = scenario;
   cell.seam = FaultSeamName(sc.seam);
@@ -133,27 +129,12 @@ std::string MatrixToJson(const std::vector<CellResult>& cells, bool pass) {
 
 int CmdCrashtest(const std::vector<std::string>& args) {
   bool json = false;
-  int threads = 0;
   for (size_t i = 2; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--json") {
       json = true;
-    } else if (arg == "--threads") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "dprof: --threads requires a value\n");
-        return 2;
-      }
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(args[++i].c_str(), &end, 10);
-      if (errno != 0 || end == args[i].c_str() || *end != '\0' || parsed > 1024) {
-        std::fprintf(stderr, "dprof: --threads must be an integer in [0, 1024]\n");
-        return 2;
-      }
-      threads = static_cast<int>(parsed);
     } else {
-      std::fprintf(stderr, "dprof: unknown flag '%s' (accepted here: --json --threads)\n",
-                   arg.c_str());
+      std::fprintf(stderr, "dprof: unknown flag '%s' (accepted here: --json)\n", arg.c_str());
       return 2;
     }
   }
@@ -165,7 +146,7 @@ int CmdCrashtest(const std::vector<std::string>& args) {
       if (!json) {
         std::fprintf(stderr, "crashtest: %s x %s...\n", scenario, FaultSeamName(sc.seam));
       }
-      CellResult cell = RunCell(scenario, sc, threads);
+      CellResult cell = RunCell(scenario, sc);
       injected_by_seam[static_cast<int>(sc.seam)] += cell.injected;
       cells.push_back(std::move(cell));
     }

@@ -7,9 +7,7 @@
 // diagnostic (the expected error code for seams whose whole point is to be
 // *caught* — lattice corruption by the auditor, stalls by the watchdog).
 // A crash, CHECK-abort, or hang anywhere in the matrix is the failure this
-// command exists to catch; CI runs it under ASan and diffs its --json
-// output across --threads values, which the deterministic fault plan makes
-// byte-identical.
+// command exists to catch; CI runs it under ASan.
 
 #ifndef DPROF_SRC_CLI_CRASHTEST_H_
 #define DPROF_SRC_CLI_CRASHTEST_H_
@@ -19,7 +17,7 @@
 
 namespace dprof {
 
-// Entry point for `dprof crashtest [--json] [--threads N]`. Returns 0 iff
+// Entry point for `dprof crashtest [--json]`. Returns 0 iff
 // every cell ended in its expected outcome and every seam fired in at least
 // one scenario.
 int CmdCrashtest(const std::vector<std::string>& args);

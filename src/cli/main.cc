@@ -19,8 +19,7 @@
 //                      (4 sockets x 4 cores, 4MB L3 slice each) or big
 //                      (4 sockets x 16 cores, 16MB slices); overrides --cores
 //   --cycles N         phase-1 collection length in simulated cycles
-//   --threads N        host worker threads (run: epoch engine workers;
-//                      whatif: parallel candidate experiments; default 0 =
+//   --threads N        whatif: parallel candidate experiments (default 0 =
 //                      hardware concurrency; output is bit-identical for
 //                      every value)
 //   --type NAME        run: per-type path-trace drill-down;
@@ -36,11 +35,13 @@
 //   --admission-control apply the apache §6.2 workload fix: cap accepted
 //                      connections (run, whatif)
 //   --legacy-loop      run on the legacy sequential loop instead of the
-//                      epoch engine (run; the validation baseline)
+//                      epoch engine (run; the validation baseline; not
+//                      combinable with the engine-only --sampled, --audit
+//                      and --watchdog-* flags)
 //   --sampled          statistical fast-forward: alternate short detailed
 //                      windows with functional-only stretches and report
 //                      scaled estimates with confidence intervals (run,
-//                      whatif; deterministic per seed and thread count)
+//                      whatif; deterministic per seed)
 //   --sampling-period N  cycles between detailed windows (default 400000)
 //   --sampling-window N  detailed-window length in cycles (default 20000)
 //   --audit N          verify the tag-lattice invariants every N engine
@@ -93,6 +94,7 @@ int Usage(FILE* out) {
                "  --fix KIND    candidate transform for the preceding --type (whatif)\n"
                "  --auto        search top profiled types x all fixes (whatif)\n"
                "  --top N       types --auto explores (whatif; default 3)\n"
+               "  --threads N   parallel candidate experiments (whatif; 0 = all cores)\n"
                "  --local-tx-queue    memcached core-local transmit fix\n"
                "  --admission-control apache admission-control fix\n"
                "  --legacy-loop run on the legacy loop, not the engine (run)\n"
@@ -399,7 +401,7 @@ int CmdRun(const std::vector<std::string>& args) {
   if (!FindScenarioArg(args, &name, &flag_start)) return 2;
   ParsedFlags flags;
   if (!ParseFlags(args, flag_start,
-                  "--json --cores --topology --cycles --threads --type --seed "
+                  "--json --cores --topology --cycles --type --seed "
                   "--legacy-loop --local-tx-queue --admission-control "
                   "--sampled --sampling-period --sampling-window --audit --fault "
                   "--fault-seed --watchdog-stall-epochs --watchdog-seconds --scenario",
@@ -499,7 +501,6 @@ int CmdWhatIf(const std::vector<std::string>& args) {
     RunSpec probe = spec;
     probe.build_view_json = false;
     probe.collect_histories = false;
-    probe.threads = 1;
     const ScenarioReport baseline = RunScenario(registry, name, probe);
     candidates = AutoCandidates(baseline.profile, flags.top, baseline.num_sockets);
     if (candidates.empty()) {

@@ -59,6 +59,19 @@ std::string ValidateRunSpec(const RunSpec& spec) {
     return "--threads must be in [0, 1024] (0 = hardware concurrency); got " +
            std::to_string(spec.threads);
   }
+  // The legacy loop has no engine: engine-only options would be ignored.
+  if (!spec.use_engine) {
+    if (spec.sampled) {
+      return "--sampled needs the epoch engine; drop --legacy-loop";
+    }
+    if (spec.audit_epochs > 0) {
+      return "--audit needs the epoch engine; drop --legacy-loop";
+    }
+    if (spec.watchdog_stall_epochs > 0 || spec.watchdog_wall_seconds > 0.0) {
+      return "--watchdog-stall-epochs/--watchdog-seconds need the epoch engine; drop "
+             "--legacy-loop";
+    }
+  }
   if (!spec.sampled && (spec.sampling_period > 0 || spec.sampling_window > 0)) {
     return "--sampling-period/--sampling-window only apply to sampled runs; add --sampled";
   }
@@ -249,12 +262,10 @@ ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& 
   }
 
   // Scenario runs execute on the epoch engine unless the caller asked for
-  // the legacy loop baseline; the thread count only affects wall-clock,
-  // never the committed stream or the report.
+  // the legacy loop baseline.
   std::unique_ptr<Engine> engine;
   if (spec.use_engine) {
     EngineConfig engine_config;
-    engine_config.threads = spec.threads;
     engine_config.sampling.enabled = spec.sampled;
     if (spec.sampling_period > 0) {
       engine_config.sampling.period_cycles = spec.sampling_period;

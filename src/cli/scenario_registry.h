@@ -64,9 +64,9 @@ struct RunSpec {
   uint64_t seed = 1;
   // 0 = keep the scenario's default collect_cycles.
   uint64_t collect_cycles = 0;
-  // Host worker threads for the epoch engine; 0 = hardware_concurrency.
-  // The committed event stream — and so the whole report — is bit-identical
-  // for every value, including 1.
+  // Host threads for whatif's candidate fan-out (RunWhatIf); 0 =
+  // hardware_concurrency. A scenario run uses one host thread whatever the
+  // value, and whatif's report is bit-identical for every value.
   int threads = 0;
   // When false, the run executes on the legacy step-the-minimum-clock-core
   // loop instead of the epoch engine: the baseline the parallel_engine
@@ -108,7 +108,7 @@ struct RunSpec {
   uint64_t sampling_period = 0;
   uint64_t sampling_window = 0;
   // Periodic lattice invariant auditing (`dprof run --audit=N`): every N
-  // engine epochs the commit thread re-derives the tag lattice's global
+  // engine epochs the engine re-derives the tag lattice's global
   // invariants (inclusion, private-exclusive consistency, directory
   // extension-bank obligations, committed-clock monotonicity) and turns any
   // violation into a structured kDataLoss status. 0 = off. Audit-enabled
@@ -117,7 +117,7 @@ struct RunSpec {
   // Deterministic fault injection: comma-separated seam list ("all", or e.g.
   // "slab_grow,lane_drop" — see ParseFaultSeamList). Empty = healthy run.
   // Every fault decision is a pure function of (seed, simulated state), so
-  // faulted runs stay byte-identical across --threads.
+  // faulted runs are deterministic.
   std::string fault_seams;
   // Seed salting every fault decision; 0 keeps the FaultPlanConfig default.
   uint64_t fault_seed = 0;
@@ -252,8 +252,8 @@ struct ScenarioReport {
   SamplingReport sampling;
 
   // Fault-injection accounting (RunSpec::fault_seams runs only): per-seam
-  // injected/recovered counters from the FaultPlan. Deterministic for any
-  // --threads value, so crashtest can diff the JSON across thread counts.
+  // injected/recovered counters from the FaultPlan. Deterministic, so
+  // crashtest's JSON is byte-stable.
   struct SeamCount {
     std::string seam;
     uint64_t injected = 0;

@@ -11,12 +11,10 @@ namespace dprof {
 
 namespace {
 
-// Shapes a spec into a measurement run: single-threaded engine (candidates
-// parallelize across experiments instead), no history phase, no view JSON —
+// Shapes a spec into a measurement run: no history phase, no view JSON —
 // the diff must only see the workload under the transform.
 RunSpec MeasurementSpec(const RunSpec& base) {
   RunSpec spec = base;
-  spec.threads = 1;
   spec.collect_histories = false;
   spec.build_view_json = false;
   spec.drill_type.clear();
@@ -71,8 +69,8 @@ WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scen
   report.baseline_profile = baseline.profile;
 
   // Each experiment is an independent deterministic simulation: fan out
-  // across host threads, one engine thread each. Results land by index, so
-  // the report never depends on completion order.
+  // across host threads, one experiment per thread at a time. Results land
+  // by index, so the report never depends on completion order.
   std::vector<ScenarioReport> variants(candidates.size());
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const size_t workers = std::min<size_t>(

@@ -76,7 +76,7 @@ std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow
 // transforms are the baseline's. Measurement runs disable phase-2 history
 // collection and view JSON so the throughput diff only sees the workload.
 // `base_spec.threads` sets the host-parallel candidate fan-out (0 = hardware
-// concurrency); each experiment itself runs single-threaded.
+// concurrency); each experiment itself runs on one host thread.
 WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
                        const RunSpec& base_spec, const std::vector<WhatIfCandidate>& candidates);
 

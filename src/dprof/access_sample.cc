@@ -25,7 +25,7 @@ void AccessSampleTable::Record(const IbsSample& sample, const ResolveResult& res
   if (sample.is_write) {
     ++stats.writes;
   }
-  stats.cpu_mask |= 1u << sample.core;
+  stats.cpu_mask |= uint64_t{1} << sample.core;
 }
 
 std::unordered_map<TypeId, TypeSampleAgg> AccessSampleTable::AggregateByType() const {

@@ -43,7 +43,7 @@ struct SampleStats {
   uint64_t level_counts[5] = {0, 0, 0, 0, 0};  // indexed by ServedBy
   uint64_t latency_sum = 0;
   uint64_t writes = 0;
-  uint32_t cpu_mask = 0;
+  uint64_t cpu_mask = 0;  // bit c: core c sampled this cell (up to 64 cores)
 };
 
 // Aggregate over a (type, ip, offset-range) used to augment path steps.
@@ -60,7 +60,7 @@ struct TypeSampleAgg {
   uint64_t foreign = 0;
   uint64_t dram = 0;
   uint64_t latency_sum = 0;
-  uint32_t cpu_mask = 0;
+  uint64_t cpu_mask = 0;
 
   double ForeignFraction() const {
     return samples == 0 ? 0.0 : static_cast<double>(foreign) / static_cast<double>(samples);

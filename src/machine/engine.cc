@@ -102,12 +102,6 @@ Engine::Engine(Machine* machine, const EngineConfig& config)
   DPROF_CHECK(config_.epoch_cycles_focus > 0);
   DPROF_CHECK(config_.apply_quantum_bits >= 0 && config_.apply_quantum_bits < 32);
   DPROF_CHECK(machine_->num_cores() <= kMaxCores);
-  threads_ = config_.threads > 0 ? config_.threads
-                                 : static_cast<int>(std::thread::hardware_concurrency());
-  if (threads_ < 1) {
-    threads_ = 1;
-  }
-  num_shards_ = machine_->hierarchy().num_shards();
   if (config_.sampling.enabled) {
     sampler_ = std::make_unique<SamplingController>(config_.sampling);
   }
@@ -117,111 +111,6 @@ Engine::Engine(Machine* machine, const EngineConfig& config)
   block_start_.assign(cores, 0);
   probe_latency_.assign(cores, 0);
   probe_active_.assign(cores, 0);
-
-  const int max_width = std::max(cores, static_cast<int>(num_shards_));
-  const int spawn = std::min(threads_ - 1, max_width - 1);
-  workers_.reserve(spawn);
-  for (int i = 0; i < spawn; ++i) {
-    workers_.emplace_back(&Engine::WorkerLoop, this);
-  }
-  // With workers, the apply phase runs one worker per hierarchy shard over
-  // recorded shard lists; without them, a single fused merge over the
-  // per-core streams applies the same per-shard suborders — identical
-  // hierarchy results — without the shard indirection.
-  shard_apply_ = !workers_.empty() && num_shards_ > 1;
-  // Socket-major dispatch: each socket's L3 slice is a contiguous shard
-  // range (the home bits are the shard index's high bits), so a socket task
-  // walks one slice's arrays end to end.
-  num_sockets_ = machine_->hierarchy().num_sockets();
-  shards_per_socket_ = num_shards_ / static_cast<uint32_t>(num_sockets_);
-  socket_apply_ = shard_apply_ && num_sockets_ > 1;
-  if (socket_apply_) {
-    socket_cursor_ = std::vector<std::atomic<uint32_t>>(num_sockets_);
-  }
-}
-
-Engine::~Engine() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
-  if (deliver_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(deliver_mu_);
-      deliver_shutdown_ = true;
-    }
-    deliver_cv_.notify_all();
-    deliver_thread_.join();
-  }
-}
-
-// Claims the next index of dispatch `generation`, or -1 when that dispatch
-// has no indices left (or has been superseded — a straggler from a finished
-// dispatch must never claim into the next one). Claims are whole-core /
-// whole-shard units, so the mutex is uncontended in practice.
-int Engine::ClaimIndex(uint64_t generation) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (generation_ != generation || next_index_ >= task_count_) {
-    return -1;
-  }
-  return next_index_++;
-}
-
-void Engine::FinishIndex(uint64_t generation) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (generation_ == generation && ++finished_ == task_count_) {
-    done_cv_.notify_all();
-  }
-}
-
-void Engine::WorkerLoop() {
-  uint64_t seen = 0;
-  while (true) {
-    const std::function<void(int)>* task = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) {
-        return;
-      }
-      seen = generation_;
-      task = task_;
-    }
-    for (int i = ClaimIndex(seen); i >= 0; i = ClaimIndex(seen)) {
-      (*task)(i);
-      FinishIndex(seen);
-    }
-  }
-}
-
-void Engine::ParallelFor(int count, const std::function<void(int)>& fn) {
-  if (workers_.empty() || count <= 1) {
-    for (int i = 0; i < count; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    task_ = &fn;
-    task_count_ = count;
-    next_index_ = 0;
-    finished_ = 0;
-    generation = ++generation_;
-  }
-  work_cv_.notify_all();
-  for (int i = ClaimIndex(generation); i >= 0; i = ClaimIndex(generation)) {
-    fn(i);
-    FinishIndex(generation);
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] { return finished_ == count; });
-  task_ = nullptr;
 }
 
 void Engine::RunFor(uint64_t cycles) {
@@ -269,7 +158,7 @@ void Engine::RunFor(uint64_t cycles) {
     }
     // Adaptive epoch length: tight while a mailbox-fed type is under study
     // (focus is pure session state, so the choice — and therefore the
-    // committed stream — is identical for every host thread count).
+    // committed stream — is deterministic).
     const uint64_t epoch =
         m.epoch_focus() ? config_.epoch_cycles_focus : config_.epoch_cycles;
     RunEpoch(min_clock, deadline, epoch);
@@ -280,9 +169,6 @@ void Engine::RunFor(uint64_t cycles) {
       status_.Update(m.allocator_->status());
     }
   }
-  // Settle in-flight observer delivery before the caller can read observer
-  // state: RunFor's boundary is the only synchronization point callers see.
-  WaitDeliveryIdle();
 }
 
 void Engine::RunAudit() {
@@ -338,8 +224,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   Machine& m = *machine_;
   const int cores = m.num_cores();
   // The sampling schedule is a function of the committed min-clock, so the
-  // choice — like everything downstream of it — is identical for every
-  // thread count.
+  // choice — like everything downstream of it — is deterministic.
   // Observers force detailed epochs: fast-forward has no events to deliver,
   // so a sampled run with observers attached would silently starve them.
   const bool want_detailed = sampler_ == nullptr || sampler_->BeginEpoch(min_clock);
@@ -348,7 +233,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   // deliver no events, so the usual epoch granularity only buys overhead.
   // The stretch ends at the next detailed window (FfRunway) and at the
   // config cap; both are functions of the committed clock, so the epoch
-  // schedule stays identical for every thread count.
+  // schedule stays deterministic.
   uint64_t epoch_end = std::min(deadline, min_clock + epoch_cycles);
   if (ff_epoch_) {
     const uint64_t stretch =
@@ -384,15 +269,14 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
       }
     }
   }
-  const size_t record_shards = shard_apply_ && !ff_epoch_ ? num_shards_ : 0;
   for (int c = 0; c < cores; ++c) {
     CoreRecorder& rec = recorders_[c];
     // Calibrate the core's lower-bound cost model from the epoch just
     // committed: measured access-attributable clock advance (latency + PMU
     // interrupts + lock waits) over the raw estimate. Smoothed 3:1 to damp
-    // oscillation; pure function of committed state, so identical for any
-    // thread count. Fast-forwarded epochs leave raw_access_cost at zero, so
-    // their estimated advances never feed back into the scale.
+    // oscillation; pure function of committed state. Fast-forwarded epochs
+    // leave raw_access_cost at zero, so their estimated advances never feed
+    // back into the scale.
     const uint64_t advance = m.clocks_[c] - rec.epoch_start_clock;
     if (rec.raw_access_cost > 0 && advance > rec.exact_cost) {
       uint64_t scale16 = ((advance - rec.exact_cost) * 16) / rec.raw_access_cost;
@@ -400,15 +284,15 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
       rec.cost_scale16 =
           static_cast<uint32_t>((3ull * rec.cost_scale16 + scale16) / 4);
     }
-    rec.Reset(m.clocks_[c], record_shards);
+    rec.Reset(m.clocks_[c]);
     if (ff_epoch_) {
       rec.ff = true;
       rec.ff_lo = ff_lo;
       rec.ff_hi = ff_hi;
     }
     // Injected per-core clock skew: an idle burst recorded at epoch start,
-    // keyed on (core, epoch ordinal) only, so skewed runs commit the same
-    // stream at every thread count. Recovery is inherent — the commit pass
+    // keyed on (core, epoch ordinal) only, so skewed runs stay
+    // deterministic. Recovery is inherent — the commit pass
     // reconstructs exact clocks from the recorded ops like any idle time.
     if (faults != nullptr && epoch_end > min_clock) {
       const uint32_t skew = faults->ClockSkew(c, epochs_run_);
@@ -419,21 +303,13 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     }
   }
   const auto t0 = Clock::now();
-  ParallelFor(cores, [&](int core) { SimulateCore(core, epoch_end); });
+  for (int c = 0; c < cores; ++c) {
+    SimulateCore(c, epoch_end);
+  }
   const auto t1 = Clock::now();
   // Fast-forward epochs never touch the hierarchy: no apply pass at all.
   if (!ff_epoch_) {
-    if (socket_apply_) {
-      for (auto& cursor : socket_cursor_) {
-        cursor.store(0, std::memory_order_relaxed);
-      }
-      ParallelFor(num_sockets_, [&](int socket) { ApplySocket(socket); });
-    } else if (shard_apply_) {
-      ParallelFor(static_cast<int>(num_shards_),
-                  [&](int shard) { ApplyShard(static_cast<uint32_t>(shard)); });
-    } else {
-      ApplyGlobal();
-    }
+    ApplyGlobal();
   }
   const auto t2 = Clock::now();
   CommitEpoch();
@@ -443,10 +319,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   for (EpochHook* hook : m.epoch_hooks_) {
     hook->OnEpochCommit(m.MaxClock());
   }
-  // Hand off after the epoch hooks so the delivery thread only ever
-  // overlaps the next epoch's simulate phase — allocator flushes and epoch
-  // hooks run with observers settled.
-  HandOffOrDeliver();
+  DeliverBatch();
   const auto t3 = Clock::now();
   phase_stats_.simulate_seconds += Seconds(t0, t1);
   phase_stats_.apply_seconds += Seconds(t1, t2);
@@ -481,137 +354,21 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
   }
 }
 
-// All apply passes merge in (t >> apply_quantum_bits, core, program order):
+// The apply pass merges in (t >> apply_quantum_bits, core, program order):
 // see EngineConfig::apply_quantum_bits. The quantized key also makes
 // same-core runs long (a core's whole quantum drains before the merge
 // switches), so the min-tree recomputes once per run, not per op — and each
-// drain is a single-core span handed to ApplyBatch. Gathering a drain into a
-// window before applying it changes nothing about the access order.
-void Engine::ApplyShard(uint32_t shard) {
+// drain is a single-core span handed to ApplyBatch. Drains gather into a
+// window and scatter results back; gathering changes nothing about the
+// access order.
+void Engine::ApplyGlobal() {
   Machine& m = *machine_;
   const int cores = m.num_cores();
   const int qbits = config_.apply_quantum_bits;
   // Lane faults (dropped / duplicated records) are keyed on the recorded
   // (core, timestamp, address) alone, and a drop recovers to the optimistic
-  // lower-bound result, so faulted applies stay bit-identical to the fused
-  // single-thread merge. The window reserves one slot so a duplicate always
+  // lower-bound result. The window reserves one slot so a duplicate always
   // lands adjacent to its original (batch boundaries don't change results).
-  FaultPlan* const faults = m.fault_plan();
-  const bool lane_faults =
-      faults != nullptr && (faults->enabled(FaultSeam::kLaneDrop) ||
-                            faults->enabled(FaultSeam::kLaneDup));
-  const uint32_t drop_result =
-      PackAccessResult(m.config_.hierarchy.latency.l1, ServedBy::kL1, false);
-  const uint32_t window_cap = lane_faults ? kApplyWindow - 1 : kApplyWindow;
-  uint64_t keys[kMaxCores];
-  size_t cursor[kMaxCores] = {0};
-  ApplyLane window[kApplyWindow];
-  uint32_t scatter[kApplyWindow];
-  int remaining = 0;
-  for (int c = 0; c < kMaxCores; ++c) {
-    keys[c] = kDoneKey;
-  }
-  for (int c = 0; c < cores; ++c) {
-    const CoreRecorder& rec = recorders_[c];
-    const auto& list = rec.shard_ops[shard];
-    if (!list.empty()) {
-      keys[c] = PackKey(rec.lane[list[0]].t >> qbits, c);
-      ++remaining;
-    }
-  }
-  while (remaining > 0) {
-    const int core = static_cast<int>(MinKey(keys, cores) & kCoreMask);
-    CoreRecorder& rec = recorders_[core];
-    const auto& list = rec.shard_ops[shard];
-    const uint64_t base = rec.epoch_start_clock;
-    keys[core] = kDoneKey;
-    const uint64_t limit = MinKey(keys, cores);
-    uint64_t key;
-    do {
-      // Gather the drain (lane records of this core, in shard-list order)
-      // into the window, then batch-apply and scatter the packed results
-      // back.
-      uint32_t nw = 0;
-      do {
-        const uint32_t e = list[cursor[core]];
-        const CoreRecorder::Lane& lane = rec.lane[e];
-        DPROF_CHECK(lane.t - base <= 0xffff'ffffull);  // silent wrap would corrupt merge order
-        const LaneFault fault = lane_faults
-                                    ? faults->LaneFaultFor(core, lane.t, lane.addr)
-                                    : LaneFault::kNone;
-        if (fault == LaneFault::kDrop) {
-          // The record never reaches the hierarchy; recover by committing
-          // the optimistic lower-bound result in its place.
-          rec.lane[e].result = drop_result;
-        } else {
-          window[nw] =
-              ApplyLane{lane.addr, static_cast<uint32_t>(lane.t - base), lane.size_w};
-          scatter[nw] = e;
-          ++nw;
-          if (fault == LaneFault::kDup) {
-            window[nw] = window[nw - 1];
-            scatter[nw] = kDupScatter;
-            ++nw;
-          }
-        }
-        key = ++cursor[core] < list.size()
-                  ? PackKey(rec.lane[list[cursor[core]]].t >> qbits, core)
-                  : kDoneKey;
-      } while (key < limit && nw < window_cap);
-      m.hierarchy_.ApplyBatch(core, base, window, nw);
-      for (uint32_t j = 0; j < nw; ++j) {
-        if (scatter[j] != kDupScatter) {
-          rec.lane[scatter[j]].result = window[j].size_w;
-        }
-      }
-    } while (key < limit);
-    keys[core] = key;
-    if (key == kDoneKey) {
-      --remaining;
-    }
-  }
-}
-
-// Multi-socket apply task. The shard key is the home socket: shards of one
-// socket form a contiguous range [socket * shards_per_socket_, ...), and
-// this task drains that whole range — one worker owns whole L3 slices, so
-// its tag walks stay inside one slice's (contiguous) tag/meta arrays. Once
-// its own slice is dry, a worker steals remaining shards from the other
-// sockets' ranges through their claim cursors. Every shard is still applied
-// exactly once by exactly one worker, and shard state is disjoint, so the
-// committed results cannot depend on who applied what — stealing only
-// rebalances host wall-clock when the epoch's accesses skew toward one
-// socket's slices.
-void Engine::ApplySocket(int socket) {
-  const uint32_t base = static_cast<uint32_t>(socket) * shards_per_socket_;
-  std::atomic<uint32_t>& own = socket_cursor_[socket];
-  for (uint32_t i = own.fetch_add(1, std::memory_order_relaxed);
-       i < shards_per_socket_; i = own.fetch_add(1, std::memory_order_relaxed)) {
-    ApplyShard(base + i);
-  }
-  for (int v = 1; v < num_sockets_; ++v) {
-    const int victim = (socket + v) % num_sockets_;
-    std::atomic<uint32_t>& cursor = socket_cursor_[victim];
-    const uint32_t victim_base = static_cast<uint32_t>(victim) * shards_per_socket_;
-    for (uint32_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-         i < shards_per_socket_; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      ApplyShard(victim_base + i);
-    }
-  }
-}
-
-// Single-thread apply: one fused merge over all per-core streams. Hierarchy
-// state is disjoint across shards, and this global order restricts to
-// exactly the per-shard suborder on every shard, so the results are
-// bit-identical to the shard-parallel pass — without recording shard lists
-// or making one merge pass per shard over near-empty lists. Drains gather
-// into a window and scatter results back, exactly as in ApplyShard.
-void Engine::ApplyGlobal() {
-  Machine& m = *machine_;
-  const int cores = m.num_cores();
-  const int qbits = config_.apply_quantum_bits;
-  // Same lane-fault keying as ApplyShard: decisions depend only on the
-  // recorded op, so both apply strategies perturb identically.
   FaultPlan* const faults = m.fault_plan();
   const bool lane_faults =
       faults != nullptr && (faults->enabled(FaultSeam::kLaneDrop) ||
@@ -654,6 +411,8 @@ void Engine::ApplyGlobal() {
     const uint64_t limit = MinKey(keys, cores);
     uint64_t key;
     do {
+      // Gather the drain into the window, then batch-apply and scatter the
+      // packed results back.
       uint32_t nw = 0;
       do {
         const uint32_t li = cursor[core];
@@ -663,6 +422,8 @@ void Engine::ApplyGlobal() {
                                     ? faults->LaneFaultFor(core, lane.t, lane.addr)
                                     : LaneFault::kNone;
         if (fault == LaneFault::kDrop) {
+          // The record never reaches the hierarchy; recover by committing
+          // the optimistic lower-bound result in its place.
           rec.lane[li].result = drop_result;
         } else {
           window[nw] =
@@ -1145,95 +906,44 @@ bool Engine::CommitSyncOp(int core, uint32_t index) {
 }
 
 void Engine::EmitAccess(const AccessEvent& event) {
-  EventBatch& batch = batches_[build_batch_];
-  batch.access.push_back(event);
-  if (!batch.spans.empty() && batch.spans.back().is_compute == 0) {
-    ++batch.spans.back().count;
+  batch_.access.push_back(event);
+  if (!batch_.spans.empty() && batch_.spans.back().is_compute == 0) {
+    ++batch_.spans.back().count;
   } else {
-    batch.spans.push_back(
-        EventBatch::Span{0, static_cast<uint32_t>(batch.access.size() - 1), 1});
+    batch_.spans.push_back(
+        EventBatch::Span{0, static_cast<uint32_t>(batch_.access.size() - 1), 1});
   }
 }
 
 void Engine::EmitCompute(const ComputeEvent& event) {
-  EventBatch& batch = batches_[build_batch_];
-  batch.compute.push_back(event);
-  if (!batch.spans.empty() && batch.spans.back().is_compute == 1) {
-    ++batch.spans.back().count;
+  batch_.compute.push_back(event);
+  if (!batch_.spans.empty() && batch_.spans.back().is_compute == 1) {
+    ++batch_.spans.back().count;
   } else {
-    batch.spans.push_back(
-        EventBatch::Span{1, static_cast<uint32_t>(batch.compute.size() - 1), 1});
+    batch_.spans.push_back(
+        EventBatch::Span{1, static_cast<uint32_t>(batch_.compute.size() - 1), 1});
   }
 }
 
-void Engine::DeliverBatch(const EventBatch& batch) {
-  if (batch.IsEmpty()) {
+void Engine::DeliverBatch() {
+  if (batch_.IsEmpty()) {
     return;
   }
   const auto start = Clock::now();
   Machine& m = *machine_;
-  for (const EventBatch::Span& span : batch.spans) {
+  for (const EventBatch::Span& span : batch_.spans) {
     if (span.is_compute != 0) {
       for (MachineObserver* obs : m.observers_) {
-        obs->OnComputeBatch(&batch.compute[span.offset], span.count);
+        obs->OnComputeBatch(&batch_.compute[span.offset], span.count);
       }
     } else {
       for (MachineObserver* obs : m.observers_) {
-        obs->OnAccessBatch(&batch.access[span.offset], span.count);
+        obs->OnAccessBatch(&batch_.access[span.offset], span.count);
       }
     }
   }
   phase_stats_.deliver_seconds += Seconds(start, Clock::now());
-}
-
-// Hands the built batch to the delivery thread so observers consume epoch
-// N's events while epoch N+1 simulates; the simulate phase touches only
-// core-owned state and observers are pure sinks nothing reads before the
-// next RunFor boundary, so the overlap is invisible to the results. With
-// one thread (or nothing to deliver) delivery runs inline.
-void Engine::HandOffOrDeliver() {
-  EventBatch& built = batches_[build_batch_];
-  if (built.IsEmpty()) {
-    return;
-  }
-  if (threads_ <= 1) {
-    DeliverBatch(built);
-    built.Clear();
-    return;
-  }
-  std::unique_lock<std::mutex> lk(deliver_mu_);
-  if (!deliver_thread_.joinable()) {
-    deliver_thread_ = std::thread(&Engine::DeliveryLoop, this);
-  }
-  deliver_cv_.wait(lk, [&] { return !deliver_pending_; });
-  build_batch_ = 1 - build_batch_;
-  deliver_pending_ = true;
-  deliver_cv_.notify_all();
-}
-
-void Engine::WaitDeliveryIdle() {
-  if (!deliver_thread_.joinable()) {
-    return;
-  }
-  std::unique_lock<std::mutex> lk(deliver_mu_);
-  deliver_cv_.wait(lk, [&] { return !deliver_pending_; });
-}
-
-void Engine::DeliveryLoop() {
-  std::unique_lock<std::mutex> lk(deliver_mu_);
-  while (true) {
-    deliver_cv_.wait(lk, [&] { return deliver_shutdown_ || deliver_pending_; });
-    if (!deliver_pending_) {
-      return;  // shutdown with nothing in flight
-    }
-    EventBatch& batch = batches_[1 - build_batch_];
-    lk.unlock();
-    DeliverBatch(batch);
-    lk.lock();
-    batch.Clear();
-    deliver_pending_ = false;
-    deliver_cv_.notify_all();
-  }
+  batch_.Clear();
 }
 
 }  // namespace dprof

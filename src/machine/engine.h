@@ -1,33 +1,27 @@
-// Epoch-batched parallel execution engine with deterministic replay.
+// Epoch-batched execution engine with deterministic replay.
 //
 // The legacy Machine loop steps the globally-minimum-clock core one driver
 // step at a time, interleaving simulation and hierarchy state at every
-// operation. This engine splits a run into bounded-cycle *epochs* and each
-// epoch into three strictly-barriered phases:
+// operation. This engine splits a run into bounded-cycle *epochs* and runs
+// each epoch as three sequential phases on the calling thread:
 //
-//   1. SIMULATE (parallel over cores): every CoreDriver runs with a
-//      recording CoreContext until its lower-bound clock reaches the epoch
-//      end. Drivers, the allocator fast paths, and RNGs touch only
-//      core-owned state; every memory access, compute burst, lock
-//      operation, and allocation event is appended to the core's SoA op
-//      queue with its lower-bound timestamp.
-//   2. APPLY (parallel over hierarchy shards): the recorded accesses are
-//      merged per shard in (timestamp quantum, core, program order) — see
-//      EngineConfig::apply_quantum_bits — and applied to the cache
-//      hierarchy. All hierarchy state partitions by line number
-//      (CacheHierarchy::num_shards), so shard workers never share state,
-//      and each shard's merge order is a pure function of the recorded
-//      queues. At one thread the same suborders are produced by a single
-//      fused merge with no shard lists. Every merge drain is a single-core
-//      span handed to CacheHierarchy::ApplyBatch; each op's packed latency/
-//      level/invalidation result is stored back into its lane record.
-//      On a multi-socket hierarchy each worker drains whole sockets' shard
-//      ranges and then steals remaining shards from other sockets.
-//   3. COMMIT (sequential): exact core clocks are reconstructed — memory
-//      latencies, PMU interrupt charges, and lock waits accumulate per
-//      core — and every observer, PMU hook, lock observer, and allocation
-//      event fires with its committed clock. Epoch hooks (mailboxes,
-//      allocator alien transfers) run last.
+//   1. SIMULATE (core by core): every CoreDriver runs with a recording
+//      CoreContext until its lower-bound clock reaches the epoch end.
+//      Drivers, the allocator fast paths, and RNGs touch only core-owned
+//      state; every memory access, compute burst, lock operation, and
+//      allocation event is appended to the core's SoA op queue with its
+//      lower-bound timestamp.
+//   2. APPLY: one fused merge over the per-core queues applies the recorded
+//      accesses to the cache hierarchy in (timestamp quantum, core, program
+//      order) — see EngineConfig::apply_quantum_bits. Every merge drain is a
+//      single-core span handed to CacheHierarchy::ApplyBatch; each op's
+//      packed latency/level/invalidation result is stored back into its
+//      lane record.
+//   3. COMMIT: exact core clocks are reconstructed — memory latencies, PMU
+//      interrupt charges, and lock waits accumulate per core — and every
+//      observer, PMU hook, lock observer, and allocation event fires with
+//      its committed clock. Observer events are delivered at the end of the
+//      commit; epoch hooks (mailboxes, allocator alien transfers) run last.
 //
 // The commit pass is *segmented*. The only operations whose commit another
 // core can observe are sync ops (locks, allocator events) and PMU
@@ -42,27 +36,18 @@
 // OnQuietAccessBatch / AccessFilter): an access only pays for event
 // assembly and virtual dispatch when some hook can actually act on it.
 // Observer delivery is span-based (MachineObserver::OnAccessBatch /
-// OnComputeBatch) and, when the engine owns worker threads, overlaps the
-// next epoch's simulate phase: observers are pure sinks, so handing the
-// fully-assembled event buffer of epoch N to a delivery thread while epoch
-// N+1 simulates changes nothing about its content or order.
+// OnComputeBatch).
 //
-// Because phase 1 is core-local, phase 2 is shard-local with a fixed merge
-// order, and phase 3's schedule is a pure function of the recorded queues
-// and committed state, the committed event stream — and therefore every
-// profile built from it — is bit-identical for any host thread count,
-// including 1.
+// Phase 1 is core-local, phase 2 has a fixed merge order, and phase 3's
+// schedule is a pure function of the recorded queues and committed state,
+// so the committed event stream — and therefore every profile built from
+// it — is deterministic.
 
 #ifndef DPROF_SRC_MACHINE_ENGINE_H_
 #define DPROF_SRC_MACHINE_ENGINE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/machine/machine.h"
@@ -71,10 +56,10 @@
 namespace dprof {
 
 struct EngineConfig {
-  // Host worker threads; 0 = std::thread::hardware_concurrency().
+  // Unread; kept only until the benchmark (perfbench/op.cc) stops naming it.
   int threads = 0;
   // Epoch length in simulated cycles: the bound on cross-core skew of the
-  // lower-bound clocks within one parallel phase, and the granularity at
+  // lower-bound clocks within one simulate phase, and the granularity at
   // which cross-core mailboxes (EpochHook) exchange state.
   uint64_t epoch_cycles = 20'000;
   // Adaptive epoch length used while Machine::epoch_focus() is set (a
@@ -105,11 +90,10 @@ struct EngineConfig {
   // cost estimate and skip the tag lattice entirely. Allocator state,
   // lock/sync arbitration, and armed watchpoint windows stay exact; the
   // window schedule is a pure function of committed clocks, so sampled runs
-  // stay byte-identical across --threads values. Epochs with observers
-  // attached always run detailed.
+  // are deterministic. Epochs with observers attached always run detailed.
   SamplingConfig sampling{};
-  // Invariant auditing: every audit_epochs epochs (0 = never) the commit
-  // thread walks the tag lattice with an InvariantAuditor (src/sim/audit.h)
+  // Invariant auditing: every audit_epochs epochs (0 = never) the engine
+  // walks the tag lattice with an InvariantAuditor (src/sim/audit.h)
   // and checks committed-clock monotonicity. A violation stops the run with
   // a kDataLoss status; a clean audit changes no observable output.
   uint64_t audit_epochs = 0;
@@ -125,9 +109,8 @@ struct EngineConfig {
 };
 
 // Host wall-clock spent in each engine phase, accumulated across epochs.
-// deliver_seconds counts span delivery to observers wherever it ran: on the
-// delivery thread when commit overlaps the next simulate phase, inside the
-// commit phase (and therefore also inside commit_seconds) at one thread.
+// deliver_seconds counts span delivery to observers, which runs inside the
+// commit phase and is therefore also inside commit_seconds.
 struct EnginePhaseStats {
   double simulate_seconds = 0.0;
   double apply_seconds = 0.0;
@@ -146,7 +129,6 @@ class Engine final : public Executor {
                 "merge keys pack the core id into the low log2(kMaxCores) bits");
 
   Engine(Machine* machine, const EngineConfig& config = {});
-  ~Engine() override;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -154,7 +136,6 @@ class Engine final : public Executor {
   // Executor: runs epochs until every core clock >= MinClock() + cycles.
   void RunFor(uint64_t cycles) override;
 
-  int threads() const { return threads_; }
   const EngineConfig& config() const { return config_; }
   uint64_t epochs_run() const { return epochs_run_; }
   const EnginePhaseStats& phase_stats() const { return phase_stats_; }
@@ -184,8 +165,7 @@ class Engine final : public Executor {
   };
 
   // One epoch's observer-bound event stream: homogeneous spans over the two
-  // typed buffers, in exact commit order. Double-buffered so delivery of
-  // epoch N can overlap epoch N+1's simulate phase.
+  // typed buffers, in exact commit order.
   struct EventBatch {
     struct Span {
       uint8_t is_compute;
@@ -208,15 +188,11 @@ class Engine final : public Executor {
   // nominal epoch length; fast-forward epochs stretch it (bounded by the
   // sampler's runway and config cap) to amortize per-epoch overhead.
   void RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycles);
-  // Lattice audit + committed-clock monotonicity check, run on the commit
-  // thread between epochs; injects one planned corruption first when a
-  // fault plan arms kLatticeCorrupt (the detection-coverage harness).
+  // Lattice audit + committed-clock monotonicity check, run between epochs;
+  // injects one planned corruption first when a fault plan arms
+  // kLatticeCorrupt (the detection-coverage harness).
   void RunAudit();
   void SimulateCore(int core, uint64_t epoch_end);
-  void ApplyShard(uint32_t shard);
-  // Multi-socket apply task: drains the socket's own shard range, then helps
-  // other sockets finish theirs.
-  void ApplySocket(int socket);
   void ApplyGlobal();
   void CommitEpoch();
 
@@ -247,31 +223,11 @@ class Engine final : public Executor {
 
   void EmitAccess(const AccessEvent& event);
   void EmitCompute(const ComputeEvent& event);
-  void DeliverBatch(const EventBatch& batch);
-  void HandOffOrDeliver();
-  void WaitDeliveryIdle();
-  void DeliveryLoop();
-
-  // Runs fn(0..count-1) on the worker pool; the calling thread participates.
-  void ParallelFor(int count, const std::function<void(int)>& fn);
-  void WorkerLoop();
-  int ClaimIndex(uint64_t generation);
-  void FinishIndex(uint64_t generation);
+  // Delivers the epoch's built batch to the observers and clears it.
+  void DeliverBatch();
 
   Machine* machine_;
   EngineConfig config_;
-  int threads_ = 1;
-  uint32_t num_shards_ = 1;
-  // Shard-parallel apply when worker threads exist; fused single merge
-  // (bit-identical results, no shard lists) otherwise.
-  bool shard_apply_ = false;
-  // Socket-major dispatch of the shard-parallel apply on multi-socket
-  // hierarchies; shards_per_socket_ is the contiguous shard range each
-  // socket owns, socket_cursor_ the per-socket claim state.
-  bool socket_apply_ = false;
-  int num_sockets_ = 1;
-  uint32_t shards_per_socket_ = 1;
-  std::vector<std::atomic<uint32_t>> socket_cursor_;
   // This epoch fast-forwards (sampled execution).
   bool ff_epoch_ = false;
   std::unique_ptr<SamplingController> sampler_;
@@ -306,29 +262,8 @@ class Engine final : public Executor {
   uint64_t gate_skipped_[kMaxCores];
   uint8_t gate_unbounded_[kMaxCores];
 
-  // Observer delivery. batches_[build_batch_] is filled by the commit pass;
-  // the other slot may be in flight on the delivery thread.
-  EventBatch batches_[2];
-  int build_batch_ = 0;
-  std::thread deliver_thread_;
-  std::mutex deliver_mu_;
-  std::condition_variable deliver_cv_;
-  bool deliver_pending_ = false;
-  bool deliver_shutdown_ = false;
-
-  // Worker pool (created only when threads > 1). All dispatch state is
-  // guarded by mu_; generation_ identifies the current dispatch so a
-  // straggler can never claim indices of a later one.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(int)>* task_ = nullptr;
-  int task_count_ = 0;
-  int next_index_ = 0;
-  int finished_ = 0;
-  uint64_t generation_ = 0;
-  bool shutdown_ = false;
+  // Observer delivery: filled by the commit pass, delivered at its end.
+  EventBatch batch_;
 };
 
 }  // namespace dprof

@@ -5,9 +5,8 @@
 // perturbation can be injected — and answers, per seam, "does the fault fire
 // here?" as a pure function of the plan seed and simulation-intrinsic
 // coordinates (core id, committed clock, epoch ordinal, slab ordinal). Host
-// threading never feeds a decision, so a faulted run is bit-identical for
-// every --threads value, which is what lets CI diff crashtest output across
-// thread counts.
+// state never feeds a decision, so a faulted run is deterministic: the same
+// plan always produces the same report.
 //
 // Every seam is recoverable by construction: the injection site converts the
 // fault into a structured recovery (retry, drop-with-lower-bound, bounded
@@ -19,7 +18,6 @@
 #ifndef DPROF_SRC_MACHINE_FAULTS_H_
 #define DPROF_SRC_MACHINE_FAULTS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -83,15 +81,13 @@ class FaultPlan {
   bool any_enabled() const { return config_.enabled_mask != 0; }
 
   // --- Seam decisions. Each is a pure function of (seed, args); the
-  // injection counters are the only mutable state and use relaxed atomics
-  // (totals are deterministic; increment order is not observable).
+  // injection counters are the only mutable state.
 
   // Does the core's slab_ordinal-th arena grow fail? The caller recovers by
   // charging a reclaim stall and retrying (the retry always succeeds).
   bool SlabGrowFails(int core, uint64_t slab_ordinal);
 
-  // Fate of the lane record (core, t, addr). Identical in the shard-parallel
-  // and fused-global apply paths because both see the same coordinates.
+  // Fate of the lane record (core, t, addr).
   LaneFault LaneFaultFor(int core, uint64_t t, Addr addr);
 
   // Deterministic per-core clock skew injected at the start of the epoch
@@ -121,24 +117,24 @@ class FaultPlan {
 
   // Recovery bookkeeping for seams whose recovery happens at the caller.
   void NoteRecovered(FaultSeam seam) {
-    recovered_[static_cast<int>(seam)].fetch_add(1, std::memory_order_relaxed);
+    ++recovered_[static_cast<int>(seam)];
   }
 
   uint64_t injected(FaultSeam seam) const {
-    return injected_[static_cast<int>(seam)].load(std::memory_order_relaxed);
+    return injected_[static_cast<int>(seam)];
   }
   uint64_t recovered(FaultSeam seam) const {
-    return recovered_[static_cast<int>(seam)].load(std::memory_order_relaxed);
+    return recovered_[static_cast<int>(seam)];
   }
 
  private:
   void NoteInjected(FaultSeam seam) {
-    injected_[static_cast<int>(seam)].fetch_add(1, std::memory_order_relaxed);
+    ++injected_[static_cast<int>(seam)];
   }
 
   FaultPlanConfig config_;
-  std::atomic<uint64_t> injected_[kNumFaultSeams] = {};
-  std::atomic<uint64_t> recovered_[kNumFaultSeams] = {};
+  uint64_t injected_[kNumFaultSeams] = {};
+  uint64_t recovered_[kNumFaultSeams] = {};
 };
 
 }  // namespace dprof

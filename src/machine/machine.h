@@ -12,9 +12,8 @@
 //    use it, as do tests that drive contexts by hand.
 //  - Recorded mode: a CoreContext carries a CoreRecorder and operations are
 //    appended to per-core SoA queues instead of executing. The epoch engine
-//    (src/machine/engine.h) simulates all cores concurrently this way, then
-//    applies and commits the queues in a deterministic order, so the
-//    committed event stream is bit-identical for any host thread count.
+//    (src/machine/engine.h) simulates every core for an epoch this way,
+//    then applies and commits the queues in a deterministic order.
 //
 // All instrumentation attaches here:
 //  - MachineObserver: sees every access and compute operation (code profiler).
@@ -140,24 +139,23 @@ class PmuHook {
 // The typed allocator interface the machine exposes to drivers via
 // CoreContext::Alloc/Free. Implemented by SlabAllocator (src/alloc).
 //
-// Under the epoch engine, Alloc/Free run during the parallel simulation
-// phase and must only touch state owned by the calling core; the allocator
-// reports allocation events through CoreContext::NotifyAllocEvent /
-// NotifyFreeEvent, and the engine calls the Commit*Event methods back in
-// deterministic commit order with the committed clock.
+// Under the epoch engine, Alloc/Free run during the simulate phase and must
+// only touch state owned by the calling core; the allocator reports
+// allocation events through CoreContext::NotifyAllocEvent / NotifyFreeEvent,
+// and the engine calls the Commit*Event methods back in deterministic commit
+// order with the committed clock.
 class AllocatorIface {
  public:
   virtual ~AllocatorIface() = default;
   virtual Addr Alloc(CoreContext& ctx, TypeId type, FunctionId ip) = 0;
   virtual void Free(CoreContext& ctx, Addr addr, FunctionId ip) = 0;
 
-  // Called by the engine before parallel simulation starts. Implementations
-  // create any lazily-built shared structures so the parallel phase only
-  // reads them.
+  // Called by the engine before the first epoch. Implementations create any
+  // lazily-built shared structures so the simulate phase only reads them.
   virtual void PrepareParallel(int num_cores) { (void)num_cores; }
 
-  // Called by the engine on the commit thread after each epoch's commit;
-  // implementations apply staged cross-core transfers here.
+  // Called by the engine after each epoch's commit; implementations apply
+  // staged cross-core transfers here.
   virtual void FlushEpoch() {}
 
   // Deferred allocation-event delivery (stats + AllocationObservers) in
@@ -234,9 +232,9 @@ class Executor {
 };
 
 // Cross-core host-state exchange point (transmit-queue mailboxes, allocator
-// alien-free transfers). The engine invokes hooks on the commit thread after
-// each epoch's commit, in registration order, so staged transfers become
-// visible to the next epoch's parallel phase deterministically.
+// alien-free transfers). The engine invokes hooks after each epoch's commit,
+// in registration order, so staged transfers become visible to the next
+// epoch's simulate phase deterministically.
 class EpochHook {
  public:
   virtual ~EpochHook() = default;
@@ -276,12 +274,12 @@ struct SimOp {
   bool flag = false;
 };
 
-// Per-core operation queue filled during the engine's parallel simulation
-// phase. `lb` is the core's lower-bound clock: the committed clock at epoch
-// start plus the minimum cost of every recorded op (memory latencies assume
-// L1 hits; PMU interrupts and lock waits are unknown until commit). The
-// engine orders commits by each op's recorded `t`, so the interleaving is a
-// pure function of the recorded streams — independent of host threading.
+// Per-core operation queue filled during the engine's simulate phase. `lb`
+// is the core's lower-bound clock: the committed clock at epoch start plus
+// the minimum cost of every recorded op (memory latencies assume L1 hits;
+// PMU interrupts and lock waits are unknown until commit). The engine
+// orders commits by each op's recorded `t`, so the interleaving is a pure
+// function of the recorded streams.
 //
 // Storage is SoA, grouped by consumer:
 //  - lane[]: everything the apply pass reads (t, addr, size+write bit) plus
@@ -295,9 +293,7 @@ struct SimOp {
 //    actually assembled).
 //  - sync_points[]: indices of kind >= kFirstSync ops, recorded at push
 //    time so the commit pass splits segments without rescanning.
-//  - shard_ops[]: per-hierarchy-shard access indices, recorded only when
-//    the engine runs the apply pass shard-parallel (record_shards); the
-//    single-thread apply uses one fused merge over the lane streams.
+// The apply pass is one fused merge over the cores' lane streams.
 class CoreRecorder {
  public:
   struct Lane {
@@ -334,19 +330,11 @@ class CoreRecorder {
     return PackedAccessInvalidation(result);
   }
 
-  // num_shards == 0 disables shard-list recording (single-thread apply).
   // The engine sets the per-epoch fast-forward fields (ff/ff_lo/ff_hi)
   // after Reset.
-  void Reset(uint64_t committed_clock, size_t num_shards) {
+  void Reset(uint64_t committed_clock) {
     n = 0;
     sync_points.clear();
-    record_shards = num_shards > 0;
-    if (shard_ops.size() != num_shards) {
-      shard_ops.resize(num_shards);
-    }
-    for (auto& list : shard_ops) {
-      list.clear();
-    }
     ff = false;
     ff_lo = kNullAddr;
     ff_hi = kNullAddr;
@@ -494,10 +482,6 @@ class CoreRecorder {
   bool run_open = false;  // last op is this epoch's open kFfRun
   uint64_t accesses = 0;  // line-chunk accesses recorded this epoch (any mode)
   std::vector<uint32_t> sync_points;
-  // Indices of kAccess ops per hierarchy shard, in program order; filled
-  // only when record_shards (shard-parallel apply).
-  bool record_shards = false;
-  std::vector<std::vector<uint32_t>> shard_ops;
   uint64_t lb = 0;
   uint64_t epoch_start_clock = 0;
   uint64_t raw_access_cost = 0;  // sum of unscaled access costs this epoch
@@ -557,9 +541,8 @@ class Machine {
   // Epoch focus: set while a mailbox-fed type is under study. The epoch
   // engine shrinks its epochs (EngineConfig::epoch_cycles_focus) while this
   // is on, so mailbox deliveries resolve at near-legacy granularity only
-  // when the fidelity is actually needed. Pure session state — identical
-  // for every host thread count — so determinism is unaffected. The legacy
-  // loop ignores it.
+  // when the fidelity is actually needed. Pure session state, so
+  // determinism is unaffected. The legacy loop ignores it.
   void SetEpochFocus(bool focus) { epoch_focus_ = focus; }
   bool epoch_focus() const { return epoch_focus_; }
 
@@ -570,8 +553,8 @@ class Machine {
   // Deterministic fault-injection plan (src/machine/faults.h), or null for a
   // healthy machine. Set before the first epoch; every consumer (engine,
   // allocator, mailboxes, sampler) keys its fault decisions off committed
-  // clocks and epoch ordinals, never host threading, so a faulted run stays
-  // bit-identical across --threads.
+  // clocks and epoch ordinals, never host state, so a faulted run is
+  // deterministic.
   void SetFaultPlan(FaultPlan* plan) { fault_plan_ = plan; }
   FaultPlan* fault_plan() const { return fault_plan_; }
 

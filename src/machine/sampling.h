@@ -21,8 +21,7 @@ struct SamplingConfig {
   // Detailed-window budget per period, in simulated cycles.
   uint64_t window_cycles = 20'000;
   // Seed for the deterministic window-placement jitter. The schedule is a
-  // pure function of (seed, committed clock), so it is identical for every
-  // engine --threads value.
+  // pure function of (seed, committed clock).
   uint64_t seed = 0x5a17;
   // Epoch-length cap for fast-forward stretches. FF epochs skip the apply
   // phase and deliver no events, so the engine coarsens them to amortize
@@ -41,7 +40,7 @@ struct SamplingInterval {
 
 // Owns the detailed-vs-fast-forward window schedule and the measured-window
 // accounting. The engine consults BeginEpoch at each epoch boundary (with the
-// global committed min-clock, which is thread-count independent) and reports
+// global committed min-clock) and reports
 // the epoch's outcome through EndEpoch. Epochs are the scheduling granule:
 // a "window" is realized as a run of consecutive detailed epochs totalling at
 // least window_cycles of simulated time.
@@ -91,7 +90,7 @@ class SamplingController {
   // first widening the window (x2, capped at the period), then, after
   // kMaxViolations, falling back to exact execution for the rest of the
   // run. All decisions are functions of the committed clock sequence, so
-  // degraded runs stay byte-identical across --threads.
+  // degraded runs are deterministic.
   static constexpr uint64_t kMaxViolations = 3;
   uint64_t violations() const { return violations_; }
   bool widened() const { return widened_; }

@@ -16,7 +16,7 @@
 //     empty, and no line is tagged twice in one set.
 //
 // The walk is read-only and allocation-light; with `dprof run --audit=N` the
-// engine runs it on the commit thread every N epochs, so a clean audit
+// engine runs it between epochs every N epochs, so a clean audit
 // changes no observable output (byte-identical JSON). Committed-clock
 // monotonicity — the one invariant that lives in the engine, not the
 // lattice — is checked at the same cadence by the engine itself.

@@ -80,11 +80,11 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config) : config_(config) 
   l3_ext_count_.assign(l3_total_sets_, 0);
   l3_tag_count_.assign(l3_total_sets_, 0);
 
-  // The shard partition must refine every level's set partition: a worker
-  // that owns shard s then owns whole L1/L2 set rows and whole L3 sets
-  // (including their embedded directory and extension bank), so concurrent
-  // shard workers never touch the same state. All set counts are powers of
-  // two, so taking the minimum guarantees the refinement.
+  // The shard partition must refine every level's set partition: shard s
+  // then covers whole L1/L2 set rows and whole L3 sets (including their
+  // embedded directory and extension bank), so accesses in different
+  // shards touch disjoint state. All set counts are powers of two, so
+  // taking the minimum guarantees the refinement.
   uint64_t shards = 64;
   shards = std::min(shards, l1_.sets);
   shards = std::min(shards, l2_.sets);
@@ -697,11 +697,8 @@ void CacheHierarchy::ApplyBatch(int core, uint64_t base, ApplyLane* lanes, size_
             : AccessImpl<false>(core, lane.addr, size, base + lane.t_delta, &scratch);
     lane.size_w = PackAccessResult(r.latency, r.level, r.invalidation);
   }
-  // One flush per span. Under shard-parallel apply every line of the span
-  // belongs to the calling worker's shard (see the header contract), so the
-  // first line's stripe is never touched by a concurrent worker; observable
-  // stats are per-core sums over stripes, so which stripe of the core
-  // receives the counts is immaterial.
+  // One flush per span. Observable stats are per-core sums over stripes, so
+  // which stripe of the core receives the counts is immaterial.
   StatStripe& out = StatsFor(core, lanes[0].addr >> line_shift_);
   for (int level = 0; level < 5; ++level) {
     out.served[level] += scratch.served[level];

@@ -33,12 +33,11 @@
 // slice per socket — an independent set array, directory domain, and
 // extension bank. A line's home slice is an address hash (the socket-count
 // bits of its line number just below the shard width), so homes interleave
-// in aligned blocks of home_block_bytes() and, crucially, every shard's
-// lines share one home socket: the engine can hand whole sockets' worth of
-// shards to one worker. Accesses served by a remote home slice, or by a
-// supplier core on another socket (including the foreign-read downgrade),
-// pay LatencyModel::interconnect per line and count as remote_fills;
-// reclaim back-invalidations crossing a socket boundary count as
+// in aligned blocks of home_block_bytes() and every shard's lines share one
+// home socket. Accesses served by a remote home slice, or by a supplier
+// core on another socket (including the foreign-read downgrade), pay
+// LatencyModel::interconnect per line and count as remote_fills; reclaim
+// back-invalidations crossing a socket boundary count as
 // cross_socket_back_invalidations. num_sockets == 1 degenerates to the flat
 // SMP exactly.
 //
@@ -46,11 +45,11 @@
 // sets with their embedded directory — partitions by the low bits of the
 // line number, and the shard width divides every level's set count, so the
 // shard partition agrees with (refines into) the L3 set partition: a shard
-// worker owns whole L3 sets, including their directory state. Victims of an
+// owns whole L3 sets, including their directory state. Victims of an
 // eviction and back-invalidation targets share their evictor's set, hence
-// its shard. num_shards() reports the partition width; the parallel engine
-// drives one commit worker per shard, and two accesses whose lines fall in
-// different shards may be applied concurrently.
+// its shard. num_shards() reports the partition width; the per-core stat
+// stripes are indexed by it. The engine applies every access from one
+// thread, in one fused merge.
 
 #ifndef DPROF_SRC_SIM_HIERARCHY_H_
 #define DPROF_SRC_SIM_HIERARCHY_H_
@@ -207,10 +206,8 @@ class CacheHierarchy {
   // lanes[i].t_delta) and writes each packed result into lanes[i].size_w.
   // The per-access stat counters accumulate in a span-local scratch stripe
   // and flush once per span. State effects and results are exactly those of
-  // `count` sequential Access calls. Concurrency contract: when spans are
-  // applied from concurrent shard workers, every line of a span must belong
-  // to the calling worker's shard (the engine's per-shard drains satisfy
-  // this by construction); single-threaded callers may span shards freely.
+  // `count` sequential Access calls. Not thread-safe: one caller at a time,
+  // and a span may touch lines of any shard.
   void ApplyBatch(int core, uint64_t base, ApplyLane* lanes, size_t count);
 
   const HierarchyConfig& config() const { return config_; }
@@ -219,14 +216,14 @@ class CacheHierarchy {
   // Width of the line-number partition (power of two). Accesses to lines in
   // different shards touch disjoint state; the width divides every level's
   // set count, so a shard owns whole L3 sets (and their embedded directory).
+  // The stat stripes and inclusion counters are indexed by shard.
   uint32_t num_shards() const { return shard_mask_ + 1; }
   uint32_t ShardOf(Addr addr) const {
     return static_cast<uint32_t>((addr >> line_shift_) & shard_mask_);
   }
 
   // NUMA topology. Home-socket bits sit inside the shard width, so every
-  // shard's lines share one home slice and the engine can schedule whole
-  // sockets' worth of shards onto one worker (SocketOfShard).
+  // shard's lines share one home slice (SocketOfShard).
   int num_sockets() const { return static_cast<int>(socket_mask_ + 1); }
   int SocketOfCore(int core) const { return core / cores_per_socket_; }
   int SocketOfShard(uint32_t shard) const {
@@ -504,8 +501,8 @@ class CacheHierarchy {
 
   std::vector<StatStripe> core_stats_;  // striped: [core * num_shards + shard]
   mutable std::vector<CoreMemStats> agg_core_stats_;  // cache for core_stats()
-  // Inclusion counters, striped by shard so concurrent apply workers (which
-  // own disjoint shards) never write the same slot.
+  // Inclusion counters, striped by shard like the stat stripes; Totals()
+  // sums the stripes.
   std::vector<uint64_t> reclaims_per_shard_;
   std::vector<uint64_t> backinv_per_shard_;
   std::vector<uint64_t> xsocket_backinv_per_shard_;

@@ -6,7 +6,7 @@ class ConflictDemoWorkload::CoreDriver final : public dprof::CoreDriver {
  public:
   // Setup happens eagerly at install time: RegisterStatic touches the
   // allocator's shared metadata arena, which must not run from a driver
-  // stepping in the engine's parallel phase.
+  // stepping in the engine's simulate phase.
   CoreDriver(KernelEnv* env, const ConflictDemoConfig* config, TypeId hot_type, int core)
       : env_(env), config_(config), hot_type_(hot_type), core_(core) {
     fn_ = env_->machine().symbols().Intern("conflict_scan");

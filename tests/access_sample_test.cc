@@ -120,6 +120,15 @@ TEST(AccessSampleTableTest, WriteCountingAndCpuMask) {
   EXPECT_EQ(stats.cpu_mask, (1u << 0) | (1u << 5));
 }
 
+// The 64-core topology preset samples cores past bit 31 of the mask.
+TEST(AccessSampleTableTest, CpuMaskCoversEveryCoreOfABigMachine) {
+  AccessSampleTable table;
+  table.Record(Sample(1, 0x100, ServedBy::kL1, 3, 40), Resolved(7, 0x100, 0));
+  table.Record(Sample(1, 0x100, ServedBy::kL1, 3, 63), Resolved(7, 0x100, 0));
+  EXPECT_EQ(table.cells().begin()->second.cpu_mask, (1ull << 40) | (1ull << 63));
+  EXPECT_EQ(table.AggregateByType().at(7).cpu_mask, (1ull << 40) | (1ull << 63));
+}
+
 TEST(AccessSampleTableTest, ClearResets) {
   AccessSampleTable table;
   table.Record(Sample(1, 0x100, ServedBy::kL1, 3), Resolved(7, 0x100, 0));

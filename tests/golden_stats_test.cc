@@ -36,7 +36,7 @@ struct GoldenTotals {
   uint64_t invalidation_misses;
 };
 
-// Captured from the pre-refactor model (cores=8, threads=1, default
+// Captured from the pre-refactor model (cores=8, one host thread, default
 // 20k-cycle epochs, seed 1, phase 1 + top-3 history sets, fixed epochs).
 const std::map<std::string, GoldenTotals> kGolden = {
     {"apache",
@@ -52,31 +52,41 @@ const std::map<std::string, GoldenTotals> kGolden = {
       {7628418, 2244339, 528931, 2185426, 74178}, 2155207}},
 };
 
+// Runs the harness every golden row shares: fixed 20k-cycle epochs, phase 1
+// for `collect_cycles`, then (with `histories`) the scenario's top history
+// sets.
+HierarchyTotals RunGoldenHarness(const std::string& name, const std::string& topology,
+                                 int cores, uint64_t collect_cycles, bool histories) {
+  const ScenarioInfo* info = ScenarioRegistry::Default().Find(name);
+  EXPECT_NE(info, nullptr);
+  if (info == nullptr) {
+    return {};
+  }
+  RunSpec params;
+  params.cores = cores;
+  params.topology = topology;
+  params.build_view_json = false;
+  auto rig = info->factory(params);
+  rig->workload->Install(*rig->machine);
+  EngineConfig engine_config{1, 20'000, 2'000, 11};
+  Engine engine(rig->machine.get(), engine_config);
+  rig->machine->SetExecutor(&engine);
+
+  // Fixed-epoch run: the golden numbers predate adaptive epoch focus,
+  // and this test pins the lattice, not the epoch policy.
+  rig->options.adaptive_epoch_focus = false;
+  DProfSession session(rig->machine.get(), rig->allocator.get(), rig->options);
+  session.CollectAccessSamples(collect_cycles);
+  if (histories) {
+    session.CollectHistoriesForTopTypes(rig->top_types, rig->history_sets);
+  }
+  return rig->machine->hierarchy().Totals();
+}
+
 TEST(GoldenStatsTest, LatticeMatchesRecordedBaselinePerScenario) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
   for (const auto& [name, golden] : kGolden) {
     SCOPED_TRACE("scenario: " + name);
-    const ScenarioInfo* info = registry.Find(name);
-    ASSERT_NE(info, nullptr);
-
-    RunSpec params;
-    params.cores = 8;
-    params.threads = 1;
-    params.build_view_json = false;
-    auto rig = info->factory(params);
-    rig->workload->Install(*rig->machine);
-    EngineConfig engine_config{1, 20'000, 2'000, 11};
-    Engine engine(rig->machine.get(), engine_config);
-    rig->machine->SetExecutor(&engine);
-
-    // Fixed-epoch run: the golden numbers predate adaptive epoch focus,
-    // and this test pins the lattice, not the epoch policy.
-    rig->options.adaptive_epoch_focus = false;
-    DProfSession session(rig->machine.get(), rig->allocator.get(), rig->options);
-    session.CollectAccessSamples(golden.collect_cycles);
-    session.CollectHistoriesForTopTypes(rig->top_types, rig->history_sets);
-
-    const HierarchyTotals totals = rig->machine->hierarchy().Totals();
+    const HierarchyTotals totals = RunGoldenHarness(name, "", 8, golden.collect_cycles, true);
     EXPECT_EQ(totals.accesses, golden.accesses);
     EXPECT_EQ(totals.l1_hits, golden.l1_hits);
     EXPECT_EQ(totals.l1_misses, golden.l1_misses);
@@ -89,6 +99,57 @@ TEST(GoldenStatsTest, LatticeMatchesRecordedBaselinePerScenario) {
     // back-invalidation the old model would not have performed.
     EXPECT_EQ(totals.tag_reclaims, 0u);
     EXPECT_EQ(totals.back_invalidations, 0u);
+  }
+}
+
+// Multi-socket fingerprints: the NUMA lattice (per-socket slices and
+// directories, remote fills, cross-socket back-invalidations) on the
+// topology presets. Recorded from the lattice itself, so these pin its
+// behavior against drift rather than against an independent model. Unlike
+// the flat rows, inclusion obligations may fire here, so every counter of
+// HierarchyTotals is pinned.
+struct TopologyGolden {
+  std::string scenario;
+  std::string topology;
+  uint64_t collect_cycles;
+  // Phase 2 too. The 64-core preset runs phase 1 only, to fit the ctest
+  // budget: its history phase costs more than all other rows together.
+  bool histories;
+  HierarchyTotals totals;
+};
+
+const TopologyGolden kTopologyGolden[] = {
+    {"memcached", "paper-amd", 2'000'000, true,
+     HierarchyTotals{19156286, 11288867, 7867419,
+                     {11288867, 3126269, 672603, 3716419, 352128},
+                     3424562, 147, 147, 3659818, 78}},
+    {"memcached", "big", 8'000'000, false,
+     HierarchyTotals{932831, 543339, 389492,
+                     {543339, 63006, 8466, 159229, 158791},
+                     77493, 67196, 70409, 239329, 51563}},
+};
+
+TEST(GoldenStatsTest, TopologyPresetsMatchRecordedBaseline) {
+  for (const TopologyGolden& golden : kTopologyGolden) {
+    SCOPED_TRACE(golden.scenario + " on " + golden.topology);
+    const HierarchyTotals totals = RunGoldenHarness(
+        golden.scenario, golden.topology, 16, golden.collect_cycles, golden.histories);
+    const HierarchyTotals& want = golden.totals;
+    EXPECT_EQ(totals.accesses, want.accesses);
+    EXPECT_EQ(totals.l1_hits, want.l1_hits);
+    EXPECT_EQ(totals.l1_misses, want.l1_misses);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(totals.served[i], want.served[i]) << "served level " << i;
+    }
+    EXPECT_EQ(totals.invalidation_misses, want.invalidation_misses);
+    EXPECT_EQ(totals.tag_reclaims, want.tag_reclaims);
+    EXPECT_EQ(totals.back_invalidations, want.back_invalidations);
+    EXPECT_EQ(totals.remote_fills, want.remote_fills);
+    EXPECT_EQ(totals.cross_socket_back_invalidations,
+              want.cross_socket_back_invalidations);
+    // Guards the fingerprint's own coverage: a row that stopped exercising
+    // the interconnect would pin nothing NUMA-specific.
+    EXPECT_GT(totals.remote_fills, 0u);
   }
 }
 

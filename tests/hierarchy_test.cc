@@ -413,84 +413,52 @@ TEST(HierarchyTest, ExtensionOverflowScenarioFiresReclaimUnderEngine) {
   const Addr written = 0x10000;  // two written lines: 0x10000, 0x10000+span
   const Addr streamed = written + 2 * set_span;  // same L3 set, fresh lines
 
-  struct RunResult {
-    HierarchyTotals totals;
-    bool copy_a_private;
-    bool copy_a_tagged;
-    bool copy_b_tagged;
-  };
-  auto run = [&](int threads) {
-    MachineConfig config;
-    config.hierarchy = hconfig;
-    Machine machine(config);
-    ExtOverflowWriter writer(written, set_span);
-    ExtOverflowStreamer streamer(streamed, set_span, hconfig.l3.ways + 2);
-    machine.SetDriver(0, &writer);
-    machine.SetDriver(1, &streamer);
-    EngineConfig engine_config;
-    engine_config.threads = threads;
-    Engine engine(&machine, engine_config);
-    machine.SetExecutor(&engine);
-    machine.RunFor(200'000);
-    CacheHierarchy& h = machine.hierarchy();
-    RunResult r;
-    r.totals = h.Totals();
-    r.copy_a_private = h.InPrivateCache(0, written);
-    r.copy_a_tagged = h.L3HasTag(written);
-    r.copy_b_tagged = h.L3HasTag(written + set_span);
-    // Inclusion invariant for every line the scenario touched: a privately
-    // held line always has a lattice tag.
-    for (uint64_t i = 0; i < hconfig.l3.ways + 2; ++i) {
-      const Addr addr = streamed + i * set_span;
-      for (int c = 0; c < hconfig.num_cores; ++c) {
-        EXPECT_TRUE(!h.InPrivateCache(c, addr) || h.L3HasTag(addr));
-      }
+  MachineConfig config;
+  config.hierarchy = hconfig;
+  Machine machine(config);
+  ExtOverflowWriter writer(written, set_span);
+  ExtOverflowStreamer streamer(streamed, set_span, hconfig.l3.ways + 2);
+  machine.SetDriver(0, &writer);
+  machine.SetDriver(1, &streamer);
+  Engine engine(&machine);
+  machine.SetExecutor(&engine);
+  machine.RunFor(200'000);
+  machine.SetExecutor(nullptr);
+  CacheHierarchy& h = machine.hierarchy();
+  // Inclusion invariant for every line the scenario touched: a privately
+  // held line always has a lattice tag.
+  for (uint64_t i = 0; i < hconfig.l3.ways + 2; ++i) {
+    const Addr addr = streamed + i * set_span;
+    for (int c = 0; c < hconfig.num_cores; ++c) {
+      EXPECT_TRUE(!h.InPrivateCache(c, addr) || h.L3HasTag(addr));
     }
-    for (const Addr addr : {written, written + set_span}) {
-      for (int c = 0; c < hconfig.num_cores; ++c) {
-        EXPECT_TRUE(!h.InPrivateCache(c, addr) || h.L3HasTag(addr));
-      }
+  }
+  for (const Addr addr : {written, written + set_span}) {
+    for (int c = 0; c < hconfig.num_cores; ++c) {
+      EXPECT_TRUE(!h.InPrivateCache(c, addr) || h.L3HasTag(addr));
     }
-    return r;
-  };
+  }
 
-  const RunResult base = run(1);
+  const HierarchyTotals totals = h.Totals();
   // The reclaim path really fired, and took private copies with it.
-  EXPECT_GT(base.totals.tag_reclaims, 0u);
-  EXPECT_GT(base.totals.back_invalidations, 0u);
-  EXPECT_FALSE(base.copy_a_private);  // oldest written line lost its copies
+  EXPECT_GT(totals.tag_reclaims, 0u);
+  EXPECT_GT(totals.back_invalidations, 0u);
+  EXPECT_FALSE(h.InPrivateCache(0, written));  // oldest written line lost its copies
   // Counter consistency: served levels partition accesses, and the L1 split
   // agrees with them.
   uint64_t served_sum = 0;
   for (int i = 0; i < 5; ++i) {
-    served_sum += base.totals.served[i];
+    served_sum += totals.served[i];
   }
-  EXPECT_EQ(base.totals.accesses, served_sum);
-  EXPECT_EQ(base.totals.accesses, base.totals.l1_hits + base.totals.l1_misses);
-  EXPECT_LE(base.totals.invalidation_misses, base.totals.l1_misses);
-
-  // The reclaim-firing run stays deterministic across thread counts
-  // (back-invalidations land in shard-striped counters).
-  {
-    SCOPED_TRACE("threads=4");
-    const RunResult other = run(4);
-    EXPECT_EQ(base.totals.accesses, other.totals.accesses);
-    EXPECT_EQ(base.totals.tag_reclaims, other.totals.tag_reclaims);
-    EXPECT_EQ(base.totals.back_invalidations, other.totals.back_invalidations);
-    EXPECT_EQ(base.totals.invalidation_misses, other.totals.invalidation_misses);
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(base.totals.served[i], other.totals.served[i]) << "level " << i;
-    }
-    EXPECT_EQ(base.copy_a_private, other.copy_a_private);
-    EXPECT_EQ(base.copy_a_tagged, other.copy_a_tagged);
-    EXPECT_EQ(base.copy_b_tagged, other.copy_b_tagged);
-  }
+  EXPECT_EQ(totals.accesses, served_sum);
+  EXPECT_EQ(totals.accesses, totals.l1_hits + totals.l1_misses);
+  EXPECT_LE(totals.invalidation_misses, totals.l1_misses);
 }
 
 // Extension-bank exhaustion reached the fault-plan way: kExtBankPressure
 // shrinks l3_dir_ext_ways at config time, the overflow scenario storms the
 // reclaim path, and the invariant auditor must find the lattice consistent
-// afterwards — for every thread count.
+// afterwards.
 TEST(HierarchyTest, FaultPlanExtPressureExhaustionStaysAuditClean) {
   HierarchyConfig hconfig = SmallConfig(4);
   FaultPlanConfig fault_config;
@@ -501,35 +469,23 @@ TEST(HierarchyTest, FaultPlanExtPressureExhaustionStaysAuditClean) {
   EXPECT_EQ(plan.injected(FaultSeam::kExtBankPressure), 1u);
 
   const uint64_t set_span = hconfig.l3.NumSets() * hconfig.l3.line_size;
-  uint64_t base_reclaims = 0;
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    MachineConfig config;
-    config.hierarchy = hconfig;
-    Machine machine(config);
-    ExtOverflowWriter writer(0x10000, set_span);
-    ExtOverflowStreamer streamer(0x10000 + 2 * set_span, set_span, hconfig.l3.ways + 2);
-    machine.SetDriver(0, &writer);
-    machine.SetDriver(1, &streamer);
-    EngineConfig engine_config;
-    engine_config.threads = threads;
-    Engine engine(&machine, engine_config);
-    machine.SetExecutor(&engine);
-    machine.RunFor(200'000);
-    machine.SetExecutor(nullptr);
+  MachineConfig config;
+  config.hierarchy = hconfig;
+  Machine machine(config);
+  ExtOverflowWriter writer(0x10000, set_span);
+  ExtOverflowStreamer streamer(0x10000 + 2 * set_span, set_span, hconfig.l3.ways + 2);
+  machine.SetDriver(0, &writer);
+  machine.SetDriver(1, &streamer);
+  Engine engine(&machine);
+  machine.SetExecutor(&engine);
+  machine.RunFor(200'000);
+  machine.SetExecutor(nullptr);
 
-    const HierarchyTotals totals = machine.hierarchy().Totals();
-    EXPECT_GT(totals.tag_reclaims, 0u);
-    if (base_reclaims == 0) {
-      base_reclaims = totals.tag_reclaims;
-    } else {
-      EXPECT_EQ(totals.tag_reclaims, base_reclaims);
-    }
-    InvariantAuditor auditor(&machine.hierarchy());
-    const AuditResult audit = auditor.Audit();
-    EXPECT_TRUE(audit.ok()) << (audit.violations.empty() ? "" : audit.violations[0]);
-    EXPECT_GT(audit.tags_checked, 0u);
-  }
+  EXPECT_GT(machine.hierarchy().Totals().tag_reclaims, 0u);
+  InvariantAuditor auditor(&machine.hierarchy());
+  const AuditResult audit = auditor.Audit();
+  EXPECT_TRUE(audit.ok()) << (audit.violations.empty() ? "" : audit.violations[0]);
+  EXPECT_GT(audit.tags_checked, 0u);
 }
 
 // Parameterized coherence property: whichever core wrote last, a read from

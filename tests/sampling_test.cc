@@ -33,7 +33,6 @@ constexpr uint64_t kTestCycles = 4'000'000;
 RunSpec BaseSpec() {
   RunSpec spec;
   spec.cores = 8;
-  spec.threads = 1;
   spec.collect_cycles = kTestCycles;
   spec.collect_histories = false;  // phase 1 is where sampling operates
   spec.build_view_json = false;
@@ -106,18 +105,6 @@ TEST(SamplingTest, SampledRunActuallyFastForwards) {
   EXPECT_LE(r.sampling.measured_accesses, r.hierarchy.accesses);
   EXPECT_LT(r.hierarchy.accesses - r.sampling.measured_accesses,
             r.sampling.measured_accesses / 20);
-}
-
-TEST(SamplingTest, SampledReportIsThreadCountInvariant) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
-  RunSpec spec = BaseSpec();
-  spec.sampled = true;
-  spec.build_view_json = true;
-  spec.threads = 1;
-  const std::string t1 = ScenarioReportToJson(RunScenario(registry, "memcached", spec));
-  spec.threads = 4;
-  const std::string t4 = ScenarioReportToJson(RunScenario(registry, "memcached", spec));
-  EXPECT_EQ(t1, t4) << "sampled report differs between 1 and 4 engine threads";
 }
 
 TEST(SamplingTest, ExactModeReportCarriesNoSamplingBlock) {
