@@ -55,19 +55,18 @@ AuditResult InvariantAuditor::Audit() const {
         return static_cast<int>(w);
       }
     }
-    const size_t ext_base = set * h.l3_ext_ways_;
-    for (uint32_t i = 0; i < h.l3_ext_ways_; ++i) {
-      if (h.l3_ext_tags_[ext_base + i] == line) {
+    const auto& ext = h.l3_ext_[set];
+    for (uint32_t i = 0; i < ext.size(); ++i) {
+      if (ext[i].tag == line) {
         return static_cast<int>(h.l3_ways_ + i);
       }
     }
     return -1;
   };
-  const auto meta_of = [&](uint64_t set, int slot) -> const auto& {
+  const auto meta_of = [&](uint64_t set, int slot) -> const WayMeta& {
     return static_cast<uint32_t>(slot) < h.l3_ways_
                ? h.l3_meta_[set * h.l3_ways_ + static_cast<uint32_t>(slot)]
-               : h.l3_ext_meta_[set * h.l3_ext_ways_ +
-                                (static_cast<uint32_t>(slot) - h.l3_ways_)];
+               : h.l3_ext_[set][static_cast<uint32_t>(slot) - h.l3_ways_].meta;
   };
 
   // --- Private levels: inclusion, sharer membership, exclusive grants.
@@ -130,7 +129,7 @@ AuditResult InvariantAuditor::Audit() const {
     }
   }
 
-  // --- L3 lattice: tag-count bookkeeping, extension-bank liveness,
+  // --- L3 lattice: tag-count bookkeeping, extension-bank cap and live tags,
   // per-set uniqueness, directory field sanity. The global set array
   // concatenates the per-socket slices, so this walk covers every slice's
   // own directory domain and extension bank; each tagged line must also sit
@@ -138,10 +137,10 @@ AuditResult InvariantAuditor::Audit() const {
   for (uint64_t set = 0; set < h.l3_total_sets_; ++set) {
     const uint64_t slice = set / h.l3_sets_;
     const size_t set_base = set * h.l3_ways_;
-    const size_t ext_base = set * h.l3_ext_ways_;
-    const uint32_t ext_count = h.l3_ext_count_[set];
+    const auto& ext = h.l3_ext_[set];
+    const uint32_t ext_count = static_cast<uint32_t>(ext.size());
     if (ext_count > h.l3_ext_ways_) {
-      violate("ext bank set %" PRIu64 ": count %u exceeds %u ways", set, ext_count,
+      violate("ext bank set %" PRIu64 ": %u live tags exceed the %u-way cap", set, ext_count,
               h.l3_ext_ways_);
       continue;
     }
@@ -157,17 +156,11 @@ AuditResult InvariantAuditor::Audit() const {
       violate("lattice set %" PRIu64 ": tag count records %u but %u ways are tagged",
               set, h.l3_tag_count_[set], tagged_data);
     }
-    for (uint32_t i = 0; i < h.l3_ext_ways_; ++i) {
-      const uint64_t tag = h.l3_ext_tags_[ext_base + i];
-      if (i < ext_count) {
-        ++result.tags_checked;
-        if (tag == kNoLine || tag >= kDirOnlyBit) {
-          violate("ext bank set %" PRIu64 " slot %u: malformed live tag %#" PRIx64,
-                  set, i, tag);
-        }
-      } else if (tag != kNoLine) {
-        violate("ext bank set %" PRIu64 " slot %u: dead slot holds tag %#" PRIx64,
-                set, i, tag);
+    for (uint32_t i = 0; i < ext_count; ++i) {
+      const uint64_t tag = ext[i].tag;
+      ++result.tags_checked;
+      if (tag == kNoLine || tag >= kDirOnlyBit) {
+        violate("ext bank set %" PRIu64 " slot %u: malformed live tag %#" PRIx64, set, i, tag);
       }
     }
 
@@ -175,8 +168,7 @@ AuditResult InvariantAuditor::Audit() const {
     // live extension tags, plus directory field sanity per tagged slot.
     const uint32_t total_slots = h.l3_ways_ + ext_count;
     const auto tag_at = [&](uint32_t s) -> uint64_t {
-      return s < h.l3_ways_ ? h.l3_tags_[set_base + s]
-                            : h.l3_ext_tags_[ext_base + (s - h.l3_ways_)];
+      return s < h.l3_ways_ ? h.l3_tags_[set_base + s] : ext[s - h.l3_ways_].tag;
     };
     for (uint32_t a = 0; a < total_slots; ++a) {
       const uint64_t tag_a = tag_at(a);

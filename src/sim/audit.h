@@ -12,8 +12,9 @@
 //   - directory sanity: owners are in range and inside their sharer sets,
 //     sharer/invalidated masks never name nonexistent cores;
 //   - extension-bank obligations: per-set tag counts match the tags actually
-//     present, live extension slots hold plain line tags, dead slots are
-//     empty, and no line is tagged twice in one set.
+//     present, no set holds more live extension tags than the
+//     l3_dir_ext_ways cap, live extension tags are plain line tags, and no
+//     line is tagged twice in one set.
 //
 // The walk is read-only and allocation-light; with `dprof run --audit=N` the
 // engine runs it between epochs every N epochs, so a clean audit

@@ -74,50 +74,25 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config) : config_(config) 
   l3_tags_.assign(l3_total_sets_ * l3_ways_, kNoLine);
   l3_stamps_.assign(l3_total_sets_ * l3_ways_, 0);
   l3_meta_.assign(l3_total_sets_ * l3_ways_, WayMeta());
-  l3_ext_tags_.assign(l3_total_sets_ * l3_ext_ways_, kNoLine);
-  l3_ext_stamps_.assign(l3_total_sets_ * l3_ext_ways_, 0);
-  l3_ext_meta_.assign(l3_total_sets_ * l3_ext_ways_, WayMeta());
-  l3_ext_count_.assign(l3_total_sets_, 0);
+  l3_ext_.resize(l3_total_sets_);
   l3_tag_count_.assign(l3_total_sets_, 0);
 
-  // The shard partition must refine every level's set partition: shard s
-  // then covers whole L1/L2 set rows and whole L3 sets (including their
-  // embedded directory and extension bank), so accesses in different
-  // shards touch disjoint state. All set counts are powers of two, so
-  // taking the minimum guarantees the refinement.
-  uint64_t shards = 64;
-  shards = std::min(shards, l1_.sets);
-  shards = std::min(shards, l2_.sets);
-  shards = std::min(shards, l3_sets_);
-  shard_mask_ = static_cast<uint32_t>(shards - 1);
-  DPROF_CHECK((l3_set_mask_ & shard_mask_) == shard_mask_);
-  // Home bits live inside the shard width (so every shard's lines share one
-  // home socket) and therefore inside every level's set mask: two lines in
-  // the same private set row always share a home slice, which keeps
-  // eviction victims and back-invalidation targets inside their evictor's
-  // shard even across slices.
-  DPROF_CHECK(static_cast<uint64_t>(sockets) <= shards);
+  // Home bits sit at the top of the home period, and the period divides
+  // every level's set count (all powers of two), so two lines in the same
+  // private set row always share a home slice.
+  uint64_t period = kHomePeriodLines;
+  period = std::min(period, l1_.sets);
+  period = std::min(period, l2_.sets);
+  period = std::min(period, l3_sets_);
+  DPROF_CHECK(static_cast<uint64_t>(sockets) <= period);
   socket_mask_ = static_cast<uint32_t>(sockets - 1);
-  const uint32_t shard_bits = static_cast<uint32_t>(__builtin_ctzll(shards));
+  const uint32_t period_bits = static_cast<uint32_t>(__builtin_ctzll(period));
   const uint32_t socket_bits =
       sockets > 1 ? static_cast<uint32_t>(__builtin_ctz(static_cast<uint32_t>(sockets))) : 0;
-  home_shift_ = shard_bits - socket_bits;
+  home_shift_ = period_bits - socket_bits;
   cores_per_socket_ = config.num_cores / sockets;
-  core_stats_.assign(static_cast<size_t>(config.num_cores) * shards, StatStripe());
+  core_stats_.assign(static_cast<size_t>(config.num_cores), StatStripe());
   agg_core_stats_.resize(config.num_cores);
-  reclaims_per_shard_.assign(shards, 0);
-  backinv_per_shard_.assign(shards, 0);
-  xsocket_backinv_per_shard_.assign(shards, 0);
-}
-
-int CacheHierarchy::ProbeRow(const Level& level, size_t row, uint64_t line) {
-  const uint64_t* tags = &level.tags[row];
-  for (uint32_t w = 0; w < level.ways; ++w) {
-    if ((tags[w] & kPrivTagMask) == line) {
-      return static_cast<int>(w);
-    }
-  }
-  return -1;
 }
 
 void CacheHierarchy::RemoveAt(Level& level, size_t slot) {
@@ -125,30 +100,11 @@ void CacheHierarchy::RemoveAt(Level& level, size_t slot) {
   level.stamps[slot] = 0;
 }
 
-// One tag-only pass produces both the probe result and the fill candidate:
-// the matching way, or the first invalid way. On a hit the scan stops at
-// the match and touches no LRU state; on a miss the caller fills with
-// FillAt — no second walk over the tags, and the stamps column is read
-// only when a full row actually forces an LRU choice.
-CacheHierarchy::RowScan CacheHierarchy::ScanRow(const Level& level, size_t row,
-                                                uint64_t line) {
-  const uint64_t* tags = &level.tags[row];
-  RowScan scan;
-  int free = -1;
-  for (uint32_t w = 0; w < level.ways; ++w) {
-    const uint64_t tag = tags[w];
-    if ((tag & kPrivTagMask) == line) {
-      scan.way = static_cast<int>(w);
-      return scan;
-    }
-    if (tag == kNoLine && free < 0) {
-      free = static_cast<int>(w);
-    }
-  }
-  scan.free = free;
-  return scan;
-}
-
+// ScanRow's one tag-only pass produces both the probe result and the fill
+// candidate: the matching way, or the first invalid way. A hit touches no
+// LRU state; on a miss the caller fills here — no second walk over the
+// tags, and the stamps column is read only when a full row actually forces
+// an LRU choice.
 uint32_t CacheHierarchy::FillAt(Level& level, size_t row, const RowScan& scan,
                                 uint64_t line, uint64_t now, uint64_t* victim) {
   uint32_t w;
@@ -156,15 +112,8 @@ uint32_t CacheHierarchy::FillAt(Level& level, size_t row, const RowScan& scan,
     w = static_cast<uint32_t>(scan.free);
     *victim = kNoLine;
   } else {
-    // Row is full: pick the LRU way now (first index wins stamp ties, like
-    // the classic model).
-    const uint64_t* stamps = &level.stamps[row];
-    w = 0;
-    for (uint32_t i = 1; i < level.ways; ++i) {
-      if (stamps[i] < stamps[w]) {
-        w = i;
-      }
-    }
+    // Row is full: pick the LRU way now.
+    w = OldestOf(&level.stamps[row], level.ways);
     *victim = level.tags[row + w] & kPrivTagMask;
   }
   const size_t slot = row + w;
@@ -186,10 +135,9 @@ int CacheHierarchy::FindL3Slot(uint64_t set, uint64_t line) const {
     }
     --remaining;
   }
-  const uint64_t* ext = &l3_ext_tags_[set * l3_ext_ways_];
-  const uint32_t count = l3_ext_count_[set];
-  for (uint32_t i = 0; i < count; ++i) {
-    if (ext[i] == line) {
+  const std::vector<ExtWay>& ext = l3_ext_[set];
+  for (uint32_t i = 0; i < ext.size(); ++i) {
+    if (ext[i].tag == line) {
       return static_cast<int>(l3_ways_ + i);
     }
   }
@@ -230,10 +178,9 @@ CacheHierarchy::L3Scan CacheHierarchy::ScanL3(uint64_t set, uint64_t line) const
     free = static_cast<int>(w);  // every way past the last tagged one is free
   }
   scan.free_data = free;
-  const uint64_t* ext = &l3_ext_tags_[set * l3_ext_ways_];
-  const uint32_t count = l3_ext_count_[set];
-  for (uint32_t i = 0; i < count; ++i) {
-    if (ext[i] == line) {
+  const std::vector<ExtWay>& ext = l3_ext_[set];
+  for (uint32_t i = 0; i < ext.size(); ++i) {
+    if (ext[i].tag == line) {
       scan.slot = static_cast<int>(l3_ways_ + i);
       break;
     }
@@ -242,19 +189,18 @@ CacheHierarchy::L3Scan CacheHierarchy::ScanL3(uint64_t set, uint64_t line) const
 }
 
 void CacheHierarchy::ReclaimExtWay(uint64_t set) {
-  const size_t ext_base = set * l3_ext_ways_;
-  const uint32_t count = l3_ext_count_[set];
-  DPROF_DCHECK(count > 0);
+  const std::vector<ExtWay>& ext = l3_ext_[set];
+  DPROF_DCHECK(!ext.empty());
+  // Oldest stamp; the first index wins ties.
   uint32_t oldest = 0;
-  for (uint32_t i = 1; i < count; ++i) {
-    if (l3_ext_stamps_[ext_base + i] < l3_ext_stamps_[ext_base + oldest]) {
+  for (uint32_t i = 1; i < ext.size(); ++i) {
+    if (ext[i].stamp < ext[oldest].stamp) {
       oldest = i;
     }
   }
-  const uint64_t line = l3_ext_tags_[ext_base + oldest];
-  const WayMeta meta = l3_ext_meta_[ext_base + oldest];
-  const uint32_t shard = static_cast<uint32_t>(line & shard_mask_);
-  const int home = SocketOfShard(shard);
+  const uint64_t line = ext[oldest].tag;
+  const WayMeta meta = ext[oldest].meta;
+  const int home = HomeOfLine(line);
   // The inclusion obligation: a tag leaving the lattice takes every private
   // copy it tracked with it (the owner's sharer bit is always set, so a
   // dirty owner is covered; the data itself is conceptually written back).
@@ -276,39 +222,28 @@ void CacheHierarchy::ReclaimExtWay(uint64_t set) {
       RemoveAt(l2_, row2 + static_cast<uint32_t>(w2));
     }
     if (w1 >= 0 || w2 >= 0) {
-      ++backinv_per_shard_[shard];
+      ++back_invalidations_;
       if (SocketOfCore(c) != home) {
-        ++xsocket_backinv_per_shard_[shard];
+        ++cross_socket_back_invalidations_;
       }
     }
   }
-  ++reclaims_per_shard_[shard];
+  ++tag_reclaims_;
   RemoveExtAt(set, static_cast<int>(l3_ways_ + oldest));
 }
 
+// Swap-with-last compaction: the last live way fills the hole.
 void CacheHierarchy::RemoveExtAt(uint64_t set, int slot) {
-  const size_t ext_base = set * l3_ext_ways_;
-  const uint32_t i = static_cast<uint32_t>(slot) - l3_ways_;
-  const uint32_t last = l3_ext_count_[set] - 1;
-  if (i != last) {
-    l3_ext_tags_[ext_base + i] = l3_ext_tags_[ext_base + last];
-    l3_ext_stamps_[ext_base + i] = l3_ext_stamps_[ext_base + last];
-    l3_ext_meta_[ext_base + i] = l3_ext_meta_[ext_base + last];
-  }
-  l3_ext_tags_[ext_base + last] = kNoLine;
-  l3_ext_meta_[ext_base + last] = WayMeta();
-  l3_ext_count_[set] = static_cast<uint16_t>(last);
+  std::vector<ExtWay>& ext = l3_ext_[set];
+  ext[static_cast<uint32_t>(slot) - l3_ways_] = ext.back();
+  ext.pop_back();
 }
 
 void CacheHierarchy::PushExt(uint64_t set, uint64_t line, uint64_t stamp, WayMeta meta) {
-  if (l3_ext_count_[set] == l3_ext_ways_) {
+  if (l3_ext_[set].size() == l3_ext_ways_) {
     ReclaimExtWay(set);
   }
-  const size_t at = set * l3_ext_ways_ + l3_ext_count_[set];
-  l3_ext_tags_[at] = line;
-  l3_ext_stamps_[at] = stamp;
-  l3_ext_meta_[at] = meta;
-  l3_ext_count_[set] = static_cast<uint16_t>(l3_ext_count_[set] + 1);
+  l3_ext_[set].push_back(ExtWay{line, stamp, meta});
 }
 
 int CacheHierarchy::PromoteToData(uint64_t set, const L3Scan& scan, uint64_t line,
@@ -336,7 +271,7 @@ int CacheHierarchy::PromoteToData(uint64_t set, const L3Scan& scan, uint64_t lin
   if (slot >= 0) {
     if (static_cast<uint32_t>(slot) >= l3_ways_) {
       // Lift the tag out of the extension bank, closing the hole.
-      meta = l3_ext_meta_[set * l3_ext_ways_ + (static_cast<uint32_t>(slot) - l3_ways_)];
+      meta = *MetaAt(set, slot);
       RemoveExtAt(set, slot);
     } else {
       meta = l3_meta_[set_base + slot];
@@ -361,7 +296,7 @@ int CacheHierarchy::PromoteToData(uint64_t set, const L3Scan& scan, uint64_t lin
       l3_tag_count_[set] = static_cast<uint16_t>(l3_tag_count_[set] + 1);
     }
   } else {
-    slot = LruDataWay(set_base);
+    slot = static_cast<int>(OldestOf(&l3_stamps_[set_base], l3_ways_));
     if (l3_meta_[set_base + slot].HasState()) {
       PushExt(set, l3_tags_[set_base + slot], now, l3_meta_[set_base + slot]);
     }
@@ -370,19 +305,6 @@ int CacheHierarchy::PromoteToData(uint64_t set, const L3Scan& scan, uint64_t lin
   l3_stamps_[set_base + slot] = now;
   l3_meta_[set_base + slot] = meta;
   return slot;
-}
-
-// LRU over a full bank of data ways; first index wins stamp ties, like the
-// classic model.
-int CacheHierarchy::LruDataWay(size_t set_base) const {
-  const uint64_t* stamps = &l3_stamps_[set_base];
-  uint32_t lru = 0;
-  for (uint32_t w = 1; w < l3_ways_; ++w) {
-    if (stamps[w] < stamps[lru]) {
-      lru = w;
-    }
-  }
-  return static_cast<int>(lru);
 }
 
 void CacheHierarchy::InvalidateFrom(int c, uint64_t line, WayMeta* meta) {
@@ -412,7 +334,7 @@ void CacheHierarchy::WriteUpgrade(int core, uint64_t line, uint64_t set, int slo
     // No lattice tag yet (a write upgrade racing ahead of any tracked
     // state); materialize a bare extension tag to carry the ownership.
     PushExt(set, line, 0, WayMeta());
-    slot = static_cast<int>(l3_ways_ + l3_ext_count_[set] - 1);
+    slot = LastExtSlot(set);
   }
   WayMeta* meta = MetaAt(set, slot);
   uint64_t others = meta->sharers & ~(1ull << core);
@@ -452,9 +374,6 @@ void CacheHierarchy::WriteUpgrade(int core, uint64_t line, uint64_t set, int slo
 
 void CacheHierarchy::HandlePrivateEviction(int c, const Level& other, uint64_t victim,
                                            uint64_t now) {
-  // The victim's L3 set row is needed right after the other-level probe;
-  // start it now so the two fetches overlap.
-  __builtin_prefetch(l3_tags_.data() + L3SetOf(victim) * l3_ways_);
   if (ProbeRow(other, other.RowOf(c, victim), victim) >= 0) {
     return;  // still held by the other private level
   }
@@ -487,10 +406,12 @@ void CacheHierarchy::HandlePrivateEviction(int c, const Level& other, uint64_t v
   }
 }
 
+// Inlined into both batch and single-access callers: the packed result
+// leaves in a register, with no out-parameters to spill and reload.
 template <bool kWrite>
-ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
-                                    bool* invalidation, uint32_t* extra_latency,
-                                    bool* remote) {
+[[gnu::always_inline]] inline uint32_t CacheHierarchy::AccessLine(int core, uint64_t line,
+                                                                  uint64_t now) {
+  const LatencyModel& lat = config_.latency;
   // L1 probe: the read-hit fast path is this one row scan plus a stamp.
   const size_t row1 = l1_.RowOf(core, line);
   const RowScan scan1 = ScanRow(l1_, row1, line);
@@ -498,11 +419,11 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     const size_t slot1 = row1 + static_cast<uint32_t>(scan1.way);
     l1_.stamps[slot1] = now;
     if (!kWrite || (l1_.tags[slot1] & kPrivExclBit) != 0) {
-      return ServedBy::kL1;  // read hit, or write hit on an owned line
+      return PackAccessResult(lat.l1, ServedBy::kL1, false);  // read hit, or owned write
     }
     const uint64_t set = L3SetOf(line);
     WriteUpgrade(core, line, set, FindL3Slot(set, line), scan1.way, -1);
-    return ServedBy::kL1;
+    return PackAccessResult(lat.l1, ServedBy::kL1, false);
   }
 
   // L2 probe; the L1 scan above already produced the L1 fill candidates.
@@ -519,14 +440,15 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     }
     if (exclusive) {
       l1_.tags[row1 + l1_way] |= kPrivExclBit;
-      return ServedBy::kL2;  // already sole modified owner, reads and writes alike
+      // Already sole modified owner, reads and writes alike.
+      return PackAccessResult(lat.l2, ServedBy::kL2, false);
     }
     if (kWrite) {
       const uint64_t set = L3SetOf(line);
       WriteUpgrade(core, line, set, FindL3Slot(set, line),
                    static_cast<int64_t>(l1_way), scan2.way);
     }
-    return ServedBy::kL2;
+    return PackAccessResult(lat.l2, ServedBy::kL2, false);
   }
 
   // Private miss: one L3 lattice scan yields the data way (if any), the
@@ -538,8 +460,9 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
   WayMeta* meta = slot >= 0 ? MetaAt(set, slot) : nullptr;
 
   // Was the miss caused by a remote write invalidating our copy?
+  bool invalidation = false;
   if (meta != nullptr && ((meta->invalidated_from >> core) & 1u) != 0) {
-    *invalidation = true;
+    invalidation = true;
     meta->invalidated_from &= ~(1ull << core);
   }
 
@@ -549,8 +472,8 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
   // another socket; an L3 or DRAM fill is remote when the line's home slice
   // does (the memory controller lives with the home slice).
   const int my_socket = SocketOfCore(core);
-  const bool remote_home = socket_mask_ != 0 && SocketOfShard(static_cast<uint32_t>(
-                                                   line & shard_mask_)) != my_socket;
+  const bool remote_home = socket_mask_ != 0 && HomeOfLine(line) != my_socket;
+  bool remote = false;
   ServedBy level;
   bool promote = true;  // every outcome but an L3 data hit fills a data way
   if (meta != nullptr && meta->owner >= 0 && meta->owner != core) {
@@ -558,10 +481,7 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     // up the written-back data via the promote below.
     level = ServedBy::kForeignCache;
     const int owner = meta->owner;
-    if (socket_mask_ != 0 && SocketOfCore(owner) != my_socket) {
-      *extra_latency += config_.latency.interconnect;
-      *remote = true;
-    }
+    remote = socket_mask_ != 0 && SocketOfCore(owner) != my_socket;
     meta->owner = -1;
     if (!kWrite) {
       // The owner keeps a shared, no-longer-exclusive copy. (On a write the
@@ -590,25 +510,16 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     level = ServedBy::kL3;
     l3_stamps_[set_base + slot] = now;
     promote = false;
-    if (remote_home) {
-      *extra_latency += config_.latency.interconnect;
-      *remote = true;
-    }
+    remote = remote_home;
   } else if (others != 0) {
     // Clean copy only in a sibling's private cache: cache-to-cache transfer.
     // The directory forwards from the lowest-numbered sharer.
     level = ServedBy::kForeignCache;
     const int supplier = __builtin_ctzll(others);
-    if (socket_mask_ != 0 && SocketOfCore(supplier) != my_socket) {
-      *extra_latency += config_.latency.interconnect;
-      *remote = true;
-    }
+    remote = socket_mask_ != 0 && SocketOfCore(supplier) != my_socket;
   } else {
     level = ServedBy::kDram;
-    if (remote_home) {
-      *extra_latency += config_.latency.interconnect;
-      *remote = true;
-    }
+    remote = remote_home;
   }
   if (promote) {
     slot = PromoteToData(set, l3scan, line, now);
@@ -632,7 +543,7 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     slot = FindL3Slot(set, line);
     if (slot < 0) {
       PushExt(set, line, now, WayMeta());
-      slot = static_cast<int>(l3_ways_ + l3_ext_count_[set] - 1);
+      slot = LastExtSlot(set);
     }
   }
   MetaAt(set, slot)->sharers |= 1ull << core;
@@ -641,12 +552,12 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     WriteUpgrade(core, line, set, slot, static_cast<int64_t>(l1_way),
                  static_cast<int64_t>(l2_way));
   }
-  return level;
+  const uint32_t latency = lat.Of(level) + (remote ? lat.interconnect : 0);
+  return PackAccessResult(latency, level, invalidation) | (remote ? kRemoteFill : 0);
 }
 
 template <bool kWrite>
-AccessResult CacheHierarchy::AccessImpl(int core, Addr addr, uint32_t size, uint64_t now,
-                                        StatStripe* scratch) {
+AccessResult CacheHierarchy::AccessImpl(int core, Addr addr, uint32_t size, uint64_t now) {
   DPROF_DCHECK(core >= 0 && core < config_.num_cores);
   DPROF_DCHECK(size > 0);
   AccessResult result;
@@ -654,71 +565,53 @@ AccessResult CacheHierarchy::AccessImpl(int core, Addr addr, uint32_t size, uint
   const uint64_t last = (addr + size - 1) >> line_shift_;
 
   for (uint64_t line = first; line <= last; ++line) {
-    bool invalidation = false;
-    uint32_t extra_latency = 0;
-    bool remote = false;
-    const ServedBy level =
-        AccessLine<kWrite>(core, line, now, &invalidation, &extra_latency, &remote);
-
-    result.latency += config_.latency.Of(level) + extra_latency;
+    const uint32_t packed = AccessLine<kWrite>(core, line, now);
+    CountAccess(core, packed);
+    const ServedBy level = PackedAccessLevel(packed);
+    result.latency += PackedAccessLatency(packed);
     result.level = std::max(result.level, level);
     result.l1_miss = result.l1_miss || level != ServedBy::kL1;
-    result.invalidation = result.invalidation || invalidation;
+    result.invalidation = result.invalidation || PackedAccessInvalidation(packed);
     ++result.lines;
-
-    StatStripe& stats = scratch != nullptr ? *scratch : StatsFor(core, line);
-    ++stats.served[static_cast<int>(level)];
-    if (invalidation) {
-      ++stats.invalidation_misses;
-    }
-    if (remote) {
-      ++stats.remote_fills;
-    }
   }
   return result;
 }
 
 template AccessResult CacheHierarchy::AccessImpl<false>(int core, Addr addr, uint32_t size,
-                                                        uint64_t now, StatStripe* scratch);
+                                                        uint64_t now);
 template AccessResult CacheHierarchy::AccessImpl<true>(int core, Addr addr, uint32_t size,
-                                                       uint64_t now, StatStripe* scratch);
+                                                       uint64_t now);
 
 void CacheHierarchy::ApplyBatch(int core, uint64_t base, ApplyLane* lanes, size_t count) {
-  if (count == 0) {
-    return;
-  }
-  StatStripe scratch;
+  DPROF_DCHECK(core >= 0 && core < config_.num_cores);
   for (size_t i = 0; i < count; ++i) {
     ApplyLane& lane = lanes[i];
+    const bool write = (lane.size_w & ApplyLane::kWriteBit) != 0;
     const uint32_t size = lane.size_w & ~ApplyLane::kWriteBit;
-    const AccessResult r =
-        (lane.size_w & ApplyLane::kWriteBit) != 0
-            ? AccessImpl<true>(core, lane.addr, size, base + lane.t_delta, &scratch)
-            : AccessImpl<false>(core, lane.addr, size, base + lane.t_delta, &scratch);
-    lane.size_w = PackAccessResult(r.latency, r.level, r.invalidation);
+    const uint64_t now = base + lane.t_delta;
+    const uint64_t line = lane.addr >> line_shift_;
+    if (((lane.addr + size - 1) >> line_shift_) != line) {
+      const AccessResult r = write ? AccessImpl<true>(core, lane.addr, size, now)
+                                   : AccessImpl<false>(core, lane.addr, size, now);
+      lane.size_w = PackAccessResult(r.latency, r.level, r.invalidation);
+      continue;
+    }
+    const uint32_t packed =
+        write ? AccessLine<true>(core, line, now) : AccessLine<false>(core, line, now);
+    CountAccess(core, packed);
+    lane.size_w = packed & ~kRemoteFill;
   }
-  // One flush per span. Observable stats are per-core sums over stripes, so
-  // which stripe of the core receives the counts is immaterial.
-  StatStripe& out = StatsFor(core, lanes[0].addr >> line_shift_);
-  for (int level = 0; level < 5; ++level) {
-    out.served[level] += scratch.served[level];
-  }
-  out.invalidation_misses += scratch.invalidation_misses;
-  out.remote_fills += scratch.remote_fills;
 }
 
 const CoreMemStats& CacheHierarchy::core_stats(int core) const {
   CoreMemStats& agg = agg_core_stats_[core];
   agg = CoreMemStats();
-  const uint32_t shards = shard_mask_ + 1;
-  for (uint32_t s = 0; s < shards; ++s) {
-    const StatStripe& part = core_stats_[static_cast<uint64_t>(core) * shards + s];
-    for (int i = 0; i < 5; ++i) {
-      agg.served[i] += part.served[i];
-    }
-    agg.invalidation_misses += part.invalidation_misses;
-    agg.remote_fills += part.remote_fills;
+  const StatStripe& cell = core_stats_[static_cast<size_t>(core)];
+  for (int i = 0; i < 5; ++i) {
+    agg.served[i] = cell.served[i];
   }
+  agg.invalidation_misses = cell.invalidation_misses;
+  agg.remote_fills = cell.remote_fills;
   agg.l1_hits = agg.served[static_cast<int>(ServedBy::kL1)];
   agg.accesses = agg.l1_hits + agg.served[1] + agg.served[2] + agg.served[3] + agg.served[4];
   agg.l1_misses = agg.accesses - agg.l1_hits;
@@ -742,30 +635,6 @@ HierarchyTotals CacheHierarchy::Totals() const {
   totals.back_invalidations = back_invalidations();
   totals.cross_socket_back_invalidations = cross_socket_back_invalidations();
   return totals;
-}
-
-uint64_t CacheHierarchy::tag_reclaims() const {
-  uint64_t total = 0;
-  for (const uint64_t n : reclaims_per_shard_) {
-    total += n;
-  }
-  return total;
-}
-
-uint64_t CacheHierarchy::back_invalidations() const {
-  uint64_t total = 0;
-  for (const uint64_t n : backinv_per_shard_) {
-    total += n;
-  }
-  return total;
-}
-
-uint64_t CacheHierarchy::cross_socket_back_invalidations() const {
-  uint64_t total = 0;
-  for (const uint64_t n : xsocket_backinv_per_shard_) {
-    total += n;
-  }
-  return total;
 }
 
 uint64_t CacheHierarchy::remote_fills() const {
@@ -833,10 +702,9 @@ void CacheHierarchy::FlushAll() {
   std::fill(l3_tags_.begin(), l3_tags_.end(), kNoLine);
   std::fill(l3_stamps_.begin(), l3_stamps_.end(), 0);
   std::fill(l3_meta_.begin(), l3_meta_.end(), WayMeta());
-  std::fill(l3_ext_tags_.begin(), l3_ext_tags_.end(), kNoLine);
-  std::fill(l3_ext_stamps_.begin(), l3_ext_stamps_.end(), 0);
-  std::fill(l3_ext_meta_.begin(), l3_ext_meta_.end(), WayMeta());
-  std::fill(l3_ext_count_.begin(), l3_ext_count_.end(), 0);
+  for (std::vector<ExtWay>& ext : l3_ext_) {
+    ext.clear();
+  }
   std::fill(l3_tag_count_.begin(), l3_tag_count_.end(), 0);
 }
 
@@ -936,7 +804,7 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
       // Duplicate lattice tag: the same line tagged in a data way and the
       // extension bank at once.
       for (uint64_t set = 0; set < l3_total_sets_; ++set) {
-        if (l3_ext_count_[set] >= l3_ext_ways_) {
+        if (l3_ext_[set].size() >= l3_ext_ways_) {
           continue;
         }
         const size_t set_base = set * l3_ways_;
@@ -945,11 +813,7 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
           if (tag == kNoLine) {
             continue;
           }
-          const size_t at = set * l3_ext_ways_ + l3_ext_count_[set];
-          l3_ext_tags_[at] = tag & kTagMask;
-          l3_ext_stamps_[at] = 0;
-          l3_ext_meta_[at] = WayMeta();
-          l3_ext_count_[set] = static_cast<uint16_t>(l3_ext_count_[set] + 1);
+          l3_ext_[set].push_back(ExtWay{tag & kTagMask, 0, WayMeta()});
           return true;
         }
       }
@@ -1001,14 +865,10 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
           const uint64_t home = set / l3_sets_;
           const uint64_t foreign = (home + 1) & socket_mask_;
           const uint64_t wrong_set = foreign * l3_sets_ + low;
-          if (l3_ext_count_[wrong_set] >= l3_ext_ways_) {
+          if (l3_ext_[wrong_set].size() >= l3_ext_ways_) {
             continue;
           }
-          const size_t at = wrong_set * l3_ext_ways_ + l3_ext_count_[wrong_set];
-          l3_ext_tags_[at] = line;
-          l3_ext_stamps_[at] = 0;
-          l3_ext_meta_[at] = WayMeta();
-          l3_ext_count_[wrong_set] = static_cast<uint16_t>(l3_ext_count_[wrong_set] + 1);
+          l3_ext_[wrong_set].push_back(ExtWay{line, 0, WayMeta()});
           return true;
         }
       }

@@ -8,10 +8,10 @@
 //
 // Layout: the access path is a flattened tag lattice, not a stack of cache
 // objects. Private L1/L2 tags for all cores live in contiguous
-// structure-of-arrays columns (tags / LRU stamps / exclusive bits), so one
-// access is a slot-based walk: probe the core's L1 set row, then its L2 set
-// row, then the line's L3 set — three bounded scans over packed tags with no
-// hashing and no per-level object indirection.
+// structure-of-arrays columns (tags with the exclusive bit packed in, and
+// LRU stamps), so one access is a slot-based walk: probe the core's L1 set
+// row, then its L2 set row, then the line's L3 set — three bounded scans
+// over packed tags with no hashing and no per-level object indirection.
 //
 // The L3 is an inclusive tag lattice with the coherence directory (sharers
 // mask, modified owner, invalidated-from set) embedded in its way metadata.
@@ -21,35 +21,33 @@
 // filter sized beyond the data array). A line whose data leaves the L3 (a
 // capacity eviction, or a write upgrade making the L3 copy stale) keeps its
 // tag and directory state in an extension way, so every line held by any
-// private cache always has a lattice tag. The one inclusion obligation lives
-// in a single place, ReclaimExtWay: when a set's extension bank overflows,
-// the least-recently-stamped extension tag is dropped and every private copy
-// it tracked is back-invalidated. tag_reclaims()/back_invalidations() count
-// those events; the registered scenarios never trigger them, which is what
-// makes the lattice's aggregate stats bit-identical to the unbounded
-// hash-directory model this replaced.
+// private cache always has a lattice tag. Each set's bank holds only its
+// live extension tags and grows with them up to the cap, so extension
+// storage tracks the live tags, not the cap. The one inclusion obligation
+// lives in a single place, ReclaimExtWay: when a set's bank is full, the
+// least-recently-stamped extension tag is dropped and every private copy it
+// tracked is back-invalidated. tag_reclaims()/back_invalidations() count
+// those events; the registered scenarios never trigger them on the flat
+// machine, which is what makes the lattice's aggregate stats bit-identical
+// to the unbounded hash-directory model this replaced.
 //
 // NUMA: with HierarchyConfig::num_sockets > 1 the machine carries one L3
 // slice per socket — an independent set array, directory domain, and
-// extension bank. A line's home slice is an address hash (the socket-count
-// bits of its line number just below the shard width), so homes interleave
-// in aligned blocks of home_block_bytes() and every shard's lines share one
-// home socket. Accesses served by a remote home slice, or by a supplier
-// core on another socket (including the foreign-read downgrade), pay
-// LatencyModel::interconnect per line and count as remote_fills; reclaim
-// back-invalidations crossing a socket boundary count as
+// extension bank. A line's home slice is an address hash (see "Home
+// interleaving" below). Accesses served by a remote home slice, or by a
+// supplier core on another socket (including the foreign-read downgrade),
+// pay LatencyModel::interconnect per line and count as remote_fills;
+// reclaim back-invalidations crossing a socket boundary count as
 // cross_socket_back_invalidations. num_sockets == 1 degenerates to the flat
 // SMP exactly.
 //
-// Sharding: every piece of hierarchy state — the L1/L2 set rows, and the L3
-// sets with their embedded directory — partitions by the low bits of the
-// line number, and the shard width divides every level's set count, so the
-// shard partition agrees with (refines into) the L3 set partition: a shard
-// owns whole L3 sets, including their directory state. Victims of an
-// eviction and back-invalidation targets share their evictor's set, hence
-// its shard. num_shards() reports the partition width; the per-core stat
-// stripes are indexed by it. The engine applies every access from one
-// thread, in one fused merge.
+// Home interleaving: the sockets' home blocks cycle within every aligned
+// run of kHomePeriodLines lines (fewer when a level has fewer sets than
+// that), so each socket owns one aligned block of home_block_bytes() per
+// run. The period sits inside every level's set mask, so two lines of one
+// private set row always share a home slice. The slab allocator's pin_home
+// placement carves object runs from these blocks. The engine applies every
+// access from one thread, in one fused merge.
 
 #ifndef DPROF_SRC_SIM_HIERARCHY_H_
 #define DPROF_SRC_SIM_HIERARCHY_H_
@@ -133,10 +131,9 @@ struct HierarchyConfig {
   // below describes ONE per-socket slice, so the machine carries num_sockets
   // independent slices, each with its own directory domain and extension
   // bank. Lines are homed by address hash: the two (for 4 sockets) line bits
-  // just below the shard width pick the slice, so homes interleave in
-  // aligned blocks of 2^(shard_bits - socket_bits) lines and every shard's
-  // lines share one home socket. num_sockets == 1 is the flat SMP the
-  // pre-NUMA model simulated, bit for bit.
+  // at the top of the home period pick the slice, so homes interleave in
+  // aligned blocks of CacheHierarchy::home_block_bytes(). num_sockets == 1
+  // is the flat SMP the pre-NUMA model simulated, bit for bit.
   int num_sockets = 1;
   CacheGeometry l1{32 * 1024, 64, 8};
   CacheGeometry l2{512 * 1024, 64, 16};
@@ -192,7 +189,7 @@ class CacheHierarchy {
   // with no ownership checks.
   template <bool kWrite>
   AccessResult Access(int core, Addr addr, uint32_t size, uint64_t now) {
-    return AccessImpl<kWrite>(core, addr, size, now, nullptr);
+    return AccessImpl<kWrite>(core, addr, size, now);
   }
 
   // Runtime-dispatch form for callers that carry the write bit in data.
@@ -204,34 +201,24 @@ class CacheHierarchy {
   // Batch apply, the engine's one entry point into the hierarchy: resolves
   // `count` accesses by `core` in order (access i happens at base +
   // lanes[i].t_delta) and writes each packed result into lanes[i].size_w.
-  // The per-access stat counters accumulate in a span-local scratch stripe
-  // and flush once per span. State effects and results are exactly those of
-  // `count` sequential Access calls. Not thread-safe: one caller at a time,
-  // and a span may touch lines of any shard.
+  // A lane inside one line (every engine lane: the simulated core splits
+  // accesses at line boundaries) takes one inlined single-line walk; a lane
+  // spanning lines takes the Access loop. State effects, results and stats
+  // are exactly those of `count` sequential Access calls. Not thread-safe:
+  // one caller at a time.
   void ApplyBatch(int core, uint64_t base, ApplyLane* lanes, size_t count);
 
   const HierarchyConfig& config() const { return config_; }
   uint32_t line_size() const { return config_.l1.line_size; }
 
-  // Width of the line-number partition (power of two). Accesses to lines in
-  // different shards touch disjoint state; the width divides every level's
-  // set count, so a shard owns whole L3 sets (and their embedded directory).
-  // The stat stripes and inclusion counters are indexed by shard.
-  uint32_t num_shards() const { return shard_mask_ + 1; }
-  uint32_t ShardOf(Addr addr) const {
-    return static_cast<uint32_t>((addr >> line_shift_) & shard_mask_);
-  }
-
-  // NUMA topology. Home-socket bits sit inside the shard width, so every
-  // shard's lines share one home slice (SocketOfShard).
+  // NUMA topology.
   int num_sockets() const { return static_cast<int>(socket_mask_ + 1); }
   int SocketOfCore(int core) const { return core / cores_per_socket_; }
-  int SocketOfShard(uint32_t shard) const {
-    return static_cast<int>((shard >> home_shift_) & socket_mask_);
-  }
-  int HomeSocketOf(Addr addr) const {
-    return static_cast<int>(((addr >> line_shift_) >> home_shift_) & socket_mask_);
-  }
+  int HomeSocketOf(Addr addr) const { return HomeOfLine(addr >> line_shift_); }
+  // Home interleave period in lines: the sockets' home blocks cycle within
+  // every aligned run of this many lines, or of the smallest level's set
+  // count when that is lower.
+  static constexpr uint64_t kHomePeriodLines = 64;
   // Granularity of home interleaving: addresses inside one aligned block of
   // this many bytes share a home socket, and consecutive blocks cycle the
   // sockets in order (block index modulo num_sockets). The slab allocator's
@@ -248,12 +235,12 @@ class CacheHierarchy {
   // overflowing extension banks, and private-cache copies those reclaims
   // back-invalidated. Zero on every registered scenario (the
   // stats-equivalence envelope).
-  uint64_t tag_reclaims() const;
-  uint64_t back_invalidations() const;
+  uint64_t tag_reclaims() const { return tag_reclaims_; }
+  uint64_t back_invalidations() const { return back_invalidations_; }
   // NUMA interconnect ground truth: lines served across sockets, and
   // reclaim back-invalidations that crossed a socket boundary.
   uint64_t remote_fills() const;
-  uint64_t cross_socket_back_invalidations() const;
+  uint64_t cross_socket_back_invalidations() const { return cross_socket_back_invalidations_; }
 
   // Lattice introspection for tests: number of L3 data ways in use, and
   // whether `addr`'s line holds any lattice tag (data or extension).
@@ -367,7 +354,37 @@ class CacheHierarchy {
     int free_data = -1;
   };
 
-  static RowScan ScanRow(const Level& level, size_t row, uint64_t line);
+  // Inline, with an early exit at the match: a hit stops scanning. (A
+  // branch-free bitmask scan measured slower on the hierarchy bench and no
+  // faster on a memcached run.)
+  static RowScan ScanRow(const Level& level, size_t row, uint64_t line) {
+    const uint64_t* tags = &level.tags[row];
+    RowScan scan;
+    int free = -1;
+    for (uint32_t w = 0; w < level.ways; ++w) {
+      const uint64_t tag = tags[w];
+      if ((tag & kPrivTagMask) == line) {
+        scan.way = static_cast<int>(w);
+        return scan;
+      }
+      if (tag == kNoLine && free < 0) {
+        free = static_cast<int>(w);
+      }
+    }
+    scan.free = free;
+    return scan;
+  }
+  // Index of the least stamp among `n` stamps; the first index wins ties,
+  // like the classic model.
+  static uint32_t OldestOf(const uint64_t* stamps, uint32_t n) {
+    uint32_t oldest = 0;
+    for (uint32_t i = 1; i < n; ++i) {
+      if (stamps[i] < stamps[oldest]) {
+        oldest = i;
+      }
+    }
+    return oldest;
+  }
   // Fills `line` using the candidates of a missing ScanRow. Returns the way
   // index; *victim receives the evicted line or kNoLine.
   static uint32_t FillAt(Level& level, size_t row, const RowScan& scan, uint64_t line,
@@ -378,20 +395,23 @@ class CacheHierarchy {
   int FindL3Slot(uint64_t set, uint64_t line) const;
   L3Scan ScanL3(uint64_t set, uint64_t line) const;
 
-  // Serves a single line access. Returns the level; sets *invalidation, and
-  // *extra_latency gains the interconnect penalty when the serving agent sat
-  // on another socket (sets *remote alongside).
+  // Serves a single line access and returns PackAccessResult(latency,
+  // level, invalidation), the latency including the interconnect penalty,
+  // with kRemoteFill set when the serving agent sat on another socket.
+  // Counts nothing; CountAccess does.
+  static constexpr uint32_t kRemoteFill = 1u << 28;
   template <bool kWrite>
-  ServedBy AccessLine(int core, uint64_t line, uint64_t now, bool* invalidation,
-                      uint32_t* extra_latency, bool* remote);
+  uint32_t AccessLine(int core, uint64_t line, uint64_t now);
 
+  int HomeOfLine(uint64_t line) const {
+    return static_cast<int>((line >> home_shift_) & socket_mask_);
+  }
   // Home slice's global L3 set of `line`: the home socket picks the slice,
   // the line's set bits pick the set within it. Degenerates to the flat
   // `line & l3_set_mask_` when num_sockets == 1 (socket_mask_ == 0).
   uint64_t L3SetOf(uint64_t line) const {
-    return ((line >> home_shift_) & socket_mask_) * l3_sets_ + (line & l3_set_mask_);
+    return static_cast<uint64_t>(HomeOfLine(line)) * l3_sets_ + (line & l3_set_mask_);
   }
-
 
   // Ensures `line` occupies an L3 data way (stamp = now), preserving its
   // directory state; mirrors a classic LRU insert on the data ways and
@@ -405,22 +425,21 @@ class CacheHierarchy {
   // Drops live extension way `slot`, compacting the bank.
   void RemoveExtAt(uint64_t set, int slot);
 
-  // LRU over a full bank of data ways (stamp pass, first index wins ties).
-  int LruDataWay(size_t set_base) const;
-
   // Directory metadata of unified slot `slot` (data way or ways+ext index).
   WayMeta* MetaAt(uint64_t set, int slot) {
     return static_cast<uint32_t>(slot) < l3_ways_
                ? &l3_meta_[set * l3_ways_ + static_cast<uint32_t>(slot)]
-               : &l3_ext_meta_[set * l3_ext_ways_ +
-                               (static_cast<uint32_t>(slot) - l3_ways_)];
+               : &l3_ext_[set][static_cast<uint32_t>(slot) - l3_ways_].meta;
   }
   // Raw tag at unified slot `slot` (data tags may carry kDirOnlyBit).
   uint64_t TagAt(uint64_t set, int slot) const {
     return static_cast<uint32_t>(slot) < l3_ways_
                ? l3_tags_[set * l3_ways_ + static_cast<uint32_t>(slot)]
-               : l3_ext_tags_[set * l3_ext_ways_ +
-                              (static_cast<uint32_t>(slot) - l3_ways_)];
+               : l3_ext_[set][static_cast<uint32_t>(slot) - l3_ways_].tag;
+  }
+  // Unified slot of the set's newest extension way.
+  int LastExtSlot(uint64_t set) const {
+    return static_cast<int>(l3_ways_ + l3_ext_[set].size() - 1);
   }
 
   // THE inclusion obligation: drops the least-recently-stamped extension tag
@@ -442,10 +461,18 @@ class CacheHierarchy {
   void HandlePrivateEviction(int c, const Level& other, uint64_t victim, uint64_t now);
 
   // Way index of `line` in the row, or -1.
-  static int ProbeRow(const Level& level, size_t row, uint64_t line);
+  static int ProbeRow(const Level& level, size_t row, uint64_t line) {
+    const uint64_t* tags = &level.tags[row];
+    for (uint32_t w = 0; w < level.ways; ++w) {
+      if ((tags[w] & kPrivTagMask) == line) {
+        return static_cast<int>(w);
+      }
+    }
+    return -1;
+  }
   static void RemoveAt(Level& level, size_t slot);
 
-  // Striped counter cell: only the five served-level counts and the
+  // Per-core counter cell: only the five served-level counts and the
   // invalidation count are stored; accesses / l1_hits / l1_misses are
   // derived sums, so the hot path does one indexed increment instead of
   // three stores into a wider struct.
@@ -455,57 +482,60 @@ class CacheHierarchy {
     uint64_t remote_fills = 0;
   };
 
-  StatStripe& StatsFor(int core, uint64_t line) {
-    return core_stats_[static_cast<uint64_t>(core) * (shard_mask_ + 1) + (line & shard_mask_)];
+  // Adds one AccessLine result to `core`'s counters.
+  void CountAccess(int core, uint32_t packed) {
+    StatStripe& stats = core_stats_[static_cast<size_t>(core)];
+    ++stats.served[static_cast<int>(PackedAccessLevel(packed))];
+    stats.invalidation_misses += PackedAccessInvalidation(packed) ? 1 : 0;
+    stats.remote_fills += (packed & kRemoteFill) != 0 ? 1 : 0;
   }
 
-  // Shared implementation of Access and ApplyBatch: with a scratch stripe,
-  // per-line stat counts accumulate there (the batch path flushes once per
-  // span) instead of read-modify-writing the striped counters per line.
+  // Access over every line of [addr, addr + size).
   template <bool kWrite>
-  AccessResult AccessImpl(int core, Addr addr, uint32_t size, uint64_t now,
-                          StatStripe* scratch);
+  AccessResult AccessImpl(int core, Addr addr, uint32_t size, uint64_t now);
 
   HierarchyConfig config_;
-  uint32_t shard_mask_ = 0;  // num_shards-1
   uint32_t line_shift_ = 6;  // log2(line size); lines are power-of-two sized
   // Socket topology: home bits sit at [home_shift_, home_shift_+socket_bits)
-  // of the line number, inside the shard width. All zero-width (mask 0,
-  // shift = shard bits) on single-socket machines.
+  // of the line number, the top of the home period. All zero-width (mask 0,
+  // shift = period bits) on single-socket machines.
   uint32_t socket_mask_ = 0;       // num_sockets - 1
-  uint32_t home_shift_ = 0;        // shard bits - socket bits
+  uint32_t home_shift_ = 0;        // period bits - socket bits
   int cores_per_socket_ = 1;
 
   Level l1_;
   Level l2_;
 
+  // One live directory-extension way.
+  struct ExtWay {
+    uint64_t tag;
+    uint64_t stamp;
+    WayMeta meta;
+  };
+
   // The L3 tag lattice. Data ways are dense per-set rows (`l3_ways_` tags,
-  // one or two host cache lines) — the hot scans touch only these. The
-  // compacted extension bank lives in separate side arrays (`l3_ext_ways_`
-  // slots per set, the first `l3_ext_count_[set]` live), touched only when
-  // a tag actually moves out of the data row. A unified slot index
-  // addresses both: data way w, or l3_ways_ + ext index.
+  // one or two host cache lines) — the hot scans touch only these. Each
+  // set's compacted extension bank is its own vector holding only live
+  // extension ways (at most `l3_ext_ways_`), touched only when a tag
+  // actually moves out of the data row. A unified slot index addresses
+  // both: data way w, or l3_ways_ + ext index.
   uint32_t l3_ways_ = 0;
-  uint32_t l3_ext_ways_ = 0;
+  uint32_t l3_ext_ways_ = 0;  // cap on each set's live extension ways
   uint64_t l3_sets_ = 0;        // sets per slice (config.l3 geometry)
   uint64_t l3_total_sets_ = 0;  // l3_sets_ * num_sockets: all slices' sets
   uint64_t l3_set_mask_ = 0;    // within-slice set mask
   std::vector<uint64_t> l3_tags_;
   std::vector<uint64_t> l3_stamps_;
   std::vector<WayMeta> l3_meta_;
-  std::vector<uint64_t> l3_ext_tags_;
-  std::vector<uint64_t> l3_ext_stamps_;
-  std::vector<WayMeta> l3_ext_meta_;
-  std::vector<uint16_t> l3_ext_count_;
+  std::vector<std::vector<ExtWay>> l3_ext_;  // per set: live extension ways
   std::vector<uint16_t> l3_tag_count_;  // tagged data ways per set (valid + residue)
 
-  std::vector<StatStripe> core_stats_;  // striped: [core * num_shards + shard]
+  std::vector<StatStripe> core_stats_;  // one cell per core
   mutable std::vector<CoreMemStats> agg_core_stats_;  // cache for core_stats()
-  // Inclusion counters, striped by shard like the stat stripes; Totals()
-  // sums the stripes.
-  std::vector<uint64_t> reclaims_per_shard_;
-  std::vector<uint64_t> backinv_per_shard_;
-  std::vector<uint64_t> xsocket_backinv_per_shard_;
+  // Inclusion-obligation counters.
+  uint64_t tag_reclaims_ = 0;
+  uint64_t back_invalidations_ = 0;
+  uint64_t cross_socket_back_invalidations_ = 0;
 };
 
 }  // namespace dprof

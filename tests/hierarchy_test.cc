@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/machine/engine.h"
 #include "src/machine/faults.h"
@@ -245,8 +248,8 @@ TEST(HierarchyTest, WriteUpgradeTemplatePathsAgree) {
 // ---------------------------------------------------------------------------
 
 // The small machine split into two sockets of two cores, each with its own
-// L3 slice. Shards = 8 (the L1 set count), so home_shift = 2 and home
-// blocks are 4 lines (256 bytes) cycling socket 0, 1, 0, 1, ...
+// L3 slice. The home period is 8 lines (the L1 set count), so home blocks
+// are 4 lines (256 bytes) cycling socket 0, 1, 0, 1, ...
 HierarchyConfig NumaConfig() {
   HierarchyConfig config = SmallConfig(4);
   config.num_sockets = 2;
@@ -348,6 +351,111 @@ TEST(HierarchyTest, WrongHomeFaultInjectableOnlyOnNuma) {
   }
   EXPECT_TRUE(mentions_home);
 }
+
+// ---------------------------------------------------------------------------
+// Differential: ApplyBatch against sequential Access calls on a twin
+// hierarchy. Tiny extension banks (1-2 ways per set) make ReclaimExtWay
+// fire, and 1, 2 and 4 sockets cover the home-slice and interconnect paths.
+// Lanes mix the single-line walk with multi-line lanes.
+// ---------------------------------------------------------------------------
+
+void ExpectSameTotals(const HierarchyTotals& a, const HierarchyTotals& b) {
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.l1_hits, b.l1_hits);
+  EXPECT_EQ(a.l1_misses, b.l1_misses);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(a.served[i], b.served[i]) << "served level " << i;
+  }
+  EXPECT_EQ(a.invalidation_misses, b.invalidation_misses);
+  EXPECT_EQ(a.tag_reclaims, b.tag_reclaims);
+  EXPECT_EQ(a.back_invalidations, b.back_invalidations);
+  EXPECT_EQ(a.remote_fills, b.remote_fills);
+  EXPECT_EQ(a.cross_socket_back_invalidations, b.cross_socket_back_invalidations);
+}
+
+struct DiffCase {
+  int sockets;
+  uint32_t ext_ways;
+};
+
+class ApplyBatchDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(ApplyBatchDifferentialTest, MatchesSequentialAccess) {
+  HierarchyConfig config = SmallConfig(4);
+  config.num_sockets = GetParam().sockets;
+  config.l3_dir_ext_ways = GetParam().ext_ways;
+  const uint32_t line_size = config.l3.line_size;
+  // 1024 lines over a 32-set, 8-way L3 slice: data evictions and write
+  // residues outrun the tiny extension banks while private caches still
+  // hold their lines.
+  constexpr uint64_t kPoolLines = 1024;
+  uint64_t reclaims = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    CacheHierarchy batch(config);
+    CacheHierarchy seq(config);
+    std::mt19937_64 rng(seed * 7919 + static_cast<uint64_t>(config.num_sockets));
+    std::set<uint64_t> touched;
+    uint64_t now = 1;
+    for (int span = 0; span < 3000; ++span) {
+      const int core = static_cast<int>(rng() % 4);
+      const size_t count = 1 + rng() % 16;
+      const uint64_t base = now;
+      std::vector<ApplyLane> lanes(count);
+      std::vector<bool> writes(count);
+      for (size_t i = 0; i < count; ++i) {
+        const Addr addr = 0x100000 + (rng() % kPoolLines) * line_size + rng() % line_size;
+        const uint32_t in_line = line_size - static_cast<uint32_t>(addr % line_size);
+        // One lane in five spans lines; the rest stay inside one line.
+        const bool spans = rng() % 5 == 0;
+        const uint32_t size = spans ? in_line + 1 + static_cast<uint32_t>(rng() % 150)
+                                    : 1 + static_cast<uint32_t>(rng() % in_line);
+        writes[i] = rng() % 10 < 3;
+        now += 1 + rng() % 3;
+        lanes[i] = ApplyLane{addr, static_cast<uint32_t>(now - base),
+                             size | (writes[i] ? ApplyLane::kWriteBit : 0u)};
+        for (Addr a = addr / line_size; a <= (addr + size - 1) / line_size; ++a) {
+          touched.insert(a * line_size);
+        }
+      }
+      std::vector<ApplyLane> in = lanes;
+      batch.ApplyBatch(core, base, lanes.data(), count);
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t size = in[i].size_w & ~ApplyLane::kWriteBit;
+        const AccessResult r = seq.Access(core, in[i].addr, size, writes[i], base + in[i].t_delta);
+        ASSERT_EQ(lanes[i].size_w, PackAccessResult(r.latency, r.level, r.invalidation))
+            << "seed " << seed << " span " << span << " lane " << i;
+      }
+    }
+    ExpectSameTotals(batch.Totals(), seq.Totals());
+    for (int c = 0; c < config.num_cores; ++c) {
+      EXPECT_EQ(batch.core_stats(c).accesses, seq.core_stats(c).accesses);
+      EXPECT_EQ(batch.core_stats(c).remote_fills, seq.core_stats(c).remote_fills);
+    }
+    reclaims += batch.tag_reclaims();
+    // The auditor checks every set's live extension count against the cap,
+    // alongside inclusion and directory consistency.
+    const AuditResult audit = InvariantAuditor(&batch).Audit();
+    EXPECT_TRUE(audit.ok()) << (audit.violations.empty() ? "" : audit.violations[0]);
+
+    batch.FlushAll();
+    seq.FlushAll();
+    for (const uint64_t addr : touched) {
+      ASSERT_FALSE(batch.L3HasTag(addr)) << std::hex << addr;
+      ASSERT_FALSE(seq.L3HasTag(addr)) << std::hex << addr;
+    }
+  }
+  EXPECT_GT(reclaims, 0u) << "the geometry never overflowed an extension bank";
+}
+
+std::string DiffCaseName(const ::testing::TestParamInfo<DiffCase>& info) {
+  return "sockets" + std::to_string(info.param.sockets) + "_ext" +
+         std::to_string(info.param.ext_ways);
+}
+
+INSTANTIATE_TEST_SUITE_P(TinyLattices, ApplyBatchDifferentialTest,
+                         ::testing::Values(DiffCase{1, 1}, DiffCase{1, 2}, DiffCase{2, 1},
+                                           DiffCase{2, 2}, DiffCase{4, 1}, DiffCase{4, 2}),
+                         DiffCaseName);
 
 // ---------------------------------------------------------------------------
 // Directory-extension overflow scenario (test-only, unregistered): a full
