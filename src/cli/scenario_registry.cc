@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <utility>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "src/dprof/miss_classifier.h"
 #include "src/machine/engine.h"
@@ -18,6 +21,21 @@ namespace {
 void ApplySpec(ScenarioRig& rig, const RunSpec& spec) {
   if (spec.collect_cycles > 0) rig.collect_cycles = spec.collect_cycles;
   rig.options.adaptive_epoch_focus = spec.adaptive_epoch_focus;
+}
+
+// A run builds its lattice, recorder and session tables (tens of MB) fresh
+// and frees them when it ends. glibc raises its mmap threshold to the size
+// of each mapped block freed (up to 32 MiB); past that point the tables
+// grow heap arenas instead, which keep the memory after the run, and peak
+// RSS would depend on the seed and, under `whatif`'s host threads, on
+// which thread runs which experiment. A threshold pinned at glibc's default
+// 128 KiB keeps such tables in mappings of their own, returned to the OS
+// when the run frees them.
+void PinMmapThreshold() {
+#if defined(__GLIBC__)
+  static const int pinned = mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  (void)pinned;
+#endif
 }
 
 }  // namespace
@@ -233,6 +251,7 @@ void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
 
 ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& name,
                            const RunSpec& spec) {
+  PinMmapThreshold();
   const ScenarioInfo* info = registry.Find(name);
   DPROF_CHECK(info != nullptr);
 

@@ -293,7 +293,9 @@ struct ScenarioReport {
 };
 
 // Builds the rig, runs both DProf phases, and assembles the report.
-// CHECK-fails if `name` is not registered — callers validate first.
+// CHECK-fails if `name` is not registered — callers validate first. On
+// glibc the first call pins the process's mmap threshold at 128 KiB, so
+// every run's large tables are returned to the OS when it ends.
 ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& name,
                            const RunSpec& spec);
 

@@ -4,9 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+// Sanitizer builds replace malloc, so glibc's allocator policy is not in play.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DPROF_SANITIZED_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DPROF_SANITIZED_MALLOC 1
+#endif
+#endif
 
 #include "src/cli/bench_registry.h"
 #include "src/cli/scenario_registry.h"
@@ -118,6 +131,26 @@ TEST(ScenarioRunTest, ReportJsonHasExpectedShape) {
   EXPECT_NE(json.find("\"working_set\":{"), std::string::npos);
   EXPECT_NE(json.find("\"miss_classification\":["), std::string::npos);
 }
+
+#if defined(__GLIBC__) && !defined(DPROF_SANITIZED_MALLOC)
+// A run's tables go back to the OS when it ends: once a run has started,
+// freeing a large mapped block (which would raise glibc's mmap threshold to
+// its size) does not move the next rig's lattice tables into the heap.
+TEST(ScenarioRunTest, RigTablesStayMappedAfterALargeFree) {
+  ScenarioRegistry registry;
+  RegisterBuiltinScenarios(registry);
+  RunSpec params;
+  params.cores = 2;
+  params.collect_cycles = 500'000;
+  RunScenario(registry, "conflict_demo", params);
+  void* volatile big = std::malloc(size_t{32} << 20);
+  std::free(big);
+  const size_t mapped = mallinfo2().hblkhd;
+  const std::unique_ptr<ScenarioRig> rig = registry.Find("conflict_demo")->factory(params);
+  // The L3 tag array alone is 2 MiB.
+  EXPECT_GE(mallinfo2().hblkhd, mapped + (size_t{2} << 20));
+}
+#endif
 
 TEST(BenchRegistryTest, BuiltinsAreRegistered) {
   BenchRegistry registry;
