@@ -15,15 +15,17 @@ constexpr uint32_t kColorCycle = 8;
 
 // Emergency slab reserve past max_slabs_per_arena: reaching the configured
 // bound sets a sticky kResourceExhausted status instead of aborting, and the
-// reserve keeps the in-flight epoch's allocations memory-safe until the
-// engine polls the status at the epoch boundary and stops the run. Reserved
-// up front with the rest of the arena, so growth never reallocates under
-// concurrent cross-core address resolution.
+// reserve lets the in-flight epoch keep allocating until the engine polls
+// the status at the epoch boundary and stops the run. Past the reserve,
+// growth is a hard check failure.
 constexpr uint32_t kEmergencySlabs = 64;
 
 // GrowCache failure sentinel (never a valid slab id: arenas are bounded far
 // below it).
 constexpr uint32_t kGrowFailed = ~0u;
+
+// cache_by_type_ entry of a type that has no kmem_cache yet.
+constexpr uint32_t kNoCache = ~0u;
 
 }  // namespace
 
@@ -46,19 +48,17 @@ SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry, const Sla
   fn_drain_alien_ = sym.Intern("__drain_alien_cache");
   fn_grow_ = sym.Intern("cache_grow");
 
-  // One arena per core plus the trailing metadata arena. Page tables are
-  // fully sized and slab arrays fully reserved up front: the owning core may
-  // append during the engine's simulate phase while other cores resolve
-  // addresses published in earlier epochs.
+  // One arena per core plus the trailing metadata arena. Page tables start
+  // empty and grow with each arena's bump pointer.
   const int num_arenas = machine_->num_cores() + 1;
-  const size_t pages_per_arena = config_.arena_stride / config_.page_size;
   arenas_.resize(num_arenas);
   for (int a = 0; a < num_arenas; ++a) {
     Arena& arena = arenas_[a];
     arena.base = config_.base_addr + static_cast<Addr>(a) * config_.arena_stride;
     arena.bump = arena.base;
     arena.limit = arena.base + config_.arena_stride;
-    arena.pages.assign(pages_per_arena, PageInfo());
+    // Room for the cap plus the emergency reserve, so a slab is never
+    // moved; capacity no slab reaches is never touched.
     arena.slabs.reserve(config_.max_slabs_per_arena + kEmergencySlabs);
   }
 }
@@ -80,18 +80,18 @@ const SlabAllocator::PageInfo* SlabAllocator::PageFor(Addr addr) const {
   if (a < 0) {
     return nullptr;
   }
+  // Pages past the bump pointer have never been handed out.
+  static const PageInfo kUnused;
   const Arena& arena = arenas_[a];
-  return &arena.pages[(addr - arena.base) / config_.page_size];
+  const Addr page = (addr - arena.base) / config_.page_size;
+  return page < arena.pages.size() ? &arena.pages[page] : &kUnused;
 }
 
 Addr SlabAllocator::BumpPages(Arena& arena, uint32_t num_pages, PageInfo info) {
   const Addr base = arena.bump;
   DPROF_CHECK(base + static_cast<Addr>(num_pages) * config_.page_size <= arena.limit);
   arena.bump += static_cast<Addr>(num_pages) * config_.page_size;
-  const uint64_t first = (base - arena.base) / config_.page_size;
-  for (uint32_t i = 0; i < num_pages; ++i) {
-    arena.pages[first + i] = info;
-  }
+  arena.pages.resize(arena.pages.size() + num_pages, info);
   return base;
 }
 
@@ -155,9 +155,8 @@ void SlabAllocator::ReplayStatics(AllocationObserver* observer) const {
 }
 
 SlabAllocator::KmemCache& SlabAllocator::CacheFor(TypeId type) {
-  auto it = cache_by_type_.find(type);
-  if (it != cache_by_type_.end()) {
-    return caches_[it->second];
+  if (const uint32_t existing = CacheIdOf(type); existing != kNoCache) {
+    return caches_[existing];
   }
   const uint32_t id = static_cast<uint32_t>(caches_.size());
   caches_.emplace_back();
@@ -194,17 +193,21 @@ SlabAllocator::KmemCache& SlabAllocator::CacheFor(TypeId type) {
     pc.magazine.reserve(config_.magazine_capacity + config_.batch_count);
     pc.alien.reserve(config_.batch_count + 1);
   }
-  cache_by_type_.emplace(type, id);
+  if (type >= cache_by_type_.size()) {
+    cache_by_type_.resize(static_cast<size_t>(type) + 1, kNoCache);
+  }
+  cache_by_type_[type] = id;
   return caches_[id];
 }
 
 SimLock* SlabAllocator::CacheLock(TypeId type) { return CacheFor(type).lock.get(); }
 
-void SlabAllocator::PrepareParallel(int num_cores) {
-  DPROF_CHECK(num_cores == machine_->num_cores());
-  // Lazily-created kmem_caches allocate metadata from the shared arena; make
-  // sure every registered type has its cache before the first epoch, so
-  // drivers never touch the shared metadata arena from the simulate phase.
+void SlabAllocator::CreateTypeCaches() {
+  // A kmem_cache bumps its metadata (kmem_cache and array_cache structs) out
+  // of the metadata arena when it is created. Creating every registered
+  // type's cache here, in TypeId order, fixes those addresses before the
+  // first epoch instead of letting them depend on which type the workload
+  // happens to allocate first.
   for (TypeId type = 0; type < static_cast<TypeId>(registry_->size()); ++type) {
     CacheFor(type);
   }
@@ -223,9 +226,9 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
   }
   if (arena.slabs.size() >= config_.max_slabs_per_arena) {
     // Genuine exhaustion: report instead of aborting. Growth continues into
-    // the preallocated emergency reserve so the epoch in flight stays
-    // memory-safe; the engine polls status() at the epoch boundary and
-    // stops the run with this diagnostic.
+    // the emergency reserve so the epoch in flight can finish; the engine
+    // polls status() at the epoch boundary and stops the run with this
+    // diagnostic.
     status_.Update(Status(StatusCode::kResourceExhausted, "slab_grow",
                           "core " + std::to_string(ctx.core()) + " arena reached " +
                               std::to_string(config_.max_slabs_per_arena) +
@@ -589,17 +592,21 @@ void SlabAllocator::RemoveObserver(AllocationObserver* observer) {
                    observers_.end());
 }
 
+uint32_t SlabAllocator::CacheIdOf(TypeId type) const {
+  return type < cache_by_type_.size() ? cache_by_type_[type] : kNoCache;
+}
+
 const AllocatorTypeStats& SlabAllocator::type_stats(TypeId type) const {
-  auto it = cache_by_type_.find(type);
-  return it == cache_by_type_.end() ? empty_stats_ : caches_[it->second].stats;
+  const uint32_t id = CacheIdOf(type);
+  return id == kNoCache ? empty_stats_ : caches_[id].stats;
 }
 
 double SlabAllocator::AverageLiveBytes(TypeId type, uint64_t now) const {
-  auto it = cache_by_type_.find(type);
-  if (it == cache_by_type_.end()) {
+  const uint32_t id = CacheIdOf(type);
+  if (id == kNoCache) {
     return 0.0;
   }
-  const KmemCache& cache = caches_[it->second];
+  const KmemCache& cache = caches_[id];
   const AllocatorTypeStats& st = cache.stats;
   if (now == 0) {
     return 0.0;
@@ -621,11 +628,10 @@ std::vector<Addr> SlabAllocator::LiveObjects(TypeId type, size_t max) const {
       out.push_back(range.base);
     }
   }
-  auto it = cache_by_type_.find(type);
-  if (it == cache_by_type_.end() || out.size() >= max) {
+  const uint32_t cache_id = CacheIdOf(type);
+  if (cache_id == kNoCache || out.size() >= max) {
     return out;
   }
-  const uint32_t cache_id = it->second;
   const KmemCache& cache = caches_[cache_id];
   for (const Arena& arena : arenas_) {
     for (const Slab& slab : arena.slabs) {

@@ -26,9 +26,9 @@
 //  - alien frees are staged per freeing core and transferred into the home
 //    cores' magazines by FlushEpoch at epoch boundaries (in direct mode the
 //    drain applies immediately, as before).
-// Arena page tables and slab arrays use preallocated storage, so concurrent
-// readers resolving addresses published in earlier epochs never race with
-// the owner core growing its arena.
+// Each arena's page table grows with its bump pointer, so a rig pays only
+// for the pages its workload uses; addresses past the bump resolve as
+// unknown.
 
 #ifndef DPROF_SRC_ALLOC_SLAB_ALLOCATOR_H_
 #define DPROF_SRC_ALLOC_SLAB_ALLOCATOR_H_
@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/alloc/type_registry.h"
@@ -71,8 +70,8 @@ struct SlabConfig {
   Addr base_addr = 0x100000000ull;  // start of the simulated heap
   // Simulated address space per core arena (and for the metadata arena).
   Addr arena_stride = 256ull * 1024 * 1024;
-  // Upper bound on slabs per arena; storage is preallocated so concurrent
-  // cross-core address resolution never observes a reallocating array.
+  // Upper bound on slabs per arena. Reaching it is reported as a sticky
+  // kResourceExhausted status (see status()), not an abort.
   uint32_t max_slabs_per_arena = 8192;
   // Data-layout transforms applied per type name when its kmem_cache or
   // static registration is created (see type_transform.h). Empty by
@@ -103,7 +102,7 @@ class SlabAllocator : public AllocatorIface {
   // AllocatorIface:
   Addr Alloc(CoreContext& ctx, TypeId type, FunctionId ip) override;
   void Free(CoreContext& ctx, Addr addr, FunctionId ip) override;
-  void PrepareParallel(int num_cores) override;
+  void CreateTypeCaches() override;
   void FlushEpoch() override;
   void CommitAllocEvent(TypeId type, Addr base, uint32_t size, int core,
                         uint64_t now) override;
@@ -223,9 +222,8 @@ class SlabAllocator : public AllocatorIface {
     uint32_t slab_id = 0;  // arena-local
   };
 
-  // One core's slice of the simulated heap. `pages` and `slabs` are sized
-  // up front (see SlabConfig) so the owning core can append while other
-  // cores resolve previously published addresses.
+  // One core's slice of the simulated heap. `pages` covers [base, bump) and
+  // grows in BumpPages.
   struct Arena {
     Addr base = 0;
     Addr bump = 0;
@@ -245,6 +243,8 @@ class SlabAllocator : public AllocatorIface {
   const PageInfo* PageFor(Addr addr) const;
 
   KmemCache& CacheFor(TypeId type);
+  // Index into caches_ of `type`'s cache, or kNoCache.
+  uint32_t CacheIdOf(TypeId type) const;
   // Adds one slab to the calling core's arena. With allow_fault, an armed
   // kSlabGrow fault plan may veto the growth (transient OOM); returns the
   // failure sentinel and the caller retries after charging reclaim work.
@@ -273,7 +273,7 @@ class SlabAllocator : public AllocatorIface {
   FunctionId fn_grow_ = kInvalidFunction;           // cache_grow
 
   std::vector<KmemCache> caches_;
-  std::unordered_map<TypeId, uint32_t> cache_by_type_;
+  std::vector<uint32_t> cache_by_type_;  // cache id per TypeId, kNoCache if none
   std::vector<Arena> arenas_;  // one per core, plus the trailing meta arena
 
   std::vector<MetaRange> meta_ranges_;  // sorted by base

@@ -55,9 +55,42 @@ std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow
 WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
                        const RunSpec& base_spec,
                        const std::vector<WhatIfCandidate>& candidates) {
-  const RunSpec baseline_spec = MeasurementSpec(base_spec);
-  const ScenarioReport baseline = RunScenario(registry, scenario, baseline_spec);
+  // Every experiment, the baseline included, is an independent
+  // deterministic simulation: job 0 is the baseline and job i + 1 is
+  // candidate i. Host threads claim jobs from one shared index, so the
+  // baseline never runs alone ahead of the fan-out. Results land by index
+  // and the report is built after the join, so it never depends on
+  // completion order.
+  const size_t jobs = candidates.size() + 1;
+  std::vector<ScenarioReport> runs(jobs);
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const size_t workers = std::min<size_t>(
+      jobs, base_spec.threads > 0 ? static_cast<size_t>(base_spec.threads) : hw);
+  std::atomic<size_t> next{0};
+  auto run_jobs = [&]() {
+    for (size_t job = next.fetch_add(1); job < jobs; job = next.fetch_add(1)) {
+      RunSpec spec = MeasurementSpec(base_spec);
+      if (job > 0) {
+        const WhatIfCandidate& candidate = candidates[job - 1];
+        spec.transforms.Add(candidate.type, candidate.kind, candidate.param);
+      }
+      runs[job] = RunScenario(registry, scenario, spec);
+    }
+  };
+  if (workers <= 1) {
+    run_jobs();
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      threads.emplace_back(run_jobs);
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+  }
 
+  const ScenarioReport& baseline = runs[0];
   WhatIfReport report;
   report.scenario = baseline.scenario;
   report.cores = baseline.cores;
@@ -68,36 +101,8 @@ WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scen
   report.baseline_invalidation_misses = baseline.hierarchy.invalidation_misses;
   report.baseline_profile = baseline.profile;
 
-  // Each experiment is an independent deterministic simulation: fan out
-  // across host threads, one experiment per thread at a time. Results land
-  // by index, so the report never depends on completion order.
-  std::vector<ScenarioReport> variants(candidates.size());
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const size_t workers = std::min<size_t>(
-      candidates.size(), base_spec.threads > 0 ? static_cast<size_t>(base_spec.threads) : hw);
-  std::atomic<size_t> next{0};
-  auto run_experiments = [&]() {
-    for (size_t i = next.fetch_add(1); i < candidates.size(); i = next.fetch_add(1)) {
-      RunSpec spec = MeasurementSpec(base_spec);
-      spec.transforms.Add(candidates[i].type, candidates[i].kind, candidates[i].param);
-      variants[i] = RunScenario(registry, scenario, spec);
-    }
-  };
-  if (workers <= 1) {
-    run_experiments();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      threads.emplace_back(run_experiments);
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
-
   for (size_t i = 0; i < candidates.size(); ++i) {
-    const ScenarioReport& variant = variants[i];
+    const ScenarioReport& variant = runs[i + 1];
     WhatIfOutcome out;
     out.candidate = candidates[i];
     out.requests = variant.requests;

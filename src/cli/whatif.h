@@ -2,12 +2,11 @@
 //
 // The paper locates cache bottlenecks; this answers "what does fixing one
 // buy you". Because the whole machine is simulated, the counterfactual is
-// run exactly, not estimated: a baseline profiled run, then one re-run per
-// candidate (a TypeTransform applied to one type), auto-diffed into a
-// ranked estimated-throughput-gain report. Candidate runs are independent
-// deterministic simulations, so they execute in parallel on host threads;
-// the report carries no wall-clock and is byte-identical for any thread
-// count.
+// run exactly, not estimated: a baseline run plus one re-run per candidate
+// (a TypeTransform applied to one type), auto-diffed into a ranked
+// estimated-throughput-gain report. All of these runs are independent
+// deterministic simulations, so they share one pool of host threads; the
+// report carries no wall-clock and is byte-identical for any thread count.
 
 #ifndef DPROF_SRC_CLI_WHATIF_H_
 #define DPROF_SRC_CLI_WHATIF_H_
@@ -75,8 +74,9 @@ std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow
 // `base_spec` describes the shared run shape (cores, seed, cycles); its
 // transforms are the baseline's. Measurement runs disable phase-2 history
 // collection and view JSON so the throughput diff only sees the workload.
-// `base_spec.threads` sets the host-parallel candidate fan-out (0 = hardware
-// concurrency); each experiment itself runs on one host thread.
+// `base_spec.threads` sets how many host threads share the experiments, the
+// baseline among them (0 = hardware concurrency); each experiment itself
+// runs on one host thread.
 WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
                        const RunSpec& base_spec, const std::vector<WhatIfCandidate>& candidates);
 

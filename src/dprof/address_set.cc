@@ -1,16 +1,105 @@
 #include "src/dprof/address_set.h"
 
-#include <algorithm>
+#include <utility>
+
+#include "src/util/check.h"
 
 namespace dprof {
+namespace {
+
+// Initial live-object table size (slots); it doubles whenever it would pass
+// half full.
+constexpr int kInitialLiveLog2 = 12;
+
+}  // namespace
 
 AddressSet::AddressSet(const AddressSetOptions& options)
-    : options_(options), rng_(options.seed) {
-  // Hot path: one insert per allocation and one erase per free.
-  live_alloc_time_.reserve(1 << 16);
+    : options_(options),
+      rng_(options.seed),
+      live_slots_(size_t{1} << kInitialLiveLog2, LiveSlot{kEmptySlot, 0}),
+      live_shift_(64 - kInitialLiveLog2) {}
+
+AddressSet::PerType& AddressSet::Entry(TypeId type) {
+  DPROF_CHECK(type != kInvalidType);
+  if (type >= per_type_.size()) {
+    per_type_.resize(static_cast<size_t>(type) + 1);
+  }
+  return per_type_[type];
 }
 
-AddressSet::PerType& AddressSet::Entry(TypeId type) { return per_type_[type]; }
+const AddressSet::PerType* AddressSet::Find(TypeId type) const {
+  return type < per_type_.size() ? &per_type_[type] : nullptr;
+}
+
+size_t AddressSet::HomeSlot(Addr base) const {
+  // Fibonacci hashing: object bases share their low bits, the product's top
+  // bits do not.
+  return static_cast<size_t>((base * 0x9e3779b97f4a7c15ull) >> live_shift_);
+}
+
+void AddressSet::InsertLive(Addr base, uint64_t now) {
+  DPROF_CHECK(base != kEmptySlot);
+  if ((live_count_ + 1) * 2 > live_slots_.size()) {
+    GrowLive();
+  }
+  const size_t mask = live_slots_.size() - 1;
+  for (size_t i = HomeSlot(base);; i = (i + 1) & mask) {
+    LiveSlot& slot = live_slots_[i];
+    if (slot.base == base) {
+      slot.alloc_time = now;  // re-alloc of a live base restarts its lifetime
+      return;
+    }
+    if (slot.base == kEmptySlot) {
+      slot = LiveSlot{base, now};
+      ++live_count_;
+      return;
+    }
+  }
+}
+
+bool AddressSet::EraseLive(Addr base, uint64_t* alloc_time) {
+  if (base == kEmptySlot) {
+    return false;  // never inserted (InsertLive rejects it)
+  }
+  const size_t mask = live_slots_.size() - 1;
+  size_t hole = HomeSlot(base);
+  while (live_slots_[hole].base != base) {
+    if (live_slots_[hole].base == kEmptySlot) {
+      return false;
+    }
+    hole = (hole + 1) & mask;
+  }
+  *alloc_time = live_slots_[hole].alloc_time;
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home slot lies cyclically after the hole.
+  for (size_t j = (hole + 1) & mask; live_slots_[j].base != kEmptySlot; j = (j + 1) & mask) {
+    const size_t home = HomeSlot(live_slots_[j].base);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      live_slots_[hole] = live_slots_[j];
+      hole = j;
+    }
+  }
+  live_slots_[hole].base = kEmptySlot;
+  --live_count_;
+  return true;
+}
+
+void AddressSet::GrowLive() {
+  const std::vector<LiveSlot> old = std::move(live_slots_);
+  live_slots_.assign(old.size() * 2, LiveSlot{kEmptySlot, 0});
+  --live_shift_;
+  const size_t mask = live_slots_.size() - 1;
+  for (const LiveSlot& slot : old) {
+    if (slot.base == kEmptySlot) {
+      continue;
+    }
+    size_t i = HomeSlot(slot.base);
+    while (live_slots_[i].base != kEmptySlot) {
+      i = (i + 1) & mask;
+    }
+    live_slots_[i] = slot;
+  }
+}
 
 void AddressSet::OnAlloc(TypeId type, Addr base, uint32_t size, int core, uint64_t now) {
   (void)core;
@@ -24,7 +113,7 @@ void AddressSet::OnAlloc(TypeId type, Addr base, uint32_t size, int core, uint64
   ++entry.allocs;
   ++entry.live;
   entry.obj_size = size;
-  live_alloc_time_[base] = now;
+  InsertLive(base, now);
 
   const Addr sample = base % options_.modulo;
   if (entry.samples.size() < options_.reservoir_per_type) {
@@ -51,60 +140,57 @@ void AddressSet::OnFree(TypeId type, Addr base, uint32_t size, int core, uint64_
   if (entry.live > 0) {
     --entry.live;
   }
-  auto it = live_alloc_time_.find(base);
-  if (it != live_alloc_time_.end()) {
-    if (now > it->second) {
-      entry.lifetime.Add(static_cast<double>(now - it->second));
-    }
-    live_alloc_time_.erase(it);
+  uint64_t alloc_time = 0;
+  if (EraseLive(base, &alloc_time) && now > alloc_time) {
+    entry.lifetime.Add(static_cast<double>(now - alloc_time));
   }
 }
 
 uint64_t AddressSet::AllocCount(TypeId type) const {
-  auto it = per_type_.find(type);
-  return it == per_type_.end() ? 0 : it->second.allocs;
+  const PerType* entry = Find(type);
+  return entry == nullptr ? 0 : entry->allocs;
 }
 
 uint64_t AddressSet::LiveCount(TypeId type) const {
-  auto it = per_type_.find(type);
-  return it == per_type_.end() ? 0 : it->second.live;
+  const PerType* entry = Find(type);
+  return entry == nullptr ? 0 : entry->live;
 }
 
 uint32_t AddressSet::ObjectSize(TypeId type) const {
-  auto it = per_type_.find(type);
-  return it == per_type_.end() ? 0 : it->second.obj_size;
+  const PerType* entry = Find(type);
+  return entry == nullptr ? 0 : entry->obj_size;
 }
 
 double AddressSet::AverageLiveBytes(TypeId type, uint64_t now) const {
-  auto it = per_type_.find(type);
-  if (it == per_type_.end() || now == 0) {
+  const PerType* entry = Find(type);
+  if (entry == nullptr || now == 0) {
     return 0.0;
   }
-  const PerType& entry = it->second;
-  double integral = entry.live_integral;
-  if (now > entry.last_event) {
-    integral += static_cast<double>(entry.live) * static_cast<double>(now - entry.last_event);
+  double integral = entry->live_integral;
+  if (now > entry->last_event) {
+    integral += static_cast<double>(entry->live) * static_cast<double>(now - entry->last_event);
   }
-  return integral / static_cast<double>(now) * entry.obj_size;
+  return integral / static_cast<double>(now) * entry->obj_size;
 }
 
 double AddressSet::AverageLifetime(TypeId type) const {
-  auto it = per_type_.find(type);
-  return it == per_type_.end() ? 0.0 : it->second.lifetime.mean();
+  const PerType* entry = Find(type);
+  return entry == nullptr ? 0.0 : entry->lifetime.mean();
 }
 
 const std::vector<Addr>& AddressSet::AddressSamples(TypeId type) const {
-  auto it = per_type_.find(type);
-  return it == per_type_.end() ? empty_ : it->second.samples;
+  const PerType* entry = Find(type);
+  return entry == nullptr ? empty_ : entry->samples;
 }
 
 std::vector<TypeId> AddressSet::KnownTypes() const {
   std::vector<TypeId> out;
-  out.reserve(per_type_.size());
-  for (const auto& [type, entry] : per_type_) {
-    out.push_back(type);
+  for (TypeId type = 0; type < per_type_.size(); ++type) {
+    // Every event counts an alloc or a free.
+    if (per_type_[type].allocs + per_type_[type].frees > 0) {
+      out.push_back(type);
+    }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

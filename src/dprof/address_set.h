@@ -10,7 +10,6 @@
 #define DPROF_SRC_DPROF_ADDRESS_SET_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/alloc/slab_allocator.h"
@@ -60,12 +59,33 @@ class AddressSet final : public AllocationObserver {
     std::vector<Addr> samples;
   };
 
+  // One slot of the live-object table; `base == kEmptySlot` marks it free.
+  struct LiveSlot {
+    Addr base;
+    uint64_t alloc_time;
+  };
+  static constexpr Addr kEmptySlot = ~Addr{0};
+
   PerType& Entry(TypeId type);
+  // The entry for `type`, or nullptr past the highest TypeId seen. Entries
+  // below it that no event named read as all zeros.
+  const PerType* Find(TypeId type) const;
+
+  // Alloc time of every live object, keyed by base address: open addressing
+  // with linear probing over a power-of-two table that doubles at half load,
+  // and backward-shift deletion, so no tombstones build up under churn.
+  size_t HomeSlot(Addr base) const;
+  void InsertLive(Addr base, uint64_t now);
+  // Removes `base` and stores its alloc time; false if it was not live.
+  bool EraseLive(Addr base, uint64_t* alloc_time);
+  void GrowLive();
 
   AddressSetOptions options_;
   Rng rng_;
-  std::unordered_map<TypeId, PerType> per_type_;
-  std::unordered_map<Addr, uint64_t> live_alloc_time_;
+  std::vector<PerType> per_type_;  // indexed by TypeId (registry ids are dense)
+  std::vector<LiveSlot> live_slots_;
+  size_t live_count_ = 0;
+  int live_shift_ = 0;  // 64 - log2(live_slots_.size())
   std::vector<Addr> empty_;
 };
 

@@ -116,7 +116,7 @@ Engine::Engine(Machine* machine, const EngineConfig& config)
 void Engine::RunFor(uint64_t cycles) {
   Machine& m = *machine_;
   if (m.allocator_ != nullptr) {
-    m.allocator_->PrepareParallel(m.num_cores());
+    m.allocator_->CreateTypeCaches();
   }
   if (sampler_ != nullptr) {
     sampler_->SetFaultPlan(m.fault_plan());

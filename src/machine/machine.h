@@ -150,9 +150,11 @@ class AllocatorIface {
   virtual Addr Alloc(CoreContext& ctx, TypeId type, FunctionId ip) = 0;
   virtual void Free(CoreContext& ctx, Addr addr, FunctionId ip) = 0;
 
-  // Called by the engine before the first epoch. Implementations create any
-  // lazily-built shared structures so the simulate phase only reads them.
-  virtual void PrepareParallel(int num_cores) { (void)num_cores; }
+  // Called by the engine before the first epoch. Implementations create
+  // every registered type's per-type state here, in TypeId order, so the
+  // simulated addresses of that state do not depend on which type the
+  // workload allocates first.
+  virtual void CreateTypeCaches() {}
 
   // Called by the engine after each epoch's commit; implementations apply
   // staged cross-core transfers here.

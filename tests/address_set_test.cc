@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "src/dprof/address_set.h"
+#include "src/util/rng.h"
 
 namespace dprof {
 namespace {
@@ -90,6 +95,139 @@ TEST(AddressSetTest, FreeWithoutAllocIsSafe) {
   AddressSet set;
   set.OnFree(1, 0x1000, 64, 0, 100);
   EXPECT_EQ(set.LiveCount(1), 0u);
+}
+
+// Reference model: the address set's accounting spelled out with ordered
+// maps, to check the flat tables against.
+class ModelAddressSet {
+ public:
+  void OnAlloc(TypeId type, Addr base, uint32_t size, uint64_t now) {
+    Type& t = types_[type];
+    Advance(t, now);
+    ++t.allocs;
+    ++t.live;
+    t.obj_size = size;
+    alloc_time_[base] = now;
+  }
+
+  void OnFree(TypeId type, Addr base, uint64_t now) {
+    Type& t = types_[type];
+    Advance(t, now);
+    if (t.live > 0) {
+      --t.live;
+    }
+    auto it = alloc_time_.find(base);
+    if (it != alloc_time_.end()) {
+      if (now > it->second) {
+        t.lifetime.Add(static_cast<double>(now - it->second));
+      }
+      alloc_time_.erase(it);
+    }
+  }
+
+  uint64_t AllocCount(TypeId type) const { return Get(type).allocs; }
+  uint64_t LiveCount(TypeId type) const { return Get(type).live; }
+  double AverageLifetime(TypeId type) const { return Get(type).lifetime.mean(); }
+  double AverageLiveBytes(TypeId type, uint64_t now) const {
+    const Type& t = Get(type);
+    double integral = t.live_integral;
+    if (now > t.last_event) {
+      integral += static_cast<double>(t.live) * static_cast<double>(now - t.last_event);
+    }
+    return now == 0 ? 0.0 : integral / static_cast<double>(now) * t.obj_size;
+  }
+  std::vector<TypeId> KnownTypes() const {
+    std::vector<TypeId> out;
+    for (const auto& [type, t] : types_) {
+      out.push_back(type);
+    }
+    return out;
+  }
+  size_t LiveBases() const { return alloc_time_.size(); }
+
+ private:
+  struct Type {
+    uint64_t allocs = 0;
+    uint64_t live = 0;
+    uint32_t obj_size = 0;
+    double live_integral = 0.0;
+    uint64_t last_event = 0;
+    RunningStat lifetime;
+  };
+
+  static void Advance(Type& t, uint64_t now) {
+    if (now > t.last_event) {
+      t.live_integral += static_cast<double>(t.live) * static_cast<double>(now - t.last_event);
+      t.last_event = now;
+    }
+  }
+
+  const Type& Get(TypeId type) const {
+    static const Type kNone;
+    auto it = types_.find(type);
+    return it == types_.end() ? kNone : it->second;
+  }
+
+  std::map<TypeId, Type> types_;
+  std::map<Addr, uint64_t> alloc_time_;
+};
+
+// Drives AddressSet and the model with the same seeded event stream. Bases
+// come from a small pool of page- and line-aligned addresses (they share
+// their low bits, and the pool revisits them), so the stream re-allocates
+// live bases, frees bases that are not live, and at its peak holds several
+// times the table's initial capacity live. Timestamps jitter backwards like
+// per-core clocks do.
+TEST(AddressSetTest, FlatTablesMatchOrderedMapModel) {
+  const std::vector<TypeId> types = {0, 2, 3, 7, 40};
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    AddressSet set;
+    ModelAddressSet model;
+    std::vector<Addr> pool;
+    for (Addr i = 0; i < 12000; ++i) {
+      pool.push_back(0x100000000ull + i * (i % 3 == 0 ? 4096 : 64));
+    }
+    uint64_t clock = 0;
+    size_t peak_live = 0;
+    for (int step = 0; step < 200000; ++step) {
+      clock += rng.Below(50);
+      const uint64_t now = clock - std::min<uint64_t>(clock, rng.Below(200));
+      const TypeId type = types[rng.Below(types.size())];
+      const Addr base = pool[rng.Below(pool.size())];
+      // Alloc-heavy for the first half, free-heavy after, so the live set
+      // grows past the initial capacity and then drains.
+      const bool alloc = rng.Below(100) < (step < 100000 ? 70u : 30u);
+      if (alloc) {
+        set.OnAlloc(type, base, 64 + type, 0, now);
+        model.OnAlloc(type, base, 64 + type, now);
+      } else {
+        set.OnFree(type, base, 64 + type, 1, now);
+        model.OnFree(type, base, now);
+      }
+      peak_live = std::max(peak_live, model.LiveBases());
+    }
+    EXPECT_GT(peak_live, 6000u);
+    EXPECT_EQ(set.KnownTypes(), model.KnownTypes());
+    for (const TypeId type : types) {
+      SCOPED_TRACE(type);
+      EXPECT_EQ(set.AllocCount(type), model.AllocCount(type));
+      EXPECT_EQ(set.LiveCount(type), model.LiveCount(type));
+      EXPECT_EQ(set.AverageLifetime(type), model.AverageLifetime(type));
+      EXPECT_EQ(set.AverageLiveBytes(type, clock + 1000),
+                model.AverageLiveBytes(type, clock + 1000));
+    }
+    // Types no event named still read as empty.
+    for (const TypeId type : {1u, 5u, 41u, 1000u}) {
+      EXPECT_EQ(set.AllocCount(type), 0u);
+      EXPECT_EQ(set.LiveCount(type), 0u);
+      EXPECT_EQ(set.ObjectSize(type), 0u);
+      EXPECT_EQ(set.AverageLifetime(type), 0.0);
+      EXPECT_EQ(set.AverageLiveBytes(type, clock), 0.0);
+      EXPECT_TRUE(set.AddressSamples(type).empty());
+    }
+  }
 }
 
 }  // namespace

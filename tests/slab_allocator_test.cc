@@ -84,6 +84,41 @@ TEST_F(AllocFixture, ResolveUnknownAddressFails) {
   EXPECT_FALSE(allocator.Resolve(0x7f1234560000ull).valid);
 }
 
+// Arena page tables grow with the bump pointer: an address past the bump,
+// and the last byte of the arena, resolve as unknown until a slab or
+// metadata page is bumped over them.
+TEST_F(AllocFixture, UnbumpedPagesResolveAsUnknown) {
+  const SlabConfig config;
+  const int num_arenas = machine.num_cores() + 1;  // per-core arenas + metadata
+  auto arena_base = [&](int a) {
+    return config.base_addr + static_cast<Addr>(a) * config.arena_stride;
+  };
+  for (int a = 0; a < num_arenas; ++a) {
+    SCOPED_TRACE(a);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + 8).valid);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + 100 * config.page_size).valid);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + config.arena_stride - 1).valid);
+  }
+
+  // The first widget on each core bumps one slab page at the arena base;
+  // creating widget's kmem_cache bumps the metadata arena.
+  for (int core = 0; core < machine.num_cores(); ++core) {
+    CoreContext ctx = machine.Context(core);
+    const Addr obj = ctx.Alloc(widget, fn);
+    EXPECT_EQ(obj / config.page_size * config.page_size, arena_base(core));
+  }
+  for (int a = 0; a < num_arenas; ++a) {
+    SCOPED_TRACE(a);
+    EXPECT_TRUE(allocator.Resolve(arena_base(a) + 8).valid);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + 100 * config.page_size).valid);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + config.arena_stride - 1).valid);
+  }
+  const ResolveResult header = allocator.Resolve(arena_base(0) + 8);
+  EXPECT_EQ(header.type, allocator.slab_type());
+  const ResolveResult meta = allocator.Resolve(arena_base(num_arenas - 1) + 8);
+  EXPECT_EQ(meta.type, allocator.kmem_cache_type());
+}
+
 TEST_F(AllocFixture, FreeAndReuseSameCore) {
   CoreContext ctx = machine.Context(0);
   const Addr a = ctx.Alloc(widget, fn);

@@ -136,6 +136,46 @@ TEST(WhatIfTest, PadToLineOnAliasedTypeYieldsPositiveGain) {
   EXPECT_NE(table.find("pad_to_line"), std::string::npos);
 }
 
+// The baseline runs as job 0 of the experiment pool. Its report fields must
+// be those of a standalone measurement run (no histories, no view JSON) at
+// any thread count, never a candidate's.
+TEST(WhatIfTest, PooledBaselineMatchesStandaloneRun) {
+  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  RunSpec measurement = SmallConflictSpec();
+  measurement.collect_histories = false;
+  measurement.build_view_json = false;
+  const ScenarioReport standalone = RunScenario(registry, "conflict_demo", measurement);
+
+  const std::vector<WhatIfCandidate> candidates = {
+      {"pkt_stat", TypeTransformKind::kPadToLine},
+      {"pkt_stat", TypeTransformKind::kRecolor},
+      {"pkt_stat", TypeTransformKind::kIdentity},
+  };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    RunSpec spec = SmallConflictSpec();
+    spec.threads = threads;
+    const WhatIfReport report = RunWhatIf(registry, "conflict_demo", spec, candidates);
+    EXPECT_EQ(report.scenario, standalone.scenario);
+    EXPECT_EQ(report.cores, standalone.cores);
+    EXPECT_EQ(report.collect_cycles, standalone.collect_cycles);
+    EXPECT_EQ(report.baseline_requests, standalone.requests);
+    EXPECT_EQ(report.baseline_rps, standalone.throughput_rps);
+    EXPECT_EQ(report.baseline_l1_misses, standalone.hierarchy.l1_misses);
+    EXPECT_EQ(report.baseline_invalidation_misses, standalone.hierarchy.invalidation_misses);
+    ASSERT_EQ(report.baseline_profile.size(), standalone.profile.size());
+    for (size_t i = 0; i < standalone.profile.size(); ++i) {
+      EXPECT_EQ(report.baseline_profile[i].type, standalone.profile[i].type);
+      EXPECT_EQ(report.baseline_profile[i].miss_pct, standalone.profile[i].miss_pct);
+      EXPECT_EQ(report.baseline_profile[i].samples, standalone.profile[i].samples);
+    }
+    // pad_to_line measurably moves the run, so a baseline taken from the
+    // wrong job would not match above.
+    ASSERT_EQ(report.outcomes.size(), candidates.size());
+    EXPECT_GT(report.outcomes[0].throughput_rps, standalone.throughput_rps);
+  }
+}
+
 TEST(WhatIfTest, AutoCandidatesCrossTopTypesWithCatalog) {
   std::vector<ScenarioProfileRow> profile(3);
   profile[0].type = "size-1024";
