@@ -129,6 +129,7 @@ Addr SlabAllocator::RegisterStaticArray(TypeId type, uint32_t elem_size, uint32_
   }
   const uint32_t color_lines =
       config_.transforms.Has(name, TypeTransformKind::kRecolor) ? kColorCycle : 0;
+  static_array_log_.push_back(StaticArrayLayout{type, eff_stride, color_lines});
   const uint64_t span = static_cast<uint64_t>(eff_stride) * count +
                         (color_lines > 0 ? (color_lines - 1) * line_size_ : 0);
   const Addr base = RegisterStatic(type, static_cast<uint32_t>(span));
@@ -144,14 +145,54 @@ Addr SlabAllocator::RegisterStaticArray(TypeId type, uint32_t elem_size, uint32_
   return base;
 }
 
-bool SlabAllocator::HasTransform(TypeId type, TypeTransformKind kind) const {
-  return config_.transforms.Has(registry_->Name(type), kind);
+bool SlabAllocator::HasTransform(TypeId type, TypeTransformKind kind) {
+  const bool answer = config_.transforms.Has(registry_->Name(type), kind);
+  query_log_.push_back(TransformQuery{type, kind, answer});
+  return answer;
+}
+
+AllocatorLayout SlabAllocator::LayoutKey() const {
+  AllocatorLayout key;
+  key.caches.reserve(registry_->size());
+  for (TypeId type = 0; type < static_cast<TypeId>(registry_->size()); ++type) {
+    key.caches.push_back(LayoutFor(type));
+  }
+  key.static_arrays = static_array_log_;
+  key.queries = query_log_;
+  return key;
 }
 
 void SlabAllocator::ReplayStatics(AllocationObserver* observer) const {
   for (const MetaRange& range : statics_) {
     observer->OnAlloc(range.type, range.base, range.size, 0, machine_->MaxClock());
   }
+}
+
+CacheLayout SlabAllocator::LayoutFor(TypeId type) const {
+  CacheLayout layout;
+  // Pad to 8 bytes like the kernel allocator.
+  layout.obj_size = (registry_->Size(type) + 7u) & ~7u;
+  if (config_.transforms.empty()) {
+    return layout;
+  }
+  const std::string& name = registry_->Name(type);
+  if (config_.transforms.Has(name, TypeTransformKind::kPadToLine)) {
+    layout.obj_size = (layout.obj_size + line_size_ - 1) / line_size_ * line_size_;
+  }
+  if (config_.transforms.Has(name, TypeTransformKind::kAlign)) {
+    // Pad past the on-slab header to a line boundary.
+    layout.align_pad = (line_size_ - config_.slab_header_size % line_size_) % line_size_;
+  }
+  if (config_.transforms.Has(name, TypeTransformKind::kRecolor)) {
+    layout.color_lines = kColorCycle;
+  }
+  layout.pin_home = config_.transforms.Has(name, TypeTransformKind::kPinHome);
+  if (layout.pin_home) {
+    const int socket = config_.transforms.ParamFor(name, TypeTransformKind::kPinHome);
+    DPROF_CHECK(socket < machine_->hierarchy().num_sockets());
+    layout.pin_socket = socket;
+  }
+  return layout;
 }
 
 SlabAllocator::KmemCache& SlabAllocator::CacheFor(TypeId type) {
@@ -162,24 +203,7 @@ SlabAllocator::KmemCache& SlabAllocator::CacheFor(TypeId type) {
   caches_.emplace_back();
   KmemCache& cache = caches_.back();
   cache.type = type;
-  // Pad to 8 bytes like the kernel allocator.
-  cache.obj_size = (registry_->Size(type) + 7u) & ~7u;
-  if (!config_.transforms.empty()) {
-    const std::string& name = registry_->Name(type);
-    if (config_.transforms.Has(name, TypeTransformKind::kPadToLine)) {
-      cache.obj_size = (cache.obj_size + line_size_ - 1) / line_size_ * line_size_;
-    }
-    cache.line_align = config_.transforms.Has(name, TypeTransformKind::kAlign);
-    cache.pin_home = config_.transforms.Has(name, TypeTransformKind::kPinHome);
-    if (cache.pin_home) {
-      const int socket = config_.transforms.ParamFor(name, TypeTransformKind::kPinHome);
-      DPROF_CHECK(socket < machine_->hierarchy().num_sockets());
-      cache.pin_socket = socket;
-    }
-    if (config_.transforms.Has(name, TypeTransformKind::kRecolor)) {
-      cache.color_lines = kColorCycle;
-    }
-  }
+  cache.layout = LayoutFor(type);
   cache.struct_addr = AllocMeta(kmem_cache_type_, 256);
   // All caches share the display name so lock-stat aggregates them as one
   // class, like the paper's "SLAB cache lock" row. Each cache still has its
@@ -234,40 +258,38 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
                               std::to_string(config_.max_slabs_per_arena) +
                               " slabs (max_slabs_per_arena)"));
   }
-  // kAlign pads past the on-slab header to a line boundary; kRecolor sizes
-  // the slab for the worst-case color so every colored slab still fits at
-  // least one object.
-  const uint32_t align_pad =
-      cache.line_align ? (line_size_ - config_.slab_header_size % line_size_) % line_size_ : 0;
-  const uint32_t color_max = cache.color_lines > 0 ? (cache.color_lines - 1) * line_size_ : 0;
+  // kRecolor sizes the slab for the worst-case color so every colored slab
+  // still fits at least one object.
+  const CacheLayout& layout = cache.layout;
+  const uint32_t color_max = layout.color_lines > 0 ? (layout.color_lines - 1) * line_size_ : 0;
   // kPinHome on a multi-socket hierarchy additionally pins placement: the
   // object run is carved inside one home block of the target socket. Home
   // blocks cycle sockets round-robin by block index, so the matching block
   // is at most num_sockets blocks past the header — size the slab for that
   // worst case.
   const CacheHierarchy& hierarchy = machine_->hierarchy();
-  const bool pin_placement = cache.pin_home && hierarchy.num_sockets() > 1;
+  const bool pin_placement = layout.pin_home && hierarchy.num_sockets() > 1;
   const uint64_t home_block = hierarchy.home_block_bytes();
   const uint32_t pin_max =
       pin_placement
           ? static_cast<uint32_t>(home_block * static_cast<uint64_t>(hierarchy.num_sockets()))
           : 0;
   const uint32_t span =
-      config_.slab_header_size + align_pad + color_max + pin_max + cache.obj_size;
+      config_.slab_header_size + layout.align_pad + color_max + pin_max + layout.obj_size;
   const uint32_t num_pages = (span + config_.page_size - 1) / config_.page_size;
   const uint32_t bytes = num_pages * config_.page_size;
 
   DPROF_CHECK(arena.slabs.size() < config_.max_slabs_per_arena + kEmergencySlabs);
   const uint32_t slab_id = static_cast<uint32_t>(arena.slabs.size());
   const uint32_t color_off =
-      cache.color_lines > 0 ? (slab_id % cache.color_lines) * line_size_ : 0;
+      layout.color_lines > 0 ? (slab_id % layout.color_lines) * line_size_ : 0;
   const Addr page_base =
       BumpPages(arena, num_pages, PageInfo{PageInfo::Kind::kSlab, slab_id});
-  uint32_t lead = config_.slab_header_size + align_pad + color_off;
-  uint32_t num_objects = std::max(1u, (bytes - lead) / cache.obj_size);
+  uint32_t lead = config_.slab_header_size + layout.align_pad + color_off;
+  uint32_t num_objects = std::max(1u, (bytes - lead) / layout.obj_size);
   if (pin_placement) {
     const int target =
-        cache.pin_socket >= 0 ? cache.pin_socket : hierarchy.SocketOfCore(ctx.core());
+        layout.pin_socket >= 0 ? layout.pin_socket : hierarchy.SocketOfCore(ctx.core());
     Addr objs = (page_base + lead + home_block - 1) / home_block * home_block;
     while (hierarchy.HomeSocketOf(objs) != target) {
       objs += home_block;
@@ -276,8 +298,8 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
     // Every object stays inside the one matching home block (an oversized
     // single object still gets carved, spilling past it).
     num_objects = std::max(
-        1u, std::min((bytes - lead) / cache.obj_size,
-                     static_cast<uint32_t>(home_block / cache.obj_size)));
+        1u, std::min((bytes - lead) / layout.obj_size,
+                     static_cast<uint32_t>(home_block / layout.obj_size)));
   }
 
   arena.slabs.emplace_back();
@@ -322,7 +344,7 @@ void SlabAllocator::Refill(CoreContext& ctx, KmemCache& cache, PerCoreCache& pc)
     while (want > 0 && !slab.freelist.empty()) {
       const uint16_t idx = slab.freelist.back();
       slab.freelist.pop_back();
-      pc.magazine.push_back(slab.objs_base + static_cast<Addr>(idx) * cache.obj_size);
+      pc.magazine.push_back(slab.objs_base + static_cast<Addr>(idx) * cache.layout.obj_size);
       --want;
     }
     if (slab.freelist.empty()) {
@@ -340,7 +362,7 @@ void SlabAllocator::ReturnToSlab(KmemCache& cache, Addr obj) {
   DPROF_CHECK(page != nullptr && page->kind == PageInfo::Kind::kSlab);
   Slab& slab = arena.slabs[page->slab_id];
   const uint16_t idx =
-      static_cast<uint16_t>((obj - slab.objs_base) / cache.obj_size);
+      static_cast<uint16_t>((obj - slab.objs_base) / cache.layout.obj_size);
   if (slab.freelist.empty()) {
     cache.per_core[owner].partial.push_back(page->slab_id);
   }
@@ -421,10 +443,10 @@ Addr SlabAllocator::Alloc(CoreContext& ctx, TypeId type, FunctionId ip) {
   const PageInfo* page = PageFor(obj);
   DPROF_CHECK(page != nullptr && page->kind == PageInfo::Kind::kSlab);
   Slab& slab = arena.slabs[page->slab_id];
-  const uint32_t idx = static_cast<uint32_t>((obj - slab.objs_base) / cache.obj_size);
+  const uint32_t idx = static_cast<uint32_t>((obj - slab.objs_base) / cache.layout.obj_size);
   slab.home[idx] = static_cast<int8_t>(ctx.core());
 
-  ctx.NotifyAllocEvent(type, obj, cache.obj_size);
+  ctx.NotifyAllocEvent(type, obj, cache.layout.obj_size);
   return obj;
 }
 
@@ -437,7 +459,7 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
   const PageInfo* page = PageFor(res.base);
   DPROF_CHECK(page != nullptr && page->kind == PageInfo::Kind::kSlab);
   Slab& slab = arenas_[owner].slabs[page->slab_id];
-  const uint32_t idx = static_cast<uint32_t>((res.base - slab.objs_base) / cache.obj_size);
+  const uint32_t idx = static_cast<uint32_t>((res.base - slab.objs_base) / cache.layout.obj_size);
   const int home = slab.home[idx];
   DPROF_CHECK(home >= 0);
   slab.home[idx] = -1;
@@ -446,7 +468,7 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
   ctx.Compute(ip, 25);
   ctx.Read(fn_free_, slab.page_base, 8);
 
-  ctx.NotifyFreeEvent(res.type, res.base, cache.obj_size, home != ctx.core());
+  ctx.NotifyFreeEvent(res.type, res.base, cache.layout.obj_size, home != ctx.core());
 
   if (home == ctx.core()) {
     PerCoreCache& pc = cache.per_core[ctx.core()];
@@ -455,7 +477,7 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
     if (pc.magazine.size() > config_.magazine_capacity) {
       FlushMagazine(ctx, cache, pc);
     }
-  } else if (cache.pin_home) {
+  } else if (cache.layout.pin_home) {
     // kPinHome: hand the object straight back to its home core, skipping
     // the alien array and the batched drain's remote writes to the home
     // core's array_cache and slab header. In engine mode the host transfer
@@ -560,15 +582,15 @@ ResolveResult SlabAllocator::Resolve(Addr addr) const {
       out.size = config_.slab_header_size;
       return out;
     }
-    const uint64_t idx = (addr - slab.objs_base) / cache.obj_size;
+    const uint64_t idx = (addr - slab.objs_base) / cache.layout.obj_size;
     if (idx >= slab.num_objects) {
       return out;  // slab tail padding
     }
     out.valid = true;
     out.type = cache.type;
-    out.base = slab.objs_base + idx * cache.obj_size;
+    out.base = slab.objs_base + idx * cache.layout.obj_size;
     out.offset = static_cast<uint32_t>(addr - out.base);
-    out.size = cache.obj_size;
+    out.size = cache.layout.obj_size;
     return out;
   }
   if (page->kind == PageInfo::Kind::kMeta) {
@@ -615,7 +637,7 @@ double SlabAllocator::AverageLiveBytes(TypeId type, uint64_t now) const {
   if (now > st.last_event) {
     integral += static_cast<double>(st.live) * static_cast<double>(now - st.last_event);
   }
-  return integral / static_cast<double>(now) * cache.obj_size;
+  return integral / static_cast<double>(now) * cache.layout.obj_size;
 }
 
 uint64_t SlabAllocator::LiveCount(TypeId type) const { return type_stats(type).live; }
@@ -640,7 +662,7 @@ std::vector<Addr> SlabAllocator::LiveObjects(TypeId type, size_t max) const {
       }
       for (uint32_t i = 0; i < slab.num_objects && out.size() < max; ++i) {
         if (slab.home[i] >= 0) {
-          out.push_back(slab.objs_base + static_cast<Addr>(i) * cache.obj_size);
+          out.push_back(slab.objs_base + static_cast<Addr>(i) * cache.layout.obj_size);
         }
       }
       if (out.size() >= max) {

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/alloc/type_registry.h"
@@ -79,6 +80,79 @@ struct SlabConfig {
   // byte-identical to the untransformed allocator.
   TransformSet transforms;
 };
+
+// The layout a type's kmem_cache gets: every decision a TransformSet can
+// change about the cache, as effective values rather than transform flags.
+struct CacheLayout {
+  uint32_t obj_size = 0;
+  uint32_t align_pad = 0;    // kAlign: bytes between slab header and object run
+  uint32_t color_lines = 0;  // kRecolor: color cycle length, 0 = off
+  bool pin_home = false;     // kPinHome: remote frees bypass the alien path
+  // kPinHome on a multi-socket hierarchy also pins slab placement: each
+  // slab's object run is carved inside one home block (hierarchy
+  // home_block_bytes()) of this socket, or of the allocating core's own
+  // socket when -1, so the pinned type's lines are homed where they are
+  // used instead of striped by address hash.
+  int pin_socket = -1;
+
+  auto Tie() const { return std::tie(obj_size, align_pad, color_lines, pin_home, pin_socket); }
+};
+
+// One RegisterStaticArray call's effective placement.
+struct StaticArrayLayout {
+  TypeId type = kInvalidType;
+  uint32_t stride = 0;
+  uint32_t color_lines = 0;
+
+  auto Tie() const { return std::tie(type, stride, color_lines); }
+};
+
+// One HasTransform question and its answer.
+struct TransformQuery {
+  TypeId type = kInvalidType;
+  TypeTransformKind kind = TypeTransformKind::kIdentity;
+  bool answer = false;
+
+  auto Tie() const { return std::tie(type, kind, answer); }
+};
+
+// Every allocator decision a TransformSet can change, as an exact record
+// (not a hash). Two allocators that went through the same set-up calls and
+// have equal records place every object alike and gave every transform
+// query the same answer, so one deterministic run stands for both.
+struct AllocatorLayout {
+  std::vector<CacheLayout> caches;               // indexed by TypeId
+  std::vector<StaticArrayLayout> static_arrays;  // in call order
+  std::vector<TransformQuery> queries;           // in call order
+
+  auto Tie() const { return std::tie(caches, static_arrays, queries); }
+};
+
+// Member-wise comparisons, so an AllocatorLayout can key a std::map.
+inline bool operator==(const CacheLayout& a, const CacheLayout& b) {
+  return a.Tie() == b.Tie();
+}
+inline bool operator<(const CacheLayout& a, const CacheLayout& b) {
+  return a.Tie() < b.Tie();
+}
+inline bool operator==(const StaticArrayLayout& a, const StaticArrayLayout& b) {
+  return a.Tie() == b.Tie();
+}
+inline bool operator<(const StaticArrayLayout& a, const StaticArrayLayout& b) {
+  return a.Tie() < b.Tie();
+}
+inline bool operator==(const TransformQuery& a, const TransformQuery& b) {
+  return a.Tie() == b.Tie();
+}
+inline bool operator<(const TransformQuery& a, const TransformQuery& b) {
+  return a.Tie() < b.Tie();
+}
+inline bool operator==(const AllocatorLayout& a, const AllocatorLayout& b) {
+  return a.Tie() == b.Tie();
+}
+inline bool operator<(const AllocatorLayout& a, const AllocatorLayout& b) {
+  return a.Tie() < b.Tie();
+}
 
 struct AllocatorTypeStats {
   uint64_t allocs = 0;
@@ -134,9 +208,16 @@ class SlabAllocator : public AllocatorIface {
   Addr RegisterStaticArray(TypeId type, uint32_t elem_size, uint32_t count, uint32_t stride,
                            std::vector<Addr>* elems);
 
-  // Whether `type` carries `kind` in the configured TransformSet.
-  bool HasTransform(TypeId type, TypeTransformKind kind) const;
-  const TransformSet& transforms() const { return config_.transforms; }
+  // Whether `type` carries `kind` in the configured TransformSet. The
+  // answer is logged into LayoutKey(). Setup-time only, like
+  // RegisterStatic.
+  bool HasTransform(TypeId type, TypeTransformKind kind);
+
+  // Every layout decision the configured TransformSet made or will make:
+  // the cache layout of each registered type, then the logged
+  // RegisterStaticArray placements and HasTransform answers. Complete once
+  // the workload is installed, since all three are set-up time.
+  AllocatorLayout LayoutKey() const;
   // Cache line size of the attached machine's hierarchy (the unit every
   // transform pads, aligns, or colors by).
   uint32_t line_size() const { return line_size_; }
@@ -199,21 +280,11 @@ class SlabAllocator : public AllocatorIface {
 
   struct KmemCache {
     TypeId type = kInvalidType;
-    uint32_t obj_size = 0;
+    CacheLayout layout;  // LayoutFor(type), resolved once at cache creation
     Addr struct_addr = 0;  // simulated kmem_cache struct
     std::unique_ptr<SimLock> lock;
     std::vector<PerCoreCache> per_core;
     AllocatorTypeStats stats;
-    // Transform interpretation, resolved once at cache creation:
-    bool line_align = false;   // kAlign: line-align each slab's object run
-    bool pin_home = false;     // kPinHome: remote frees bypass the alien path
-    // kPinHome on a multi-socket hierarchy also pins slab placement: each
-    // slab's object run is carved inside one home block (hierarchy
-    // home_block_bytes()) of this socket, or of the allocating core's own
-    // socket when -1, so the pinned type's lines are homed where they are
-    // used instead of striped by address hash.
-    int pin_socket = -1;
-    uint32_t color_lines = 0;  // kRecolor: color cycle length, 0 = off
   };
 
   struct PageInfo {
@@ -242,6 +313,8 @@ class SlabAllocator : public AllocatorIface {
   int ArenaOf(Addr addr) const;
   const PageInfo* PageFor(Addr addr) const;
 
+  // The cache layout `type` gets under the configured transforms.
+  CacheLayout LayoutFor(TypeId type) const;
   KmemCache& CacheFor(TypeId type);
   // Index into caches_ of `type`'s cache, or kNoCache.
   uint32_t CacheIdOf(TypeId type) const;
@@ -278,6 +351,9 @@ class SlabAllocator : public AllocatorIface {
 
   std::vector<MetaRange> meta_ranges_;  // sorted by base
   std::vector<MetaRange> statics_;      // RegisterStatic entries, in order
+  // LayoutKey()'s log of set-up calls that read the transforms.
+  std::vector<StaticArrayLayout> static_array_log_;
+  std::vector<TransformQuery> query_log_;
   std::vector<AllocationObserver*> observers_;
   AllocatorTypeStats empty_stats_;
 

@@ -517,9 +517,12 @@ int CmdWhatIf(const std::vector<std::string>& args) {
   }
   std::printf("scenario: %s (%d cores, %llu cycles)\n", report.scenario.c_str(),
               report.cores, static_cast<unsigned long long>(report.collect_cycles));
-  std::printf("baseline: %llu requests (%.0f req/s)\n\n",
+  std::printf("baseline: %llu requests (%.0f req/s)\n",
               static_cast<unsigned long long>(report.baseline_requests),
               report.baseline_rps);
+  const size_t experiments = report.outcomes.size() + 1;
+  std::printf("ran %zu of %zu experiments (%zu share a layout with another)\n\n",
+              report.experiments_run, experiments, experiments - report.experiments_run);
   std::printf("== estimated gain per candidate fix ==\n%s",
               WhatIfReportToTable(report).c_str());
   return 0;

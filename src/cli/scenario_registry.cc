@@ -249,8 +249,8 @@ void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
       });
 }
 
-ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& name,
-                           const RunSpec& spec) {
+std::unique_ptr<ScenarioRig> BuildScenarioRig(const ScenarioRegistry& registry,
+                                              const std::string& name, const RunSpec& spec) {
   PinMmapThreshold();
   const ScenarioInfo* info = registry.Find(name);
   DPROF_CHECK(info != nullptr);
@@ -258,7 +258,11 @@ ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& 
   std::unique_ptr<ScenarioRig> rig = info->factory(spec);
   DPROF_CHECK(rig != nullptr && rig->workload != nullptr);
   rig->workload->Install(*rig->machine);
+  return rig;
+}
 
+ScenarioReport RunScenarioRig(std::unique_ptr<ScenarioRig> rig, const std::string& name,
+                              const RunSpec& spec) {
   // Validate the drill-down type before spending the run: workloads
   // register every type during rig construction / install.
   TypeId drill = kInvalidType;
@@ -451,6 +455,11 @@ ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& 
     }
   }
   return report;
+}
+
+ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& name,
+                           const RunSpec& spec) {
+  return RunScenarioRig(BuildScenarioRig(registry, name, spec), name, spec);
 }
 
 std::string ScenarioReportToJson(const ScenarioReport& report) {

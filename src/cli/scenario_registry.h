@@ -292,10 +292,20 @@ struct ScenarioReport {
   uint64_t engine_epochs = 0;
 };
 
-// Builds the rig, runs both DProf phases, and assembles the report.
+// Builds `name`'s rig for `spec` and installs its workload: every type,
+// static registration and transform query is made by the time it returns.
 // CHECK-fails if `name` is not registered — callers validate first. On
 // glibc the first call pins the process's mmap threshold at 128 KiB, so
 // every run's large tables are returned to the OS when it ends.
+std::unique_ptr<ScenarioRig> BuildScenarioRig(const ScenarioRegistry& registry,
+                                              const std::string& name, const RunSpec& spec);
+
+// Runs both DProf phases on a rig BuildScenarioRig built for `spec` and
+// assembles the report. A rig runs once.
+ScenarioReport RunScenarioRig(std::unique_ptr<ScenarioRig> rig, const std::string& name,
+                              const RunSpec& spec);
+
+// BuildScenarioRig, then RunScenarioRig.
 ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& name,
                            const RunSpec& spec);
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "src/util/json_writer.h"
@@ -57,12 +60,19 @@ WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scen
                        const std::vector<WhatIfCandidate>& candidates) {
   // Every experiment, the baseline included, is an independent
   // deterministic simulation: job 0 is the baseline and job i + 1 is
-  // candidate i. Host threads claim jobs from one shared index, so the
-  // baseline never runs alone ahead of the fan-out. Results land by index
-  // and the report is built after the join, so it never depends on
-  // completion order.
+  // candidate i. Host threads claim jobs from one shared index and build
+  // each job's rig. The first job to claim the rig's allocator layout runs
+  // it; a later job with an equal layout drops its rig and reads the
+  // claimant's report after the join. The claim key may ignore every
+  // RunSpec field but the transforms, because MeasurementSpec fixes all the
+  // others: equal layouts are the same run, whichever job claimed first.
+  // Results land by index and the report is built after the join, so it
+  // never depends on thread count or completion order.
   const size_t jobs = candidates.size() + 1;
   std::vector<ScenarioReport> runs(jobs);
+  std::vector<size_t> claimant(jobs);  // the job whose run stands for each job
+  std::map<AllocatorLayout, size_t> claims;
+  std::mutex claims_mu;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const size_t workers = std::min<size_t>(
       jobs, base_spec.threads > 0 ? static_cast<size_t>(base_spec.threads) : hw);
@@ -74,7 +84,15 @@ WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scen
         const WhatIfCandidate& candidate = candidates[job - 1];
         spec.transforms.Add(candidate.type, candidate.kind, candidate.param);
       }
-      runs[job] = RunScenario(registry, scenario, spec);
+      std::unique_ptr<ScenarioRig> rig = BuildScenarioRig(registry, scenario, spec);
+      AllocatorLayout key = rig->allocator->LayoutKey();
+      {
+        const std::lock_guard<std::mutex> lock(claims_mu);
+        claimant[job] = claims.emplace(std::move(key), job).first->second;
+      }
+      if (claimant[job] == job) {
+        runs[job] = RunScenarioRig(std::move(rig), scenario, spec);
+      }
     }
   };
   if (workers <= 1) {
@@ -90,7 +108,7 @@ WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scen
     }
   }
 
-  const ScenarioReport& baseline = runs[0];
+  const ScenarioReport& baseline = runs[claimant[0]];
   WhatIfReport report;
   report.scenario = baseline.scenario;
   report.cores = baseline.cores;
@@ -100,9 +118,10 @@ WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scen
   report.baseline_l1_misses = baseline.hierarchy.l1_misses;
   report.baseline_invalidation_misses = baseline.hierarchy.invalidation_misses;
   report.baseline_profile = baseline.profile;
+  report.experiments_run = claims.size();
 
   for (size_t i = 0; i < candidates.size(); ++i) {
-    const ScenarioReport& variant = runs[i + 1];
+    const ScenarioReport& variant = runs[claimant[i + 1]];
     WhatIfOutcome out;
     out.candidate = candidates[i];
     out.requests = variant.requests;

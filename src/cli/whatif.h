@@ -5,8 +5,10 @@
 // run exactly, not estimated: a baseline run plus one re-run per candidate
 // (a TypeTransform applied to one type), auto-diffed into a ranked
 // estimated-throughput-gain report. All of these runs are independent
-// deterministic simulations, so they share one pool of host threads; the
-// report carries no wall-clock and is byte-identical for any thread count.
+// deterministic simulations, so they share one pool of host threads, and
+// candidates that change no layout decision reuse another run's report;
+// the report carries no wall-clock and is byte-identical for any thread
+// count.
 
 #ifndef DPROF_SRC_CLI_WHATIF_H_
 #define DPROF_SRC_CLI_WHATIF_H_
@@ -57,6 +59,10 @@ struct WhatIfReport {
   uint64_t baseline_invalidation_misses = 0;
   // Baseline profile rows, for --auto candidate selection and the report.
   std::vector<ScenarioProfileRow> baseline_profile;
+  // Simulations actually run, out of outcomes.size() + 1 experiments: an
+  // experiment whose allocator layout equals another's takes its report.
+  // Not part of the JSON document.
+  size_t experiments_run = 0;
   // Ranked best-first: throughput gain desc, candidate label asc on ties.
   std::vector<WhatIfOutcome> outcomes;
 };
@@ -74,6 +80,8 @@ std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow
 // `base_spec` describes the shared run shape (cores, seed, cycles); its
 // transforms are the baseline's. Measurement runs disable phase-2 history
 // collection and view JSON so the throughput diff only sees the workload.
+// Experiments whose transforms leave every allocator layout decision equal
+// (SlabAllocator::LayoutKey) are simulated once and share the report.
 // `base_spec.threads` sets how many host threads share the experiments, the
 // baseline among them (0 = hardware concurrency); each experiment itself
 // runs on one host thread.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/alloc/slab_allocator.h"
@@ -260,6 +261,88 @@ TEST_F(AllocFixture, AllocatorMetadataLivesInSimulatedMemory) {
   ctx.Alloc(widget, fn);
   machine.RemoveObserver(&recorder);
   EXPECT_GT(recorder.array_cache_touches, 0);
+}
+
+// The layout key of an allocator over `transforms` after a fixed set-up:
+// a 100-byte and a 256-byte type, one 64-byte static array at a 4 KiB
+// nominal stride, and one HasTransform query about "queried".
+AllocatorLayout LayoutAfterSetUp(const TransformSet& transforms, int sockets = 1) {
+  MachineConfig machine_config;
+  machine_config.hierarchy.num_cores = 4;
+  machine_config.hierarchy.num_sockets = sockets;
+  Machine machine(machine_config);
+  TypeRegistry registry;
+  SlabConfig config;
+  config.transforms = transforms;
+  SlabAllocator allocator(&machine, &registry, config);
+  machine.SetAllocator(&allocator);
+  registry.Register("widget", 100);
+  registry.Register("buffer", 256);
+  const TypeId stat = registry.Register("stat", 64);
+  const TypeId queried = registry.Register("queried", 128);
+  allocator.RegisterStaticArray(stat, 64, 4, 4096, nullptr);
+  allocator.HasTransform(queried, TypeTransformKind::kReplicate);
+  return allocator.LayoutKey();
+}
+
+TransformSet Only(const std::string& type, TypeTransformKind kind, int param = -1) {
+  TransformSet set;
+  set.Add(type, kind, param);
+  return set;
+}
+
+TEST(LayoutKeyTest, NoOpTransformsKeepTheKey) {
+  const AllocatorLayout base = LayoutAfterSetUp({});
+  // The default slab header is 64 bytes, so align pads by nothing.
+  EXPECT_TRUE(LayoutAfterSetUp(Only("widget", TypeTransformKind::kAlign)) == base);
+  EXPECT_TRUE(LayoutAfterSetUp(Only("slab", TypeTransformKind::kAlign)) == base);
+  // 256 bytes is already a whole number of lines.
+  EXPECT_TRUE(LayoutAfterSetUp(Only("buffer", TypeTransformKind::kPadToLine)) == base);
+  // Nothing asks whether widget is replicated.
+  EXPECT_TRUE(LayoutAfterSetUp(Only("widget", TypeTransformKind::kReplicate)) == base);
+  EXPECT_TRUE(LayoutAfterSetUp(Only("widget", TypeTransformKind::kIdentity)) == base);
+  EXPECT_TRUE(LayoutAfterSetUp(Only("queried", TypeTransformKind::kIdentity)) == base);
+}
+
+TEST(LayoutKeyTest, LayoutChangingTransformsChangeTheKey) {
+  const AllocatorLayout base = LayoutAfterSetUp({});
+  const AllocatorLayout padded = LayoutAfterSetUp(Only("widget", TypeTransformKind::kPadToLine));
+  EXPECT_FALSE(padded == base);
+  EXPECT_EQ(padded.caches.size(), base.caches.size());
+  EXPECT_FALSE(LayoutAfterSetUp(Only("widget", TypeTransformKind::kRecolor)) == base);
+  // pin_home changes the free path even on one socket.
+  EXPECT_FALSE(LayoutAfterSetUp(Only("widget", TypeTransformKind::kPinHome)) == base);
+  // The replicate answer is part of the key once someone asks for it.
+  const AllocatorLayout replicated =
+      LayoutAfterSetUp(Only("queried", TypeTransformKind::kReplicate));
+  EXPECT_FALSE(replicated == base);
+  EXPECT_TRUE(replicated.caches == base.caches);
+}
+
+TEST(LayoutKeyTest, PinHomeSocketIsPartOfTheKey) {
+  const AllocatorLayout base = LayoutAfterSetUp({}, 2);
+  const AllocatorLayout own = LayoutAfterSetUp(Only("widget", TypeTransformKind::kPinHome), 2);
+  const AllocatorLayout socket1 =
+      LayoutAfterSetUp(Only("widget", TypeTransformKind::kPinHome, 1), 2);
+  EXPECT_FALSE(own == base);
+  EXPECT_FALSE(socket1 == base);
+  EXPECT_FALSE(socket1 == own);
+}
+
+TEST(LayoutKeyTest, StaticArrayPlacementIsPartOfTheKey) {
+  const AllocatorLayout base = LayoutAfterSetUp({});
+  // stat is 64 bytes, so pad_to_line leaves its cache alone and changes
+  // only the static array's stride.
+  const AllocatorLayout padded = LayoutAfterSetUp(Only("stat", TypeTransformKind::kPadToLine));
+  EXPECT_TRUE(padded.caches == base.caches);
+  EXPECT_FALSE(padded.static_arrays == base.static_arrays);
+  ASSERT_EQ(padded.static_arrays.size(), 1u);
+  EXPECT_EQ(padded.static_arrays[0].stride, 64u);
+  EXPECT_EQ(base.static_arrays[0].stride, 4096u);
+
+  const AllocatorLayout recolored = LayoutAfterSetUp(Only("stat", TypeTransformKind::kRecolor));
+  EXPECT_FALSE(recolored.static_arrays == base.static_arrays);
+  EXPECT_GT(recolored.static_arrays[0].color_lines, 0u);
 }
 
 // Property-style fuzz: random alloc/free interleavings across cores never

@@ -1,9 +1,10 @@
 // Coverage for the whatif engine and the TypeTransform plumbing beneath it:
 // identity transforms are byte-identical to plain runs (and reproduce the
 // golden stats fingerprints through the RunSpec path), every transform is
-// deterministic across host thread counts, and
-// pad-to-line on conflict_demo's deliberately aliased type yields a positive
-// measured gain.
+// deterministic across host thread counts, candidates that share the
+// baseline's allocator layout really do reproduce its run, and pad-to-line
+// on conflict_demo's deliberately aliased type yields a positive measured
+// gain.
 
 #include <gtest/gtest.h>
 
@@ -63,13 +64,18 @@ TEST(WhatIfTest, IdentityRunReproducesGoldenFingerprint) {
 }
 
 // Every transform in the catalog must keep the engine's determinism
-// guarantee: the report is byte-identical for any host thread count.
+// guarantee: each transformed run, and the whatif report over all of them,
+// is byte-identical for any host thread count. Two threads race hardest
+// for the layout claims (no-op candidates on "slab" share the baseline's).
 TEST(WhatIfTest, TransformsAreDeterministicAcrossThreads) {
   ScenarioRegistry& registry = ScenarioRegistry::Default();
+  std::vector<WhatIfCandidate> candidates;
   for (const TypeTransformKind kind : AllTypeTransformKinds()) {
     SCOPED_TRACE(TypeTransformKindName(kind));
+    candidates.push_back({"pkt_stat", kind});
+    candidates.push_back({"slab", kind});
     std::string reference;
-    for (const int threads : {1, 4}) {
+    for (const int threads : {1, 2, 4}) {
       RunSpec spec = SmallConflictSpec();
       spec.threads = threads;
       spec.collect_histories = false;
@@ -82,6 +88,22 @@ TEST(WhatIfTest, TransformsAreDeterministicAcrossThreads) {
       }
     }
   }
+  std::string reference;
+  size_t reference_runs = 0;
+  for (const int threads : {1, 2, 4}) {
+    RunSpec spec = SmallConflictSpec();
+    spec.threads = threads;
+    const WhatIfReport report = RunWhatIf(registry, "conflict_demo", spec, candidates);
+    const std::string json = WhatIfReportToJson(report);
+    if (reference.empty()) {
+      reference = json;
+      reference_runs = report.experiments_run;
+    } else {
+      EXPECT_EQ(reference, json) << "threads=" << threads;
+      EXPECT_EQ(reference_runs, report.experiments_run) << "threads=" << threads;
+    }
+  }
+  EXPECT_LT(reference_runs, candidates.size() + 1);
 }
 
 // pin_home rewires the allocator's remote-free path (alien arrays skipped,
@@ -173,6 +195,56 @@ TEST(WhatIfTest, PooledBaselineMatchesStandaloneRun) {
     // wrong job would not match above.
     ASSERT_EQ(report.outcomes.size(), candidates.size());
     EXPECT_GT(report.outcomes[0].throughput_rps, standalone.throughput_rps);
+  }
+}
+
+// A candidate whose allocator layout equals the baseline's takes the
+// baseline's report in RunWhatIf. Check that shortcut against the real
+// thing: each such candidate, run on its own, reproduces the baseline's
+// report byte for byte, in exact and sampled mode.
+TEST(WhatIfTest, SharedLayoutCandidatesReproduceTheirOwnRuns) {
+  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  for (const char* scenario : {"memcached", "apache"}) {
+    for (const bool sampled : {false, true}) {
+      SCOPED_TRACE(std::string(scenario) + (sampled ? " sampled" : " exact"));
+      RunSpec spec;
+      spec.cores = 4;
+      spec.collect_cycles = 3'000'000;
+      spec.sampled = sampled;
+      spec.collect_histories = false;
+      spec.build_view_json = false;
+      const ScenarioReport baseline = RunScenario(registry, scenario, spec);
+      const std::string baseline_json = ScenarioReportToJson(baseline);
+      const AllocatorLayout baseline_key =
+          BuildScenarioRig(registry, scenario, spec)->allocator->LayoutKey();
+
+      const std::vector<WhatIfCandidate> candidates =
+          AutoCandidates(baseline.profile, 3, baseline.num_sockets);
+      size_t shared = 0;
+      for (const WhatIfCandidate& candidate : candidates) {
+        SCOPED_TRACE(candidate.Label());
+        RunSpec variant = spec;
+        variant.transforms.Add(candidate.type, candidate.kind, candidate.param);
+        if (!(BuildScenarioRig(registry, scenario, variant)->allocator->LayoutKey() ==
+              baseline_key)) {
+          continue;
+        }
+        ++shared;
+        EXPECT_EQ(ScenarioReportToJson(RunScenario(registry, scenario, variant)),
+                  baseline_json);
+      }
+      EXPECT_GT(shared, 0u);
+      if (std::string(scenario) == "memcached") {
+        // memcached's top three types are line-multiple kernel heap types:
+        // of their fifteen candidates only recolor and pin_home move a
+        // layout, so seven of the sixteen experiments run.
+        RunSpec whatif = spec;
+        whatif.threads = 2;
+        const WhatIfReport report = RunWhatIf(registry, scenario, whatif, candidates);
+        EXPECT_EQ(report.outcomes.size(), 15u);
+        EXPECT_EQ(report.experiments_run, 7u);
+      }
+    }
   }
 }
 
