@@ -10,29 +10,28 @@
 
 #include "bench/bench_common.h"
 
+namespace dprof {
 namespace {
 
-using namespace dprof;
-
 std::vector<PathTrace> Reconstruct(bool pair_mode, uint32_t sets) {
-  BenchRig rig(16, 13);
+  auto rig = MakePaperRig(13);
   MemcachedConfig config;
   config.rx_ring_entries = 48;
-  MemcachedWorkload workload(rig.env.get(), config);
-  workload.Install(*rig.machine);
+  MemcachedWorkload workload(rig->env.get(), config);
+  workload.Install(*rig->machine);
 
   DProfOptions options;
   options.ibs_period_ops = 200;
-  DProfSession bootstrap(rig.machine.get(), rig.allocator.get(), options);
-  rig.machine->RunFor(10'000'000);
+  DProfSession bootstrap(rig->machine.get(), rig->allocator.get(), options);
+  rig->machine->RunFor(10'000'000);
   bootstrap.CollectAccessSamples(6'000'000);
-  const TypeId skbuff = rig.registry.Find("skbuff");
+  const TypeId skbuff = rig->registry->Find("skbuff");
 
   DProfOptions collect_options = options;
   collect_options.history.pair_mode = pair_mode;
   collect_options.history.member_offsets = bootstrap.samples().HotOffsets(skbuff, 8);
   collect_options.history_phase_max_cycles = 6'000'000'000ull;
-  DProfSession session(rig.machine.get(), rig.allocator.get(), collect_options);
+  DProfSession session(rig->machine.get(), rig->allocator.get(), collect_options);
   session.CollectHistories(skbuff, sets);
 
   PathTraceOptions trace_options;
@@ -70,33 +69,46 @@ OrderCheck CheckOrdering(const std::vector<PathTrace>& traces, const SymbolTable
   return check;
 }
 
+void AddReconstructionCells(BenchReport& report, const char* row, size_t paths,
+                            const OrderCheck& check) {
+  AddCell(report, "reconstruction", row, "paths", static_cast<double>(paths), "");
+  AddCell(report, "reconstruction", row, "enqueue_first", check.enqueue_before_dequeue, "");
+  AddCell(report, "reconstruction", row, "dequeue_first", check.dequeue_before_enqueue, "");
+}
+
 }  // namespace
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Ablation: pairwise sampling vs single-offset sweeps",
-              "design choice behind paper §5.3 / Table 6.10");
+BenchReport RunAblationPairwise(const BenchParams&) {
+  BenchReport report = StartReport("ablation_pairwise",
+                                   "Ablation: pairwise sampling vs single-offset sweeps",
+                                   "design choice behind paper §5.3 / Table 6.10");
+  std::string& out = report.text;
 
   // A throwaway machine supplies the symbol table (ids are deterministic).
-  BenchRig names(1, 1);
-  KernelFns::Intern(names.machine->symbols());
+  RunSpec names_spec;
+  names_spec.cores = 1;
+  auto names = MakeBaseRig(names_spec);
+  KernelFns::Intern(names->machine->symbols());
 
   const auto single = Reconstruct(false, 6);
   const auto pair = Reconstruct(true, 2);
 
-  const OrderCheck single_check = CheckOrdering(single, names.machine->symbols());
-  const OrderCheck pair_check = CheckOrdering(pair, names.machine->symbols());
+  const OrderCheck single_check = CheckOrdering(single, names->machine->symbols());
+  const OrderCheck pair_check = CheckOrdering(pair, names->machine->symbols());
 
-  std::printf("%-34s %16s %16s\n", "", "single-offset", "pairwise");
-  std::printf("%-34s %16zu %16zu\n", "combined paths reconstructed", single.size(),
-              pair.size());
-  std::printf("%-34s %13d/%-3d %13d/%-3d\n", "enqueue-before-dequeue (right/wrong)",
-              single_check.enqueue_before_dequeue, single_check.dequeue_before_enqueue,
-              pair_check.enqueue_before_dequeue, pair_check.dequeue_before_enqueue);
+  Appendf(&out, "%-34s %16s %16s\n", "", "single-offset", "pairwise");
+  Appendf(&out, "%-34s %16zu %16zu\n", "combined paths reconstructed", single.size(), pair.size());
+  Appendf(&out, "%-34s %13d/%-3d %13d/%-3d\n", "enqueue-before-dequeue (right/wrong)",
+          single_check.enqueue_before_dequeue, single_check.dequeue_before_enqueue,
+          pair_check.enqueue_before_dequeue, pair_check.dequeue_before_enqueue);
+  AddReconstructionCells(report, "single-offset", single.size(), single_check);
+  AddReconstructionCells(report, "pairwise", pair.size(), pair_check);
 
-  std::printf("\ninterpretation: single-offset reconstruction fragments paths and can\n");
-  std::printf("only order offsets by cross-object time alignment; pair sampling\n");
-  std::printf("observes both offsets of one object and pins the true order — at a\n");
-  std::printf("quadratic collection cost (Table 6.10).\n");
-  return 0;
+  out += "\ninterpretation: single-offset reconstruction fragments paths and can\n"
+         "only order offsets by cross-object time alignment; pair sampling\n"
+         "observes both offsets of one object and pins the true order — at a\n"
+         "quadratic collection cost (Table 6.10).\n";
+  return report;
 }
+
+}  // namespace dprof

@@ -12,9 +12,8 @@
 #include "bench/bench_common.h"
 #include "src/util/table.h"
 
+namespace dprof {
 namespace {
-
-using namespace dprof;
 
 struct ProfileSummary {
   std::string top_type;
@@ -24,13 +23,13 @@ struct ProfileSummary {
 };
 
 ProfileSummary RunAt(uint64_t period) {
-  BenchRig rig(16, 21);
-  MemcachedWorkload workload(rig.env.get(), MemcachedConfig{});
-  workload.Install(*rig.machine);
+  auto rig = MakePaperRig(21);
+  MemcachedWorkload workload(rig->env.get(), MemcachedConfig{});
+  workload.Install(*rig->machine);
   DProfOptions options;
   options.ibs_period_ops = period;
-  DProfSession session(rig.machine.get(), rig.allocator.get(), options);
-  rig.machine->RunFor(15'000'000);
+  DProfSession session(rig->machine.get(), rig->allocator.get(), options);
+  rig->machine->RunFor(15'000'000);
   session.CollectAccessSamples(25'000'000);
   const DataProfile profile = session.BuildDataProfile();
   ProfileSummary summary;
@@ -49,10 +48,11 @@ ProfileSummary RunAt(uint64_t period) {
 
 }  // namespace
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Ablation: data-profile fidelity vs IBS sampling rate",
-              "design trade-off behind paper §6.3 / Figure 6-2");
+BenchReport RunAblationSamplingRate(const BenchParams&) {
+  BenchReport report = StartReport("ablation_sampling_rate",
+                                   "Ablation: data-profile fidelity vs IBS sampling rate",
+                                   "design trade-off behind paper §6.3 / Figure 6-2");
+  std::string& out = report.text;
 
   const ProfileSummary reference = RunAt(40);  // dense sampling
 
@@ -61,16 +61,23 @@ int main() {
   table.SetAlign(2, TablePrinter::Align::kLeft);
   for (const uint64_t period : std::vector<uint64_t>{40, 100, 300, 1000, 3000, 10000}) {
     const ProfileSummary s = RunAt(period);
+    const double error = std::abs(s.top_share - reference.top_share);
     table.AddRow({TablePrinter::Count(period), TablePrinter::Count(s.samples), s.top_type,
-                  TablePrinter::Percent(s.top_share),
-                  TablePrinter::Percent(std::abs(s.top_share - reference.top_share)),
+                  TablePrinter::Percent(s.top_share), TablePrinter::Percent(error),
                   TablePrinter::Count(static_cast<uint64_t>(s.bouncing_types))});
+    const std::string row = "period-" + std::to_string(period);
+    AddCell(report, "fidelity", row, "samples", static_cast<double>(s.samples), "");
+    AddCell(report, "fidelity", row, "top_share_pct", s.top_share, "%");
+    AddCell(report, "fidelity", row, "share_error_pct", error, "%");
+    AddCell(report, "fidelity", row, "bouncing_types", s.bouncing_types, "");
   }
-  std::printf("%s\n", table.ToString().c_str());
-  std::printf("reference (period 40): top=%s at %.2f%%, %d bouncing types\n\n",
-              reference.top_type.c_str(), reference.top_share, reference.bouncing_types);
-  std::printf("interpretation: the ranking is stable across two orders of magnitude of\n");
-  std::printf("sampling rate; only the share estimates get noisy — supporting the\n");
-  std::printf("paper's choice of tuning rate purely by overhead tolerance (§6.3).\n");
-  return 0;
+  out += table.ToString() + "\n";
+  Appendf(&out, "reference (period 40): top=%s at %.2f%%, %d bouncing types\n\n",
+          reference.top_type.c_str(), reference.top_share, reference.bouncing_types);
+  out += "interpretation: the ranking is stable across two orders of magnitude of\n"
+         "sampling rate; only the share estimates get noisy — supporting the\n"
+         "paper's choice of tuning rate purely by overhead tolerance (§6.3).\n";
+  return report;
 }
+
+}  // namespace dprof

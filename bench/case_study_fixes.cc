@@ -13,95 +13,92 @@
 // identical construction path `dprof run` and `dprof whatif` use.
 
 #include "bench/bench_common.h"
-#include "src/cli/scenario_registry.h"
 #include "src/machine/engine.h"
 #include "src/util/check.h"
 
+namespace dprof {
 namespace {
 
-using namespace dprof;
-
-// Builds the rig from the registered factory and measures steady-state
-// throughput (warm-up, then `measure` cycles) on the epoch engine.
-double RunArm(const char* scenario, const RunSpec& spec, uint64_t warm, uint64_t measure) {
-  const ScenarioInfo* info = ScenarioRegistry::Default().Find(scenario);
-  DPROF_CHECK(info != nullptr);
-  auto rig = info->factory(spec);
-  rig->workload->Install(*rig->machine);
-  Engine engine(rig->machine.get(), EngineConfig{});
-  rig->machine->SetExecutor(&engine);
-  rig->machine->RunFor(warm);
-  rig->workload->ResetStats();
-  const uint64_t start = rig->machine->MaxClock();
-  rig->machine->RunFor(measure);
-  const double rps = ThroughputRps(rig->workload->CompletedRequests(),
-                                   rig->machine->MaxClock() - start);
-  rig->machine->SetExecutor(nullptr);
+// Measures steady-state throughput of the rig's workload (warm-up, then
+// `measure` cycles) on the epoch engine.
+double MeasureOnEngine(ScenarioRig& rig, uint64_t warm, uint64_t measure) {
+  rig.workload->Install(*rig.machine);
+  Engine engine(rig.machine.get(), EngineConfig{});
+  rig.machine->SetExecutor(&engine);
+  const double rps = MeasureThroughput(*rig.machine, *rig.workload, warm, measure);
+  rig.machine->SetExecutor(nullptr);
   return rps;
 }
 
-double RunMemcached(bool fix) {
+RunSpec ArmSpec() {
   RunSpec spec;
   spec.cores = 16;
   spec.seed = 1;
+  return spec;
+}
+
+double RunArm(const char* scenario, const RunSpec& spec, uint64_t measure) {
+  const ScenarioInfo* info = ScenarioRegistry::Default().Find(scenario);
+  DPROF_CHECK(info != nullptr);
+  return MeasureOnEngine(*info->factory(spec), 10'000'000, measure);
+}
+
+double RunMemcached(bool fix) {
+  RunSpec spec = ArmSpec();
   spec.local_tx_queue = fix;
-  return RunArm("memcached", spec, 10'000'000, 30'000'000);
+  return RunArm("memcached", spec, 30'000'000);
 }
 
 double RunApacheSpec(bool admission_control) {
-  RunSpec spec;
-  spec.cores = 16;
-  spec.seed = 1;
+  RunSpec spec = ArmSpec();
   spec.admission_control = admission_control;
-  // Same windows as the registry's apache_throughput bench: the retransmit
-  // equilibrium needs the long measurement stretch to average out.
-  return RunArm("apache", spec, 10'000'000, 40'000'000);
+  // The retransmit equilibrium needs the long measurement stretch to
+  // average out.
+  return RunArm("apache", spec, 40'000'000);
 }
 
 // Peak is a reference operating point (offered load below the knee), not a
 // fix, so it is not a RunSpec option; build it directly on the base rig.
 double RunApachePeak() {
-  RunSpec spec;
-  spec.cores = 16;
-  spec.seed = 1;
-  auto rig = MakeBaseRig(spec);
+  auto rig = MakeBaseRig(ArmSpec());
   rig->workload = std::make_unique<ApacheWorkload>(rig->env.get(), ApacheConfig::Peak());
-  rig->workload->Install(*rig->machine);
-  Engine engine(rig->machine.get(), EngineConfig{});
-  rig->machine->SetExecutor(&engine);
-  rig->machine->RunFor(10'000'000);
-  rig->workload->ResetStats();
-  const uint64_t start = rig->machine->MaxClock();
-  rig->machine->RunFor(40'000'000);
-  const double rps = ThroughputRps(rig->workload->CompletedRequests(),
-                                   rig->machine->MaxClock() - start);
-  rig->machine->SetExecutor(nullptr);
-  return rps;
+  return MeasureOnEngine(*rig, 10'000'000, 40'000'000);
 }
 
 }  // namespace
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Case-study fixes: throughput before and after (paper: +57% / +16%)",
-              "Pesterev 2010, §6.1.1, §6.2.1, §8");
+BenchReport RunCaseStudyFixes(const BenchParams&) {
+  BenchReport report =
+      StartReport("case_study_fixes",
+                  "Case-study fixes: throughput before and after (paper: +57% / +16%)",
+                  "Pesterev 2010, §6.1.1, §6.2.1, §8");
+  std::string& out = report.text;
 
-  std::printf("== memcached: local tx-queue selection (paper: +57%%) ==\n");
+  out += "== memcached: local tx-queue selection (paper: +57%) ==\n";
   const double mc_buggy = RunMemcached(false);
   const double mc_fixed = RunMemcached(true);
-  std::printf("  stock (skb_tx_hash):  %12.0f req/s\n", mc_buggy);
-  std::printf("  fixed (local queue):  %12.0f req/s\n", mc_fixed);
-  std::printf("  improvement:          %+11.1f%%   (paper: +57%%)\n\n",
-              100.0 * (mc_fixed - mc_buggy) / mc_buggy);
+  const double mc_gain = 100.0 * (mc_fixed - mc_buggy) / mc_buggy;
+  Appendf(&out, "  stock (skb_tx_hash):  %12.0f req/s\n", mc_buggy);
+  Appendf(&out, "  fixed (local queue):  %12.0f req/s\n", mc_fixed);
+  Appendf(&out, "  improvement:          %+11.1f%%   (paper: +57%%)\n\n", mc_gain);
+  AddCell(report, "throughput", "memcached", "stock_rps", mc_buggy, "req/s");
+  AddCell(report, "throughput", "memcached", "fixed_rps", mc_fixed, "req/s");
+  AddCell(report, "throughput", "memcached", "gain_pct", mc_gain, "%");
 
-  std::printf("== Apache: accept-queue admission control (paper: +16%%) ==\n");
+  out += "== Apache: accept-queue admission control (paper: +16%) ==\n";
   const double ap_peak = RunApachePeak();
   const double ap_drop = RunApacheSpec(false);
   const double ap_fixed = RunApacheSpec(true);
-  std::printf("  peak (reference):     %12.0f req/s\n", ap_peak);
-  std::printf("  drop-off:             %12.0f req/s\n", ap_drop);
-  std::printf("  admission control:    %12.0f req/s\n", ap_fixed);
-  std::printf("  improvement:          %+11.1f%%   (paper: +16%%)\n",
-              100.0 * (ap_fixed - ap_drop) / ap_drop);
-  return 0;
+  const double ap_gain = 100.0 * (ap_fixed - ap_drop) / ap_drop;
+  Appendf(&out, "  peak (reference):     %12.0f req/s\n", ap_peak);
+  Appendf(&out, "  drop-off:             %12.0f req/s\n", ap_drop);
+  Appendf(&out, "  admission control:    %12.0f req/s\n", ap_fixed);
+  Appendf(&out, "  improvement:          %+11.1f%%   (paper: +16%%)\n", ap_gain);
+  AddCell(report, "throughput", "apache", "peak_rps", ap_peak, "req/s");
+  AddCell(report, "throughput", "apache", "dropoff_rps", ap_drop, "req/s");
+  AddCell(report, "throughput", "apache", "fixed_rps", ap_fixed, "req/s");
+  AddCell(report, "throughput", "apache", "gain_pct", ap_gain, "%");
+  return report;
 }
+
+}  // namespace dprof

@@ -8,41 +8,48 @@
 
 #include "bench/bench_common.h"
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Figure 6-1: skbuff data flow view (memcached, tx-hash bug)",
-              "Pesterev 2010, Figure 6-1");
+namespace dprof {
 
-  BenchRig rig(16, 42);
+BenchReport RunFigure61DataflowSkbuff(const BenchParams&) {
+  BenchReport report = StartReport("figure_6_1_dataflow_skbuff",
+                                   "Figure 6-1: skbuff data flow view (memcached, tx-hash bug)",
+                                   "Pesterev 2010, Figure 6-1");
+  std::string& out = report.text;
+
+  auto rig = MakePaperRig(42);
   MemcachedConfig mc;
   mc.rx_ring_entries = 96;  // shorter ring residency keeps the bench quick
-  MemcachedWorkload workload(rig.env.get(), mc);
-  workload.Install(*rig.machine);
+  MemcachedWorkload workload(rig->env.get(), mc);
+  workload.Install(*rig->machine);
 
   DProfOptions options;
   options.ibs_period_ops = 120;
-  DProfSession session(rig.machine.get(), rig.allocator.get(), options);
+  DProfSession session(rig->machine.get(), rig->allocator.get(), options);
 
-  rig.machine->RunFor(10'000'000);
+  rig->machine->RunFor(10'000'000);
   session.CollectAccessSamples(20'000'000);
-  const TypeId skbuff = rig.registry.Find("skbuff");
+  const TypeId skbuff = rig->registry->Find("skbuff");
   session.CollectHistories(skbuff, 10);
 
   const DataFlowGraph flow = session.BuildDataFlow(skbuff);
-  std::printf("== ASCII rendering (==CPU=> marks a core transition) ==\n%s\n",
-              flow.ToAscii().c_str());
+  out += "== ASCII rendering (==CPU=> marks a core transition) ==\n" + flow.ToAscii() + "\n";
 
-  std::printf("== Cross-CPU transitions, heaviest first ==\n");
+  out += "== Cross-CPU transitions, heaviest first ==\n";
   for (const DataFlowEdge& edge : flow.CpuTransitions()) {
-    std::printf("  %-28s ==CPU=> %-28s x%llu\n", flow.nodes()[edge.from].label.c_str(),
-                flow.nodes()[edge.to].label.c_str(),
-                static_cast<unsigned long long>(edge.frequency));
+    const std::string& from = flow.nodes()[edge.from].label;
+    const std::string& to = flow.nodes()[edge.to].label;
+    Appendf(&out, "  %-28s ==CPU=> %-28s x%llu\n", from.c_str(), to.c_str(),
+            static_cast<unsigned long long>(edge.frequency));
+    AddCell(report, "cpu_transitions", from + "=>" + to, "frequency",
+            static_cast<double>(edge.frequency), "");
   }
 
-  std::printf("\n== Graphviz DOT (paper's figure format) ==\n%s\n",
-              flow.ToDot("skbuff_data_flow").c_str());
+  out += "\n== Graphviz DOT (paper's figure format) ==\n";
+  out += flow.ToDot("skbuff_data_flow") + "\n";
 
-  std::printf("paper shape: bold (cross-CPU) edge between pfifo_fast_enqueue and\n"
-              "pfifo_fast_dequeue; transmit-side functions dark (high latency).\n");
-  return 0;
+  out += "paper shape: bold (cross-CPU) edge between pfifo_fast_enqueue and\n"
+         "pfifo_fast_dequeue; transmit-side functions dark (high latency).\n";
+  return report;
 }
+
+}  // namespace dprof

@@ -13,35 +13,34 @@
 #include "bench/bench_common.h"
 #include "src/util/table.h"
 
+namespace dprof {
 namespace {
-
-using namespace dprof;
 
 std::vector<ObjectHistory> Collect(const char* workload_name, const char* type_name,
                                    uint32_t sets) {
-  BenchRig rig(16, 5);
+  auto rig = MakePaperRig(5);
   std::unique_ptr<Workload> workload;
   if (std::string(workload_name) == "memcached") {
     MemcachedConfig config;
     config.rx_ring_entries = 48;  // short residency: many sets in bounded time
-    workload = std::make_unique<MemcachedWorkload>(rig.env.get(), config);
+    workload = std::make_unique<MemcachedWorkload>(rig->env.get(), config);
   } else {
-    workload = std::make_unique<ApacheWorkload>(rig.env.get(), ApacheConfig::Peak());
+    workload = std::make_unique<ApacheWorkload>(rig->env.get(), ApacheConfig::Peak());
   }
-  workload->Install(*rig.machine);
+  workload->Install(*rig->machine);
 
   DProfOptions options;
   options.ibs_period_ops = 200;
   // Sweep the hot members only, again like the paper.
-  DProfSession session(rig.machine.get(), rig.allocator.get(), options);
-  rig.machine->RunFor(10'000'000);
+  DProfSession session(rig->machine.get(), rig->allocator.get(), options);
+  rig->machine->RunFor(10'000'000);
   session.CollectAccessSamples(6'000'000);
-  const TypeId type = rig.registry.Find(type_name);
+  const TypeId type = rig->registry->Find(type_name);
 
   DProfOptions collect_options = options;
   collect_options.history.member_offsets = session.samples().HotOffsets(type, 16);
   collect_options.history_phase_max_cycles = 6'000'000'000ull;
-  DProfSession collector(rig.machine.get(), rig.allocator.get(), collect_options);
+  DProfSession collector(rig->machine.get(), rig->allocator.get(), collect_options);
   collector.CollectHistories(type, sets);
   return collector.histories(type);
 }
@@ -58,10 +57,12 @@ std::vector<ObjectHistory> FirstSets(const std::vector<ObjectHistory>& all, uint
 
 }  // namespace
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Figure 6-3: % of unique paths captured vs history sets collected",
-              "Pesterev 2010, Figure 6-3");
+BenchReport RunFigure63UniquePaths(const BenchParams&) {
+  BenchReport report =
+      StartReport("figure_6_3_unique_paths",
+                  "Figure 6-3: % of unique paths captured vs history sets collected",
+                  "Pesterev 2010, Figure 6-3");
+  std::string& out = report.text;
 
   const uint32_t kGroundTruthSets = 48;  // paper used 720; shape is identical
   const std::vector<uint32_t> kCheckpoints = {2, 4, 8, 12, 16, 24, 32, 48};
@@ -82,12 +83,15 @@ int main() {
     const auto all = Collect(s.workload, s.type, kGroundTruthSets);
     const size_t total = PathTraceBuilder::CountUniqueSignatures(all);
     totals.push_back(total);
+    const std::string row = std::string(s.workload) + "/" + s.type;
+    AddCell(report, "unique_paths", row, "ground_truth", static_cast<double>(total), "");
     std::vector<double> column;
     for (const uint32_t sets : kCheckpoints) {
       const size_t found = PathTraceBuilder::CountUniqueSignatures(FirstSets(all, sets));
       column.push_back(total == 0 ? 0.0
                                   : 100.0 * static_cast<double>(found) /
                                         static_cast<double>(total));
+      AddCell(report, "unique_paths", row, "pct_at_" + std::to_string(sets), column.back(), "%");
     }
     columns.push_back(std::move(column));
   }
@@ -97,11 +101,14 @@ int main() {
                   TablePrinter::Fixed(columns[1][i], 0), TablePrinter::Fixed(columns[2][i], 0),
                   TablePrinter::Fixed(columns[3][i], 0)});
   }
-  std::printf("%s\n", table.ToString().c_str());
-  std::printf("ground-truth unique paths: mc size-1024 %zu, mc skbuff %zu, ap skbuff %zu, "
-              "ap tcp_sock %zu (at %u sets)\n\n",
-              totals[0], totals[1], totals[2], totals[3], kGroundTruthSets);
-  std::printf("paper shape: sharply diminishing returns; 30-100 sets capture most\n");
-  std::printf("unique paths (their ground truth: 720 sets; y-axis starts ~50%%).\n");
-  return 0;
+  out += table.ToString() + "\n";
+  Appendf(&out,
+          "ground-truth unique paths: mc size-1024 %zu, mc skbuff %zu, ap skbuff %zu, "
+          "ap tcp_sock %zu (at %u sets)\n\n",
+          totals[0], totals[1], totals[2], totals[3], kGroundTruthSets);
+  out += "paper shape: sharply diminishing returns; 30-100 sets capture most\n"
+         "unique paths (their ground truth: 720 sets; y-axis starts ~50%).\n";
+  return report;
 }
+
+}  // namespace dprof

@@ -42,7 +42,7 @@ struct HistoryBenchConfig {
 
 // Factory builds a fresh workload inside the rig (so baseline and collection
 // runs are independent and deterministic).
-using WorkloadFactory = std::function<std::unique_ptr<Workload>(BenchRig&)>;
+using WorkloadFactory = std::function<std::unique_ptr<Workload>(ScenarioRig&)>;
 
 inline HistoryBenchResult RunHistoryBench(const WorkloadFactory& factory,
                                           const HistoryBenchConfig& config) {
@@ -54,33 +54,33 @@ inline HistoryBenchResult RunHistoryBench(const WorkloadFactory& factory,
   // Baseline throughput without any profiling.
   double baseline = 0.0;
   {
-    BenchRig rig(16, 11);
-    auto workload = factory(rig);
-    workload->Install(*rig.machine);
-    baseline = MeasureThroughput(rig, *workload, 15'000'000, 20'000'000);
+    auto rig = MakePaperRig(11);
+    auto workload = factory(*rig);
+    workload->Install(*rig->machine);
+    baseline = MeasureThroughput(*rig->machine, *workload, 15'000'000, 20'000'000);
   }
 
   // Collection run: short access-sample phase to find hot members, then the
   // history sweeps.
-  BenchRig rig(16, 11);
-  auto workload = factory(rig);
-  workload->Install(*rig.machine);
-  const TypeId type = rig.registry.Find(config.type_name);
-  result.object_size = rig.registry.Size(type);
+  auto rig = MakePaperRig(11);
+  auto workload = factory(*rig);
+  workload->Install(*rig->machine);
+  const TypeId type = rig->registry->Find(config.type_name);
+  result.object_size = rig->registry->Size(type);
 
   DProfOptions options;
   options.ibs_period_ops = 150;
   options.history.pair_mode = config.pair_mode;
   options.history_phase_max_cycles = config.max_cycles;
-  DProfSession session(rig.machine.get(), rig.allocator.get(), options);
-  rig.machine->RunFor(15'000'000);
+  DProfSession session(rig->machine.get(), rig->allocator.get(), options);
+  rig->machine->RunFor(15'000'000);
   session.CollectAccessSamples(8'000'000);
   options.history.member_offsets =
       session.samples().HotOffsets(type, config.max_member_offsets);
 
   // Timed collection of the requested number of sets.
   DProfOptions collect_options = options;
-  DProfSession collect_session(rig.machine.get(), rig.allocator.get(), collect_options);
+  DProfSession collect_session(rig->machine.get(), rig->allocator.get(), collect_options);
   const uint64_t elapsed = collect_session.CollectHistories(type, config.sets);
   result.histories = collect_session.histories(type).size();
   result.collection_seconds = static_cast<double>(elapsed) / kCyclesPerSecond;
@@ -89,19 +89,19 @@ inline HistoryBenchResult RunHistoryBench(const WorkloadFactory& factory,
   // Overhead: throughput over a fixed window while collection runs
   // continuously (sets unbounded), against the unprofiled baseline.
   {
-    BenchRig overhead_rig(16, 11);
-    auto overhead_workload = factory(overhead_rig);
-    overhead_workload->Install(*overhead_rig.machine);
+    auto overhead_rig = MakePaperRig(11);
+    auto overhead_workload = factory(*overhead_rig);
+    overhead_workload->Install(*overhead_rig->machine);
     DProfOptions continuous = options;
     continuous.history_phase_max_cycles = 20'000'000;
-    DProfSession continuous_session(overhead_rig.machine.get(), overhead_rig.allocator.get(),
+    DProfSession continuous_session(overhead_rig->machine.get(), overhead_rig->allocator.get(),
                                     continuous);
-    overhead_rig.machine->RunFor(15'000'000);
+    overhead_rig->machine->RunFor(15'000'000);
     overhead_workload->ResetStats();
-    const uint64_t start = overhead_rig.machine->MaxClock();
-    continuous_session.CollectHistories(overhead_rig.registry.Find(config.type_name), 0);
+    const uint64_t start = overhead_rig->machine->MaxClock();
+    continuous_session.CollectHistories(overhead_rig->registry->Find(config.type_name), 0);
     const double tput = ThroughputRps(overhead_workload->CompletedRequests(),
-                                      overhead_rig.machine->MaxClock() - start);
+                                      overhead_rig->machine->MaxClock() - start);
     result.overhead_pct = 100.0 * (baseline - tput) / baseline;
   }
   if (result.histories > 0) {
@@ -117,15 +117,26 @@ inline HistoryBenchResult RunHistoryBench(const WorkloadFactory& factory,
   return result;
 }
 
+// One Table 6.7/6.10 row as `<view>.<benchmark>/<type>.<column>` metrics.
+inline void AddHistoryCells(BenchReport& report, const std::string& view,
+                            const HistoryBenchResult& r) {
+  const std::string row = r.benchmark + "/" + r.type_name;
+  AddCell(report, view, row, "size", r.object_size, "B");
+  AddCell(report, view, row, "histories", static_cast<double>(r.histories), "");
+  AddCell(report, view, row, "sets", r.sets, "");
+  AddCell(report, view, row, "time_s", r.collection_seconds, "s");
+  AddCell(report, view, row, "overhead_pct", r.overhead_pct, "%");
+}
+
 // The (benchmark, type) rows of paper Tables 6.7/6.8.
 inline std::vector<std::pair<WorkloadFactory, HistoryBenchConfig>> PaperHistoryRows(
     bool pair_mode) {
-  auto memcached = [](BenchRig& rig) -> std::unique_ptr<Workload> {
+  auto memcached = [](ScenarioRig& rig) -> std::unique_ptr<Workload> {
     MemcachedConfig config;
     config.rx_ring_entries = 96;
     return std::make_unique<MemcachedWorkload>(rig.env.get(), config);
   };
-  auto apache = [](BenchRig& rig) -> std::unique_ptr<Workload> {
+  auto apache = [](ScenarioRig& rig) -> std::unique_ptr<Workload> {
     // Saturated but admission-controlled, so profiling overhead shows up as
     // lost throughput rather than vanishing into idle time.
     ApacheConfig config = ApacheConfig::Fixed();

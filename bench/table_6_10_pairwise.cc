@@ -9,10 +9,13 @@
 #include "bench/history_bench.h"
 #include "src/util/table.h"
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Table 6.10: pairwise-sampling collection times and overhead",
-              "Pesterev 2010, Table 6.10");
+namespace dprof {
+
+BenchReport RunTable610Pairwise(const BenchParams&) {
+  BenchReport report = StartReport("table_6_10_pairwise",
+                                   "Table 6.10: pairwise-sampling collection times and overhead",
+                                   "Pesterev 2010, Table 6.10");
+  std::string& out = report.text;
 
   TablePrinter table({"Benchmark", "Data Type", "Size (bytes)", "Histories/Sets",
                       "Time (s)", "Overhead (%)"});
@@ -25,18 +28,21 @@ int main() {
     table.AddRow({r.benchmark, r.type_name, TablePrinter::Count(r.object_size), ratio,
                   TablePrinter::Fixed(r.collection_seconds, 2),
                   TablePrinter::Fixed(r.overhead_pct, 1)});
+    AddHistoryCells(report, "pairwise", r);
   }
-  std::printf("%s\n", table.ToString().c_str());
+  out += table.ToString() + "\n";
 
-  std::printf("note: like the paper (§6.4), pairwise sweeps monitor only the hot\n");
-  std::printf("members found in the access samples (10 windows -> C(10,2)=45 pairs\n");
-  std::printf("per set); the paper's full-object sweeps reach 32132/1 for size-1024.\n\n");
-  std::printf("paper reference rows:\n");
-  std::printf("  memcached size-1024 1024B 32132/1  400s  0.9%%\n");
-  std::printf("  memcached skbuff     256B  2017/1   26s  1.0%%\n");
-  std::printf("  Apache    size-1024 1024B 32132/1   50s  4.8%%\n");
-  std::printf("  Apache    skbuff     256B  2017/1   18s  1.7%%\n");
-  std::printf("  Apache    skbuff_fclone 512B 8129/1 2.3s 18%%\n");
-  std::printf("  Apache    tcp_sock  1600B 79801/1   81s  5.5%%\n");
-  return 0;
+  out += "note: like the paper (§6.4), pairwise sweeps monitor only the hot\n"
+         "members found in the access samples (10 windows -> C(10,2)=45 pairs\n"
+         "per set); the paper's full-object sweeps reach 32132/1 for size-1024.\n\n"
+         "paper reference rows:\n"
+         "  memcached size-1024 1024B 32132/1  400s  0.9%\n"
+         "  memcached skbuff     256B  2017/1   26s  1.0%\n"
+         "  Apache    size-1024 1024B 32132/1   50s  4.8%\n"
+         "  Apache    skbuff     256B  2017/1   18s  1.7%\n"
+         "  Apache    skbuff_fclone 512B 8129/1 2.3s 18%\n"
+         "  Apache    tcp_sock  1600B 79801/1   81s  5.5%\n";
+  return report;
 }
+
+}  // namespace dprof

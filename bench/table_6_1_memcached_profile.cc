@@ -7,37 +7,43 @@
 
 #include "bench/bench_common.h"
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Table 6.1: memcached data profile + working set views",
-              "Pesterev 2010, Table 6.1");
+namespace dprof {
 
-  BenchRig rig(16, 42);
-  MemcachedWorkload workload(rig.env.get(), MemcachedConfig{});
-  workload.Install(*rig.machine);
+BenchReport RunTable61MemcachedProfile(const BenchParams&) {
+  BenchReport report = StartReport("table_6_1_memcached_profile",
+                                   "Table 6.1: memcached data profile + working set views",
+                                   "Pesterev 2010, Table 6.1");
+  std::string& out = report.text;
+
+  auto rig = MakePaperRig(42);
+  MemcachedWorkload workload(rig->env.get(), MemcachedConfig{});
+  workload.Install(*rig->machine);
 
   DProfOptions options;
   options.ibs_period_ops = 120;
-  DProfSession session(rig.machine.get(), rig.allocator.get(), options);
+  DProfSession session(rig->machine.get(), rig->allocator.get(), options);
 
-  rig.machine->RunFor(20'000'000);  // steady state
+  rig->machine->RunFor(20'000'000);  // steady state
   session.CollectAccessSamples(60'000'000);
 
   const DataProfile profile = session.BuildDataProfile();
-  std::printf("%s\n", profile.ToTable(10).c_str());
+  out += profile.ToTable(10) + "\n";
+  AddProfileCells(report, "profile", profile, 10);
 
-  std::printf("paper reference rows (16-core AMD testbed):\n");
-  std::printf("  size-1024    14.6MB   45.40%%  yes\n");
-  std::printf("  slab          2.55MB  10.48%%  yes\n");
-  std::printf("  array_cache   128B     9.51%%  yes\n");
-  std::printf("  net_device    128B     6.03%%  yes\n");
-  std::printf("  udp_sock      1024B    5.24%%  yes\n");
-  std::printf("  skbuff       20.55MB   5.20%%  yes\n");
-  std::printf("  Total        37.7MB   81.86%%\n\n");
+  out += "paper reference rows (16-core AMD testbed):\n"
+         "  size-1024    14.6MB   45.40%  yes\n"
+         "  slab          2.55MB  10.48%  yes\n"
+         "  array_cache   128B     9.51%  yes\n"
+         "  net_device    128B     6.03%  yes\n"
+         "  udp_sock      1024B    5.24%  yes\n"
+         "  skbuff       20.55MB   5.20%  yes\n"
+         "  Total        37.7MB   81.86%\n\n";
 
-  std::printf("samples: %llu total, %llu L1 misses, %llu unresolved (userspace)\n",
-              static_cast<unsigned long long>(session.samples().total_samples()),
-              static_cast<unsigned long long>(session.samples().l1_miss_samples()),
-              static_cast<unsigned long long>(session.samples().unresolved_samples()));
-  return 0;
+  Appendf(&out, "samples: %llu total, %llu L1 misses, %llu unresolved (userspace)\n",
+          static_cast<unsigned long long>(session.samples().total_samples()),
+          static_cast<unsigned long long>(session.samples().l1_miss_samples()),
+          static_cast<unsigned long long>(session.samples().unresolved_samples()));
+  return report;
 }
+
+}  // namespace dprof

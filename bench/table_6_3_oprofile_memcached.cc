@@ -8,28 +8,39 @@
 
 #include "bench/bench_common.h"
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Table 6.3: OProfile-style function profile of memcached",
-              "Pesterev 2010, Table 6.3");
+namespace dprof {
 
-  BenchRig rig(16, 42);
-  MemcachedWorkload workload(rig.env.get(), MemcachedConfig{});
-  workload.Install(*rig.machine);
+BenchReport RunTable63OprofileMemcached(const BenchParams&) {
+  BenchReport report = StartReport("table_6_3_oprofile_memcached",
+                                   "Table 6.3: OProfile-style function profile of memcached",
+                                   "Pesterev 2010, Table 6.3");
+  std::string& out = report.text;
+
+  auto rig = MakePaperRig(42);
+  Machine& machine = *rig->machine;
+  MemcachedWorkload workload(rig->env.get(), MemcachedConfig{});
+  workload.Install(machine);
   CodeProfiler profiler;
-  rig.machine->AddObserver(&profiler);
+  machine.AddObserver(&profiler);
 
-  rig.machine->RunFor(15'000'000);
+  machine.RunFor(15'000'000);
   profiler.Reset();
-  rig.machine->RunFor(60'000'000);
+  machine.RunFor(60'000'000);
 
-  std::printf("%s\n", profiler.ReportTable(rig.machine->symbols(), 1.0).c_str());
-  const auto rows = profiler.Report(rig.machine->symbols(), 1.0);
-  std::printf("functions above 1%% CLK: %zu (paper: 29)\n\n", rows.size());
+  out += profiler.ReportTable(machine.symbols(), 1.0) + "\n";
+  const auto rows = profiler.Report(machine.symbols(), 1.0);
+  for (const FunctionProfileRow& row : rows) {
+    AddCell(report, "functions", row.name, "clk_pct", row.clk_pct, "%");
+    AddCell(report, "functions", row.name, "l2_pct", row.l2_miss_pct, "%");
+  }
+  Appendf(&out, "functions above 1%% CLK: %zu (paper: 29)\n\n", rows.size());
+  AddCell(report, "summary", "above_1pct_clk", "functions", static_cast<double>(rows.size()), "");
 
-  std::printf("paper reference (top rows): 4.4%% kfree, 3.7%% ixgbe_clean_rx_irq,\n");
-  std::printf("3.5%% __alloc_skb, 3.2%% ixgbe_xmit_frame, 3.0%% kmem_cache_free, ...\n");
-  std::printf("note: dev_queue_xmit / skb_tx_hash sit mid-table in both — the bug\n");
-  std::printf("is invisible in a code-centric profile.\n");
-  return 0;
+  out += "paper reference (top rows): 4.4% kfree, 3.7% ixgbe_clean_rx_irq,\n"
+         "3.5% __alloc_skb, 3.2% ixgbe_xmit_frame, 3.0% kmem_cache_free, ...\n"
+         "note: dev_queue_xmit / skb_tx_hash sit mid-table in both — the bug\n"
+         "is invisible in a code-centric profile.\n";
+  return report;
 }
+
+}  // namespace dprof

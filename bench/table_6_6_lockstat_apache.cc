@@ -8,28 +8,35 @@
 
 #include "bench/bench_common.h"
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Table 6.6: lock-stat during an Apache run (drop-off)",
-              "Pesterev 2010, Table 6.6");
+namespace dprof {
 
-  BenchRig rig(16, 42);
-  ApacheWorkload workload(rig.env.get(), ApacheConfig::DropOff());
-  workload.Install(*rig.machine);
-  LockStat lockstat(&rig.machine->symbols());
-  rig.machine->SetLockObserver(&lockstat);
+BenchReport RunTable66LockstatApache(const BenchParams&) {
+  BenchReport report = StartReport("table_6_6_lockstat_apache",
+                                   "Table 6.6: lock-stat during an Apache run (drop-off)",
+                                   "Pesterev 2010, Table 6.6");
+  std::string& out = report.text;
 
-  rig.machine->RunFor(30'000'000);
+  auto rig = MakePaperRig(42);
+  Machine& machine = *rig->machine;
+  ApacheWorkload workload(rig->env.get(), ApacheConfig::DropOff());
+  workload.Install(machine);
+  LockStat lockstat(&machine.symbols());
+  machine.SetLockObserver(&lockstat);
+
+  machine.RunFor(30'000'000);
   lockstat.Reset();
-  const uint64_t start = rig.machine->MaxClock();
-  rig.machine->RunFor(60'000'000);
-  const uint64_t elapsed = rig.machine->MaxClock() - start;
+  const uint64_t start = machine.MaxClock();
+  machine.RunFor(60'000'000);
+  const uint64_t elapsed = machine.MaxClock() - start;
 
-  std::printf("%s\n", lockstat.ReportTable(elapsed, rig.machine->num_cores()).c_str());
+  out += lockstat.ReportTable(elapsed, machine.num_cores()) + "\n";
+  AddLockCells(report, lockstat.Report(elapsed, machine.num_cores()));
 
-  std::printf("paper reference row (30s run):\n");
-  std::printf("  futex lock  1.98 sec  6.6%%  do_futex, futex_wait, futex_wake\n\n");
-  std::printf("shape check: futex is the dominant contended lock; the Qdisc and SLAB\n");
-  std::printf("locks are quiet because all Apache handling is core-local.\n");
-  return 0;
+  out += "paper reference row (30s run):\n"
+         "  futex lock  1.98 sec  6.6%  do_futex, futex_wait, futex_wake\n\n"
+         "shape check: futex is the dominant contended lock; the Qdisc and SLAB\n"
+         "locks are quiet because all Apache handling is core-local.\n";
+  return report;
 }
+
+}  // namespace dprof

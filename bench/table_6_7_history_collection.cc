@@ -13,10 +13,13 @@
 #include "bench/history_bench.h"
 #include "src/util/table.h"
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Table 6.7: object access history collection time and overhead",
-              "Pesterev 2010, Table 6.7");
+namespace dprof {
+
+BenchReport RunTable67HistoryCollection(const BenchParams&) {
+  BenchReport report = StartReport("table_6_7_history_collection",
+                                   "Table 6.7: object access history collection time and overhead",
+                                   "Pesterev 2010, Table 6.7");
+  std::string& out = report.text;
 
   TablePrinter table({"Benchmark", "Data Type", "Size (bytes)", "Histories", "Sets",
                       "Time (s)", "Overhead (%)"});
@@ -27,15 +30,18 @@ int main() {
                   TablePrinter::Count(r.histories), TablePrinter::Count(r.sets),
                   TablePrinter::Fixed(r.collection_seconds, 2),
                   TablePrinter::Fixed(r.overhead_pct, 1)});
+    AddHistoryCells(report, "history", r);
   }
-  std::printf("%s\n", table.ToString().c_str());
+  out += table.ToString() + "\n";
 
-  std::printf("paper reference rows:\n");
-  std::printf("  memcached size-1024 1024B  8128/32   170s  1.3%%\n");
-  std::printf("  memcached skbuff     256B  5120/80    95s  0.8%%\n");
-  std::printf("  Apache    size-1024 1024B 20320/80    34s  2.9%%\n");
-  std::printf("  Apache    skbuff     256B  2048/32    24s  1.6%%\n");
-  std::printf("  Apache    skbuff_fclone 512B 10240/80 2.5s 16%%\n");
-  std::printf("  Apache    tcp_sock  1600B 32000/80    32s  4.9%%\n");
-  return 0;
+  out += "paper reference rows:\n"
+         "  memcached size-1024 1024B  8128/32   170s  1.3%\n"
+         "  memcached skbuff     256B  5120/80    95s  0.8%\n"
+         "  Apache    size-1024 1024B 20320/80    34s  2.9%\n"
+         "  Apache    skbuff     256B  2048/32    24s  1.6%\n"
+         "  Apache    skbuff_fclone 512B 10240/80 2.5s 16%\n"
+         "  Apache    tcp_sock  1600B 32000/80    32s  4.9%\n";
+  return report;
 }
+
+}  // namespace dprof

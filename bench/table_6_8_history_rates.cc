@@ -9,9 +9,12 @@
 #include "bench/history_bench.h"
 #include "src/util/table.h"
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Table 6.8: history collection rates", "Pesterev 2010, Table 6.8");
+namespace dprof {
+
+BenchReport RunTable68HistoryRates(const BenchParams&) {
+  BenchReport report = StartReport("table_6_8_history_rates", "Table 6.8: history collection rates",
+                                   "Pesterev 2010, Table 6.8");
+  std::string& out = report.text;
 
   TablePrinter table({"Benchmark", "Data Type", "Elements per History",
                       "Histories per Second", "Elements per Second"});
@@ -21,15 +24,21 @@ int main() {
     table.AddRow({r.benchmark, r.type_name, TablePrinter::Fixed(r.elements_per_history, 1),
                   TablePrinter::Fixed(r.histories_per_second, 0),
                   TablePrinter::Fixed(r.elements_per_second, 0)});
+    const std::string row = r.benchmark + "/" + r.type_name;
+    AddCell(report, "rates", row, "elems_per_history", r.elements_per_history, "");
+    AddCell(report, "rates", row, "histories_per_s", r.histories_per_second, "1/s");
+    AddCell(report, "rates", row, "elems_per_s", r.elements_per_second, "1/s");
   }
-  std::printf("%s\n", table.ToString().c_str());
+  out += table.ToString() + "\n";
 
-  std::printf("paper reference rows:\n");
-  std::printf("  memcached size-1024     0.3    53   120\n");
-  std::printf("  memcached skbuff        4.2    56   350\n");
-  std::printf("  Apache    size-1024     0.5   660  1660\n");
-  std::printf("  Apache    skbuff        4.8   110   770\n");
-  std::printf("  Apache    skbuff_fclone 4.0  4600 27500\n");
-  std::printf("  Apache    tcp_sock      8.3  1030 10600\n");
-  return 0;
+  out += "paper reference rows:\n"
+         "  memcached size-1024     0.3    53   120\n"
+         "  memcached skbuff        4.2    56   350\n"
+         "  Apache    size-1024     0.5   660  1660\n"
+         "  Apache    skbuff        4.8   110   770\n"
+         "  Apache    skbuff_fclone 4.0  4600 27500\n"
+         "  Apache    tcp_sock      8.3  1030 10600\n";
+  return report;
 }
+
+}  // namespace dprof

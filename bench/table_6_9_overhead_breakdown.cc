@@ -11,10 +11,13 @@
 #include "src/util/stats.h"
 #include "src/util/table.h"
 
-int main() {
-  using namespace dprof;
-  PrintHeader("Table 6.9: history overhead breakdown (Apache data types)",
-              "Pesterev 2010, Table 6.9");
+namespace dprof {
+
+BenchReport RunTable69OverheadBreakdown(const BenchParams&) {
+  BenchReport report = StartReport("table_6_9_overhead_breakdown",
+                                   "Table 6.9: history overhead breakdown (Apache data types)",
+                                   "Pesterev 2010, Table 6.9");
+  std::string& out = report.text;
 
   TablePrinter table({"Data Type", "Interrupts", "Memory", "Communication"});
   for (const auto& [factory, config] : PaperHistoryRows(false)) {
@@ -23,23 +26,26 @@ int main() {
     }
     const HistoryBenchResult r = RunHistoryBench(factory, config);
     const double total = static_cast<double>(r.breakdown.Total());
-    table.AddRow({r.type_name,
-                  TablePrinter::Percent(Pct(static_cast<double>(r.breakdown.interrupt_cycles),
-                                            total), 0),
-                  TablePrinter::Percent(Pct(static_cast<double>(r.breakdown.reserve_cycles),
-                                            total), 0),
-                  TablePrinter::Percent(Pct(static_cast<double>(r.breakdown.comm_cycles),
-                                            total), 0)});
+    const double interrupts = Pct(static_cast<double>(r.breakdown.interrupt_cycles), total);
+    const double memory = Pct(static_cast<double>(r.breakdown.reserve_cycles), total);
+    const double communication = Pct(static_cast<double>(r.breakdown.comm_cycles), total);
+    table.AddRow({r.type_name, TablePrinter::Percent(interrupts, 0),
+                  TablePrinter::Percent(memory, 0), TablePrinter::Percent(communication, 0)});
+    AddCell(report, "breakdown", r.type_name, "interrupts_pct", interrupts, "%");
+    AddCell(report, "breakdown", r.type_name, "memory_pct", memory, "%");
+    AddCell(report, "breakdown", r.type_name, "communication_pct", communication, "%");
   }
-  std::printf("%s\n", table.ToString().c_str());
+  out += table.ToString() + "\n";
 
-  std::printf("paper reference rows:\n");
-  std::printf("  size-1024      20%%  10%%  70%%\n");
-  std::printf("  skbuff         60%%  10%%  30%%\n");
-  std::printf("  skbuff_fclone   5%%   5%%  90%%\n");
-  std::printf("  tcp_sock       20%%   5%%  75%%\n\n");
-  std::printf("cost model: 1,000 cycles per watchpoint interrupt; 130,000 cycles on\n");
-  std::printf("the initiating core per setup broadcast (220,000 total); 20,000 cycles\n");
-  std::printf("to reserve an object with the memory subsystem (paper §6.4).\n");
-  return 0;
+  out += "paper reference rows:\n"
+         "  size-1024      20%  10%  70%\n"
+         "  skbuff         60%  10%  30%\n"
+         "  skbuff_fclone   5%   5%  90%\n"
+         "  tcp_sock       20%   5%  75%\n\n"
+         "cost model: 1,000 cycles per watchpoint interrupt; 130,000 cycles on\n"
+         "the initiating core per setup broadcast (220,000 total); 20,000 cycles\n"
+         "to reserve an object with the memory subsystem (paper §6.4).\n";
+  return report;
 }
+
+}  // namespace dprof

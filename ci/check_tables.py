@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Diffs `dprof bench table_*` reproductions against the paper's reference
-numbers, with tolerances.
+numbers, with tolerances. Each spec reads the rows a reproduction emits as
+`<view>.<row key>.<column>` metrics in its `--json` document.
 
 Usage: check_tables.py --dprof ./build/dprof [--only name1,name2]
 
@@ -17,53 +18,22 @@ Exit code 1 when any check fails; tables without a spec are not run.
 
 import argparse
 import json
-import re
 import subprocess
 import sys
 
 
-def parse_profile_rows(text):
-    """Rows of a data-profile table: name, working set, miss share, bounce."""
-    rows = []
-    for line in text.splitlines():
-        m = re.match(
-            r"\s*(\S+)\s+([\d.]+)(B|KB|MB|GB)\s+([\d.]+)%\s+(yes|no|-)\s*$", line
-        )
-        if m and m.group(1) != "Total":
-            scale = {"B": 1, "KB": 1 << 10, "MB": 1 << 20, "GB": 1 << 30}[m.group(3)]
-            rows.append(
-                {
-                    "type": m.group(1),
-                    "ws_bytes": float(m.group(2)) * scale,
-                    "miss_pct": float(m.group(4)),
-                    "bounce": m.group(5),
-                }
-            )
+def view_rows(doc, view):
+    """One view of a `dprof bench --json` document, in table row order:
+    {row key: {column: value}} from the metrics named
+    `<view>.<row key>.<column>` (row keys may hold dots; names split at the
+    first and last one)."""
+    rows = {}
+    for metric in doc["metrics"]:
+        name = metric["name"]
+        first, last = name.find("."), name.rfind(".")
+        if 0 < first < last and name[:first] == view:
+            rows.setdefault(name[first + 1:last], {})[name[last + 1:]] = metric["value"]
     return rows
-
-
-def parse_lock_rows(text):
-    """Rows of a lock-stat table: lock name, wait seconds, overhead pct."""
-    rows = []
-    for line in text.splitlines():
-        m = re.match(r"\s*(.+?)\s+([\d.]+) sec\s+([\d.]+)%", line)
-        if m:
-            rows.append(
-                {
-                    "lock": m.group(1).strip(),
-                    "wait_s": float(m.group(2)),
-                    "overhead_pct": float(m.group(3)),
-                }
-            )
-    return rows
-
-
-def section(text, start, end=None):
-    i = text.find(start)
-    if i < 0:
-        return ""
-    j = text.find(end, i) if end else -1
-    return text[i:j] if end and j >= 0 else text[i:]
 
 
 class Checker:
@@ -88,98 +58,86 @@ class Checker:
         )
 
 
-def check_table_6_1(text, c):
+def top_row(rows, column):
+    """The row key with the largest `column` value (the table's leader)."""
+    return max(rows, key=lambda key: rows[key][column])
+
+
+def check_table_6_1(doc, c):
     """Memcached profile: size-1024 payloads dominate and bounce."""
-    # The simulated table before the "paper reference rows" echo.
-    rows = parse_profile_rows(section(text, "Type name", "paper reference"))
+    rows = view_rows(doc, "profile")
     c.check("profile parsed", len(rows) >= 5, f"({len(rows)} rows)")
     if not rows:
         return
-    c.check("size-1024 tops the profile", rows[0]["type"] == "size-1024",
-            f"(top: {rows[0]['type']})")
+    top = top_row(rows, "miss_pct")
+    c.check("size-1024 tops the profile", top == "size-1024", f"(top: {top})")
     # Paper: 45.40% of all L1 misses; tolerance covers the model distance.
-    c.near("size-1024 miss share", rows[0]["miss_pct"], 45.40, 16.0)
-    by_type = {r["type"]: r for r in rows}
+    c.near("size-1024 miss share", rows[top]["miss_pct"], 45.40, 16.0)
     for name in ("size-1024", "slab", "net_device", "udp_sock", "skbuff"):
-        if name in by_type:
-            c.check(f"{name} bounces", by_type[name]["bounce"] == "yes")
+        if name in rows:
+            c.check(f"{name} bounces", rows[name]["bounce"] == 1)
     # Paper: the listed types cover ~80% of all misses.
-    total = sum(r["miss_pct"] for r in rows)
+    total = sum(r["miss_pct"] for r in rows.values())
     c.near("top types' combined miss share", total, 81.86, 16.0)
 
 
-def check_table_6_2(text, c):
+def check_table_6_2(doc, c):
     """Lock-stat under memcached: the Qdisc lock leads, epoll close behind."""
-    rows = parse_lock_rows(section(text, "Lock Name", "paper reference"))
+    rows = view_rows(doc, "locks")
     c.check("lock table parsed", len(rows) >= 3, f"({len(rows)} rows)")
     if not rows:
         return
-    c.check("Qdisc lock has the highest overhead", rows[0]["lock"] == "Qdisc lock",
-            f"(top: {rows[0]['lock']})")
+    top = top_row(rows, "overhead_pct")
+    c.check("Qdisc lock has the highest overhead", top == "Qdisc lock", f"(top: {top})")
     # Paper: 4.04% — the simulated machine is smaller, so the band is wide,
     # but the lock must stay materially contended.
-    c.near("Qdisc lock overhead pct", rows[0]["overhead_pct"], 4.04, 3.5)
-    names = [r["lock"] for r in rows]
-    c.check("epoll lock contended", "epoll lock" in names)
+    c.near("Qdisc lock overhead pct", rows[top]["overhead_pct"], 4.04, 3.5)
+    c.check("epoll lock contended", "epoll lock" in rows)
 
 
-def check_table_6_4_6_5(text, c):
+def check_table_6_4_6_5(doc, c):
     """Apache peak vs drop-off: tcp_sock working set and latency blow up."""
-    peak = parse_profile_rows(section(text, "== Table 6.4", "== Table 6.5"))
-    drop = parse_profile_rows(section(text, "== Table 6.5", "== Differential"))
+    peak = view_rows(doc, "peak")
+    drop = view_rows(doc, "dropoff")
     c.check("peak profile parsed", len(peak) >= 4)
     c.check("drop-off profile parsed", len(drop) >= 4)
     if not peak or not drop:
         return
-    c.check("tcp_sock tops the peak profile", peak[0]["type"] == "tcp_sock")
-    c.check("tcp_sock tops the drop-off profile", drop[0]["type"] == "tcp_sock")
-    ws_ratio = drop[0]["ws_bytes"] / max(peak[0]["ws_bytes"], 1.0)
+    peak_top = top_row(peak, "miss_pct")
+    drop_top = top_row(drop, "miss_pct")
+    c.check("tcp_sock tops the peak profile", peak_top == "tcp_sock")
+    c.check("tcp_sock tops the drop-off profile", drop_top == "tcp_sock")
+    ws_ratio = drop[drop_top]["ws_bytes"] / max(peak[peak_top]["ws_bytes"], 1.0)
     c.check("tcp_sock working set grows at drop-off", ws_ratio > 1.5,
             f"({ws_ratio:.1f}x; paper 10.4x)")
-    m = re.search(r"line latency \(cycles\)\s+(\d+)\s+(\d+)", text)
-    c.check("latency line parsed", m is not None)
-    if m:
-        lat_ratio = int(m.group(2)) / max(int(m.group(1)), 1)
+    latency = view_rows(doc, "differential").get("sock_latency")
+    c.check("latency line parsed", latency is not None)
+    if latency:
+        lat_ratio = latency["dropoff_cycles"] / max(latency["peak_cycles"], 1)
         c.check("tcp_sock miss latency grows at drop-off", lat_ratio > 1.2,
                 f"({lat_ratio:.1f}x; paper 3x)")
 
 
-def parse_function_rows(text):
-    """Rows of the OProfile-style table: pct clk, pct L2 misses, function."""
-    rows = []
-    for line in text.splitlines():
-        m = re.match(r"\s*([\d.]+)\s+([\d.]+)\s+(\S+)\s*$", line)
-        if m:
-            rows.append(
-                {
-                    "clk_pct": float(m.group(1)),
-                    "l2_pct": float(m.group(2)),
-                    "fn": m.group(3),
-                }
-            )
-    return rows
-
-
-def check_table_6_3(text, c):
+def check_table_6_3(doc, c):
     """OProfile-style memcached profile: flat, driver-heavy, and — the paper's
     point — the tx-queue bug's functions sit mid-table, not on top."""
-    rows = parse_function_rows(section(text, "% CLK", "functions above"))
+    rows = view_rows(doc, "functions")
     c.check("function table parsed", len(rows) >= 15, f"({len(rows)} rows)")
     if not rows:
         return
+    clk = [r["clk_pct"] for r in rows.values()]
     c.check("rows sorted by % CLK",
-            all(rows[i]["clk_pct"] >= rows[i + 1]["clk_pct"]
-                for i in range(len(rows) - 1)))
-    names = [r["fn"] for r in rows]
+            all(clk[i] >= clk[i + 1] for i in range(len(clk) - 1)))
+    names = list(rows)
     # Paper's top five (4.4% kfree .. 3.0% kmem_cache_free) is driver and
     # allocator code; the reproduction must keep those families prominent.
     for fn in ("ixgbe_xmit_frame", "ixgbe_clean_rx_irq", "kmem_cache_free"):
         c.check(f"{fn} in the profile", fn in names)
     # Paper: 29 functions above 1% CLK — a flat profile with no smoking gun.
-    m = re.search(r"functions above 1% CLK:\s*(\d+)\s*\(paper:\s*29\)", text)
-    c.check("above-1% summary line parsed", m is not None)
-    if m:
-        c.near("functions above 1% CLK", float(m.group(1)), 29.0, 15.0)
+    above = view_rows(doc, "summary").get("above_1pct_clk")
+    c.check("above-1% summary line parsed", above is not None)
+    if above:
+        c.near("functions above 1% CLK", above["functions"], 29.0, 15.0)
     # The diagnosis DProf makes (skb_tx_hash queue selection) is invisible
     # here: dev_queue_xmit must be present but must not top the table.
     c.check("dev_queue_xmit present mid-table", "dev_queue_xmit" in names)
@@ -189,185 +147,104 @@ def check_table_6_3(text, c):
                 f"(rank {names.index('dev_queue_xmit') + 1})")
 
 
-def check_table_6_6(text, c):
+def check_table_6_6(doc, c):
     """Lock-stat under Apache at drop-off: futex dominates, Qdisc is quiet
     (all Apache handling is core-local, unlike the memcached tx path)."""
-    rows = parse_lock_rows(section(text, "Lock Name", "paper reference"))
+    rows = view_rows(doc, "locks")
     c.check("lock table parsed", len(rows) >= 2, f"({len(rows)} rows)")
     if not rows:
         return
-    c.check("futex lock has the highest overhead", rows[0]["lock"] == "futex lock",
-            f"(top: {rows[0]['lock']})")
+    top = top_row(rows, "overhead_pct")
+    c.check("futex lock has the highest overhead", top == "futex lock", f"(top: {top})")
     # Paper: 6.6% over a 30s hardware run. The simulated run is far shorter
     # and the model distance is large, so the band is wide — but futex must
     # stay materially contended.
-    c.near("futex lock overhead pct", rows[0]["overhead_pct"], 6.6, 15.0)
-    by_lock = {r["lock"]: r for r in rows}
-    if "Qdisc lock" in by_lock:
+    c.near("futex lock overhead pct", rows[top]["overhead_pct"], 6.6, 15.0)
+    if "Qdisc lock" in rows:
         c.check("Qdisc lock quiet under Apache",
-                by_lock["Qdisc lock"]["overhead_pct"] < 1.0,
-                f"({by_lock['Qdisc lock']['overhead_pct']:.2f}%)")
+                rows["Qdisc lock"]["overhead_pct"] < 1.0,
+                f"({rows['Qdisc lock']['overhead_pct']:.2f}%)")
 
 
-def parse_history_rows(text):
-    """Rows of the table-6.7 collection summary."""
-    rows = []
-    for line in text.splitlines():
-        m = re.match(
-            r"\s*(memcached|Apache)\s+(\S+)\s+(\d+)\s+(\d+)\s+(\d+)\s+([\d.]+)\s+([\d.]+)\s*$",
-            line,
-        )
-        if m:
-            rows.append(
-                {
-                    "bench": m.group(1),
-                    "type": m.group(2),
-                    "size": int(m.group(3)),
-                    "histories": int(m.group(4)),
-                    "sets": int(m.group(5)),
-                    "time_s": float(m.group(6)),
-                    "overhead_pct": float(m.group(7)),
-                }
-            )
-    return rows
+def apache_types(rows):
+    """Data types of the Apache rows of a `<benchmark>/<type>`-keyed view."""
+    return {key.partition("/")[2] for key in rows if key.startswith("Apache/")}
 
 
-def check_table_6_7(text, c):
+def check_table_6_7(doc, c):
     """History collection: every tracked type yields histories, and the
     paper's conclusion — collection overhead stays small (its worst row is
     16%) — holds for the reproduction."""
-    rows = parse_history_rows(section(text, "Benchmark", "paper reference"))
+    rows = view_rows(doc, "history")
     c.check("history table parsed", len(rows) == 6, f"({len(rows)} rows)")
     if not rows:
         return
-    for r in rows:
-        c.check(f"{r['bench']}/{r['type']} collected histories",
-                r["histories"] >= 8, f"({r['histories']})")
-    worst = max(r["overhead_pct"] for r in rows)
+    for key, r in rows.items():
+        c.check(f"{key} collected histories",
+                r["histories"] >= 8, f"({r['histories']:.0f})")
+    worst = max(r["overhead_pct"] for r in rows.values())
     c.check("collection overhead stays small", worst <= 25.0,
             f"(worst {worst:.1f}%; paper worst 16%)")
-    types = {r["type"] for r in rows if r["bench"] == "Apache"}
-    c.check("Apache tracks tcp_sock", "tcp_sock" in types)
+    c.check("Apache tracks tcp_sock", "tcp_sock" in apache_types(rows))
 
 
-def parse_rate_rows(text):
-    """Rows of table 6.8: bench, type, elems/history, histories/s, elems/s."""
-    rows = []
-    for line in text.splitlines():
-        m = re.match(
-            r"\s*(memcached|Apache)\s+(\S+)\s+([\d.]+)\s+(\d+)\s+(\d+)\s*$", line
-        )
-        if m:
-            rows.append(
-                {
-                    "bench": m.group(1),
-                    "type": m.group(2),
-                    "elems_per_history": float(m.group(3)),
-                    "histories_per_s": int(m.group(4)),
-                    "elems_per_s": int(m.group(5)),
-                }
-            )
-    return rows
-
-
-def check_table_6_8(text, c):
+def check_table_6_8(doc, c):
     """History collection rates on the paper topology: every tracked type
     sustains a nonzero rate, and — the paper's standout row — skbuff_fclone
     is Apache's fastest collector (4600 histories/s in Table 6.8)."""
-    rows = parse_rate_rows(section(text, "Benchmark", "paper reference"))
+    rows = view_rows(doc, "rates")
     c.check("rate table parsed", len(rows) == 6, f"({len(rows)} rows)")
     if not rows:
         return
-    for r in rows:
-        c.check(f"{r['bench']}/{r['type']} sustains collection",
+    for key, r in rows.items():
+        c.check(f"{key} sustains collection",
                 r["histories_per_s"] > 0 and r["elems_per_s"] > 0,
-                f"({r['histories_per_s']}/s)")
-    apache = [r for r in rows if r["bench"] == "Apache"]
+                f"({r['histories_per_s']:.0f}/s)")
+    apache = {key: r for key, r in rows.items() if key.startswith("Apache/")}
     if apache:
-        fastest = max(apache, key=lambda r: r["histories_per_s"])
+        fastest = top_row(apache, "histories_per_s").partition("/")[2]
         c.check("skbuff_fclone fastest Apache collector",
-                fastest["type"] == "skbuff_fclone", f"(fastest: {fastest['type']})")
-    types = {r["type"] for r in apache}
-    c.check("Apache tracks tcp_sock", "tcp_sock" in types)
+                fastest == "skbuff_fclone", f"(fastest: {fastest})")
+    c.check("Apache tracks tcp_sock", "tcp_sock" in apache_types(rows))
 
 
-def parse_breakdown_rows(text):
-    """Rows of table 6.9: type, interrupt/memory/communication percents."""
-    rows = []
-    for line in text.splitlines():
-        m = re.match(r"\s*(\S+)\s+(\d+)%\s+(\d+)%\s+(\d+)%\s*$", line)
-        if m:
-            rows.append(
-                {
-                    "type": m.group(1),
-                    "interrupts_pct": int(m.group(2)),
-                    "memory_pct": int(m.group(3)),
-                    "communication_pct": int(m.group(4)),
-                }
-            )
-    return rows
-
-
-def check_table_6_9(text, c):
+def check_table_6_9(doc, c):
     """Overhead breakdown: the three cost classes partition each row, setup
     broadcasts (communication) dominate skbuff_fclone as in the paper, and
     memory reservations never lead (paper worst: 10%)."""
-    rows = parse_breakdown_rows(section(text, "Data Type", "paper reference"))
+    rows = view_rows(doc, "breakdown")
     c.check("breakdown table parsed", len(rows) == 4, f"({len(rows)} rows)")
     if not rows:
         return
-    by_type = {r["type"]: r for r in rows}
-    for r in rows:
+    for key, r in rows.items():
         total = r["interrupts_pct"] + r["memory_pct"] + r["communication_pct"]
-        c.check(f"{r['type']} percents partition the cost", abs(total - 100) <= 2,
-                f"(sum {total}%)")
-        c.check(f"{r['type']} memory share stays minor", r["memory_pct"] <= 25,
-                f"({r['memory_pct']}%)")
-    if "skbuff_fclone" in by_type:
+        c.check(f"{key} percents partition the cost", abs(total - 100) <= 2,
+                f"(sum {total:.0f}%)")
+        c.check(f"{key} memory share stays minor", r["memory_pct"] <= 25,
+                f"({r['memory_pct']:.0f}%)")
+    if "skbuff_fclone" in rows:
         c.near("skbuff_fclone communication share",
-               by_type["skbuff_fclone"]["communication_pct"], 90.0, 15.0)
+               rows["skbuff_fclone"]["communication_pct"], 90.0, 15.0)
 
 
-def parse_pairwise_rows(text):
-    """Rows of table 6.10: bench, type, size, histories/sets, time, overhead."""
-    rows = []
-    for line in text.splitlines():
-        m = re.match(
-            r"\s*(memcached|Apache)\s+(\S+)\s+(\d+)\s+(\d+)/(\d+)\s+([\d.]+)\s+([\d.]+)\s*$",
-            line,
-        )
-        if m:
-            rows.append(
-                {
-                    "bench": m.group(1),
-                    "type": m.group(2),
-                    "size": int(m.group(3)),
-                    "histories": int(m.group(4)),
-                    "sets": int(m.group(5)),
-                    "time_s": float(m.group(6)),
-                    "overhead_pct": float(m.group(7)),
-                }
-            )
-    return rows
-
-
-def check_table_6_10(text, c):
+def check_table_6_10(doc, c):
     """Pairwise sampling: object sizes match the paper's, every sweep yields
     histories, and the paper's conclusion — overhead stays tolerable (its
     worst row is 18%) — holds."""
-    rows = parse_pairwise_rows(section(text, "Benchmark", "note:"))
+    rows = view_rows(doc, "pairwise")
     c.check("pairwise table parsed", len(rows) == 6, f"({len(rows)} rows)")
     if not rows:
         return
     paper_sizes = {"size-1024": 1024, "skbuff": 256, "skbuff_fclone": 512,
                    "tcp_sock": 1600}
-    for r in rows:
-        c.check(f"{r['bench']}/{r['type']} object size matches paper",
-                r["size"] == paper_sizes.get(r["type"]), f"({r['size']}B)")
-        c.check(f"{r['bench']}/{r['type']} pairwise sweep collected",
+    for key, r in rows.items():
+        c.check(f"{key} object size matches paper",
+                r["size"] == paper_sizes.get(key.partition("/")[2]),
+                f"({r['size']:.0f}B)")
+        c.check(f"{key} pairwise sweep collected",
                 r["histories"] > 0 and r["sets"] >= 1,
-                f"({r['histories']}/{r['sets']})")
-    worst = max(r["overhead_pct"] for r in rows)
+                f"({r['histories']:.0f}/{r['sets']:.0f})")
+    worst = max(r["overhead_pct"] for r in rows.values())
     c.check("pairwise overhead stays tolerable", worst <= 20.0,
             f"(worst {worst:.1f}%; paper worst 18%)")
 
@@ -461,27 +338,22 @@ def main():
     failed = []
     for name in names:
         print(f"== {name}")
-        if name in RUN_SPECS:
-            checker = Checker(name)
-            RUN_SPECS[name](args.dprof, checker)
-            if checker.failures:
-                failed.append(name)
-            continue
-        proc = subprocess.run(
-            [args.dprof, "bench", name, "--json"], capture_output=True, text=True
-        )
-        if proc.returncode != 0:
-            print(f"  FAIL  dprof bench {name} exited {proc.returncode}")
-            failed.append(name)
-            continue
-        doc = json.loads(proc.stdout)
-        exit_metric = {m["name"]: m["value"] for m in doc.get("metrics", [])}
-        if exit_metric.get("exit_code", 1) != 0:
-            print(f"  FAIL  bench program exit_code {exit_metric.get('exit_code')}")
-            failed.append(name)
-            continue
         checker = Checker(name)
-        SPECS[name](doc.get("output", ""), checker)
+        try:
+            if name in RUN_SPECS:
+                RUN_SPECS[name](args.dprof, checker)
+            else:
+                proc = subprocess.run(
+                    [args.dprof, "bench", name, "--json"], capture_output=True, text=True
+                )
+                if proc.returncode == 0:
+                    SPECS[name](json.loads(proc.stdout), checker)
+                else:
+                    checker.check(f"dprof bench {name} exited {proc.returncode}", False)
+        except (ValueError, KeyError, TypeError) as e:
+            # Output that is not JSON, or lacks a row or column the spec
+            # reads: this spec fails, the others still run.
+            checker.check("report readable", False, f"({type(e).__name__}: {e})")
         if checker.failures:
             failed.append(name)
 

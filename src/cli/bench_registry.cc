@@ -1,13 +1,11 @@
 #include "src/cli/bench_registry.h"
 
-#include <sys/wait.h>
-
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
+#include "bench/bench_common.h"
 #include "src/cli/scenario_registry.h"
 #include "src/cli/whatif.h"
 #include "src/machine/engine.h"
@@ -15,7 +13,6 @@
 #include "src/util/check.h"
 #include "src/util/json_writer.h"
 #include "src/util/rng.h"
-#include "src/workload/apache.h"
 #include "src/workload/kernel.h"
 #include "src/workload/memcached.h"
 
@@ -290,85 +287,6 @@ BenchReport RunHierarchyBench(const BenchParams& params) {
   return report;
 }
 
-// Simulated memcached throughput, stock vs. the paper's core-local tx fix.
-// Runs on the epoch engine (the default execution strategy everywhere
-// else) with no profiling session attached: the "profiling off" operating
-// point.
-BenchReport RunMemcachedThroughput(const BenchParams& params) {
-  BenchReport report;
-  report.bench = "memcached_throughput";
-  const uint64_t warm = Scaled(params.scale, 10'000'000);
-  const uint64_t measure = Scaled(params.scale, 40'000'000);
-  // Both arms come from the registered scenario factory, with the fix
-  // expressed as the RunSpec option the CLI exposes (--local-tx-queue).
-  const ScenarioInfo* info = ScenarioRegistry::Default().Find("memcached");
-  DPROF_CHECK(info != nullptr);
-  for (const bool fixed : {false, true}) {
-    RunSpec spec;
-    spec.cores = 16;
-    spec.seed = params.seed;
-    spec.local_tx_queue = fixed;
-    auto rig = info->factory(spec);
-    Machine& machine = *rig->machine;
-    rig->workload->Install(machine);
-    Engine engine(&machine, EngineConfig{});
-    machine.SetExecutor(&engine);
-    machine.RunFor(warm);
-    rig->workload->ResetStats();
-    const uint64_t start = machine.MaxClock();
-    machine.RunFor(measure);
-    const double rps =
-        ThroughputRps(rig->workload->CompletedRequests(), machine.MaxClock() - start);
-    report.metrics.push_back(
-        {fixed ? "fixed_rps" : "stock_rps", rps, "req/s"});
-    machine.SetExecutor(nullptr);
-  }
-  return report;
-}
-
-// Simulated Apache throughput at the paper's three operating points. On the
-// epoch engine, like the memcached throughput bench above.
-BenchReport RunApacheThroughput(const BenchParams& params) {
-  BenchReport report;
-  report.bench = "apache_throughput";
-  const uint64_t warm = Scaled(params.scale, 10'000'000);
-  const uint64_t measure = Scaled(params.scale, 40'000'000);
-  auto measure_workload = [&](Workload& workload, Machine& machine) {
-    workload.Install(machine);
-    Engine engine(&machine, EngineConfig{});
-    machine.SetExecutor(&engine);
-    machine.RunFor(warm);
-    workload.ResetStats();
-    const uint64_t start = machine.MaxClock();
-    machine.RunFor(measure);
-    const double rps =
-        ThroughputRps(workload.CompletedRequests(), machine.MaxClock() - start);
-    machine.SetExecutor(nullptr);
-    return rps;
-  };
-  // Peak is an operating point (offered load below the knee), not a fix:
-  // it keeps its explicit config. Drop-off and fixed are the scenario
-  // factory's two RunSpec shapes (--admission-control off/on).
-  {
-    auto rig = MakeRig(16, params.seed);
-    ApacheWorkload workload(rig->env.get(), ApacheConfig::Peak());
-    report.metrics.push_back(
-        {"peak_rps", measure_workload(workload, *rig->machine), "req/s"});
-  }
-  const ScenarioInfo* info = ScenarioRegistry::Default().Find("apache");
-  DPROF_CHECK(info != nullptr);
-  for (const bool fixed : {false, true}) {
-    RunSpec spec;
-    spec.cores = 16;
-    spec.seed = params.seed;
-    spec.admission_control = fixed;
-    auto rig = info->factory(spec);
-    report.metrics.push_back({fixed ? "fixed_rps" : "dropoff_rps",
-                              measure_workload(*rig->workload, *rig->machine), "req/s"});
-  }
-  return report;
-}
-
 // Smoke-sized end-to-end run of the whatif engine: memcached at 8 cores,
 // --auto over the top two profiled types. Emits one stable wall-clock row
 // (whatif_smoke_seconds, CI-gated) plus one volatile delta row per
@@ -475,61 +393,13 @@ BenchReport RunParallelEngine(const BenchParams& params) {
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Paper-table reproduction programs (bench/table_*.cc, figure_*, ablations)
-// surfaced through this registry: `dprof bench table_6_1_memcached_profile`
-// executes the sibling bench_* binary and relays its report.
-// ---------------------------------------------------------------------------
-
-std::string& BenchProgramDir() {
-  static std::string* dir = new std::string();
-  return *dir;
-}
-
-BenchReport RunTableProgram(const std::string& name, const BenchParams& params) {
-  (void)params;  // the reproduction programs fix their own seeds and scales
-  BenchReport report;
-  report.bench = name;
-  const std::string& dir = BenchProgramDir();
-  if (dir.empty()) {
-    report.text = "bench program directory unknown (not invoked via the dprof CLI)\n";
-    report.metrics.push_back({"exit_code", -1.0, ""});
-    return report;
-  }
-  const std::string command = dir + "/bench_" + name + " 2>&1";
-  const auto start = Clock::now();
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) {
-    report.text = "failed to start " + command + "\n";
-    report.metrics.push_back({"exit_code", -1.0, ""});
-    return report;
-  }
-  std::array<char, 4096> buffer;
-  size_t n = 0;
-  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
-    report.text.append(buffer.data(), n);
-  }
-  const int status = pclose(pipe);
-  // Decode the wait status: exit code when the program exited, -signal when
-  // it died on one, -1 when pclose itself failed.
-  int exit_code = -1;
-  if (status >= 0) {
-    exit_code = WIFEXITED(status) ? WEXITSTATUS(status)
-                                  : (WIFSIGNALED(status) ? -WTERMSIG(status) : -1);
-  }
-  report.metrics.push_back({"exit_code", static_cast<double>(exit_code), ""});
-  report.metrics.push_back({"host_seconds", ElapsedNs(start) / 1e9, "s"});
-  return report;
-}
-
 }  // namespace
 
-void SetBenchProgramDir(const std::string& dir) { BenchProgramDir() = dir; }
-
 bool BenchRegistry::Register(const std::string& name, const std::string& description,
-                             BenchFn fn) {
+                             BenchFn fn, bool reproduction) {
   DPROF_CHECK(fn != nullptr);
-  auto [it, inserted] = benches_.emplace(name, BenchInfo{name, description, std::move(fn)});
+  auto [it, inserted] =
+      benches_.emplace(name, BenchInfo{name, description, std::move(fn), reproduction});
   (void)it;
   return inserted;
 }
@@ -566,12 +436,6 @@ void RegisterBuiltinBenches(BenchRegistry& registry) {
                     "ns/access of the cache-hierarchy model per access mix "
                     "(hits, misses, invalidation ping-pong, mixed)",
                     RunHierarchyBench);
-  registry.Register("memcached_throughput",
-                    "simulated memcached req/s, stock vs. core-local tx fix",
-                    RunMemcachedThroughput);
-  registry.Register("apache_throughput",
-                    "simulated Apache req/s at peak / drop-off / fixed",
-                    RunApacheThroughput);
   registry.Register("parallel_engine",
                     "epoch-engine wall-clock: legacy loop vs exact vs sampled "
                     "on the 16-core memcached scenario",
@@ -581,20 +445,46 @@ void RegisterBuiltinBenches(BenchRegistry& registry) {
                     "(top-2 types x all fixes, ranked deltas)",
                     RunWhatIfSmoke);
 
-  // Paper-table reproductions (standalone bench/ programs run from here).
-  static const char* kTablePrograms[] = {
-      "table_6_1_memcached_profile", "table_6_2_lockstat_memcached",
-      "table_6_3_oprofile_memcached", "table_6_4_6_5_apache_profile",
-      "table_6_6_lockstat_apache",   "table_6_7_history_collection",
-      "table_6_8_history_rates",     "table_6_9_overhead_breakdown",
-      "table_6_10_pairwise",         "figure_6_1_dataflow_skbuff",
-      "figure_6_2_ibs_overhead",     "figure_6_3_unique_paths",
-      "ablation_pairwise",           "ablation_sampling_rate",
-      "case_study_fixes"};
-  for (const char* name : kTablePrograms) {
-    registry.Register(
-        name, std::string("paper reproduction: runs the standalone bench_") + name,
-        [name](const BenchParams& params) { return RunTableProgram(name, params); });
+  // Paper reproductions (bench/*.cc): fixed seeds and lengths, rows as
+  // `<view>.<row key>.<column>` metrics.
+  static const struct {
+    const char* name;
+    const char* description;
+    BenchReport (*fn)(const BenchParams&);
+  } kReproductions[] = {
+      {"table_6_1_memcached_profile", "paper Table 6.1: memcached data profile",
+       RunTable61MemcachedProfile},
+      {"table_6_2_lockstat_memcached", "paper Table 6.2: lock-stat under memcached",
+       RunTable62LockstatMemcached},
+      {"table_6_3_oprofile_memcached", "paper Table 6.3: function profile of memcached",
+       RunTable63OprofileMemcached},
+      {"table_6_4_6_5_apache_profile",
+       "paper Tables 6.4/6.5: Apache data profiles at peak and drop-off",
+       RunTable64And65ApacheProfile},
+      {"table_6_6_lockstat_apache", "paper Table 6.6: lock-stat under Apache at drop-off",
+       RunTable66LockstatApache},
+      {"table_6_7_history_collection", "paper Table 6.7: history collection time and overhead",
+       RunTable67HistoryCollection},
+      {"table_6_8_history_rates", "paper Table 6.8: history collection rates",
+       RunTable68HistoryRates},
+      {"table_6_9_overhead_breakdown", "paper Table 6.9: history overhead breakdown",
+       RunTable69OverheadBreakdown},
+      {"table_6_10_pairwise", "paper Table 6.10: pairwise-sampling collection",
+       RunTable610Pairwise},
+      {"figure_6_1_dataflow_skbuff", "paper Figure 6-1: skbuff data flow view",
+       RunFigure61DataflowSkbuff},
+      {"figure_6_2_ibs_overhead", "paper Figure 6-2: IBS overhead vs sampling rate",
+       RunFigure62IbsOverhead},
+      {"figure_6_3_unique_paths", "paper Figure 6-3: unique paths vs history sets",
+       RunFigure63UniquePaths},
+      {"ablation_pairwise", "ablation: pairwise vs single-offset path reconstruction",
+       RunAblationPairwise},
+      {"ablation_sampling_rate", "ablation: data-profile fidelity vs IBS sampling rate",
+       RunAblationSamplingRate},
+      {"case_study_fixes", "paper §6.1/§6.2 fixes: req/s before and after", RunCaseStudyFixes},
+  };
+  for (const auto& r : kReproductions) {
+    registry.Register(r.name, r.description, r.fn, /*reproduction=*/true);
   }
 }
 

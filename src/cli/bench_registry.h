@@ -1,9 +1,14 @@
 // The bench registry behind `dprof bench <name> [--json]`.
 //
-// Each bench is a named function producing a flat list of metrics. CI runs
-// `dprof bench micro_costs --json` and archives the document, so every PR
-// gets a perf trajectory baseline; new benchmarks plug in with one
-// Register() call.
+// Each bench is a named function producing a flat list of metrics. Two
+// kinds are registered:
+//  - host-cost benches (micro_costs, hierarchy, parallel_engine,
+//    whatif_smoke), which take --scale/--seed and which CI compares against
+//    the merge base;
+//  - paper reproductions (bench/*.cc: table_*, figure_*, ablation_*,
+//    case_study_fixes), which fix their own seeds and lengths, print their
+//    tables as text and emit each row as `<view>.<row key>.<column>`
+//    metrics, which ci/check_tables.py reads.
 
 #ifndef DPROF_SRC_CLI_BENCH_REGISTRY_H_
 #define DPROF_SRC_CLI_BENCH_REGISTRY_H_
@@ -24,7 +29,7 @@ struct BenchMetric {
 struct BenchReport {
   std::string bench;
   std::vector<BenchMetric> metrics;
-  // Free-form program output (paper-table reproductions); printed before the
+  // Free-form output (the paper reproductions' tables); printed before the
   // metrics in text mode, embedded as "output" in JSON.
   std::string text;
 };
@@ -41,18 +46,21 @@ struct BenchInfo {
   std::string name;
   std::string description;
   BenchFn fn;
+  // A paper reproduction: it fixes its own seeds and lengths, so the CLI
+  // rejects --scale and --seed for it.
+  bool reproduction = false;
 };
 
 class BenchRegistry {
  public:
-  bool Register(const std::string& name, const std::string& description, BenchFn fn);
+  bool Register(const std::string& name, const std::string& description, BenchFn fn,
+                bool reproduction = false);
 
   const BenchInfo* Find(const std::string& name) const;
   std::vector<std::string> Names() const;
   size_t size() const { return benches_.size(); }
 
-  // The registry with the built-in benches (micro_costs,
-  // memcached_throughput, apache_throughput) pre-registered.
+  // The registry with the built-in benches pre-registered.
   static BenchRegistry& Default();
 
  private:
@@ -60,12 +68,6 @@ class BenchRegistry {
 };
 
 void RegisterBuiltinBenches(BenchRegistry& registry);
-
-// Directory holding the standalone bench_* reproduction executables
-// (bench/table_*.cc et al.). The CLI sets this from argv[0] so the
-// registered paper-table benches can run them from one driver; when unset,
-// those benches report an error metric instead.
-void SetBenchProgramDir(const std::string& dir);
 
 // Renders `report` as the machine-readable JSON document
 // `dprof bench --json` prints.

@@ -55,8 +55,10 @@
 //                      without clock progress (run; default 256)
 //   --watchdog-seconds X  wall-clock budget before the watchdog ends the
 //                      run with a diagnostic (run; default 300)
-//   --seed N           machine seed (default 1)
-//   --scale X          bench iteration scale factor (default 1.0)
+//   --seed N           machine seed (default 1; not for paper reproductions,
+//                      which fix their own)
+//   --scale X          bench iteration scale factor (default 1.0; not for
+//                      paper reproductions)
 
 #include <cerrno>
 #include <cstdio>
@@ -541,7 +543,8 @@ int CmdBench(const std::vector<std::string>& args) {
     return 2;
   }
   ParsedFlags flags;
-  if (!ParseFlags(args, 3, "--json --scale --seed", &flags)) return 2;
+  if (!ParseFlags(args, 3, info->reproduction ? "--json" : "--json --scale --seed", &flags))
+    return 2;
 
   BenchParams params;
   params.scale = flags.scale;
@@ -557,12 +560,6 @@ int CmdBench(const std::vector<std::string>& args) {
 
 int Main(int argc, char** argv) {
   std::vector<std::string> args(argv, argv + argc);
-  if (!args.empty()) {
-    // The paper-table benches exec sibling bench_* binaries from our dir.
-    const std::string& self = args[0];
-    const size_t slash = self.rfind('/');
-    SetBenchProgramDir(slash == std::string::npos ? "." : self.substr(0, slash));
-  }
   if (args.size() < 2) return Usage(stderr);
   const std::string& command = args[1];
   if (command == "list") return CmdList();

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -155,10 +156,88 @@ TEST(ScenarioRunTest, RigTablesStayMappedAfterALargeFree) {
 TEST(BenchRegistryTest, BuiltinsAreRegistered) {
   BenchRegistry registry;
   RegisterBuiltinBenches(registry);
-  EXPECT_NE(registry.Find("micro_costs"), nullptr);
-  EXPECT_NE(registry.Find("memcached_throughput"), nullptr);
-  EXPECT_NE(registry.Find("apache_throughput"), nullptr);
+  for (const char* name : {"micro_costs", "hierarchy", "parallel_engine", "whatif_smoke"}) {
+    ASSERT_NE(registry.Find(name), nullptr) << name;
+    EXPECT_FALSE(registry.Find(name)->reproduction) << name;
+  }
+  const char* kReproductions[] = {
+      "table_6_1_memcached_profile", "table_6_2_lockstat_memcached",
+      "table_6_3_oprofile_memcached", "table_6_4_6_5_apache_profile",
+      "table_6_6_lockstat_apache",   "table_6_7_history_collection",
+      "table_6_8_history_rates",     "table_6_9_overhead_breakdown",
+      "table_6_10_pairwise",         "figure_6_1_dataflow_skbuff",
+      "figure_6_2_ibs_overhead",     "figure_6_3_unique_paths",
+      "ablation_pairwise",           "ablation_sampling_rate",
+      "case_study_fixes"};
+  for (const char* name : kReproductions) {
+    ASSERT_NE(registry.Find(name), nullptr) << name;
+    EXPECT_TRUE(registry.Find(name)->reproduction) << name;
+  }
+  EXPECT_EQ(registry.size(), 19u);
   EXPECT_EQ(registry.Find("no_such_bench"), nullptr);
+}
+
+// Reproductions run in the dprof process, one after another in a test: a
+// second run must see no state the first one left behind, and the rows come
+// out in table order.
+TEST(BenchRegistryTest, ReproductionRunsInProcessAndRepeats) {
+  BenchRegistry registry;
+  RegisterBuiltinBenches(registry);
+  const BenchInfo* info = registry.Find("table_6_6_lockstat_apache");
+  ASSERT_NE(info, nullptr);
+  const BenchReport first = info->fn(BenchParams{});
+  const BenchReport second = info->fn(BenchParams{});
+  ASSERT_EQ(first.metrics.size(), second.metrics.size());
+  for (size_t i = 0; i < first.metrics.size(); ++i) {
+    EXPECT_EQ(first.metrics[i].name, second.metrics[i].name);
+    EXPECT_EQ(first.metrics[i].value, second.metrics[i].value) << first.metrics[i].name;
+    EXPECT_EQ(first.metrics[i].unit, second.metrics[i].unit);
+  }
+  EXPECT_EQ(first.text, second.text);
+
+  // Lock rows in table order (descending overhead), futex lock first.
+  const std::string kOverhead = ".overhead_pct";
+  std::vector<double> overheads;
+  for (const BenchMetric& metric : first.metrics) {
+    const std::string& name = metric.name;
+    if (name.rfind("locks.", 0) == 0 && name.size() > kOverhead.size() &&
+        name.compare(name.size() - kOverhead.size(), kOverhead.size(), kOverhead) == 0) {
+      overheads.push_back(metric.value);
+    }
+  }
+  ASSERT_GE(overheads.size(), 2u);
+  EXPECT_EQ(first.metrics[0].name.rfind("locks.futex lock.", 0), 0u) << first.metrics[0].name;
+  for (size_t i = 1; i < overheads.size(); ++i) {
+    EXPECT_GE(overheads[i - 1], overheads[i]);
+  }
+
+  // A single JSON object: the first top-level value closes at the last byte,
+  // and the table text rides inside it as an escaped string.
+  const std::string json = BenchReportToJson(first);
+  ASSERT_EQ(json.front(), '{');
+  int depth = 0;
+  bool in_string = false;
+  size_t closes_at = std::string::npos;
+  for (size_t i = 0; i < json.size() && closes_at == std::string::npos; ++i) {
+    const char ch = json[i];
+    if (in_string) {
+      if (ch == '\\') {
+        ++i;
+      } else if (ch == '"') {
+        in_string = false;
+      }
+    } else if (ch == '"') {
+      in_string = true;
+    } else if (ch == '{' || ch == '[') {
+      ++depth;
+    } else if ((ch == '}' || ch == ']') && --depth == 0) {
+      closes_at = i;
+    }
+  }
+  EXPECT_EQ(closes_at, json.size() - 1);
+  EXPECT_EQ(json.find('\n'), std::string::npos);
+  EXPECT_NE(json.find("\"output\":\"===="), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"locks.futex lock.overhead_pct\""), std::string::npos);
 }
 
 TEST(BenchRegistryTest, MicroCostsJsonHasExpectedShape) {
