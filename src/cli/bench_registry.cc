@@ -303,12 +303,7 @@ BenchReport RunWhatIfSmoke(const BenchParams& params) {
   spec.collect_cycles = Scaled(params.scale, 2'000'000);
 
   const auto start = Clock::now();
-  RunSpec probe = spec;
-  probe.collect_histories = false;
-  probe.build_view_json = false;
-  const ScenarioReport baseline = RunScenario(registry, "memcached", probe);
-  const std::vector<WhatIfCandidate> candidates = AutoCandidates(baseline.profile, 2);
-  const WhatIfReport whatif = RunWhatIf(registry, "memcached", spec, candidates);
+  const WhatIfReport whatif = RunWhatIfAuto(registry, "memcached", spec, 2);
   report.metrics.push_back({"whatif_smoke_seconds", ElapsedNs(start) / 1e9, "s"});
 
   for (const WhatIfOutcome& out : whatif.outcomes) {

@@ -28,7 +28,7 @@
 //                      (pad_to_line, align, recolor, replicate, pin_home,
 //                      identity); repeatable
 //   --auto             whatif: search top profiled types x all fixes
-//   --top N            whatif: how many profiled types --auto explores
+//   --top N            whatif --auto: how many profiled types it explores
 //                      (default 3)
 //   --local-tx-queue   apply the memcached §6.1 workload fix: transmit on
 //                      the receiving core's queue (run, whatif)
@@ -60,6 +60,7 @@
 //   --scale X          bench iteration scale factor (default 1.0; not for
 //                      paper reproductions)
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -135,7 +136,7 @@ struct ParsedFlags {
   std::string drill_type;
   // whatif candidate selection.
   bool auto_search = false;
-  uint64_t top = 3;
+  uint64_t top = 0;  // 0 = not given: --auto explores 3 types
   std::vector<WhatIfCandidate> candidates;
 };
 
@@ -355,16 +356,24 @@ bool ParseFlags(const std::vector<std::string>& args, size_t start, std::string_
   return true;
 }
 
+// Scenarios and benches share one description column, as wide as the
+// longest name.
 int CmdList() {
-  std::printf("scenarios:\n");
   ScenarioRegistry& scenarios = ScenarioRegistry::Default();
+  BenchRegistry& benches = BenchRegistry::Default();
+  int width = 0;
+  for (const std::vector<std::string>& names : {scenarios.Names(), benches.Names()}) {
+    for (const std::string& name : names) {
+      width = std::max(width, static_cast<int>(name.size()));
+    }
+  }
+  std::printf("scenarios:\n");
   for (const std::string& name : scenarios.Names()) {
-    std::printf("  %-16s %s\n", name.c_str(), scenarios.Find(name)->description.c_str());
+    std::printf("  %-*s %s\n", width, name.c_str(), scenarios.Find(name)->description.c_str());
   }
   std::printf("\nbenches:\n");
-  BenchRegistry& benches = BenchRegistry::Default();
   for (const std::string& name : benches.Names()) {
-    std::printf("  %-24s %s\n", name.c_str(), benches.Find(name)->description.c_str());
+    std::printf("  %-*s %s\n", width, name.c_str(), benches.Find(name)->description.c_str());
   }
   return 0;
 }
@@ -476,6 +485,10 @@ int CmdWhatIf(const std::vector<std::string>& args) {
                  "dprof: whatif needs either --auto or at least one --type/--fix pair\n");
     return 2;
   }
+  if (flags.top > 0 && !flags.auto_search) {
+    std::fprintf(stderr, "dprof: --top applies only to --auto\n");
+    return 2;
+  }
 
   ScenarioRegistry& registry = ScenarioRegistry::Default();
   const RunSpec spec = SpecFromFlags(flags);
@@ -494,25 +507,13 @@ int CmdWhatIf(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  std::vector<WhatIfCandidate> candidates = flags.candidates;
-  if (flags.auto_search) {
-    // Seed the search with the baseline's top profiled types: a cheap
-    // profile-only run (reused as the diff baseline inside RunWhatIf would
-    // need identical shape, so we just pick types here and let RunWhatIf
-    // re-measure under measurement settings).
-    RunSpec probe = spec;
-    probe.build_view_json = false;
-    probe.collect_histories = false;
-    const ScenarioReport baseline = RunScenario(registry, name, probe);
-    candidates = AutoCandidates(baseline.profile, flags.top, baseline.num_sockets);
-    if (candidates.empty()) {
-      std::fprintf(stderr, "dprof: scenario '%s' produced no profiled types\n",
-                   name.c_str());
-      return 1;
-    }
+  const WhatIfReport report =
+      flags.auto_search ? RunWhatIfAuto(registry, name, spec, flags.top > 0 ? flags.top : 3)
+                        : RunWhatIf(registry, name, spec, flags.candidates);
+  if (report.outcomes.empty()) {
+    std::fprintf(stderr, "dprof: scenario '%s' produced no profiled types\n", name.c_str());
+    return 1;
   }
-
-  const WhatIfReport report = RunWhatIf(registry, name, spec, candidates);
   if (flags.json) {
     std::printf("%s\n", WhatIfReportToJson(report).c_str());
     return 0;

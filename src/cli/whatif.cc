@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "src/util/json_writer.h"
@@ -55,28 +56,46 @@ std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow
   return candidates;
 }
 
-WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
-                       const RunSpec& base_spec,
-                       const std::vector<WhatIfCandidate>& candidates) {
-  // Every experiment, the baseline included, is an independent
-  // deterministic simulation: job 0 is the baseline and job i + 1 is
-  // candidate i. Host threads claim jobs from one shared index and build
-  // each job's rig. The first job to claim the rig's allocator layout runs
-  // it; a later job with an equal layout drops its rig and reads the
-  // claimant's report after the join. The claim key may ignore every
-  // RunSpec field but the transforms, because MeasurementSpec fixes all the
-  // others: equal layouts are the same run, whichever job claimed first.
-  // Results land by index and the report is built after the join, so it
-  // never depends on thread count or completion order.
+namespace {
+
+// Job 0's run when the caller has already simulated it: the baseline's
+// report and the allocator layout key of the rig it ran on.
+struct BaselineRun {
+  AllocatorLayout key;
+  ScenarioReport report;
+};
+
+// The experiment pool behind RunWhatIf and RunWhatIfAuto. Every
+// experiment, the baseline included, is an independent deterministic
+// simulation: job 0 is the baseline and job i + 1 is candidate i. Host
+// threads claim jobs from one shared index and build each job's rig. The
+// first job to claim the rig's allocator layout runs it; a later job with an
+// equal layout drops its rig and reads the claimant's report after the
+// join. The claim key may ignore every RunSpec field but the transforms,
+// because MeasurementSpec fixes all the others: equal layouts are the same
+// run, whichever job claimed first. A `baseline_run` takes job 0's
+// claim before any candidate is built, so job 0 is not simulated again.
+// Results land by index and the report is built after the join, so it
+// never depends on thread count or completion order.
+WhatIfReport RunExperiments(const ScenarioRegistry& registry, const std::string& scenario,
+                            const RunSpec& base_spec,
+                            const std::vector<WhatIfCandidate>& candidates,
+                            std::optional<BaselineRun> baseline_run) {
   const size_t jobs = candidates.size() + 1;
   std::vector<ScenarioReport> runs(jobs);
   std::vector<size_t> claimant(jobs);  // the job whose run stands for each job
   std::map<AllocatorLayout, size_t> claims;
   std::mutex claims_mu;
+  size_t first_job = 0;
+  if (baseline_run) {
+    claims.emplace(std::move(baseline_run->key), 0);
+    runs[0] = std::move(baseline_run->report);
+    first_job = 1;
+  }
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const size_t workers = std::min<size_t>(
-      jobs, base_spec.threads > 0 ? static_cast<size_t>(base_spec.threads) : hw);
-  std::atomic<size_t> next{0};
+      jobs - first_job, base_spec.threads > 0 ? static_cast<size_t>(base_spec.threads) : hw);
+  std::atomic<size_t> next{first_job};
   auto run_jobs = [&]() {
     for (size_t job = next.fetch_add(1); job < jobs; job = next.fetch_add(1)) {
       RunSpec spec = MeasurementSpec(base_spec);
@@ -152,6 +171,28 @@ WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scen
               return a.candidate.Label() < b.candidate.Label();
             });
   return report;
+}
+
+}  // namespace
+
+WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
+                       const RunSpec& base_spec,
+                       const std::vector<WhatIfCandidate>& candidates) {
+  return RunExperiments(registry, scenario, base_spec, candidates, std::nullopt);
+}
+
+WhatIfReport RunWhatIfAuto(const ScenarioRegistry& registry, const std::string& scenario,
+                           const RunSpec& base_spec, size_t top_n) {
+  // The candidate probe is job 0's own run: the same measurement-shaped
+  // spec the pool would give the baseline, so its profile picks the
+  // candidates and its report is the diff baseline.
+  const RunSpec spec = MeasurementSpec(base_spec);
+  std::unique_ptr<ScenarioRig> rig = BuildScenarioRig(registry, scenario, spec);
+  BaselineRun baseline{rig->allocator->LayoutKey(), {}};
+  baseline.report = RunScenarioRig(std::move(rig), scenario, spec);
+  const std::vector<WhatIfCandidate> candidates =
+      AutoCandidates(baseline.report.profile, top_n, baseline.report.num_sockets);
+  return RunExperiments(registry, scenario, base_spec, candidates, std::move(baseline));
 }
 
 std::string WhatIfReportToTable(const WhatIfReport& report) {

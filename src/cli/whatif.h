@@ -8,7 +8,8 @@
 // deterministic simulations, so they share one pool of host threads, and
 // candidates that change no layout decision reuse another run's report;
 // the report carries no wall-clock and is byte-identical for any thread
-// count.
+// count. RunWhatIfAuto is the one `--auto` search: its candidate probe is
+// the baseline experiment itself, run once.
 
 #ifndef DPROF_SRC_CLI_WHATIF_H_
 #define DPROF_SRC_CLI_WHATIF_H_
@@ -87,6 +88,16 @@ std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow
 // runs on one host thread.
 WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
                        const RunSpec& base_spec, const std::vector<WhatIfCandidate>& candidates);
+
+// The --auto search: runs the baseline experiment (the measurement-shaped
+// `base_spec`), takes AutoCandidates(top_n) from its profile, then runs the
+// candidates as RunWhatIf would. The baseline's report and layout key are
+// job 0's result, so the probe that picks the candidates is not simulated a
+// second time, and the report equals RunWhatIf's over the same candidates
+// (`experiments_run` counts the baseline). No profiled types means no
+// outcomes.
+WhatIfReport RunWhatIfAuto(const ScenarioRegistry& registry, const std::string& scenario,
+                           const RunSpec& base_spec, size_t top_n);
 
 // Ranked human-readable table.
 std::string WhatIfReportToTable(const WhatIfReport& report);

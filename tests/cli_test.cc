@@ -1,17 +1,21 @@
 // Tests for the dprof CLI subsystem: scenario registration and lookup,
-// unknown-scenario handling, end-to-end scenario runs, and the shape of the
-// machine-readable JSON output.
+// unknown-scenario handling, end-to-end scenario runs, the shape of the
+// machine-readable JSON output, and the `dprof` binary's own surface
+// (listing layout, flag rejection).
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
+#include <sys/wait.h>
 
 // Sanitizer builds replace malloc, so glibc's allocator policy is not in play.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -262,6 +266,62 @@ TEST(BenchRegistryTest, MicroCostsJsonHasExpectedShape) {
   // Every metric carries a numeric value and a unit.
   EXPECT_NE(json.find("\"value\":"), std::string::npos);
   EXPECT_NE(json.find("\"unit\":"), std::string::npos);
+}
+
+// The built `dprof` binary's exit code and combined stdout/stderr for one
+// command line.
+struct CliResult {
+  int exit_code = -1;
+  std::string output;
+};
+
+CliResult RunDprof(const std::string& args) {
+  CliResult result;
+  FILE* pipe = popen((std::string(DPROF_BINARY) + " " + args + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return result;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    result.output.append(buf, n);
+  }
+  const int status = pclose(pipe);
+  if (status != -1 && WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+  return result;
+}
+
+// `dprof list` starts every scenario's and every bench's description in
+// one column, however long the longest name is.
+TEST(CliBinaryTest, ListAlignsEveryDescription) {
+  const CliResult list = RunDprof("list");
+  ASSERT_EQ(list.exit_code, 0) << list.output;
+  size_t entries = 0;
+  size_t column = std::string::npos;
+  std::istringstream lines(list.output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  ", 0) != 0) continue;  // a section heading or blank line
+    const size_t name_end = line.find(' ', 2);
+    ASSERT_NE(name_end, std::string::npos) << line;
+    const size_t description = line.find_first_not_of(' ', name_end);
+    ASSERT_NE(description, std::string::npos) << line;
+    if (column == std::string::npos) column = description;
+    EXPECT_EQ(description, column) << line;
+    ++entries;
+  }
+  ScenarioRegistry scenarios;
+  RegisterBuiltinScenarios(scenarios);
+  BenchRegistry benches;
+  RegisterBuiltinBenches(benches);
+  EXPECT_EQ(entries, scenarios.size() + benches.size());
+}
+
+// Like every other flag a command does not honour, whatif's --top errors
+// without --auto instead of being silently ignored.
+TEST(CliBinaryTest, WhatIfRejectsTopWithoutAuto) {
+  const CliResult result =
+      RunDprof("whatif conflict_demo --type pkt_stat --fix pad_to_line --top 9");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--top applies only to --auto"), std::string::npos)
+      << result.output;
 }
 
 }  // namespace

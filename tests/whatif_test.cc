@@ -2,9 +2,10 @@
 // identity transforms are byte-identical to plain runs (and reproduce the
 // golden stats fingerprints through the RunSpec path), every transform is
 // deterministic across host thread counts, candidates that share the
-// baseline's allocator layout really do reproduce its run, and pad-to-line
-// on conflict_demo's deliberately aliased type yields a positive measured
-// gain.
+// baseline's allocator layout really do reproduce its run, the --auto
+// search that reuses its probe as the baseline matches a probe followed by
+// an explicit search, and pad-to-line on conflict_demo's deliberately
+// aliased type yields a positive measured gain.
 
 #include <gtest/gtest.h>
 
@@ -243,6 +244,43 @@ TEST(WhatIfTest, SharedLayoutCandidatesReproduceTheirOwnRuns) {
         const WhatIfReport report = RunWhatIf(registry, scenario, whatif, candidates);
         EXPECT_EQ(report.outcomes.size(), 15u);
         EXPECT_EQ(report.experiments_run, 7u);
+      }
+    }
+  }
+}
+
+// RunWhatIfAuto picks its candidates from the baseline experiment's own
+// profile and hands that run to the pool as job 0. It must report exactly
+// what a separate probe (a measurement-shaped RunScenario) followed by
+// RunWhatIf reports, the experiment count included, at every thread count.
+TEST(WhatIfTest, AutoSearchEqualsProbeThenRunWhatIf) {
+  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  for (const char* scenario : {"memcached", "apache"}) {
+    for (const bool sampled : {false, true}) {
+      SCOPED_TRACE(std::string(scenario) + (sampled ? " sampled" : " exact"));
+      RunSpec spec;
+      spec.cores = 4;
+      spec.collect_cycles = 3'000'000;
+      spec.sampled = sampled;
+      RunSpec probe = spec;
+      probe.collect_histories = false;
+      probe.build_view_json = false;
+      const ScenarioReport baseline = RunScenario(registry, scenario, probe);
+      const std::vector<WhatIfCandidate> candidates =
+          AutoCandidates(baseline.profile, 3, baseline.num_sockets);
+      ASSERT_FALSE(candidates.empty());
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        spec.threads = threads;
+        const WhatIfReport expected = RunWhatIf(registry, scenario, spec, candidates);
+        const WhatIfReport report = RunWhatIfAuto(registry, scenario, spec, 3);
+        EXPECT_EQ(WhatIfReportToJson(report), WhatIfReportToJson(expected));
+        EXPECT_EQ(report.experiments_run, expected.experiments_run);
+        ASSERT_EQ(report.baseline_profile.size(), baseline.profile.size());
+        for (size_t i = 0; i < baseline.profile.size(); ++i) {
+          EXPECT_EQ(report.baseline_profile[i].type, baseline.profile[i].type);
+          EXPECT_EQ(report.baseline_profile[i].samples, baseline.profile[i].samples);
+        }
       }
     }
   }
