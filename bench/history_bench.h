@@ -29,6 +29,12 @@ struct HistoryBenchResult {
   double histories_per_second = 0.0;
   double elements_per_second = 0.0;
   HistoryOverhead breakdown;
+  // The cycles the timed collection actually charged, counted where they
+  // land rather than by the collector: every debug-register hit at the
+  // interrupt cost, plus every Machine::ChargeCycles (reservations and
+  // setup broadcasts). Equals breakdown.Total() when the collector's
+  // bookkeeping is right.
+  uint64_t charged_cycles = 0;
 };
 
 struct HistoryBenchConfig {
@@ -81,7 +87,11 @@ inline HistoryBenchResult RunHistoryBench(const WorkloadFactory& factory,
   // Timed collection of the requested number of sets.
   DProfOptions collect_options = options;
   DProfSession collect_session(rig->machine.get(), rig->allocator.get(), collect_options);
+  const uint64_t charged_before = rig->machine->charged_cycles();
   const uint64_t elapsed = collect_session.CollectHistories(type, config.sets);
+  const DebugRegisterFile& regs = collect_session.debug_registers();
+  result.charged_cycles = rig->machine->charged_cycles() - charged_before +
+                          regs.hits() * regs.costs().interrupt_cycles;
   result.histories = collect_session.histories(type).size();
   result.collection_seconds = static_cast<double>(elapsed) / kCyclesPerSecond;
   result.breakdown = collect_session.history_overhead(type);

@@ -40,6 +40,11 @@ SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry, const Sla
   slab_type_ = registry_->Register("slab", config_.slab_header_size);
   array_cache_type_ = registry_->Register("array_cache", 128);
   kmem_cache_type_ = registry_->Register("kmem_cache", 256);
+  // The allocator carves its descriptors itself (AllocMeta, GrowCache's
+  // on-slab header); their own kmem_caches never hand out an object.
+  MarkUnallocatable(slab_type_);
+  MarkUnallocatable(array_cache_type_);
+  MarkUnallocatable(kmem_cache_type_);
 
   SymbolTable& sym = machine_->symbols();
   fn_alloc_ = sym.Intern("kmem_cache_alloc_node");
@@ -105,7 +110,19 @@ Addr SlabAllocator::AllocMeta(TypeId type, uint32_t size) {
   return base;
 }
 
+void SlabAllocator::MarkUnallocatable(TypeId type) {
+  if (type >= unallocatable_.size()) {
+    unallocatable_.resize(static_cast<size_t>(type) + 1, 0);
+  }
+  unallocatable_[type] = 1;
+}
+
 Addr SlabAllocator::RegisterStatic(TypeId type, uint32_t size) {
+  // A static type stays out of the slab heap for good (Allocatable), so it
+  // must not have slab objects already.
+  const uint32_t cache_id = CacheIdOf(type);
+  DPROF_CHECK(cache_id == kNoCache || !caches_[cache_id].grown);
+  MarkUnallocatable(type);
   const Addr base = AllocMeta(type, size);
   statics_.push_back(MetaRange{base, size, type});
   // The paper's DProf learns statically-allocated objects from the
@@ -155,7 +172,9 @@ AllocatorLayout SlabAllocator::LayoutKey() const {
   AllocatorLayout key;
   key.caches.reserve(registry_->size());
   for (TypeId type = 0; type < static_cast<TypeId>(registry_->size()); ++type) {
-    key.caches.push_back(LayoutFor(type));
+    // A cache that never grows a slab reads its layout nowhere, so every
+    // layout of it is the same run.
+    key.caches.push_back(Allocatable(type) ? LayoutFor(type) : CacheLayout{});
   }
   key.static_arrays = static_array_log_;
   key.queries = query_log_;
@@ -302,6 +321,7 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
                      static_cast<uint32_t>(home_block / layout.obj_size)));
   }
 
+  cache.grown = true;
   arena.slabs.emplace_back();
   Slab& slab = arena.slabs.back();
   slab.cache_id = static_cast<uint32_t>(&cache - caches_.data());
@@ -424,6 +444,7 @@ void SlabAllocator::CommitFreeEvent(TypeId type, Addr base, uint32_t size, int c
 }
 
 Addr SlabAllocator::Alloc(CoreContext& ctx, TypeId type, FunctionId ip) {
+  DPROF_CHECK(Allocatable(type));
   KmemCache& cache = CacheFor(type);
   PerCoreCache& pc = cache.per_core[ctx.core()];
 

@@ -194,7 +194,9 @@ class SlabAllocator : public AllocatorIface {
   // Registers a statically allocated object (the paper resolves these via
   // executable debug info). Returns its base address in the simulated
   // static data segment. Setup-time only: never call from a driver running
-  // under the engine.
+  // under the engine. A type with a static range never gets slab objects:
+  // registering one that already has some, or allocating one afterwards,
+  // fails a check (see Allocatable).
   Addr RegisterStatic(TypeId type, uint32_t size);
 
   // Registers `count` statically placed objects of `type`, nominally
@@ -213,10 +215,20 @@ class SlabAllocator : public AllocatorIface {
   // RegisterStatic.
   bool HasTransform(TypeId type, TypeTransformKind kind);
 
+  // Whether Alloc may hand out objects of `type`: every type but the three
+  // descriptor types (slab, array_cache, kmem_cache) and the types that own
+  // a static range. Alloc checks it, so the kmem_cache of a type that is
+  // not allocatable never grows a slab and its layout is never read.
+  bool Allocatable(TypeId type) const {
+    return type >= unallocatable_.size() || unallocatable_[type] == 0;
+  }
+
   // Every layout decision the configured TransformSet made or will make:
-  // the cache layout of each registered type, then the logged
+  // the cache layout of each allocatable type (a fixed placeholder for the
+  // others, whose caches never hold an object), then the logged
   // RegisterStaticArray placements and HasTransform answers. Complete once
-  // the workload is installed, since all three are set-up time.
+  // the workload is installed, since all three are set-up time; a type
+  // that registers a static range later only makes the key stricter.
   AllocatorLayout LayoutKey() const;
   // Cache line size of the attached machine's hierarchy (the unit every
   // transform pads, aligns, or colors by).
@@ -281,6 +293,7 @@ class SlabAllocator : public AllocatorIface {
   struct KmemCache {
     TypeId type = kInvalidType;
     CacheLayout layout;  // LayoutFor(type), resolved once at cache creation
+    bool grown = false;    // has had a slab, so the type has had objects
     Addr struct_addr = 0;  // simulated kmem_cache struct
     std::unique_ptr<SimLock> lock;
     std::vector<PerCoreCache> per_core;
@@ -327,6 +340,7 @@ class SlabAllocator : public AllocatorIface {
   void DrainAlien(CoreContext& ctx, KmemCache& cache, PerCoreCache& pc);
   void ReturnToSlab(KmemCache& cache, Addr obj);
   Addr AllocMeta(TypeId type, uint32_t size);
+  void MarkUnallocatable(TypeId type);
   Addr BumpPages(Arena& arena, uint32_t num_pages, PageInfo info);
   void TouchLiveAccounting(KmemCache& cache, uint64_t now, int delta);
 
@@ -347,6 +361,8 @@ class SlabAllocator : public AllocatorIface {
 
   std::vector<KmemCache> caches_;
   std::vector<uint32_t> cache_by_type_;  // cache id per TypeId, kNoCache if none
+  // Nonzero per TypeId that is not Allocatable; grows with MarkUnallocatable.
+  std::vector<uint8_t> unallocatable_;
   std::vector<Arena> arenas_;  // one per core, plus the trailing meta arena
 
   std::vector<MetaRange> meta_ranges_;  // sorted by base

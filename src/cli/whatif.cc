@@ -73,7 +73,10 @@ struct BaselineRun {
 // equal layout drops its rig and reads the claimant's report after the
 // join. The claim key may ignore every RunSpec field but the transforms,
 // because MeasurementSpec fixes all the others: equal layouts are the same
-// run, whichever job claimed first. A `baseline_run` takes job 0's
+// run, whichever job claimed first. Transforms of types that can own no
+// slab object (the allocator's descriptor types, static types) leave the
+// key alone unless they move a static array or answer a HasTransform, so
+// such candidates share a claim too. A `baseline_run` takes job 0's
 // claim before any candidate is built, so job 0 is not simulated again.
 // Results land by index and the report is built after the join, so it
 // never depends on thread count or completion order.

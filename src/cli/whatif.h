@@ -82,7 +82,10 @@ std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow
 // transforms are the baseline's. Measurement runs disable phase-2 history
 // collection and view JSON so the throughput diff only sees the workload.
 // Experiments whose transforms leave every allocator layout decision equal
-// (SlabAllocator::LayoutKey) are simulated once and share the report.
+// (SlabAllocator::LayoutKey) are simulated once and share the report; a
+// transform of a type that cannot own slab objects (slab, array_cache,
+// kmem_cache, a static type) only counts through static-array placement
+// and HasTransform answers.
 // `base_spec.threads` sets how many host threads share the experiments, the
 // baseline among them (0 = hardware concurrency); each experiment itself
 // runs on one host thread.

@@ -574,7 +574,12 @@ class Machine {
 
   // Charges cycles to a core outside any driver step (PMU setup broadcasts,
   // interrupt handlers triggered by other cores).
-  void ChargeCycles(int core, uint64_t cycles) { clocks_[core] += cycles; }
+  void ChargeCycles(int core, uint64_t cycles) {
+    clocks_[core] += cycles;
+    charged_cycles_ += cycles;
+  }
+  // Every cycle ChargeCycles has charged, summed over cores.
+  uint64_t charged_cycles() const { return charged_cycles_; }
 
   CoreContext Context(int core);
 
@@ -589,6 +594,7 @@ class Machine {
   CacheHierarchy hierarchy_;
   SymbolTable symbols_;
   std::vector<uint64_t> clocks_;
+  uint64_t charged_cycles_ = 0;
   std::vector<CoreDriver*> drivers_;
   std::vector<Rng> rngs_;
   std::vector<MachineObserver*> observers_;

@@ -263,9 +263,49 @@ TEST_F(AllocFixture, AllocatorMetadataLivesInSimulatedMemory) {
   EXPECT_GT(recorder.array_cache_touches, 0);
 }
 
+// Only heap types can own slab objects: the allocator's descriptor types and
+// every type with a static range are refused at Alloc, and a static range
+// is refused to a type that already has slab objects.
+using SlabAllocatorDeathTest = AllocFixture;
+
+TEST_F(AllocFixture, OnlyHeapTypesAreAllocatable) {
+  const TypeId dev = registry.Register("device", 128);
+  EXPECT_TRUE(allocator.Allocatable(widget));
+  EXPECT_TRUE(allocator.Allocatable(dev));
+  allocator.RegisterStatic(dev, 128);
+  EXPECT_FALSE(allocator.Allocatable(dev));
+  EXPECT_FALSE(allocator.Allocatable(allocator.slab_type()));
+  EXPECT_FALSE(allocator.Allocatable(allocator.array_cache_type()));
+  EXPECT_FALSE(allocator.Allocatable(allocator.kmem_cache_type()));
+  // A type registered after the allocator was built starts allocatable.
+  EXPECT_TRUE(allocator.Allocatable(registry.Register("later", 32)));
+}
+
+TEST_F(SlabAllocatorDeathTest, AllocOfDescriptorTypeFails) {
+  CoreContext ctx = machine.Context(0);
+  EXPECT_DEATH(ctx.Alloc(allocator.slab_type(), fn), "Allocatable");
+  EXPECT_DEATH(ctx.Alloc(allocator.array_cache_type(), fn), "Allocatable");
+  EXPECT_DEATH(ctx.Alloc(allocator.kmem_cache_type(), fn), "Allocatable");
+}
+
+TEST_F(SlabAllocatorDeathTest, AllocOfStaticTypeFails) {
+  const TypeId dev = registry.Register("device", 128);
+  allocator.RegisterStatic(dev, 128);
+  CoreContext ctx = machine.Context(0);
+  EXPECT_DEATH(ctx.Alloc(dev, fn), "Allocatable");
+}
+
+TEST_F(SlabAllocatorDeathTest, RegisterStaticOfTypeWithSlabObjectsFails) {
+  CoreContext ctx = machine.Context(0);
+  ctx.Free(ctx.Alloc(widget, fn), fn);
+  EXPECT_DEATH(allocator.RegisterStatic(widget, 104), "grown");
+  EXPECT_DEATH(allocator.RegisterStaticArray(widget, 104, 2, 128, nullptr), "grown");
+}
+
 // The layout key of an allocator over `transforms` after a fixed set-up:
 // a 100-byte and a 256-byte type, one 64-byte static array at a 4 KiB
-// nominal stride, and one HasTransform query about "queried".
+// nominal stride, one RegisterStatic-only "device", and one HasTransform
+// query about "queried".
 AllocatorLayout LayoutAfterSetUp(const TransformSet& transforms, int sockets = 1) {
   MachineConfig machine_config;
   machine_config.hierarchy.num_cores = 4;
@@ -280,7 +320,9 @@ AllocatorLayout LayoutAfterSetUp(const TransformSet& transforms, int sockets = 1
   registry.Register("buffer", 256);
   const TypeId stat = registry.Register("stat", 64);
   const TypeId queried = registry.Register("queried", 128);
+  const TypeId device = registry.Register("device", 100);
   allocator.RegisterStaticArray(stat, 64, 4, 4096, nullptr);
+  allocator.RegisterStatic(device, 100);
   allocator.HasTransform(queried, TypeTransformKind::kReplicate);
   return allocator.LayoutKey();
 }
@@ -317,6 +359,33 @@ TEST(LayoutKeyTest, LayoutChangingTransformsChangeTheKey) {
       LayoutAfterSetUp(Only("queried", TypeTransformKind::kReplicate));
   EXPECT_FALSE(replicated == base);
   EXPECT_TRUE(replicated.caches == base.caches);
+}
+
+// The descriptor types' and static types' kmem_caches never hold an object,
+// so no transform of them can move a run: each keeps the key, on one socket
+// and on two, even where the same transform of a heap type changes it.
+// ("device" is 100 bytes, so pad_to_line would resize a heap cache of it.)
+TEST(LayoutKeyTest, TransformsOfTypesWithoutSlabObjectsKeepTheKey) {
+  for (const int sockets : {1, 2}) {
+    const AllocatorLayout base = LayoutAfterSetUp({}, sockets);
+    for (const char* type : {"slab", "array_cache", "kmem_cache", "device"}) {
+      for (const TypeTransformKind kind :
+           {TypeTransformKind::kRecolor, TypeTransformKind::kPinHome,
+            TypeTransformKind::kPadToLine, TypeTransformKind::kAlign}) {
+        SCOPED_TRACE(std::string(type) + ":" + TypeTransformKindName(kind) +
+                     " sockets=" + std::to_string(sockets));
+        EXPECT_TRUE(LayoutAfterSetUp(Only(type, kind), sockets) == base);
+      }
+      EXPECT_TRUE(LayoutAfterSetUp(Only(type, TypeTransformKind::kPinHome, sockets - 1),
+                                   sockets) == base);
+    }
+  }
+  // The control: the same transforms of heap type widget move the key.
+  const AllocatorLayout base = LayoutAfterSetUp({});
+  for (const TypeTransformKind kind : {TypeTransformKind::kRecolor, TypeTransformKind::kPinHome,
+                                       TypeTransformKind::kPadToLine}) {
+    EXPECT_FALSE(LayoutAfterSetUp(Only("widget", kind)) == base);
+  }
 }
 
 TEST(LayoutKeyTest, PinHomeSocketIsPartOfTheKey) {
