@@ -110,7 +110,8 @@ int Usage(FILE* out) {
                "  --watchdog-stall-epochs N  stall budget before diagnostic (run)\n"
                "  --watchdog-seconds X  wall-clock budget before diagnostic (run)\n"
                "  --seed N      machine seed (default 1)\n"
-               "  --scale X     bench iteration scale (bench; default 1.0)\n");
+               "  --scale X     bench iteration scale (bench; default 1.0)\n"
+               "  --help, -h    print this text (any command)\n");
   return out == stdout ? 0 : 2;
 }
 
@@ -563,12 +564,15 @@ int Main(int argc, char** argv) {
   std::vector<std::string> args(argv, argv + argc);
   if (args.size() < 2) return Usage(stderr);
   const std::string& command = args[1];
+  const auto is_help = [](const std::string& arg) { return arg == "--help" || arg == "-h"; };
+  if (command == "help" || std::any_of(args.begin() + 1, args.end(), is_help)) {
+    return Usage(stdout);
+  }
   if (command == "list") return CmdList();
   if (command == "run") return CmdRun(args);
   if (command == "whatif") return CmdWhatIf(args);
   if (command == "bench") return CmdBench(args);
   if (command == "crashtest") return CmdCrashtest(args);
-  if (command == "help" || command == "--help" || command == "-h") return Usage(stdout);
   std::fprintf(stderr, "dprof: unknown command '%s'\n", command.c_str());
   return Usage(stderr);
 }

@@ -8,8 +8,10 @@ namespace dprof {
 
 void CoreRecorder::Grow() {
   const size_t new_cap = capacity == 0 ? 4096 : capacity * 2;
-  auto new_lane = std::make_unique<Lane[]>(new_cap);
-  auto new_meta = std::make_unique<Meta[]>(new_cap);
+  // Default-initialised, not zeroed: every push writes its whole record, so
+  // capacity a run never reaches is never faulted in.
+  std::unique_ptr<Lane[]> new_lane(new Lane[new_cap]);
+  std::unique_ptr<Meta[]> new_meta(new Meta[new_cap]);
   if (n > 0) {
     __builtin_memcpy(new_lane.get(), lane, n * sizeof(Lane));
     __builtin_memcpy(new_meta.get(), meta, n * sizeof(Meta));

@@ -320,8 +320,9 @@ class CacheHierarchy {
   };
 
   // Directory metadata embedded in every L3 lattice way. The core masks are
-  // 64 bits wide to match Engine::kMaxCores.
-  struct WayMeta {
+  // 64 bits wide to match Engine::kMaxCores. Packed: an aligned word would
+  // carry 6 padding bytes in each of the lattice's ways.
+  struct __attribute__((packed)) WayMeta {
     uint64_t sharers = 0;           // cores whose private caches may hold the line
     uint64_t invalidated_from = 0;  // cores that lost the line to a remote write
     int8_t owner = -1;              // core with a dirty copy, or -1
@@ -330,13 +331,14 @@ class CacheHierarchy {
     // sets both bits (an exclusive L2 silently propagates its bit to an L1
     // refill, with no directory access), so a clear bit guarantees that
     // level holds no exclusive tag — the foreign-read downgrade skips its
-    // probe. Fits the struct's padding bytes.
+    // probe.
     uint8_t excl_levels = 0;
 
     bool HasState() const {
       return sharers != 0 || invalidated_from != 0 || owner >= 0;
     }
   };
+  static_assert(sizeof(WayMeta) == 18, "directory word is packed");
 
   // Result of one fused probe+fill scan over a private set row: the
   // matching way (probe), or the first invalid way when there is no match —
@@ -506,12 +508,13 @@ class CacheHierarchy {
   Level l1_;
   Level l2_;
 
-  // One live directory-extension way.
-  struct ExtWay {
+  // One live directory-extension way, packed with its directory word.
+  struct __attribute__((packed)) ExtWay {
     uint64_t tag;
     uint64_t stamp;
     WayMeta meta;
   };
+  static_assert(sizeof(ExtWay) == 34, "extension way is packed");
 
   // The L3 tag lattice. Data ways are dense per-set rows (`l3_ways_` tags,
   // one or two host cache lines) — the hot scans touch only these. Each

@@ -324,5 +324,19 @@ TEST(CliBinaryTest, WhatIfRejectsTopWithoutAuto) {
       << result.output;
 }
 
+// `--help` or `-h` after any command prints the usage text `dprof help`
+// prints and exits 0, before the command checks its arguments.
+TEST(CliBinaryTest, HelpAfterAnyCommandPrintsUsage) {
+  const CliResult help = RunDprof("help");
+  ASSERT_EQ(help.exit_code, 0) << help.output;
+  for (const char* args : {"run --help", "whatif --help", "bench --help", "crashtest --help",
+                           "run memcached -h"}) {
+    SCOPED_TRACE(args);
+    const CliResult result = RunDprof(args);
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_EQ(result.output, help.output);
+  }
+}
+
 }  // namespace
 }  // namespace dprof

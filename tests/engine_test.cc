@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "src/machine/engine.h"
 #include "src/util/stats.h"
 
@@ -31,40 +34,54 @@ TEST(EngineTest, RecordedStreamMatchesDirectModeForIndependentCores) {
     }
     uint64_t steps = 0;
   };
-
-  MachineConfig config;
-  config.hierarchy.num_cores = 2;
-  uint64_t direct_clock[2];
-  uint64_t direct_steps[2];
-  {
+  struct Run {
+    uint64_t clock[2] = {0, 0};
+    uint64_t steps[2] = {0, 0};
+    uint64_t epochs = 0;
+  };
+  // Runs both drivers for `cycles`, on the engine when `epoch_cycles` > 0.
+  const auto run = [](uint64_t cycles, uint64_t epoch_cycles) {
+    MachineConfig config;
+    config.hierarchy.num_cores = 2;
     Machine machine(config);
     Driver drivers[2];
     machine.SetDriver(0, &drivers[0]);
     machine.SetDriver(1, &drivers[1]);
-    machine.RunFor(50'000);
-    for (int c = 0; c < 2; ++c) {
-      direct_clock[c] = machine.CoreClock(c);
-      direct_steps[c] = drivers[c].steps;
+    std::optional<Engine> engine;
+    if (epoch_cycles > 0) {
+      engine.emplace(&machine, EngineConfig{1, epoch_cycles});
+      machine.SetExecutor(&*engine);
     }
-  }
-  {
-    Machine machine(config);
-    Driver drivers[2];
-    machine.SetDriver(0, &drivers[0]);
-    machine.SetDriver(1, &drivers[1]);
-    Engine engine(&machine, EngineConfig{1, 10'000});
-    machine.SetExecutor(&engine);
-    machine.RunFor(50'000);
-    // Epoch boundaries quantize where the run stops, so allow the engine to
-    // overshoot the deadline; per-step costs must agree, so clock and step
-    // counts stay proportional.
+    machine.RunFor(cycles);
+    Run out;
     for (int c = 0; c < 2; ++c) {
-      EXPECT_GE(machine.CoreClock(c), direct_clock[c]);
-      EXPECT_GE(drivers[c].steps, direct_steps[c]);
-      // Same per-step cost: clock difference explained by whole extra steps.
-      const uint64_t extra_steps = drivers[c].steps - direct_steps[c];
-      const uint64_t per_step = direct_clock[c] / direct_steps[c];
-      EXPECT_EQ(machine.CoreClock(c) - direct_clock[c], extra_steps * per_step);
+      out.clock[c] = machine.CoreClock(c);
+      out.steps[c] = drivers[c].steps;
+    }
+    out.epochs = engine ? engine->epochs_run() : 0;
+    return out;
+  };
+
+  // The long epoch records more than a core recorder's initial 4,096 ops
+  // per core, so its columns grow mid-epoch.
+  for (const uint64_t epoch_cycles : {10'000u, 50'000u}) {
+    SCOPED_TRACE(epoch_cycles);
+    const Run engine = run(50'000, epoch_cycles);
+    // Epoch boundaries quantize where the run stops, so the engine may
+    // overshoot the deadline. Both cores run the same step sequence, so a
+    // direct run to where the engine stopped must take the same steps to
+    // the same clocks.
+    const Run direct = run(std::min(engine.clock[0], engine.clock[1]), 0);
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_GE(engine.clock[c], 50'000u);
+      EXPECT_EQ(engine.clock[c], direct.clock[c]);
+      EXPECT_EQ(engine.steps[c], direct.steps[c]);
+    }
+    if (epoch_cycles == 50'000u) {
+      // Each step records two ops (a one-line write and a compute burst), so
+      // an epoch averaging over 2,048 steps on core 0 outgrew 4,096 ops.
+      ASSERT_GT(engine.epochs, 0u);
+      EXPECT_GT(engine.steps[0] / engine.epochs, 2048u);
     }
   }
 }
