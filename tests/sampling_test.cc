@@ -130,6 +130,80 @@ TEST(SamplingTest, CustomPeriodAndWindowAreHonored) {
   EXPECT_LT(r.sampling.scale, 10.0);
 }
 
+// Sampled-mode fingerprints: the default `dprof run memcached --sampled`
+// (phase 1 plus history collection, whose watchpoints fire inside
+// fast-forward epochs) and a measurement-shaped sampled run (no histories,
+// no view JSON, as whatif runs its experiments). Recorded from the engine
+// itself, so they pin the fast-forward commit path against drift: every
+// lattice counter, the throughput and sample counts, the epoch split and
+// the honesty ladder's verdict.
+struct SampledFingerprint {
+  bool collect_histories;
+  HierarchyTotals totals;
+  uint64_t requests;
+  uint64_t access_samples;
+  uint64_t detailed_epochs;
+  uint64_t ff_epochs;
+  uint64_t measured_accesses;
+  uint64_t ff_accesses;
+  bool degraded;
+  uint64_t violations;
+  bool window_widened;
+  bool exact_fallback;
+};
+
+const SampledFingerprint kSampledFingerprints[] = {
+    {true,
+     HierarchyTotals{890903, 430223, 460680,
+                     {430223, 98824, 87239, 195431, 79186},
+                     157506, 0, 0, 0, 0},
+     159292, 1216, 2553, 2168, 890647, 13849128, false, 0, false, false},
+    {false,
+     HierarchyTotals{246425, 123581, 122844,
+                     {123581, 19317, 17707, 48573, 37247},
+                     34668, 0, 0, 0, 0},
+     34988, 1216, 187, 414, 246169, 3006656, false, 0, false, false},
+};
+
+TEST(SamplingTest, SampledRunsMatchRecordedFingerprint) {
+  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  for (const SampledFingerprint& want : kSampledFingerprints) {
+    SCOPED_TRACE(want.collect_histories ? "memcached --sampled"
+                                        : "memcached --sampled, measurement-shaped");
+    RunSpec spec;
+    spec.sampled = true;
+    spec.collect_histories = want.collect_histories;
+    spec.build_view_json = want.collect_histories;
+    const ScenarioReport r = RunScenario(registry, "memcached", spec);
+    const HierarchyTotals& got = r.hierarchy;
+    EXPECT_EQ(got.accesses, want.totals.accesses);
+    EXPECT_EQ(got.l1_hits, want.totals.l1_hits);
+    EXPECT_EQ(got.l1_misses, want.totals.l1_misses);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(got.served[i], want.totals.served[i]) << "served level " << i;
+    }
+    EXPECT_EQ(got.invalidation_misses, want.totals.invalidation_misses);
+    EXPECT_EQ(got.tag_reclaims, want.totals.tag_reclaims);
+    EXPECT_EQ(got.back_invalidations, want.totals.back_invalidations);
+    EXPECT_EQ(got.remote_fills, want.totals.remote_fills);
+    EXPECT_EQ(got.cross_socket_back_invalidations,
+              want.totals.cross_socket_back_invalidations);
+    EXPECT_EQ(r.requests, want.requests);
+    EXPECT_EQ(r.access_samples, want.access_samples);
+    EXPECT_EQ(r.sampling.detailed_epochs, want.detailed_epochs);
+    EXPECT_EQ(r.sampling.ff_epochs, want.ff_epochs);
+    EXPECT_EQ(r.sampling.measured_accesses, want.measured_accesses);
+    EXPECT_EQ(r.sampling.ff_accesses, want.ff_accesses);
+    EXPECT_EQ(r.degraded, want.degraded);
+    EXPECT_EQ(r.sampling_violations, want.violations);
+    EXPECT_EQ(r.sampling_window_widened, want.window_widened);
+    EXPECT_EQ(r.sampling_exact_fallback, want.exact_fallback);
+    // Guards the fingerprint's own coverage: a run that stopped
+    // fast-forwarding would pin exact mode only.
+    EXPECT_GT(r.sampling.ff_epochs, 0u);
+  }
+}
+
 TEST(SamplingTest, WilsonIntervalIsSaneAndFloored) {
   // 500 of 1000: symmetric interval around 50%, at least the floor wide.
   SamplingInterval i = SamplingController::WilsonCI(500, 1000, 2.5);
