@@ -343,15 +343,13 @@ BenchReport RunParallelEngine(const BenchParams& params) {
   };
 
   // Per-phase wall-clock breakdown rides along with each engine row, so
-  // phase shares are measured rather than estimated. deliver is a subset of
-  // commit (delivery runs inline at the end of each commit).
+  // phase shares are measured rather than estimated.
   auto push_engine_run = [&report](const std::string& prefix, double seconds,
                                    const ScenarioReport& r) {
     report.metrics.push_back({prefix + "_seconds", seconds, "s"});
     report.metrics.push_back({prefix + "_simulate_seconds", r.engine_simulate_seconds, "s"});
     report.metrics.push_back({prefix + "_apply_seconds", r.engine_apply_seconds, "s"});
     report.metrics.push_back({prefix + "_commit_seconds", r.engine_commit_seconds, "s"});
-    report.metrics.push_back({prefix + "_deliver_seconds", r.engine_deliver_seconds, "s"});
   };
 
   const double legacy_s = run_once(false, false);

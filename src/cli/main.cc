@@ -65,6 +65,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -135,7 +136,9 @@ struct ParsedFlags {
   uint64_t watchdog_stall_epochs = 0;
   double watchdog_seconds = 0.0;
   std::string drill_type;
-  // whatif candidate selection.
+  // whatif candidate selection. type_unpaired: the last --type has no --fix
+  // after it.
+  bool type_unpaired = false;
   bool auto_search = false;
   uint64_t top = 0;  // 0 = not given: --auto explores 3 types
   std::vector<WhatIfCandidate> candidates;
@@ -326,6 +329,7 @@ bool ParseFlags(const std::vector<std::string>& args, size_t start, std::string_
       const char* v = next_value("--type");
       if (v == nullptr) return false;
       flags->drill_type = v;
+      flags->type_unpaired = true;
     } else if (arg == "--fix") {
       const char* v = next_value("--fix");
       if (v == nullptr) return false;
@@ -343,6 +347,7 @@ bool ParseFlags(const std::vector<std::string>& args, size_t start, std::string_
         return false;
       }
       flags->candidates.push_back(WhatIfCandidate{flags->drill_type, kind, param});
+      flags->type_unpaired = false;
     } else if (arg == "--scale") {
       const char* v = next_value("--scale");
       if (v == nullptr) return false;
@@ -481,6 +486,11 @@ int CmdWhatIf(const std::vector<std::string>& args) {
                   "--sampled --sampling-period --sampling-window",
                   &flags))
     return 2;
+  if (flags.type_unpaired) {
+    std::fprintf(stderr, "dprof: whatif --type '%s' needs a --fix after it\n",
+                 flags.drill_type.c_str());
+    return 2;
+  }
   if (flags.auto_search == !flags.candidates.empty()) {
     std::fprintf(stderr,
                  "dprof: whatif needs either --auto or at least one --type/--fix pair\n");
@@ -506,6 +516,18 @@ int CmdWhatIf(const std::vector<std::string>& args) {
       std::fprintf(stderr, "dprof: pin_home@%d names a socket this topology lacks (%d)\n",
                    candidate.param, topo_probe.num_sockets);
       return 2;
+    }
+  }
+  if (!flags.candidates.empty()) {
+    // Every candidate must name a type the scenario registers. Building the
+    // rig registers them all; nothing is simulated.
+    const std::unique_ptr<ScenarioRig> rig = BuildScenarioRig(registry, name, spec);
+    for (const WhatIfCandidate& candidate : flags.candidates) {
+      if (rig->registry->Find(candidate.type) == kInvalidType) {
+        std::fprintf(stderr, "dprof: scenario '%s' has no type named '%s'\n", name.c_str(),
+                     candidate.type.c_str());
+        return 2;
+      }
     }
   }
   const WhatIfReport report =

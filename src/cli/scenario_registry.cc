@@ -104,6 +104,8 @@ std::string ValidateRunSpec(const RunSpec& spec) {
     if (!ParseFaultSeamList(spec.fault_seams, &mask, &error)) {
       return error;
     }
+  } else if (spec.fault_seed != 0) {
+    return "--fault-seed only applies to fault-injected runs; add --fault";
   }
   if (spec.watchdog_wall_seconds < 0.0) {
     return "--watchdog-seconds must be >= 0 (0 keeps the 300s default)";
@@ -348,7 +350,6 @@ ScenarioReport RunScenarioRig(std::unique_ptr<ScenarioRig> rig, const std::strin
     report.engine_simulate_seconds = stats.simulate_seconds;
     report.engine_apply_seconds = stats.apply_seconds;
     report.engine_commit_seconds = stats.commit_seconds;
-    report.engine_deliver_seconds = stats.deliver_seconds;
     report.engine_epochs = stats.epochs;
     report.status = engine->status();
     report.audits_run = engine->audits_run();

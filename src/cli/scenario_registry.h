@@ -288,7 +288,6 @@ struct ScenarioReport {
   double engine_simulate_seconds = 0.0;
   double engine_apply_seconds = 0.0;
   double engine_commit_seconds = 0.0;
-  double engine_deliver_seconds = 0.0;
   uint64_t engine_epochs = 0;
 };
 

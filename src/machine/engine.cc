@@ -34,6 +34,23 @@ static_assert(Engine::kMaxCores == 1 << kCoreBits,
 
 constexpr uint64_t kDoneKey = ~0ull;
 
+// Epoch length while Machine::epoch_focus() is set (a mailbox-fed type is
+// under study): mailbox deliveries resolve at near-legacy granularity,
+// closing the payload-type miss-rate drift of epoch batching, without paying
+// the extra epochs on every run. Fidelity data: kernel scenario size-1024
+// miss rate, legacy 69% vs engine 41% at 20k-cycle epochs, 57% at 2k
+// (tests/engine_validation_test.cc).
+constexpr uint64_t kEpochCyclesFocus = 2'000;
+
+// The apply pass merges recorded accesses in (t >> kApplyQuantumBits, core,
+// program order): cores' accesses interleave at quantum granularity instead
+// of op granularity. The legacy loop reorders at driver-step granularity
+// (one core runs a whole step before the min-clock scan picks the next), so
+// a quantum of the same order (2048 cycles) keeps coherence timing
+// comparable while giving the host long same-core runs — the simulated
+// L1/L2 state stays hot and the merge tree amortizes across runs.
+constexpr int kApplyQuantumBits = 11;
+
 uint64_t PackKey(uint64_t timestamp, int core) {
   return (timestamp << kCoreBits) | static_cast<uint64_t>(core);
 }
@@ -77,8 +94,7 @@ __attribute__((always_inline)) inline uint64_t MinKey(const uint64_t* keys, int 
   return MinKeyTree<64>(keys);
 }
 
-// Assembles the observer/hook-facing event for the access op at one lane
-// record; every emission site must agree on this unpacking.
+// Assembles the hook-facing event for the access op at one lane record.
 inline AccessEvent MakeAccessEvent(int core, const CoreRecorder::Lane& lane,
                                    FunctionId ip, uint32_t latency, uint64_t now) {
   AccessEvent event;
@@ -99,8 +115,6 @@ inline AccessEvent MakeAccessEvent(int core, const CoreRecorder::Lane& lane,
 Engine::Engine(Machine* machine, const EngineConfig& config)
     : machine_(machine), config_(config) {
   DPROF_CHECK(config_.epoch_cycles > 0);
-  DPROF_CHECK(config_.epoch_cycles_focus > 0);
-  DPROF_CHECK(config_.apply_quantum_bits >= 0 && config_.apply_quantum_bits < 32);
   DPROF_CHECK(machine_->num_cores() <= kMaxCores);
   if (config_.sampling.enabled) {
     sampler_ = std::make_unique<SamplingController>(config_.sampling);
@@ -115,6 +129,8 @@ Engine::Engine(Machine* machine, const EngineConfig& config)
 
 void Engine::RunFor(uint64_t cycles) {
   Machine& m = *machine_;
+  // Observers see every operation; the engine serves PMU hooks only.
+  DPROF_CHECK(m.observers_.empty());
   if (m.allocator_ != nullptr) {
     m.allocator_->CreateTypeCaches();
   }
@@ -159,8 +175,7 @@ void Engine::RunFor(uint64_t cycles) {
     // Adaptive epoch length: tight while a mailbox-fed type is under study
     // (focus is pure session state, so the choice — and therefore the
     // committed stream — is deterministic).
-    const uint64_t epoch =
-        m.epoch_focus() ? config_.epoch_cycles_focus : config_.epoch_cycles;
+    const uint64_t epoch = m.epoch_focus() ? kEpochCyclesFocus : config_.epoch_cycles;
     RunEpoch(min_clock, deadline, epoch);
     if (config_.audit_epochs > 0 && epochs_run_ % config_.audit_epochs == 0) {
       RunAudit();
@@ -225,12 +240,9 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   const int cores = m.num_cores();
   // The sampling schedule is a function of the committed min-clock, so the
   // choice — like everything downstream of it — is deterministic.
-  // Observers force detailed epochs: fast-forward has no events to deliver,
-  // so a sampled run with observers attached would silently starve them.
-  const bool want_detailed = sampler_ == nullptr || sampler_->BeginEpoch(min_clock);
-  ff_epoch_ = !want_detailed && m.observers_.empty();
-  // Fast-forward stretches coarsen the epoch: they skip the apply phase and
-  // deliver no events, so the usual epoch granularity only buys overhead.
+  ff_epoch_ = sampler_ != nullptr && !sampler_->BeginEpoch(min_clock);
+  // Fast-forward stretches coarsen the epoch: they skip the apply phase, so
+  // the usual epoch granularity only buys overhead.
   // The stretch ends at the next detailed window (FfRunway) and at the
   // config cap; both are functions of the committed clock, so the epoch
   // schedule stays deterministic.
@@ -297,7 +309,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     if (faults != nullptr && epoch_end > min_clock) {
       const uint32_t skew = faults->ClockSkew(c, epochs_run_);
       if (skew != 0) {
-        rec.PushCycles(SimOp::kIdle, rec.lb, skew, kInvalidFunction);
+        rec.Push(SimOp::kIdle, rec.lb, kNullAddr, skew);
         rec.ChargeExact(skew);
       }
     }
@@ -319,7 +331,6 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   for (EpochHook* hook : m.epoch_hooks_) {
     hook->OnEpochCommit(m.MaxClock());
   }
-  DeliverBatch();
   const auto t3 = Clock::now();
   phase_stats_.simulate_seconds += Seconds(t0, t1);
   phase_stats_.apply_seconds += Seconds(t1, t2);
@@ -347,15 +358,15 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
     const bool did_work = driver != nullptr && driver->Step(ctx);
     if (!did_work) {
       if (!rec.CoalesceCycles(SimOp::kIdle, kInvalidFunction, m.config_.idle_cycles)) {
-        rec.PushCycles(SimOp::kIdle, rec.lb, m.config_.idle_cycles, kInvalidFunction);
+        rec.Push(SimOp::kIdle, rec.lb, kNullAddr, m.config_.idle_cycles);
       }
       rec.ChargeExact(m.config_.idle_cycles);
     }
   }
 }
 
-// The apply pass merges in (t >> apply_quantum_bits, core, program order):
-// see EngineConfig::apply_quantum_bits. The quantized key also makes
+// The apply pass merges in (t >> kApplyQuantumBits, core, program order):
+// see kApplyQuantumBits. The quantized key also makes
 // same-core runs long (a core's whole quantum drains before the merge
 // switches), so the min-tree recomputes once per run, not per op — and each
 // drain is a single-core span handed to ApplyBatch. Drains gather into a
@@ -364,7 +375,7 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
 void Engine::ApplyGlobal() {
   Machine& m = *machine_;
   const int cores = m.num_cores();
-  const int qbits = config_.apply_quantum_bits;
+  constexpr int qbits = kApplyQuantumBits;
   // Lane faults (dropped / duplicated records) are keyed on the recorded
   // (core, timestamp, address) alone, and a drop recovers to the optimistic
   // lower-bound result. The window reserves one slot so a duplicate always
@@ -458,13 +469,12 @@ void Engine::ResyncSink() {
   Machine& m = *machine_;
   sink_.counting.clear();
   sink_.filtered.clear();
-  sink_.want_events = !m.observers_.empty();
   for (PmuHook* hook : m.pmu_hooks_) {
     Addr lo = 0;
     Addr hi = 0;
     if (hook->AccessFilter(&lo, &hi)) {
       sink_.filtered.push_back(FusedSink::Filtered{hook, lo, hi});
-    } else {
+    } else if (!ff_epoch_) {
       sink_.counting.push_back(hook);
     }
   }
@@ -504,9 +514,7 @@ void Engine::FlushQuiet(int core) {
 // minimum, their cross-core order — lock arbitration, allocation-event
 // order, sample and hit delivery into shared handlers — is identical to
 // the fully sequential per-op merge. The segments between them commit as
-// whole per-core batches: clock trajectories are unaffected, and only the
-// interleaving of *observer* spans across cores differs (deterministically)
-// from the per-op merge.
+// whole per-core batches; clock trajectories are unaffected.
 void Engine::CommitEpoch() {
   Machine& m = *machine_;
   const int cores = m.num_cores();
@@ -571,8 +579,7 @@ void Engine::CommitEpoch() {
         // Commits the segment up to the next sync op, stopping at (and
         // re-arbitrating before) any access a PMU hook can act on — unless
         // that access is the op just arbitrated, which dispatches now.
-        cursor = ff_epoch_ ? CommitRunFf(core, cursor, next_sync)
-                           : CommitRun(core, cursor, next_sync);
+        cursor = CommitRun(core, cursor, next_sync);
       }
       if (cursor >= count) {
         key = kDoneKey;
@@ -606,13 +613,38 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
   uint64_t probe_lat = probe_latency_[core];
   uint8_t probing = probe_active_[core];
   const uint64_t base_cost = m.config_.base_op_cost;
-  const bool want_events = sink_.want_events;
+  // Every op kind but kAccess advances only the clock and the probe state,
+  // the same way in both loops below.
+  auto commit_other = [&](uint32_t j, uint8_t k) __attribute__((always_inline)) {
+    if (k == SimOp::kCompute || k == SimOp::kIdle) {
+      clock += lanes[j].payload();
+    } else if (k == SimOp::kFfRun) {
+      // The estimate is base cost + estimated latency per access; probes
+      // integrate the latency share.
+      const uint64_t est = lanes[j].payload();
+      clock += est;
+      if (probing != 0) {
+        probe_lat += est - lanes[j].addr * base_cost;
+      }
+    } else if (k == SimOp::kProbeBegin) {
+      probing = 1;
+      probe_lat = 0;
+    } else {
+      DPROF_DCHECK(k == SimOp::kProbeEnd);
+      probing = 0;
+      double divisor = 1.0;
+      const uint64_t bits = lanes[j].payload();
+      __builtin_memcpy(&divisor, &bits, sizeof(double));
+      reinterpret_cast<RunningStat*>(lanes[j].addr)
+          ->Add(static_cast<double>(probe_lat) / divisor);
+    }
+  };
   uint32_t i = begin;
   // Passthrough: no hook can act on any access in this segment (counting
-  // hooks unbounded-quiet, no armed filters) and no observer wants events —
-  // the loop reduces to clock reconstruction. Hooks with an unbounded
-  // guarantee need no skip accounting, so the gate is bypassed entirely.
-  if (gate_unbounded_[core] != 0 && sink_.filtered.empty() && !want_events) {
+  // hooks unbounded-quiet or frozen, no armed filters) — the loop reduces to
+  // clock reconstruction. Hooks with an unbounded guarantee need no skip
+  // accounting, so the gate is bypassed entirely.
+  if (gate_unbounded_[core] != 0 && sink_.filtered.empty()) {
     for (; i < end; ++i) {
       const uint8_t k = metas[i].kind & CoreRecorder::kKindMask;
       if (k == SimOp::kAccess) {
@@ -621,19 +653,8 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
         if (probing != 0) {
           probe_lat += latency;
         }
-      } else if (k == SimOp::kCompute || k == SimOp::kIdle) {
-        clock += lanes[i].payload();
-      } else if (k == SimOp::kProbeBegin) {
-        probing = 1;
-        probe_lat = 0;
       } else {
-        DPROF_DCHECK(k == SimOp::kProbeEnd);
-        probing = 0;
-        double divisor = 1.0;
-        const uint64_t bits = lanes[i].payload();
-        __builtin_memcpy(&divisor, &bits, sizeof(double));
-        reinterpret_cast<RunningStat*>(lanes[i].addr)
-            ->Add(static_cast<double>(probe_lat) / divisor);
+        commit_other(i, k);
       }
     }
     m.clocks_[core] = clock;
@@ -645,68 +666,48 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
   uint64_t skipped = gate_skipped_[core];
   for (; i < end; ++i) {
     const uint8_t k = metas[i].kind & CoreRecorder::kKindMask;
-    if (k == SimOp::kAccess) {
-      const CoreRecorder::Lane& lane = lanes[i];
-      // Gate: can any PMU hook act on this access? Counting hooks are
-      // covered by the quiet budget; filtered hooks by the window check.
-      bool needs_hook = quiet == 0;
-      if (!needs_hook && !sink_.filtered.empty()) {
-        const uint32_t size = lane.size_w & ~CoreRecorder::kWriteBit;
-        for (const FusedSink::Filtered& f : sink_.filtered) {
-          if (lane.addr < f.hi && f.lo < lane.addr + size) {
-            needs_hook = true;
-            break;
-          }
+    if (k != SimOp::kAccess) {
+      commit_other(i, k);
+      continue;
+    }
+    const CoreRecorder::Lane& lane = lanes[i];
+    // Gate: can any PMU hook act on this access? Counting hooks are
+    // covered by the quiet budget; filtered hooks by the window check.
+    bool needs_hook = quiet == 0;
+    if (!needs_hook && !sink_.filtered.empty()) {
+      const uint32_t size = lane.size_w & ~CoreRecorder::kWriteBit;
+      for (const FusedSink::Filtered& f : sink_.filtered) {
+        if (lane.addr < f.hi && f.lo < lane.addr + size) {
+          needs_hook = true;
+          break;
         }
       }
-      if (needs_hook) {
-        if (i != begin) {
-          break;  // an arbitration point: hand back to the scheduler
-        }
-        // Sync the member state the dispatch path (hooks, gate flush,
-        // resync) reads and writes, then reload it.
-        m.clocks_[core] = clock;
-        probe_latency_[core] = probe_lat;
-        probe_active_[core] = probing;
-        gate_quiet_[core] = quiet;
-        gate_skipped_[core] = skipped;
-        DispatchAccess(core, i, m.clocks_[core]);
-        clock = m.clocks_[core];
-        probe_lat = probe_latency_[core];
-        probing = probe_active_[core];
-        quiet = gate_quiet_[core];
-        skipped = gate_skipped_[core];
-        continue;
+    }
+    if (needs_hook) {
+      if (i != begin) {
+        break;  // an arbitration point: hand back to the scheduler
       }
-      --quiet;
-      ++skipped;
-      const uint32_t latency = CoreRecorder::ResultLatency(lane.result);
-      clock += base_cost + latency;
-      if (probing != 0) {
-        probe_lat += latency;
-      }
-      if (want_events) {
-        EmitAccess(MakeAccessEvent(core, lane, metas[i].ip, latency, clock));
-      }
-    } else if (k == SimOp::kCompute) {
-      const uint64_t cycles = lanes[i].payload();
-      clock += cycles;
-      if (want_events) {
-        EmitCompute(ComputeEvent{core, metas[i].ip, cycles, clock});
-      }
-    } else if (k == SimOp::kIdle) {
-      clock += lanes[i].payload();
-    } else if (k == SimOp::kProbeBegin) {
-      probing = 1;
-      probe_lat = 0;
-    } else {
-      DPROF_DCHECK(k == SimOp::kProbeEnd);
-      probing = 0;
-      double divisor = 1.0;
-      const uint64_t bits = lanes[i].payload();
-      __builtin_memcpy(&divisor, &bits, sizeof(double));
-      reinterpret_cast<RunningStat*>(lanes[i].addr)
-          ->Add(static_cast<double>(probe_lat) / divisor);
+      // Sync the member state the dispatch path (hooks, gate flush,
+      // resync) reads and writes, then reload it.
+      m.clocks_[core] = clock;
+      probe_latency_[core] = probe_lat;
+      probe_active_[core] = probing;
+      gate_quiet_[core] = quiet;
+      gate_skipped_[core] = skipped;
+      DispatchAccess(core, i, m.clocks_[core]);
+      clock = m.clocks_[core];
+      probe_lat = probe_latency_[core];
+      probing = probe_active_[core];
+      quiet = gate_quiet_[core];
+      skipped = gate_skipped_[core];
+      continue;
+    }
+    --quiet;
+    ++skipped;
+    const uint32_t latency = CoreRecorder::ResultLatency(lane.result);
+    clock += base_cost + latency;
+    if (probing != 0) {
+      probe_lat += latency;
     }
   }
   m.clocks_[core] = clock;
@@ -714,92 +715,6 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
   probe_active_[core] = probing;
   gate_quiet_[core] = quiet;
   gate_skipped_[core] = skipped;
-  return i;
-}
-
-// Fast-forward commit: the epoch ran functional-only, so there are no apply
-// results to reconstruct from — kFfRun markers carry the accumulated
-// estimated charge, and the only kAccess ops are filter-window overlaps
-// recorded with a prefilled estimate. Counting hooks are frozen (no quiet
-// accounting, no OnAccess): IBS samples come exclusively from detailed
-// windows so the sample population matches the measured denominator. There
-// are never observers in a fast-forwarded epoch, so no events are emitted.
-uint32_t Engine::CommitRunFf(int core, uint32_t begin, uint32_t end) {
-  Machine& m = *machine_;
-  CoreRecorder& rec = recorders_[core];
-  const CoreRecorder::Lane* const lanes = rec.lane;
-  const CoreRecorder::Meta* const metas = rec.meta;
-  uint64_t clock = m.clocks_[core];
-  uint64_t probe_lat = probe_latency_[core];
-  uint8_t probing = probe_active_[core];
-  const uint64_t base_cost = m.config_.base_op_cost;
-  uint32_t i = begin;
-  for (; i < end; ++i) {
-    const uint8_t k = metas[i].kind & CoreRecorder::kKindMask;
-    if (k == SimOp::kFfRun) {
-      const uint64_t count = lanes[i].addr;
-      const uint64_t est = lanes[i].payload();
-      clock += est;
-      if (probing != 0) {
-        // The estimate is base cost + estimated latency per access; probes
-        // integrate the latency share.
-        probe_lat += est - count * base_cost;
-      }
-    } else if (k == SimOp::kAccess) {
-      const CoreRecorder::Lane& lane = lanes[i];
-      const uint32_t size = lane.size_w & ~CoreRecorder::kWriteBit;
-      bool needs_hook = false;
-      for (const FusedSink::Filtered& f : sink_.filtered) {
-        if (lane.addr < f.hi && f.lo < lane.addr + size) {
-          needs_hook = true;
-          break;
-        }
-      }
-      if (needs_hook && i != begin) {
-        break;  // an arbitration point: hand back to the scheduler
-      }
-      const uint32_t latency = CoreRecorder::ResultLatency(lane.result);
-      clock += base_cost + latency;
-      if (probing != 0) {
-        probe_lat += latency;
-      }
-      if (needs_hook) {
-        m.clocks_[core] = clock;
-        const AccessEvent event =
-            MakeAccessEvent(core, lane, metas[i].ip, latency, clock);
-        // Filtered hooks only — the watching debug registers see the access
-        // at its estimated latency; counting hooks stay untouched.
-        for (const FusedSink::Filtered& f : sink_.filtered) {
-          if (lane.addr < f.hi && f.lo < lane.addr + size) {
-            const uint64_t extra = f.hook->OnAccess(event);
-            if (extra != 0) {
-              m.clocks_[core] += extra;
-            }
-          }
-        }
-        // A handler may have (dis)armed a window.
-        ResyncSink();
-        RefreshQuiet(core);
-        clock = m.clocks_[core];
-      }
-    } else if (k == SimOp::kCompute || k == SimOp::kIdle) {
-      clock += lanes[i].payload();
-    } else if (k == SimOp::kProbeBegin) {
-      probing = 1;
-      probe_lat = 0;
-    } else {
-      DPROF_DCHECK(k == SimOp::kProbeEnd);
-      probing = 0;
-      double divisor = 1.0;
-      const uint64_t bits = lanes[i].payload();
-      __builtin_memcpy(&divisor, &bits, sizeof(double));
-      reinterpret_cast<RunningStat*>(lanes[i].addr)
-          ->Add(static_cast<double>(probe_lat) / divisor);
-    }
-  }
-  m.clocks_[core] = clock;
-  probe_latency_[core] = probe_lat;
-  probe_active_[core] = probing;
   return i;
 }
 
@@ -816,13 +731,21 @@ void Engine::DispatchAccess(int core, uint32_t index, uint64_t& clock) {
   }
   const AccessEvent event =
       MakeAccessEvent(core, lane, rec.meta[index].ip, latency, clock);
-  if (sink_.want_events) {
-    EmitAccess(event);
-  }
-  for (PmuHook* hook : m.pmu_hooks_) {
-    const uint64_t extra = hook->OnAccess(event);
-    if (extra != 0) {
-      clock += extra;
+  if (ff_epoch_) {
+    // Counting hooks are frozen: the watching debug registers alone see the
+    // access, at its estimated latency.
+    const uint32_t size = lane.size_w & ~CoreRecorder::kWriteBit;
+    for (const FusedSink::Filtered& f : sink_.filtered) {
+      if (lane.addr < f.hi && f.lo < lane.addr + size) {
+        clock += f.hook->OnAccess(event);
+      }
+    }
+  } else {
+    for (PmuHook* hook : m.pmu_hooks_) {
+      const uint64_t extra = hook->OnAccess(event);
+      if (extra != 0) {
+        clock += extra;
+      }
     }
   }
   // A handler may have (dis)armed a watchpoint or reset a countdown.
@@ -903,47 +826,6 @@ bool Engine::CommitSyncOp(int core, uint32_t index) {
       return true;
     }
   }
-}
-
-void Engine::EmitAccess(const AccessEvent& event) {
-  batch_.access.push_back(event);
-  if (!batch_.spans.empty() && batch_.spans.back().is_compute == 0) {
-    ++batch_.spans.back().count;
-  } else {
-    batch_.spans.push_back(
-        EventBatch::Span{0, static_cast<uint32_t>(batch_.access.size() - 1), 1});
-  }
-}
-
-void Engine::EmitCompute(const ComputeEvent& event) {
-  batch_.compute.push_back(event);
-  if (!batch_.spans.empty() && batch_.spans.back().is_compute == 1) {
-    ++batch_.spans.back().count;
-  } else {
-    batch_.spans.push_back(
-        EventBatch::Span{1, static_cast<uint32_t>(batch_.compute.size() - 1), 1});
-  }
-}
-
-void Engine::DeliverBatch() {
-  if (batch_.IsEmpty()) {
-    return;
-  }
-  const auto start = Clock::now();
-  Machine& m = *machine_;
-  for (const EventBatch::Span& span : batch_.spans) {
-    if (span.is_compute != 0) {
-      for (MachineObserver* obs : m.observers_) {
-        obs->OnComputeBatch(&batch_.compute[span.offset], span.count);
-      }
-    } else {
-      for (MachineObserver* obs : m.observers_) {
-        obs->OnAccessBatch(&batch_.access[span.offset], span.count);
-      }
-    }
-  }
-  phase_stats_.deliver_seconds += Seconds(start, Clock::now());
-  batch_.Clear();
 }
 
 }  // namespace dprof

@@ -13,15 +13,15 @@
 //      lower-bound timestamp.
 //   2. APPLY: one fused merge over the per-core queues applies the recorded
 //      accesses to the cache hierarchy in (timestamp quantum, core, program
-//      order) — see EngineConfig::apply_quantum_bits. Every merge drain is a
+//      order) — see kApplyQuantumBits in engine.cc. Every merge drain is a
 //      single-core span handed to CacheHierarchy::ApplyBatch; each op's
 //      packed latency/level/invalidation result is stored back into its
-//      lane record.
+//      lane record. Fast-forward epochs (sampled mode) skip this phase.
 //   3. COMMIT: exact core clocks are reconstructed — memory latencies, PMU
 //      interrupt charges, and lock waits accumulate per core — and every
-//      observer, PMU hook, lock observer, and allocation event fires with
-//      its committed clock. Observer events are delivered at the end of the
-//      commit; epoch hooks (mailboxes, allocator alien transfers) run last.
+//      PMU hook, lock observer, and allocation event fires with its
+//      committed clock. Epoch hooks (mailboxes, allocator alien transfers)
+//      run last.
 //
 // The commit pass is *segmented*. The only operations whose commit another
 // core can observe are sync ops (locks, allocator events) and PMU
@@ -31,12 +31,17 @@
 // so lock arbitration, allocation-event order, and sample/hit delivery
 // into shared handlers interleave identically to a fully sequential per-op
 // merge. Everything between those points advances only core-local state
-// and commits as whole per-core segments. Within a segment, PMU hooks are
-// consulted through the batch contract on PmuHook (QuietOps /
-// OnQuietAccessBatch / AccessFilter): an access only pays for event
-// assembly and virtual dispatch when some hook can actually act on it.
-// Observer delivery is span-based (MachineObserver::OnAccessBatch /
-// OnComputeBatch).
+// and commits as whole per-core segments through one commit loop
+// (CommitRun), for detailed and fast-forward epochs alike. Within a
+// segment, PMU hooks are consulted through the batch contract on PmuHook
+// (QuietOps / OnQuietAccessBatch / AccessFilter): an access only pays for
+// event assembly and virtual dispatch when some hook can actually act on
+// it.
+//
+// PMU hooks are the engine's only instrumentation, as on DProf's hardware
+// (IBS samples, debug-register watchpoints). MachineObservers, which see
+// every operation, are a direct-loop feature: RunFor refuses to run with
+// one attached.
 //
 // Phase 1 is core-local, phase 2 has a fixed merge order, and phase 3's
 // schedule is a pure function of the recorded queues and committed state,
@@ -62,21 +67,6 @@ struct EngineConfig {
   // lower-bound clocks within one simulate phase, and the granularity at
   // which cross-core mailboxes (EpochHook) exchange state.
   uint64_t epoch_cycles = 20'000;
-  // Adaptive epoch length used while Machine::epoch_focus() is set (a
-  // mailbox-fed type is under study): mailbox deliveries resolve at
-  // near-legacy granularity, closing the payload-type miss-rate drift of
-  // epoch batching, without paying the extra epochs on every run. Fidelity
-  // data: kernel scenario size-1024 miss rate, legacy 69% vs engine 41% at
-  // 20k-cycle epochs, 57% at 2k (tests/engine_validation_test.cc).
-  uint64_t epoch_cycles_focus = 2'000;
-  // The apply pass merges recorded accesses in (t >> apply_quantum_bits,
-  // core, program order): cores' accesses interleave at quantum granularity
-  // instead of op granularity. The legacy loop reorders at driver-step
-  // granularity (one core runs a whole step before the min-clock scan picks
-  // the next), so a quantum of the same order keeps coherence timing
-  // comparable while giving the host long same-core runs — the simulated
-  // L1/L2 state stays hot and the merge tree amortizes across runs.
-  int apply_quantum_bits = 11;  // 2048-cycle quanta; fidelity data in tests/engine_validation_test.cc
   // Unread; kept only until the benchmark (perfbench/op.cc) stops naming it.
   bool allow_record_elision = true;
   // Unread; kept only until the benchmark (perfbench/op.cc) stops naming it.
@@ -90,7 +80,7 @@ struct EngineConfig {
   // cost estimate and skip the tag lattice entirely. Allocator state,
   // lock/sync arbitration, and armed watchpoint windows stay exact; the
   // window schedule is a pure function of committed clocks, so sampled runs
-  // are deterministic. Epochs with observers attached always run detailed.
+  // are deterministic.
   SamplingConfig sampling{};
   // Invariant auditing: every audit_epochs epochs (0 = never) the engine
   // walks the tag lattice with an InvariantAuditor (src/sim/audit.h)
@@ -109,13 +99,11 @@ struct EngineConfig {
 };
 
 // Host wall-clock spent in each engine phase, accumulated across epochs.
-// deliver_seconds counts span delivery to observers, which runs inside the
-// commit phase and is therefore also inside commit_seconds.
 struct EnginePhaseStats {
   double simulate_seconds = 0.0;
   double apply_seconds = 0.0;
   double commit_seconds = 0.0;
-  double deliver_seconds = 0.0;
+  double deliver_seconds = 0.0;  // always 0; kept only until the benchmark stops naming it
   uint64_t epochs = 0;
   uint64_t elided_epochs = 0;  // always 0; kept only until the benchmark stops naming it
   uint64_t ff_epochs = 0;      // epochs fast-forwarded by the sampling controller
@@ -134,6 +122,7 @@ class Engine final : public Executor {
   Engine& operator=(const Engine&) = delete;
 
   // Executor: runs epochs until every core clock >= MinClock() + cycles.
+  // CHECK-fails when a MachineObserver is attached to the machine.
   void RunFor(uint64_t cycles) override;
 
   const EngineConfig& config() const { return config_; }
@@ -150,9 +139,11 @@ class Engine final : public Executor {
   uint64_t audits_run() const { return audits_run_; }
 
  private:
-  // Observer/PMU capability snapshot the commit pass branches on per run
-  // instead of per op. Rebuilt at every commit and after any operation that
-  // can rearm a hook (sync ops, full per-op dispatches).
+  // PMU capability snapshot the commit pass branches on per run instead of
+  // per op. Rebuilt at every commit and after any operation that can rearm
+  // a hook (sync ops, full per-op dispatches). A fast-forward epoch leaves
+  // the counting hooks out: they stay frozen, so IBS samples come only from
+  // detailed windows.
   struct FusedSink {
     struct Filtered {
       PmuHook* hook;
@@ -161,27 +152,6 @@ class Engine final : public Executor {
     };
     std::vector<PmuHook*> counting;   // consulted via QuietOps / skip batches
     std::vector<Filtered> filtered;   // consulted only on address overlap
-    bool want_events = false;         // any MachineObserver attached
-  };
-
-  // One epoch's observer-bound event stream: homogeneous spans over the two
-  // typed buffers, in exact commit order.
-  struct EventBatch {
-    struct Span {
-      uint8_t is_compute;
-      uint32_t offset;
-      uint32_t count;
-    };
-    std::vector<AccessEvent> access;
-    std::vector<ComputeEvent> compute;
-    std::vector<Span> spans;
-
-    bool IsEmpty() const { return spans.empty(); }
-    void Clear() {
-      access.clear();
-      compute.clear();
-      spans.clear();
-    }
   };
 
   // Runs one epoch starting at the committed min-clock. `epoch_cycles` is the
@@ -201,30 +171,21 @@ class Engine final : public Executor {
   // at the first access some PMU hook can act on — a cross-core-visible
   // effect that must re-arbitrate — and returns its index; the access at
   // `begin` itself, already arbitrated, dispatches immediately. Returns
-  // `end` when the whole segment committed.
+  // `end` when the whole segment committed. In a fast-forward epoch,
+  // kFfRun markers advance the clock by their accumulated estimate.
   uint32_t CommitRun(int core, uint32_t begin, uint32_t end);
-  // CommitRun for a fast-forwarded epoch: kFfRun markers advance the clock
-  // by their accumulated estimate; the only dispatchable accesses are the
-  // filter-window overlaps recorded with prefilled results, and they go to
-  // the filtered hooks only — counting hooks (IBS) are frozen across
-  // fast-forward stretches so sample counts stay proportional to measured
-  // windows.
-  uint32_t CommitRunFf(int core, uint32_t begin, uint32_t end);
   // Commits the sync op at `index`; returns false when the core parked on a
   // lock whose release is still pending (op not consumed).
   bool CommitSyncOp(int core, uint32_t index);
   // Full per-op path for an access some hook may act on: assembles the
-  // event, delivers it, and lets every PMU hook charge the core.
+  // event and lets the PMU hooks charge the core — every hook in a detailed
+  // epoch, only the filtered hooks whose window overlaps the access in a
+  // fast-forward epoch.
   void DispatchAccess(int core, uint32_t index, uint64_t& clock);
 
   void ResyncSink();
   void RefreshQuiet(int core);
   void FlushQuiet(int core);
-
-  void EmitAccess(const AccessEvent& event);
-  void EmitCompute(const ComputeEvent& event);
-  // Delivers the epoch's built batch to the observers and clears it.
-  void DeliverBatch();
 
   Machine* machine_;
   EngineConfig config_;
@@ -261,9 +222,6 @@ class Engine final : public Executor {
   uint64_t gate_quiet_[kMaxCores];
   uint64_t gate_skipped_[kMaxCores];
   uint8_t gate_unbounded_[kMaxCores];
-
-  // Observer delivery: filled by the commit pass, delivered at its end.
-  EventBatch batch_;
 };
 
 }  // namespace dprof

@@ -222,7 +222,7 @@ void CoreContext::Compute(FunctionId ip, uint64_t cycles) {
   Machine& m = *machine_;
   if (recorder_ != nullptr) {
     if (!recorder_->CoalesceCycles(SimOp::kCompute, ip, cycles)) {
-      recorder_->PushCycles(SimOp::kCompute, recorder_->lb, cycles, ip);
+      recorder_->Push(SimOp::kCompute, recorder_->lb, kNullAddr, cycles, ip);
     }
     recorder_->ChargeExact(cycles);
     return;
@@ -252,12 +252,7 @@ void CoreContext::LockAcquire(SimLock& lock, FunctionId ip) {
     // (arbitration point) instead of an acquire/done pair bracketing the
     // access.
     Access(ip, lock.word_, 8, true);
-    SimOp op;
-    op.kind = SimOp::kLockAcquire;
-    op.t = recorder_->lb;
-    op.addr = reinterpret_cast<Addr>(&lock);
-    op.ip = ip;
-    recorder_->Push(op);
+    recorder_->Push(SimOp::kLockAcquire, recorder_->lb, reinterpret_cast<Addr>(&lock), 0, ip);
     return;
   }
   uint64_t wait = 0;
@@ -278,12 +273,7 @@ void CoreContext::LockRelease(SimLock& lock, FunctionId ip) {
   Machine& m = *machine_;
   if (recorder_ != nullptr) {
     Access(ip, lock.word_, 8, true);
-    SimOp op;
-    op.kind = SimOp::kLockRelease;
-    op.t = recorder_->lb;
-    op.addr = reinterpret_cast<Addr>(&lock);
-    op.ip = ip;
-    recorder_->Push(op);
+    recorder_->Push(SimOp::kLockRelease, recorder_->lb, reinterpret_cast<Addr>(&lock), 0, ip);
     return;
   }
   DPROF_DCHECK(lock.holder_ == core_);
@@ -298,10 +288,7 @@ void CoreContext::LockRelease(SimLock& lock, FunctionId ip) {
 
 void CoreContext::BeginLatencyProbe() {
   if (recorder_ != nullptr) {
-    SimOp op;
-    op.kind = SimOp::kProbeBegin;
-    op.t = recorder_->lb;
-    recorder_->Push(op);
+    recorder_->Push(SimOp::kProbeBegin, recorder_->lb, kNullAddr, 0);
     return;
   }
   probing_ = true;
@@ -310,13 +297,10 @@ void CoreContext::BeginLatencyProbe() {
 
 void CoreContext::EndLatencyProbe(RunningStat* stat, double divisor) {
   if (recorder_ != nullptr) {
-    SimOp op;
-    op.kind = SimOp::kProbeEnd;
-    op.t = recorder_->lb;
-    op.addr = reinterpret_cast<Addr>(stat);
     static_assert(sizeof(double) == sizeof(uint64_t), "divisor packing");
-    __builtin_memcpy(&op.aux, &divisor, sizeof(double));
-    recorder_->Push(op);
+    uint64_t bits = 0;
+    __builtin_memcpy(&bits, &divisor, sizeof(double));
+    recorder_->Push(SimOp::kProbeEnd, recorder_->lb, reinterpret_cast<Addr>(stat), bits);
     return;
   }
   probing_ = false;
@@ -325,12 +309,8 @@ void CoreContext::EndLatencyProbe(RunningStat* stat, double divisor) {
 
 void CoreContext::NotifyAllocEvent(TypeId type, Addr base, uint32_t size) {
   if (recorder_ != nullptr) {
-    SimOp op;
-    op.kind = SimOp::kAllocEvent;
-    op.t = recorder_->lb;
-    op.addr = base;
-    op.aux = (static_cast<uint64_t>(type) << 32) | size;
-    recorder_->Push(op);
+    recorder_->Push(SimOp::kAllocEvent, recorder_->lb, base,
+                    (static_cast<uint64_t>(type) << 32) | size);
     return;
   }
   machine_->allocator_->CommitAllocEvent(type, base, size, core_, now());
@@ -338,13 +318,9 @@ void CoreContext::NotifyAllocEvent(TypeId type, Addr base, uint32_t size) {
 
 void CoreContext::NotifyFreeEvent(TypeId type, Addr base, uint32_t size, bool alien) {
   if (recorder_ != nullptr) {
-    SimOp op;
-    op.kind = SimOp::kFreeEvent;
-    op.t = recorder_->lb;
-    op.addr = base;
-    op.aux = (static_cast<uint64_t>(type) << 32) | size;
-    op.flag = alien;
-    recorder_->Push(op);
+    recorder_->Push(SimOp::kFreeEvent, recorder_->lb, base,
+                    (static_cast<uint64_t>(type) << 32) | size, kInvalidFunction,
+                    alien ? CoreRecorder::kAlienBit : 0);
     return;
   }
   machine_->allocator_->CommitFreeEvent(type, base, size, core_, now(), alien);

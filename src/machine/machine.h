@@ -16,12 +16,15 @@
 //    then applies and commits the queues in a deterministic order.
 //
 // All instrumentation attaches here:
-//  - MachineObserver: sees every access and compute operation (code profiler).
+//  - MachineObserver: sees every access and compute operation (code
+//    profiler). Direct loop only: the epoch engine refuses to run with one
+//    attached.
 //  - PmuHook: may raise "interrupts" by returning extra cycles to charge the
 //    executing core (IBS unit, debug registers). PMU overhead inflates core
 //    clocks — and therefore reduces workload throughput — without being
 //    attributed to workload functions, exactly how profiling overhead
-//    manifests on real hardware (paper Figure 6-2).
+//    manifests on real hardware (paper Figure 6-2). Both execution modes
+//    serve PMU hooks.
 
 #ifndef DPROF_SRC_MACHINE_MACHINE_H_
 #define DPROF_SRC_MACHINE_MACHINE_H_
@@ -59,35 +62,15 @@ struct AccessEvent {
   uint64_t now = 0;           // core clock after the access completed
 };
 
-// One compute burst, the span-delivery counterpart of the OnCompute virtual.
-struct ComputeEvent {
-  int core = 0;
-  FunctionId ip = kInvalidFunction;
-  uint64_t cycles = 0;
-  uint64_t now = 0;
-};
-
+// Sees every access and compute operation as it executes. Direct loop only
+// (RunSteps, executor-less RunFor, hand-driven contexts): whole-stream
+// instrumentation is what DProf's PMU-based design avoids, so the epoch
+// engine serves PmuHooks alone and CHECK-fails with an observer attached.
 class MachineObserver {
  public:
   virtual ~MachineObserver() = default;
   virtual void OnAccess(const AccessEvent& event) = 0;
   virtual void OnCompute(int core, FunctionId ip, uint64_t cycles, uint64_t now) = 0;
-
-  // Span-based delivery. The epoch engine accumulates contiguous runs of
-  // committed events and hands them over in batches instead of making one
-  // virtual call per operation. The defaults reproduce per-event dispatch
-  // exactly — same events, same order — so overriding is purely an
-  // optimization for hot observers (e.g. CodeProfiler).
-  virtual void OnAccessBatch(const AccessEvent* events, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      OnAccess(events[i]);
-    }
-  }
-  virtual void OnComputeBatch(const ComputeEvent* events, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      OnCompute(events[i].core, events[i].ip, events[i].cycles, events[i].now);
-    }
-  }
 };
 
 // Hardware performance-monitoring hook. Returns extra cycles (interrupt and
@@ -243,37 +226,27 @@ class EpochHook {
   virtual void OnEpochCommit(uint64_t now) = 0;
 };
 
-// One recorded simulation operation awaiting deterministic commit. This is
-// the recording-side value type; CoreRecorder stores it scattered across
-// structure-of-arrays columns so the apply and commit passes only pull the
-// fields they touch through cache.
+// The kinds of recorded simulation operation awaiting deterministic commit.
+// CoreRecorder stores each op across its lane/meta columns; the comments
+// name each kind's lane fields.
 struct SimOp {
   // Sync kinds (>= kFirstSync) interact with cross-core state at commit
   // time (locks, allocator events); they arbitrate on the global min-clock
   // rule and delimit the segments the commit pass batches between them.
   enum Kind : uint8_t {
-    kAccess,           // addr/size/is_write; lane.result receives the apply result
-    kCompute,          // aux = cycles
-    kIdle,             // aux = cycles
+    kAccess,           // addr, size | write bit; lane.result receives the apply result
+    kCompute,          // payload = cycles
+    kIdle,             // payload = cycles
     kProbeBegin,       // latency probe window opens
-    kProbeEnd,         // addr = RunningStat*, aux = divisor bits
+    kProbeEnd,         // addr = RunningStat*, payload = divisor bits
     kFfRun,            // engine-internal fast-forwarded run: addr = access
                        // count, payload = estimated cycles (sampled mode)
     kLockAcquire,      // addr = SimLock*; wait + acquire callback at commit
     kLockRelease,      // addr = SimLock*
-    kAllocEvent,       // addr = base, aux = type<<32 | size
-    kFreeEvent,        // addr = base, aux = type<<32 | size, flag = alien
+    kAllocEvent,       // addr = base, payload = type<<32 | size
+    kFreeEvent,        // addr = base, payload = type<<32 | size, kAlienBit = alien
   };
   static constexpr Kind kFirstSync = kLockAcquire;
-
-  uint64_t t = 0;  // issuing core's lower-bound clock when recorded
-  Addr addr = kNullAddr;
-  uint64_t aux = 0;
-  FunctionId ip = kInvalidFunction;
-  uint32_t size = 0;
-  Kind kind = kAccess;
-  bool is_write = false;
-  bool flag = false;
 };
 
 // Per-core operation queue filled during the engine's simulate phase. `lb`
@@ -351,28 +324,25 @@ class CoreRecorder {
   size_t size() const { return n; }
   bool empty() const { return n == 0; }
 
-  void Push(const SimOp& op) {
-    if (op.kind >= SimOp::kFirstSync) {
+  // Pushes one non-access op: `payload` fills the lane's (size_w, result)
+  // pair; `flags` is ORed into the meta kind byte (kAlienBit). Sync kinds
+  // are indexed in sync_points as they are pushed.
+  void Push(SimOp::Kind kind, uint64_t t, Addr addr, uint64_t payload,
+            FunctionId ip = kInvalidFunction, uint8_t flags = 0) {
+    if (kind >= SimOp::kFirstSync) {
       sync_points.push_back(static_cast<uint32_t>(n));
     }
     if (__builtin_expect(n == capacity, 0)) {
       Grow();
     }
-    if (op.kind == SimOp::kAccess) {
-      lane[n] = Lane{op.t, op.addr, op.size | (op.is_write ? kWriteBit : 0u), 0};
-    } else {
-      lane[n] = Lane{op.t, op.addr, static_cast<uint32_t>(op.aux),
-                     static_cast<uint32_t>(op.aux >> 32)};
-    }
-    meta[n] = Meta{op.ip, static_cast<uint8_t>(static_cast<uint8_t>(op.kind) |
-                                               (op.flag ? kAlienBit : 0u)),
-                   {0, 0, 0}};
+    lane[n] = Lane{t, addr, static_cast<uint32_t>(payload),
+                   static_cast<uint32_t>(payload >> 32)};
+    meta[n] = Meta{ip, static_cast<uint8_t>(kind | flags), {0, 0, 0}};
     ++n;
     run_open = false;
   }
 
-  // Hot-path pushes (per-line accesses, compute bursts, idle steps) skip
-  // the SimOp staging: one capacity branch, two stores.
+  // Hot-path access pushes: one capacity branch, two stores.
   void PushAccess(uint64_t t, Addr addr, uint32_t size_w, FunctionId ip) {
     if (__builtin_expect(n == capacity, 0)) {
       Grow();
@@ -414,21 +384,9 @@ class CoreRecorder {
     ++n;
     run_open = true;
   }
-  void PushCycles(SimOp::Kind kind, uint64_t t, uint64_t cycles, FunctionId ip) {
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, kNullAddr, static_cast<uint32_t>(cycles),
-                   static_cast<uint32_t>(cycles >> 32)};
-    meta[n] = Meta{ip, static_cast<uint8_t>(kind), {0, 0, 0}};
-    ++n;
-    run_open = false;
-  }
-
   // Extends the previous op instead of pushing when it is the same cycle
   // burst kind from the same function: consecutive compute/idle steps fuse
-  // into one op with the summed payload (clock effect identical; observers
-  // see one coalesced burst).
+  // into one op with the summed payload (clock effect identical).
   bool CoalesceCycles(SimOp::Kind kind, FunctionId ip, uint64_t cycles) {
     if (n == 0) {
       return false;
@@ -541,7 +499,7 @@ class Machine {
   bool IsMailboxFedType(TypeId type) const;
 
   // Epoch focus: set while a mailbox-fed type is under study. The epoch
-  // engine shrinks its epochs (EngineConfig::epoch_cycles_focus) while this
+  // engine shrinks its epochs (kEpochCyclesFocus in engine.cc) while this
   // is on, so mailbox deliveries resolve at near-legacy granularity only
   // when the fidelity is actually needed. Pure session state, so
   // determinism is unaffected. The legacy loop ignores it.
@@ -610,7 +568,8 @@ class Machine {
 
 // Lightweight per-core handle passed to drivers and the allocator. All
 // simulated work — memory accesses, compute, allocation, locking — flows
-// through this API so that clocks, observers, and PMU hooks stay consistent.
+// through this API so that clocks, observers (direct mode), and PMU hooks
+// stay consistent.
 //
 // With a recorder attached (engine mode), operations are queued instead of
 // executed, now() reports the core's lower-bound clock, and Access returns

@@ -8,8 +8,8 @@ namespace dprof {
 class FaultPlan;
 
 // Configuration for the engine's sampled execution mode. When enabled, the
-// engine alternates short *detailed windows* (full tag-lattice walks + event
-// delivery, exactly the semantics of exact mode) with long *fast-forward*
+// engine alternates short *detailed windows* (full tag-lattice walks + PMU
+// hook dispatch, exactly the semantics of exact mode) with long *fast-forward*
 // stretches where accesses advance clocks through the calibrated per-core
 // cost estimate but skip the hierarchy entirely. Allocator state, lock/sync
 // arbitration, and per-core clocks stay exact throughout.
@@ -24,9 +24,9 @@ struct SamplingConfig {
   // pure function of (seed, committed clock).
   uint64_t seed = 0x5a17;
   // Epoch-length cap for fast-forward stretches. FF epochs skip the apply
-  // phase and deliver no events, so the engine coarsens them to amortize
-  // per-epoch overhead; FfRunway() still ends a stretch at the next detailed
-  // window. Watchpoint filters armed mid-epoch see accesses only from the
+  // phase and keep the counting PMU hooks frozen, so the engine coarsens
+  // them to amortize per-epoch overhead; FfRunway() still ends a stretch at
+  // the next detailed window. Watchpoint filters armed mid-epoch see accesses only from the
   // next epoch on, so this also bounds that arming lag in simulated cycles.
   uint64_t ff_epoch_cycles = 100'000;
 };
@@ -53,9 +53,9 @@ class SamplingController {
   // function of the clock sequence.
   bool BeginEpoch(uint64_t clock);
 
-  // Report the epoch that just committed. `detailed` is the mode it actually
-  // ran in (the engine may force detailed mode, e.g. when observers are
-  // attached), `advance` is the simulated cycles the global min-clock moved,
+  // Report the epoch that just committed. `detailed` is the mode it ran in
+  // (BeginEpoch's decision), `advance` is the simulated cycles the global
+  // min-clock moved,
   // and `accesses` is the number of memory accesses the epoch recorded.
   void EndEpoch(bool detailed, uint64_t advance, uint64_t accesses);
 

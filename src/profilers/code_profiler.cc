@@ -29,42 +29,6 @@ void CodeProfiler::OnCompute(int core, FunctionId ip, uint64_t cycles, uint64_t 
   total_cycles_ += cycles;
 }
 
-void CodeProfiler::OnAccessBatch(const AccessEvent* events, size_t count) {
-  Counters* counters = nullptr;
-  FunctionId cached_ip = kInvalidFunction;
-  for (size_t i = 0; i < count; ++i) {
-    const AccessEvent& event = events[i];
-    if (counters == nullptr || event.ip != cached_ip) {
-      counters = &by_fn_[event.ip];  // node-based map: stable across inserts
-      cached_ip = event.ip;
-    }
-    const uint64_t cycles = 1 + event.latency;
-    counters->cycles += cycles;
-    total_cycles_ += cycles;
-    if (event.level != ServedBy::kL1) {
-      ++counters->l1_misses;
-    }
-    if (event.level == ServedBy::kL3 || event.level == ServedBy::kForeignCache ||
-        event.level == ServedBy::kDram) {
-      ++counters->l2_misses;
-      ++total_l2_misses_;
-    }
-  }
-}
-
-void CodeProfiler::OnComputeBatch(const ComputeEvent* events, size_t count) {
-  Counters* counters = nullptr;
-  FunctionId cached_ip = kInvalidFunction;
-  for (size_t i = 0; i < count; ++i) {
-    if (counters == nullptr || events[i].ip != cached_ip) {
-      counters = &by_fn_[events[i].ip];
-      cached_ip = events[i].ip;
-    }
-    counters->cycles += events[i].cycles;
-    total_cycles_ += events[i].cycles;
-  }
-}
-
 void CodeProfiler::Reset() {
   by_fn_.clear();
   total_cycles_ = 0;

@@ -3,7 +3,8 @@
 // Attributes clock cycles and L2 misses to functions — the classic
 // code-centric view the paper argues is insufficient for data-related cache
 // problems. Implemented as a MachineObserver with exact per-function
-// accounting (equivalent to sampling with an unbounded rate).
+// accounting (equivalent to sampling with an unbounded rate), so it runs on
+// the machine's direct loop only.
 
 #ifndef DPROF_SRC_PROFILERS_CODE_PROFILER_H_
 #define DPROF_SRC_PROFILERS_CODE_PROFILER_H_
@@ -30,11 +31,6 @@ class CodeProfiler final : public MachineObserver {
   // MachineObserver:
   void OnAccess(const AccessEvent& event) override;
   void OnCompute(int core, FunctionId ip, uint64_t cycles, uint64_t now) override;
-  // Span delivery: same accounting as the per-event virtuals, but the loop
-  // is devirtualized and consecutive events from one function share a
-  // single hash lookup (runs of equal ip dominate committed streams).
-  void OnAccessBatch(const AccessEvent* events, size_t count) override;
-  void OnComputeBatch(const ComputeEvent* events, size_t count) override;
 
   void Reset();
 

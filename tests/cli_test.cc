@@ -324,6 +324,30 @@ TEST(CliBinaryTest, WhatIfRejectsTopWithoutAuto) {
       << result.output;
 }
 
+// whatif refuses input it would otherwise drop or rank blindly: a --type
+// with no --fix after it, and a candidate type the scenario lacks.
+TEST(CliBinaryTest, WhatIfRejectsUnpairedAndUnknownTypes) {
+  struct Case {
+    const char* args;
+    const char* message;
+  };
+  for (const Case& c : {
+           Case{"whatif conflict_demo --type pkt_stat --fix pad_to_line --type nosuch",
+                "--type 'nosuch' needs a --fix after it"},
+           Case{"whatif conflict_demo --auto --type nosuch",
+                "--type 'nosuch' needs a --fix after it"},
+           Case{"whatif conflict_demo --type nosuch --fix pad_to_line",
+                "scenario 'conflict_demo' has no type named 'nosuch'"},
+           Case{"whatif conflict_demo --type pkt_stat --fix align --type nosuch --fix align",
+                "scenario 'conflict_demo' has no type named 'nosuch'"},
+       }) {
+    SCOPED_TRACE(c.args);
+    const CliResult result = RunDprof(c.args);
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_NE(result.output.find(c.message), std::string::npos) << result.output;
+  }
+}
+
 // `--help` or `-h` after any command prints the usage text `dprof help`
 // prints and exits 0, before the command checks its arguments.
 TEST(CliBinaryTest, HelpAfterAnyCommandPrintsUsage) {

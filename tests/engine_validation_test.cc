@@ -153,8 +153,8 @@ TEST(EngineValidationTest, CoversEveryRegisteredScenario) {
   EXPECT_GE(ScenarioRegistry::Default().Names().size(), 4u);
 }
 
-// Adaptive epochs: drilling into a mailbox-fed type runs the engine at
-// EngineConfig::epoch_cycles_focus, which must close most of the documented
+// Adaptive epochs: drilling into a mailbox-fed type runs the engine at its
+// focus epoch length (kEpochCyclesFocus, 2k cycles), which must close most of the documented
 // epoch-batching miss-rate drift on that type (legacy 69% vs engine 41% at
 // the default 20k-cycle epochs on this workload — a ~28-point gap that the
 // 30-point band above merely tolerates). With focus, measured agreement is

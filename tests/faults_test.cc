@@ -238,6 +238,13 @@ TEST(ValidateRunSpecTest, RejectsInconsistentAndMalformedFields) {
   spec.fault_seams = "no_such_seam";
   EXPECT_NE(ValidateRunSpec(spec).find("no_such_seam"), std::string::npos);
   spec = RunSpec{};
+  spec.fault_seed = 7;  // a fault seed without --fault would be ignored
+  std::string error = ValidateRunSpec(spec);
+  EXPECT_NE(error.find("--fault-seed"), std::string::npos) << error;
+  EXPECT_NE(error.find("add --fault"), std::string::npos) << error;
+  spec.fault_seams = "all";
+  EXPECT_EQ(ValidateRunSpec(spec), "");
+  spec = RunSpec{};
   spec.threads = 4096;
   EXPECT_NE(ValidateRunSpec(spec).find("--threads"), std::string::npos);
   EXPECT_EQ(ValidateRunSpec(RunSpec{}), "");

@@ -68,7 +68,7 @@ HierarchyTotals RunGoldenHarness(const std::string& name, const std::string& top
   params.build_view_json = false;
   auto rig = info->factory(params);
   rig->workload->Install(*rig->machine);
-  EngineConfig engine_config{1, 20'000, 2'000, 11};
+  EngineConfig engine_config{1, 20'000};
   Engine engine(rig->machine.get(), engine_config);
   rig->machine->SetExecutor(&engine);
 
