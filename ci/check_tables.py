@@ -285,7 +285,7 @@ def check_sampled_scenario(dprof, c, scenario, expected_top):
     sampled = json.loads(sampled_proc.stdout)
     s = sampled.get("sampling", {})
     c.check("sampling block present", s.get("enabled") is True)
-    # FF epochs are coarse (ff_epoch_cycles) while detailed ones stay short,
+    # FF epochs are coarse (kFfEpochCycles) while detailed ones stay short,
     # so compare work, not epoch counts: most accesses must be fast-forwarded.
     c.check("run mostly fast-forwarded", s.get("scale", 0) >= 2.0,
             f"(scale {s.get('scale', 0):.1f}x, ff_epochs {s.get('ff_epochs')})")

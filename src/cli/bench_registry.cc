@@ -128,7 +128,7 @@ BenchReport RunMicroCosts(const BenchParams& params) {
 // apply pass uses: ops gather into per-core windows (flushed when the
 // issuing core changes or the window fills, like a merge drain) and resolve
 // via CacheHierarchy::ApplyBatch, so the measurement includes the per-span
-// stat flush the real apply pass gets. `gen(i, &core, &addr, &size_w)`
+// call the real apply pass makes. `gen(i, &core, &addr, &size_w)`
 // produces op i; one simulated cycle elapses per op. Returns host ns per
 // access.
 template <typename Gen>
@@ -151,7 +151,8 @@ double TimeBatchApply(CacheHierarchy& h, uint64_t* now, uint64_t ops, Gen&& gen)
       window_core = core;
     }
     if (nw == 0) base = *now;
-    window[nw++] = ApplyLane{addr, static_cast<uint32_t>(*now - base), size_w};
+    window[nw++] =
+        ApplyLane{addr, static_cast<uint32_t>(*now - base), size_w, 0, kInvalidFunction};
   }
   if (nw > 0) h.ApplyBatch(window_core, base, window, nw);
   return ElapsedNs(start) / static_cast<double>(ops);

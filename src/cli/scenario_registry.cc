@@ -93,10 +93,16 @@ std::string ValidateRunSpec(const RunSpec& spec) {
   if (!spec.sampled && (spec.sampling_period > 0 || spec.sampling_window > 0)) {
     return "--sampling-period/--sampling-window only apply to sampled runs; add --sampled";
   }
-  if (spec.sampled && spec.sampling_period > 0 && spec.sampling_window > spec.sampling_period) {
-    return "--sampling-window (" + std::to_string(spec.sampling_window) +
-           ") must not exceed --sampling-period (" + std::to_string(spec.sampling_period) +
-           ")";
+  // A window longer than the period would silently run every epoch
+  // detailed; compare the values the run will use, defaults included.
+  const SamplingConfig defaults;
+  const uint64_t period = spec.sampling_period > 0 ? spec.sampling_period : defaults.period_cycles;
+  const uint64_t window = spec.sampling_window > 0 ? spec.sampling_window : defaults.window_cycles;
+  if (spec.sampled && window > period) {
+    return "--sampling-window (" + std::to_string(window) +
+           (spec.sampling_window > 0 ? "" : ", the default") +
+           ") must not exceed --sampling-period (" + std::to_string(period) +
+           (spec.sampling_period > 0 ? ")" : ", the default)");
   }
   if (!spec.fault_seams.empty()) {
     uint32_t mask = 0;

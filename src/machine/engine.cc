@@ -42,6 +42,14 @@ constexpr uint64_t kDoneKey = ~0ull;
 // (tests/engine_validation_test.cc).
 constexpr uint64_t kEpochCyclesFocus = 2'000;
 
+// Epoch-length cap for fast-forward stretches (sampled mode). FF epochs skip
+// the apply phase and keep the counting PMU hooks frozen, so they are
+// coarsened to amortize per-epoch overhead; the sampler's FfRunway still ends
+// a stretch at the next detailed window. Watchpoint filters armed mid-epoch
+// see accesses only from the next epoch on, so this also bounds that arming
+// lag in simulated cycles.
+constexpr uint64_t kFfEpochCycles = 100'000;
+
 // The apply pass merges recorded accesses in (t >> kApplyQuantumBits, core,
 // program order): cores' accesses interleave at quantum granularity instead
 // of op granularity. The legacy loop reorders at driver-step granularity
@@ -54,16 +62,6 @@ constexpr int kApplyQuantumBits = 11;
 uint64_t PackKey(uint64_t timestamp, int core) {
   return (timestamp << kCoreBits) | static_cast<uint64_t>(core);
 }
-
-// Gather window of the apply passes: merge drains fill up to this many
-// ApplyLane records before handing the window to the hierarchy's
-// ApplyBatch, which flushes its stat stripe once per window. Small enough
-// to live on the stack next to its scatter indices.
-constexpr uint32_t kApplyWindow = 64;
-
-// Scatter sentinel of an injected duplicate apply: the replayed record's
-// result is discarded, so the sentinel never collides with a lane index.
-constexpr uint32_t kDupScatter = ~0u;
 
 // Balanced-tree reduction: log-depth dependency chain, so the four-wide min
 // stages overlap instead of serializing like a linear fold.
@@ -94,18 +92,18 @@ __attribute__((always_inline)) inline uint64_t MinKey(const uint64_t* keys, int 
   return MinKeyTree<64>(keys);
 }
 
-// Assembles the hook-facing event for the access op at one lane record.
-inline AccessEvent MakeAccessEvent(int core, const CoreRecorder::Lane& lane,
-                                   FunctionId ip, uint32_t latency, uint64_t now) {
+// Assembles the hook-facing event for one committed access.
+inline AccessEvent MakeAccessEvent(int core, const ApplyLane& lane, uint32_t latency,
+                                   uint64_t now) {
   AccessEvent event;
   event.core = core;
-  event.ip = ip;
+  event.ip = lane.ip;
   event.addr = lane.addr;
-  event.size = lane.size_w & ~CoreRecorder::kWriteBit;
-  event.is_write = (lane.size_w & CoreRecorder::kWriteBit) != 0;
-  event.level = CoreRecorder::ResultLevel(lane.result);
+  event.size = lane.size_w & ~ApplyLane::kWriteBit;
+  event.is_write = (lane.size_w & ApplyLane::kWriteBit) != 0;
+  event.level = PackedAccessLevel(lane.result);
   event.latency = latency;
-  event.invalidation = CoreRecorder::ResultInvalidation(lane.result);
+  event.invalidation = PackedAccessInvalidation(lane.result);
   event.now = now;
   return event;
 }
@@ -249,8 +247,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   uint64_t epoch_end = std::min(deadline, min_clock + epoch_cycles);
   if (ff_epoch_) {
     const uint64_t stretch =
-        std::max(epoch_cycles, std::min(sampler_->FfRunway(min_clock),
-                                        sampler_->config().ff_epoch_cycles));
+        std::max(epoch_cycles, std::min(sampler_->FfRunway(min_clock), kFfEpochCycles));
     epoch_end = std::min(deadline, min_clock + stretch);
   }
   FaultPlan* const faults = m.fault_plan();
@@ -309,7 +306,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     if (faults != nullptr && epoch_end > min_clock) {
       const uint32_t skew = faults->ClockSkew(c, epochs_run_);
       if (skew != 0) {
-        rec.Push(SimOp::kIdle, rec.lb, kNullAddr, skew);
+        rec.Push(SimOp::kIdle, kNullAddr, skew);
         rec.ChargeExact(skew);
       }
     }
@@ -345,7 +342,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     for (int c = 0; c < cores; ++c) {
       accesses += recorders_[c].accesses;
     }
-    sampler_->EndEpoch(!ff_epoch_, m.MinClock() - min_clock, accesses);
+    sampler_->EndEpoch(m.MinClock() - min_clock, accesses);
   }
 }
 
@@ -358,106 +355,89 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
     const bool did_work = driver != nullptr && driver->Step(ctx);
     if (!did_work) {
       if (!rec.CoalesceCycles(SimOp::kIdle, kInvalidFunction, m.config_.idle_cycles)) {
-        rec.Push(SimOp::kIdle, rec.lb, kNullAddr, m.config_.idle_cycles);
+        rec.Push(SimOp::kIdle, kNullAddr, m.config_.idle_cycles);
       }
       rec.ChargeExact(m.config_.idle_cycles);
     }
   }
+  // Every access was recorded at an lb no later than this one, so this
+  // bounds every t_delta: a silent wrap would corrupt the apply merge order.
+  DPROF_CHECK(rec.lb - rec.epoch_start_clock <= 0xffff'ffffull);
 }
 
 // The apply pass merges in (t >> kApplyQuantumBits, core, program order):
-// see kApplyQuantumBits. The quantized key also makes
-// same-core runs long (a core's whole quantum drains before the merge
-// switches), so the min-tree recomputes once per run, not per op — and each
-// drain is a single-core span handed to ApplyBatch. Drains gather into a
-// window and scatter results back; gathering changes nothing about the
-// access order.
+// see kApplyQuantumBits. The quantized key also makes same-core runs long
+// (a core's whole quantum drains before the merge switches), so the
+// min-tree recomputes once per run, not per op — and each drain is a
+// contiguous span of the core's access column, applied in place.
 void Engine::ApplyGlobal() {
   Machine& m = *machine_;
   const int cores = m.num_cores();
   constexpr int qbits = kApplyQuantumBits;
   // Lane faults (dropped / duplicated records) are keyed on the recorded
   // (core, timestamp, address) alone, and a drop recovers to the optimistic
-  // lower-bound result. The window reserves one slot so a duplicate always
-  // lands adjacent to its original (batch boundaries don't change results).
+  // lower-bound result. Armed, they apply the drain lane by lane.
   FaultPlan* const faults = m.fault_plan();
   const bool lane_faults =
       faults != nullptr && (faults->enabled(FaultSeam::kLaneDrop) ||
                             faults->enabled(FaultSeam::kLaneDup));
   const uint32_t drop_result =
       PackAccessResult(m.config_.hierarchy.latency.l1, ServedBy::kL1, false);
-  const uint32_t window_cap = lane_faults ? kApplyWindow - 1 : kApplyWindow;
   uint64_t keys[kMaxCores];
   uint32_t cursor[kMaxCores] = {0};
   int remaining = 0;
   for (int c = 0; c < kMaxCores; ++c) {
     keys[c] = kDoneKey;
   }
-  // Advances to the next access op at or after `from`; other op kinds do
-  // not touch the hierarchy.
-  auto next_access = [](const CoreRecorder& rec, uint32_t from) {
-    const uint32_t count = static_cast<uint32_t>(rec.size());
-    while (from < count &&
-           (rec.meta[from].kind & CoreRecorder::kKindMask) != SimOp::kAccess) {
-      ++from;
-    }
-    return from;
-  };
   for (int c = 0; c < cores; ++c) {
     const CoreRecorder& rec = recorders_[c];
-    cursor[c] = next_access(rec, 0);
-    if (cursor[c] < rec.size()) {
-      keys[c] = PackKey(rec.lane[cursor[c]].t >> qbits, c);
+    if (!rec.access.empty()) {
+      keys[c] = PackKey((rec.epoch_start_clock + rec.access[0].t_delta) >> qbits, c);
       ++remaining;
     }
   }
-  ApplyLane window[kApplyWindow];
-  uint32_t scatter[kApplyWindow];
   while (remaining > 0) {
     const int core = static_cast<int>(MinKey(keys, cores) & kCoreMask);
     CoreRecorder& rec = recorders_[core];
-    const uint32_t count = static_cast<uint32_t>(rec.size());
+    ApplyLane* const lanes = rec.access.data();
+    const uint32_t count = static_cast<uint32_t>(rec.access.size());
     const uint64_t base = rec.epoch_start_clock;
     keys[core] = kDoneKey;
     const uint64_t limit = MinKey(keys, cores);
-    uint64_t key;
-    do {
-      // Gather the drain into the window, then batch-apply and scatter the
-      // packed results back.
-      uint32_t nw = 0;
-      do {
-        const uint32_t li = cursor[core];
-        const CoreRecorder::Lane& lane = rec.lane[li];
-        DPROF_CHECK(lane.t - base <= 0xffff'ffffull);  // silent wrap would corrupt merge order
-        const LaneFault fault = lane_faults
-                                    ? faults->LaneFaultFor(core, lane.t, lane.addr)
-                                    : LaneFault::kNone;
+    // The drain: this core's lanes up to the first whose key reaches the
+    // smallest other key.
+    const uint32_t begin = cursor[core];
+    uint32_t end = begin + 1;
+    uint64_t key = kDoneKey;
+    for (; end < count; ++end) {
+      key = PackKey((base + lanes[end].t_delta) >> qbits, core);
+      if (key >= limit) {
+        break;
+      }
+    }
+    if (end == count) {
+      key = kDoneKey;
+    }
+    if (!lane_faults) {
+      m.hierarchy_.ApplyBatch(core, base, lanes + begin, end - begin);
+    } else {
+      for (ApplyLane* lane = lanes + begin; lane != lanes + end; ++lane) {
+        const LaneFault fault = faults->LaneFaultFor(core, base + lane->t_delta, lane->addr);
         if (fault == LaneFault::kDrop) {
           // The record never reaches the hierarchy; recover by committing
           // the optimistic lower-bound result in its place.
-          rec.lane[li].result = drop_result;
-        } else {
-          window[nw] =
-              ApplyLane{lane.addr, static_cast<uint32_t>(lane.t - base), lane.size_w};
-          scatter[nw] = li;
-          ++nw;
-          if (fault == LaneFault::kDup) {
-            window[nw] = window[nw - 1];
-            scatter[nw] = kDupScatter;
-            ++nw;
-          }
+          lane->result = drop_result;
+          continue;
         }
-        cursor[core] = next_access(rec, li + 1);
-        key = cursor[core] < count ? PackKey(rec.lane[cursor[core]].t >> qbits, core)
-                                   : kDoneKey;
-      } while (key < limit && nw < window_cap);
-      m.hierarchy_.ApplyBatch(core, base, window, nw);
-      for (uint32_t j = 0; j < nw; ++j) {
-        if (scatter[j] != kDupScatter) {
-          rec.lane[scatter[j]].result = window[j].size_w;
+        m.hierarchy_.ApplyBatch(core, base, lane, 1);
+        if (fault == LaneFault::kDup) {
+          // Replayed right after the original; the copy's result is dropped.
+          ApplyLane copy = *lane;
+          m.hierarchy_.ApplyBatch(core, base, &copy, 1);
         }
       }
-    } while (key < limit);
+    }
+    cursor[core] = end;
     keys[core] = key;
     if (key == kDoneKey) {
       --remaining;
@@ -525,8 +505,8 @@ void Engine::CommitEpoch() {
     commit_keys_[c] = kDoneKey;
   }
   for (int c = 0; c < cores; ++c) {
-    commit_cursor_[c] = 0;
-    commit_sync_i_[c] = 0;
+    commit_access_[c] = 0;
+    commit_op_[c] = 0;
     gate_skipped_[c] = 0;
     RefreshQuiet(c);
     if (!recorders_[c].empty()) {
@@ -540,9 +520,9 @@ void Engine::CommitEpoch() {
     // critical section spanning a driver step, which drivers must not do.
     DPROF_CHECK(min_key != kDoneKey);
     const int core = static_cast<int>(min_key & kCoreMask);
-    CoreRecorder& rec = recorders_[core];
-    const uint32_t count = static_cast<uint32_t>(rec.size());
-    uint32_t cursor = commit_cursor_[core];
+    const CoreRecorder& rec = recorders_[core];
+    const uint32_t num_ops = static_cast<uint32_t>(rec.ops.size());
+    const uint32_t num_lanes = static_cast<uint32_t>(rec.access.size());
     // Run-until-limit: keys only grow as cores commit (clocks are
     // nondecreasing), so this core keeps the floor — and commits turn after
     // turn without touching the merge tree — until its key reaches the
@@ -552,18 +532,16 @@ void Engine::CommitEpoch() {
     const uint64_t limit = MinKey(commit_keys_, cores);
     uint64_t key = kDoneKey;
     while (true) {
-      const uint32_t next_sync = commit_sync_i_[core] < rec.sync_points.size()
-                                     ? rec.sync_points[commit_sync_i_[core]]
-                                     : count;
+      const uint32_t op = commit_op_[core];
       bool woke = false;
-      if (cursor == next_sync) {
-        const uint8_t sync_kind = rec.meta[cursor].kind & CoreRecorder::kKindMask;
-        if (!CommitSyncOp(core, cursor)) {
+      if (op < num_ops && rec.ops[op].at == commit_access_[core] &&
+          (rec.ops[op].kind & SimOp::kKindMask) >= SimOp::kFirstSync) {
+        const uint8_t sync_kind = rec.ops[op].kind & SimOp::kKindMask;
+        if (!CommitSyncOp(core, op)) {
           key = kDoneKey;  // parked; the release re-arms the key
           break;
         }
-        ++cursor;
-        ++commit_sync_i_[core];
+        ++commit_op_[core];
         // Allocation events drive watchpoint arming through their
         // observers, changing the filter windows; lock ops cannot rearm
         // anything. The counting hooks' quiet budgets stay valid:
@@ -579,9 +557,9 @@ void Engine::CommitEpoch() {
         // Commits the segment up to the next sync op, stopping at (and
         // re-arbitrating before) any access a PMU hook can act on — unless
         // that access is the op just arbitrated, which dispatches now.
-        cursor = CommitRun(core, cursor, next_sync);
+        CommitRun(core);
       }
-      if (cursor >= count) {
+      if (commit_op_[core] == num_ops && commit_access_[core] == num_lanes) {
         key = kDoneKey;
         --remaining;
         break;
@@ -591,7 +569,6 @@ void Engine::CommitEpoch() {
         break;
       }
     }
-    commit_cursor_[core] = cursor;
     commit_keys_[core] = key;
   }
   for (int c = 0; c < cores; ++c) {
@@ -599,32 +576,50 @@ void Engine::CommitEpoch() {
   }
 }
 
-uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
+void Engine::CommitRun(int core) {
   Machine& m = *machine_;
-  CoreRecorder& rec = recorders_[core];
+  const CoreRecorder& rec = recorders_[core];
   // Hot state lives in locals: routing every op's clock/gate/probe update
   // through the member arrays would make each store a potential alias of
-  // the lane/meta columns and force reloads. The committed clock syncs
+  // the recorder's streams and force reloads. The committed clock syncs
   // with m.clocks_ around DispatchAccess (whose hook handlers may read
   // machine clocks) and at return.
-  const CoreRecorder::Lane* const lanes = rec.lane;
-  const CoreRecorder::Meta* const metas = rec.meta;
+  const ApplyLane* const lanes = rec.access.data();
+  const SimOp* const ops = rec.ops.data();
+  const uint32_t num_ops = static_cast<uint32_t>(rec.ops.size());
+  const uint32_t num_lanes = static_cast<uint32_t>(rec.access.size());
+  const uint32_t begin = commit_access_[core];
+  const uint32_t begin_op = commit_op_[core];
+  uint32_t i = begin;
+  uint32_t op = begin_op;
   uint64_t clock = m.clocks_[core];
   uint64_t probe_lat = probe_latency_[core];
   uint8_t probing = probe_active_[core];
   const uint64_t base_cost = m.config_.base_op_cost;
-  // Every op kind but kAccess advances only the clock and the probe state,
-  // the same way in both loops below.
-  auto commit_other = [&](uint32_t j, uint8_t k) __attribute__((always_inline)) {
+  // The access run ends at the next op, or at the column's end.
+  auto run_end = [&]() __attribute__((always_inline)) {
+    return op < num_ops ? ops[op].at : num_lanes;
+  };
+  // Commits the op at `op` unless it is a sync op or the stream is done;
+  // returns whether it did. Non-access ops advance only the clock and the
+  // probe state, the same way in both loops below.
+  auto commit_other = [&]() __attribute__((always_inline)) {
+    if (op == num_ops) {
+      return false;
+    }
+    const SimOp& o = ops[op];
+    const uint8_t k = o.kind & SimOp::kKindMask;
+    if (k >= SimOp::kFirstSync) {
+      return false;
+    }
     if (k == SimOp::kCompute || k == SimOp::kIdle) {
-      clock += lanes[j].payload();
+      clock += o.payload;
     } else if (k == SimOp::kFfRun) {
       // The estimate is base cost + estimated latency per access; probes
       // integrate the latency share.
-      const uint64_t est = lanes[j].payload();
-      clock += est;
+      clock += o.payload;
       if (probing != 0) {
-        probe_lat += est - lanes[j].addr * base_cost;
+        probe_lat += o.payload - o.addr * base_cost;
       }
     } else if (k == SimOp::kProbeBegin) {
       probing = 1;
@@ -633,108 +628,102 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
       DPROF_DCHECK(k == SimOp::kProbeEnd);
       probing = 0;
       double divisor = 1.0;
-      const uint64_t bits = lanes[j].payload();
-      __builtin_memcpy(&divisor, &bits, sizeof(double));
-      reinterpret_cast<RunningStat*>(lanes[j].addr)
-          ->Add(static_cast<double>(probe_lat) / divisor);
+      __builtin_memcpy(&divisor, &o.payload, sizeof(double));
+      reinterpret_cast<RunningStat*>(o.addr)->Add(static_cast<double>(probe_lat) / divisor);
     }
+    ++op;
+    return true;
   };
-  uint32_t i = begin;
   // Passthrough: no hook can act on any access in this segment (counting
   // hooks unbounded-quiet or frozen, no armed filters) — the loop reduces to
   // clock reconstruction. Hooks with an unbounded guarantee need no skip
   // accounting, so the gate is bypassed entirely.
   if (gate_unbounded_[core] != 0 && sink_.filtered.empty()) {
-    for (; i < end; ++i) {
-      const uint8_t k = metas[i].kind & CoreRecorder::kKindMask;
-      if (k == SimOp::kAccess) {
-        const uint32_t latency = CoreRecorder::ResultLatency(lanes[i].result);
+    do {
+      for (const uint32_t end = run_end(); i < end; ++i) {
+        const uint32_t latency = PackedAccessLatency(lanes[i].result);
         clock += base_cost + latency;
         if (probing != 0) {
           probe_lat += latency;
         }
-      } else {
-        commit_other(i, k);
       }
-    }
+    } while (commit_other());
     m.clocks_[core] = clock;
     probe_latency_[core] = probe_lat;
     probe_active_[core] = probing;
-    return end;
+    commit_access_[core] = i;
+    commit_op_[core] = op;
+    return;
   }
   uint64_t quiet = gate_quiet_[core];
   uint64_t skipped = gate_skipped_[core];
-  for (; i < end; ++i) {
-    const uint8_t k = metas[i].kind & CoreRecorder::kKindMask;
-    if (k != SimOp::kAccess) {
-      commit_other(i, k);
-      continue;
-    }
-    const CoreRecorder::Lane& lane = lanes[i];
-    // Gate: can any PMU hook act on this access? Counting hooks are
-    // covered by the quiet budget; filtered hooks by the window check.
-    bool needs_hook = quiet == 0;
-    if (!needs_hook && !sink_.filtered.empty()) {
-      const uint32_t size = lane.size_w & ~CoreRecorder::kWriteBit;
-      for (const FusedSink::Filtered& f : sink_.filtered) {
-        if (lane.addr < f.hi && f.lo < lane.addr + size) {
-          needs_hook = true;
-          break;
+  do {
+    const uint32_t end = run_end();
+    for (; i < end; ++i) {
+      const ApplyLane& lane = lanes[i];
+      // Gate: can any PMU hook act on this access? Counting hooks are
+      // covered by the quiet budget; filtered hooks by the window check.
+      bool needs_hook = quiet == 0;
+      if (!needs_hook && !sink_.filtered.empty()) {
+        const uint32_t size = lane.size_w & ~ApplyLane::kWriteBit;
+        for (const FusedSink::Filtered& f : sink_.filtered) {
+          if (lane.addr < f.hi && f.lo < lane.addr + size) {
+            needs_hook = true;
+            break;
+          }
         }
       }
-    }
-    if (needs_hook) {
-      if (i != begin) {
-        break;  // an arbitration point: hand back to the scheduler
+      if (needs_hook) {
+        if (i != begin || op != begin_op) {
+          break;  // an arbitration point: hand back to the scheduler
+        }
+        // Sync the member state the dispatch path (hooks, gate flush,
+        // resync) reads and writes, then reload it.
+        m.clocks_[core] = clock;
+        probe_latency_[core] = probe_lat;
+        probe_active_[core] = probing;
+        gate_quiet_[core] = quiet;
+        gate_skipped_[core] = skipped;
+        DispatchAccess(core, lane, m.clocks_[core]);
+        clock = m.clocks_[core];
+        probe_lat = probe_latency_[core];
+        probing = probe_active_[core];
+        quiet = gate_quiet_[core];
+        skipped = gate_skipped_[core];
+        continue;
       }
-      // Sync the member state the dispatch path (hooks, gate flush,
-      // resync) reads and writes, then reload it.
-      m.clocks_[core] = clock;
-      probe_latency_[core] = probe_lat;
-      probe_active_[core] = probing;
-      gate_quiet_[core] = quiet;
-      gate_skipped_[core] = skipped;
-      DispatchAccess(core, i, m.clocks_[core]);
-      clock = m.clocks_[core];
-      probe_lat = probe_latency_[core];
-      probing = probe_active_[core];
-      quiet = gate_quiet_[core];
-      skipped = gate_skipped_[core];
-      continue;
+      --quiet;
+      ++skipped;
+      const uint32_t latency = PackedAccessLatency(lane.result);
+      clock += base_cost + latency;
+      if (probing != 0) {
+        probe_lat += latency;
+      }
     }
-    --quiet;
-    ++skipped;
-    const uint32_t latency = CoreRecorder::ResultLatency(lane.result);
-    clock += base_cost + latency;
-    if (probing != 0) {
-      probe_lat += latency;
-    }
-  }
+  } while (i == run_end() && commit_other());
   m.clocks_[core] = clock;
   probe_latency_[core] = probe_lat;
   probe_active_[core] = probing;
   gate_quiet_[core] = quiet;
   gate_skipped_[core] = skipped;
-  return i;
+  commit_access_[core] = i;
+  commit_op_[core] = op;
 }
 
-void Engine::DispatchAccess(int core, uint32_t index, uint64_t& clock) {
+void Engine::DispatchAccess(int core, const ApplyLane& lane, uint64_t& clock) {
   Machine& m = *machine_;
-  CoreRecorder& rec = recorders_[core];
-  const CoreRecorder::Lane& lane = rec.lane[index];
   // Counting hooks must be current before their per-op consultation.
   FlushQuiet(core);
-  const uint32_t latency = CoreRecorder::ResultLatency(lane.result);
+  const uint32_t latency = PackedAccessLatency(lane.result);
   clock += m.config_.base_op_cost + latency;
   if (probe_active_[core] != 0) {
     probe_latency_[core] += latency;
   }
-  const AccessEvent event =
-      MakeAccessEvent(core, lane, rec.meta[index].ip, latency, clock);
+  const AccessEvent event = MakeAccessEvent(core, lane, latency, clock);
   if (ff_epoch_) {
     // Counting hooks are frozen: the watching debug registers alone see the
     // access, at its estimated latency.
-    const uint32_t size = lane.size_w & ~CoreRecorder::kWriteBit;
+    const uint32_t size = lane.size_w & ~ApplyLane::kWriteBit;
     for (const FusedSink::Filtered& f : sink_.filtered) {
       if (lane.addr < f.hi && f.lo < lane.addr + size) {
         clock += f.hook->OnAccess(event);
@@ -755,12 +744,12 @@ void Engine::DispatchAccess(int core, uint32_t index, uint64_t& clock) {
 
 bool Engine::CommitSyncOp(int core, uint32_t index) {
   Machine& m = *machine_;
-  CoreRecorder& rec = recorders_[core];
-  const uint8_t kind = rec.meta[index].kind & CoreRecorder::kKindMask;
+  const SimOp& op = recorders_[core].ops[index];
+  const uint8_t kind = op.kind & SimOp::kKindMask;
   uint64_t& clock = m.clocks_[core];
   switch (kind) {
     case SimOp::kLockAcquire: {
-      SimLock* lock = reinterpret_cast<SimLock*>(rec.lane[index].addr);
+      SimLock* lock = reinterpret_cast<SimLock*>(op.addr);
       if (lock->holder_ >= 0 && lock->holder_ != core) {
         // The holder's release is still pending in this commit: park this
         // core (its queue stops merging) until that release wakes it.
@@ -784,17 +773,17 @@ bool Engine::CommitSyncOp(int core, uint32_t index) {
       lock->holder_ = core;
       lock->acquired_at_ = clock;
       if (m.lock_observer_ != nullptr) {
-        m.lock_observer_->OnAcquire(*lock, core, rec.meta[index].ip, wait, clock);
+        m.lock_observer_->OnAcquire(*lock, core, op.ip, wait, clock);
       }
       return true;
     }
     case SimOp::kLockRelease: {
-      SimLock* lock = reinterpret_cast<SimLock*>(rec.lane[index].addr);
+      SimLock* lock = reinterpret_cast<SimLock*>(op.addr);
       const uint64_t hold = clock - lock->acquired_at_;
       lock->free_at_ = clock;
       lock->holder_ = -1;
       if (m.lock_observer_ != nullptr) {
-        m.lock_observer_->OnRelease(*lock, core, rec.meta[index].ip, hold, clock);
+        m.lock_observer_->OnRelease(*lock, core, op.ip, hold, clock);
       }
       // Wake cores parked on this lock: they waited until this release,
       // then re-arbitrate by the usual min-clock rule.
@@ -809,22 +798,16 @@ bool Engine::CommitSyncOp(int core, uint32_t index) {
       }
       return true;
     }
-    case SimOp::kAllocEvent: {
-      const uint64_t payload = rec.lane[index].payload();
-      m.allocator_->CommitAllocEvent(static_cast<TypeId>(payload >> 32),
-                                     rec.lane[index].addr,
-                                     static_cast<uint32_t>(payload), core, clock);
+    case SimOp::kAllocEvent:
+      m.allocator_->CommitAllocEvent(static_cast<TypeId>(op.payload >> 32), op.addr,
+                                     static_cast<uint32_t>(op.payload), core, clock);
       return true;
-    }
-    default: {
+    default:
       DPROF_DCHECK(kind == SimOp::kFreeEvent);
-      const uint64_t payload = rec.lane[index].payload();
-      m.allocator_->CommitFreeEvent(static_cast<TypeId>(payload >> 32),
-                                    rec.lane[index].addr,
-                                    static_cast<uint32_t>(payload), core, clock,
-                                    (rec.meta[index].kind & CoreRecorder::kAlienBit) != 0);
+      m.allocator_->CommitFreeEvent(static_cast<TypeId>(op.payload >> 32), op.addr,
+                                    static_cast<uint32_t>(op.payload), core, clock,
+                                    (op.kind & SimOp::kAlienBit) != 0);
       return true;
-    }
   }
 }
 

@@ -8,15 +8,17 @@
 //   1. SIMULATE (core by core): every CoreDriver runs with a recording
 //      CoreContext until its lower-bound clock reaches the epoch end.
 //      Drivers, the allocator fast paths, and RNGs touch only core-owned
-//      state; every memory access, compute burst, lock operation, and
-//      allocation event is appended to the core's SoA op queue with its
-//      lower-bound timestamp.
-//   2. APPLY: one fused merge over the per-core queues applies the recorded
-//      accesses to the cache hierarchy in (timestamp quantum, core, program
-//      order) — see kApplyQuantumBits in engine.cc. Every merge drain is a
-//      single-core span handed to CacheHierarchy::ApplyBatch; each op's
-//      packed latency/level/invalidation result is stored back into its
-//      lane record. Fast-forward epochs (sampled mode) skip this phase.
+//      state. Every memory access is appended to the core's access column
+//      as one ApplyLane with its lower-bound timestamp; every other op
+//      (compute burst, lock operation, allocation event, ...) goes to the
+//      core's op stream (CoreRecorder in machine.h).
+//   2. APPLY: one fused merge over the per-core access columns applies the
+//      recorded accesses to the cache hierarchy in (timestamp quantum,
+//      core, program order) — see kApplyQuantumBits in engine.cc. Every
+//      merge drain is a contiguous span of one core's column, handed to
+//      CacheHierarchy::ApplyBatch, which writes each access's packed
+//      latency/level/invalidation result into its lane in place.
+//      Fast-forward epochs (sampled mode) skip this phase.
 //   3. COMMIT: exact core clocks are reconstructed — memory latencies, PMU
 //      interrupt charges, and lock waits accumulate per core — and every
 //      PMU hook, lock observer, and allocation event fires with its
@@ -32,7 +34,9 @@
 // into shared handlers interleave identically to a fully sequential per-op
 // merge. Everything between those points advances only core-local state
 // and commits as whole per-core segments through one commit loop
-// (CommitRun), for detailed and fast-forward epochs alike. Within a
+// (CommitRun), for detailed and fast-forward epochs alike: it walks the op
+// stream, which doubles as the sync index, and commits the access runs
+// between its entries from the access column. Within a
 // segment, PMU hooks are consulted through the batch contract on PmuHook
 // (QuietOps / OnQuietAccessBatch / AccessFilter): an access only pays for
 // event assembly and virtual dispatch when some hook can actually act on
@@ -166,22 +170,23 @@ class Engine final : public Executor {
   void ApplyGlobal();
   void CommitEpoch();
 
-  // Commits ops of `core` starting at `begin` within a sync-free segment
-  // ending at `end`, advancing the core's committed clock in place. Stops
-  // at the first access some PMU hook can act on — a cross-core-visible
-  // effect that must re-arbitrate — and returns its index; the access at
-  // `begin` itself, already arbitrated, dispatches immediately. Returns
-  // `end` when the whole segment committed. In a fast-forward epoch,
-  // kFfRun markers advance the clock by their accumulated estimate.
-  uint32_t CommitRun(int core, uint32_t begin, uint32_t end);
-  // Commits the sync op at `index`; returns false when the core parked on a
-  // lock whose release is still pending (op not consumed).
+  // Commits the accesses and non-sync ops of `core` from its commit
+  // cursors up to the next sync op (or the end of its streams), advancing
+  // the core's committed clock and cursors in place. Stops at the first
+  // access some PMU hook can act on — a cross-core-visible effect that must
+  // re-arbitrate; when that access is the first thing at the cursors, it
+  // was already arbitrated and dispatches immediately. In a fast-forward
+  // epoch, kFfRun ops advance the clock by their accumulated estimate.
+  void CommitRun(int core);
+  // Commits the sync op at `index` of the core's op stream; returns false
+  // when the core parked on a lock whose release is still pending (op not
+  // consumed).
   bool CommitSyncOp(int core, uint32_t index);
   // Full per-op path for an access some hook may act on: assembles the
   // event and lets the PMU hooks charge the core — every hook in a detailed
   // epoch, only the filtered hooks whose window overlaps the access in a
   // fast-forward epoch.
-  void DispatchAccess(int core, uint32_t index, uint64_t& clock);
+  void DispatchAccess(int core, const ApplyLane& lane, uint64_t& clock);
 
   void ResyncSink();
   void RefreshQuiet(int core);
@@ -212,9 +217,11 @@ class Engine final : public Executor {
   // Commit-pass scratch, valid during CommitEpoch (members so the lock
   // wake-up in CommitSyncOp can refresh parked cores' keys).
   FusedSink sink_;
+  // Each core's commit cursors: the next lane of its access column and the
+  // next entry of its op stream.
   uint64_t commit_keys_[kMaxCores];
-  uint32_t commit_cursor_[kMaxCores];
-  uint32_t commit_sync_i_[kMaxCores];
+  uint32_t commit_access_[kMaxCores];
+  uint32_t commit_op_[kMaxCores];
   bool woke_parked_ = false;  // a lock release re-armed a parked core's key
   // PMU gate: remaining quiet budget across sink_.counting hooks, and the
   // accesses consumed under it but not yet flushed via OnQuietAccessBatch.

@@ -45,7 +45,7 @@ const char* FaultSeamName(FaultSeam seam);
 // Parses a seam name ("slab_grow", "lane_drop", ...); false if unknown.
 bool ParseFaultSeam(const std::string& name, FaultSeam* seam);
 
-// What happened to one gathered lane record.
+// What happened to one recorded access (an ApplyLane) on its way to apply.
 enum class LaneFault : uint8_t { kNone = 0, kDrop, kDup };
 
 struct FaultPlanConfig {

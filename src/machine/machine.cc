@@ -6,23 +6,6 @@
 
 namespace dprof {
 
-void CoreRecorder::Grow() {
-  const size_t new_cap = capacity == 0 ? 4096 : capacity * 2;
-  // Default-initialised, not zeroed: every push writes its whole record, so
-  // capacity a run never reaches is never faulted in.
-  std::unique_ptr<Lane[]> new_lane(new Lane[new_cap]);
-  std::unique_ptr<Meta[]> new_meta(new Meta[new_cap]);
-  if (n > 0) {
-    __builtin_memcpy(new_lane.get(), lane, n * sizeof(Lane));
-    __builtin_memcpy(new_meta.get(), meta, n * sizeof(Meta));
-  }
-  lane_store_ = std::move(new_lane);
-  meta_store_ = std::move(new_meta);
-  lane = lane_store_.get();
-  meta = meta_store_.get();
-  capacity = new_cap;
-}
-
 Machine::Machine(const MachineConfig& config)
     : config_(config),
       hierarchy_(config.hierarchy),
@@ -124,15 +107,15 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
     CoreRecorder& rec = *recorder_;
     const uint32_t l1_latency = m.config_.hierarchy.latency.l1;
     const uint32_t raw_cost = m.config_.base_op_cost + l1_latency;
-    const uint32_t write_bit = is_write ? CoreRecorder::kWriteBit : 0u;
+    const uint32_t write_bit = is_write ? ApplyLane::kWriteBit : 0u;
     AccessResult total;
     Addr at = addr;
     uint32_t remaining = size;
     if (rec.ff) {
       // Fast-forward: charge the calibrated estimate, skip the hierarchy.
       // Accesses inside the armed filter window snapshot still record real
-      // kAccess ops (with the estimate prefilled as the result) so commit
-      // can dispatch them to the watching hook.
+      // accesses (with the estimate prefilled as the result) so commit can
+      // dispatch them to the watching hook.
       while (remaining > 0) {
         const uint32_t line_room =
             static_cast<uint32_t>(line_size - (at & (line_size - 1)));
@@ -143,12 +126,10 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
         if (at < rec.ff_hi && at + chunk > rec.ff_lo) {
           const uint64_t extra =
               est > m.config_.base_op_cost ? est - m.config_.base_op_cost : 0;
-          rec.PushFfAccess(t, at, chunk | write_bit,
-                           CoreRecorder::PackResult(static_cast<uint32_t>(extra),
-                                                    ServedBy::kL1, false),
-                           ip);
+          rec.PushAccess(t, at, chunk | write_bit, ip,
+                         PackAccessResult(static_cast<uint32_t>(extra), ServedBy::kL1, false));
         } else {
-          rec.PushFfRun(t, est);
+          rec.PushFfRun(est);
         }
         total.latency += l1_latency;
         ++total.lines;
@@ -222,7 +203,7 @@ void CoreContext::Compute(FunctionId ip, uint64_t cycles) {
   Machine& m = *machine_;
   if (recorder_ != nullptr) {
     if (!recorder_->CoalesceCycles(SimOp::kCompute, ip, cycles)) {
-      recorder_->Push(SimOp::kCompute, recorder_->lb, kNullAddr, cycles, ip);
+      recorder_->Push(SimOp::kCompute, kNullAddr, cycles, ip);
     }
     recorder_->ChargeExact(cycles);
     return;
@@ -252,7 +233,7 @@ void CoreContext::LockAcquire(SimLock& lock, FunctionId ip) {
     // (arbitration point) instead of an acquire/done pair bracketing the
     // access.
     Access(ip, lock.word_, 8, true);
-    recorder_->Push(SimOp::kLockAcquire, recorder_->lb, reinterpret_cast<Addr>(&lock), 0, ip);
+    recorder_->Push(SimOp::kLockAcquire, reinterpret_cast<Addr>(&lock), 0, ip);
     return;
   }
   uint64_t wait = 0;
@@ -273,7 +254,7 @@ void CoreContext::LockRelease(SimLock& lock, FunctionId ip) {
   Machine& m = *machine_;
   if (recorder_ != nullptr) {
     Access(ip, lock.word_, 8, true);
-    recorder_->Push(SimOp::kLockRelease, recorder_->lb, reinterpret_cast<Addr>(&lock), 0, ip);
+    recorder_->Push(SimOp::kLockRelease, reinterpret_cast<Addr>(&lock), 0, ip);
     return;
   }
   DPROF_DCHECK(lock.holder_ == core_);
@@ -288,7 +269,7 @@ void CoreContext::LockRelease(SimLock& lock, FunctionId ip) {
 
 void CoreContext::BeginLatencyProbe() {
   if (recorder_ != nullptr) {
-    recorder_->Push(SimOp::kProbeBegin, recorder_->lb, kNullAddr, 0);
+    recorder_->Push(SimOp::kProbeBegin, kNullAddr, 0);
     return;
   }
   probing_ = true;
@@ -300,7 +281,7 @@ void CoreContext::EndLatencyProbe(RunningStat* stat, double divisor) {
     static_assert(sizeof(double) == sizeof(uint64_t), "divisor packing");
     uint64_t bits = 0;
     __builtin_memcpy(&bits, &divisor, sizeof(double));
-    recorder_->Push(SimOp::kProbeEnd, recorder_->lb, reinterpret_cast<Addr>(stat), bits);
+    recorder_->Push(SimOp::kProbeEnd, reinterpret_cast<Addr>(stat), bits);
     return;
   }
   probing_ = false;
@@ -309,8 +290,7 @@ void CoreContext::EndLatencyProbe(RunningStat* stat, double divisor) {
 
 void CoreContext::NotifyAllocEvent(TypeId type, Addr base, uint32_t size) {
   if (recorder_ != nullptr) {
-    recorder_->Push(SimOp::kAllocEvent, recorder_->lb, base,
-                    (static_cast<uint64_t>(type) << 32) | size);
+    recorder_->Push(SimOp::kAllocEvent, base, (static_cast<uint64_t>(type) << 32) | size);
     return;
   }
   machine_->allocator_->CommitAllocEvent(type, base, size, core_, now());
@@ -318,9 +298,8 @@ void CoreContext::NotifyAllocEvent(TypeId type, Addr base, uint32_t size) {
 
 void CoreContext::NotifyFreeEvent(TypeId type, Addr base, uint32_t size, bool alien) {
   if (recorder_ != nullptr) {
-    recorder_->Push(SimOp::kFreeEvent, recorder_->lb, base,
-                    (static_cast<uint64_t>(type) << 32) | size, kInvalidFunction,
-                    alien ? CoreRecorder::kAlienBit : 0);
+    recorder_->Push(SimOp::kFreeEvent, base, (static_cast<uint64_t>(type) << 32) | size,
+                    kInvalidFunction, alien ? SimOp::kAlienBit : 0);
     return;
   }
   machine_->allocator_->CommitFreeEvent(type, base, size, core_, now(), alien);

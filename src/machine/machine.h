@@ -11,9 +11,10 @@
 //    against the hierarchy immediately. RunSteps and executor-less RunFor
 //    use it, as do tests that drive contexts by hand.
 //  - Recorded mode: a CoreContext carries a CoreRecorder and operations are
-//    appended to per-core SoA queues instead of executing. The epoch engine
-//    (src/machine/engine.h) simulates every core for an epoch this way,
-//    then applies and commits the queues in a deterministic order.
+//    appended to per-core streams (an access column and an op stream)
+//    instead of executing. The epoch engine (src/machine/engine.h)
+//    simulates every core for an epoch this way, then applies and commits
+//    the streams in a deterministic order.
 //
 // All instrumentation attaches here:
 //  - MachineObserver: sees every access and compute operation (code
@@ -31,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/machine/symbol_table.h"
@@ -226,15 +228,15 @@ class EpochHook {
   virtual void OnEpochCommit(uint64_t now) = 0;
 };
 
-// The kinds of recorded simulation operation awaiting deterministic commit.
-// CoreRecorder stores each op across its lane/meta columns; the comments
-// name each kind's lane fields.
+// One recorded non-access operation awaiting deterministic commit: an entry
+// of the recorder's op stream. `at` places it in program order against the
+// access column: it follows the first `at` accesses the core recorded this
+// epoch and precedes the rest.
 struct SimOp {
   // Sync kinds (>= kFirstSync) interact with cross-core state at commit
   // time (locks, allocator events); they arbitrate on the global min-clock
   // rule and delimit the segments the commit pass batches between them.
   enum Kind : uint8_t {
-    kAccess,           // addr, size | write bit; lane.result receives the apply result
     kCompute,          // payload = cycles
     kIdle,             // payload = cycles
     kProbeBegin,       // latency probe window opens
@@ -247,73 +249,80 @@ struct SimOp {
     kFreeEvent,        // addr = base, payload = type<<32 | size, kAlienBit = alien
   };
   static constexpr Kind kFirstSync = kLockAcquire;
-};
-
-// Per-core operation queue filled during the engine's simulate phase. `lb`
-// is the core's lower-bound clock: the committed clock at epoch start plus
-// the minimum cost of every recorded op (memory latencies assume L1 hits;
-// PMU interrupts and lock waits are unknown until commit). The engine
-// orders commits by each op's recorded `t`, so the interleaving is a pure
-// function of the recorded streams.
-//
-// Storage is SoA, grouped by consumer:
-//  - lane[]: everything the apply pass reads (t, addr, size+write bit) plus
-//    the 32-bit packed result it writes back — one 24-byte record per op.
-//    For non-access ops the (size_w, result) pair is dead and doubles as
-//    the 64-bit payload slot (compute/idle cycles, alloc type+size, probe
-//    divisor bits), so no separate aux column exists. Commit order is
-//    reconstructed from committed clocks, so only the apply merge reads t.
-//  - meta[]: {ip, kind} in 8 bytes — the commit pass's sequential scan
-//    (kind every op, alien flag in its top bit, ip only when an event is
-//    actually assembled).
-//  - sync_points[]: indices of kind >= kFirstSync ops, recorded at push
-//    time so the commit pass splits segments without rescanning.
-// The apply pass is one fused merge over the cores' lane streams.
-class CoreRecorder {
- public:
-  struct Lane {
-    uint64_t t;
-    Addr addr;
-    uint32_t size_w;   // kAccess: size | kWriteBit; otherwise payload lo
-    uint32_t result;   // kAccess: packed by the apply pass; otherwise payload hi
-
-    uint64_t payload() const {
-      return static_cast<uint64_t>(size_w) | (static_cast<uint64_t>(result) << 32);
-    }
-    void set_payload(uint64_t payload) {
-      size_w = static_cast<uint32_t>(payload);
-      result = static_cast<uint32_t>(payload >> 32);
-    }
-  };
-  struct Meta {
-    FunctionId ip;
-    uint8_t kind;  // SimOp::Kind | kAlienBit
-    uint8_t pad[3];
-  };
-  static constexpr uint32_t kWriteBit = ApplyLane::kWriteBit;
   static constexpr uint8_t kKindMask = 0x0f;
   static constexpr uint8_t kAlienBit = 0x80;
 
-  // Apply-phase result packing for kAccess: the shared packed-AccessResult
-  // layout (src/sim/hierarchy.h), which is also what ApplyBatch writes.
-  static uint32_t PackResult(uint32_t latency, ServedBy level, bool invalidation) {
-    return PackAccessResult(latency, level, invalidation);
-  }
-  static uint32_t ResultLatency(uint32_t result) { return PackedAccessLatency(result); }
-  static ServedBy ResultLevel(uint32_t result) { return PackedAccessLevel(result); }
-  static bool ResultInvalidation(uint32_t result) {
-    return PackedAccessInvalidation(result);
+  Addr addr;
+  uint64_t payload;
+  uint32_t at;
+  FunctionId ip;
+  uint8_t kind;  // Kind | kAlienBit
+};
+
+// Growable array of one recorder stream. A push is one inlined capacity
+// branch (std::vector's push_back compiles to an out-of-line call on the
+// record hot path); growth doubles, is cold once capacity persists across
+// epochs, and leaves records uninitialised, so capacity a run never reaches
+// is never faulted in.
+template <typename T>
+class RecordColumn {
+ public:
+  size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  void clear() { n_ = 0; }
+  T* data() { return data_.get(); }
+  const T* data() const { return data_.get(); }
+  T& operator[](size_t i) { return data_[i]; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  T& back() { return data_[n_ - 1]; }
+
+  void push_back(const T& record) {
+    if (__builtin_expect(n_ == capacity_, 0)) {
+      Grow();
+    }
+    data_[n_++] = record;
   }
 
+ private:
+  __attribute__((noinline)) void Grow() {
+    capacity_ = capacity_ == 0 ? 4096 : capacity_ * 2;
+    std::unique_ptr<T[]> grown(new T[capacity_]);
+    if (n_ > 0) {
+      __builtin_memcpy(grown.get(), data_.get(), n_ * sizeof(T));
+    }
+    data_ = std::move(grown);
+  }
+
+  std::unique_ptr<T[]> data_;
+  size_t n_ = 0;
+  size_t capacity_ = 0;
+};
+
+// Per-core record of one epoch, filled during the engine's simulate phase.
+// `lb` is the core's lower-bound clock: the committed clock at epoch start
+// plus the minimum cost of every recorded op (memory latencies assume L1
+// hits; PMU interrupts and lock waits are unknown until commit).
+//
+// Two streams, in program order each:
+//  - access: the access column, one 24-byte ApplyLane per line-chunk access
+//    (src/sim/hierarchy.h), timed by t_delta against epoch_start_clock. The
+//    apply pass hands contiguous spans of it to CacheHierarchy::ApplyBatch,
+//    which writes each lane's result in place; the commit pass reads it back.
+//  - ops: every other op (compute, idle, probes, fast-forward runs, locks,
+//    allocator events), each placed against the access column by its `at`.
+//    Every sync op is here, so the commit pass walks it as its sync index.
+// Commit order is reconstructed from committed clocks, so only the apply
+// merge reads access times, and ops record none.
+class CoreRecorder {
+ public:
   // The engine sets the per-epoch fast-forward fields (ff/ff_lo/ff_hi)
   // after Reset.
   void Reset(uint64_t committed_clock) {
-    n = 0;
-    sync_points.clear();
+    access.clear();
+    ops.clear();
     ff = false;
     ff_lo = kNullAddr;
     ff_hi = kNullAddr;
-    run_open = false;
     accesses = 0;
     lb = committed_clock;
     epoch_start_clock = committed_clock;
@@ -321,81 +330,53 @@ class CoreRecorder {
     exact_cost = 0;
   }
 
-  size_t size() const { return n; }
-  bool empty() const { return n == 0; }
+  bool empty() const { return access.empty() && ops.empty(); }
 
-  // Pushes one non-access op: `payload` fills the lane's (size_w, result)
-  // pair; `flags` is ORed into the meta kind byte (kAlienBit). Sync kinds
-  // are indexed in sync_points as they are pushed.
-  void Push(SimOp::Kind kind, uint64_t t, Addr addr, uint64_t payload,
+  // Appends one non-access op after the accesses recorded so far; `flags`
+  // is ORed into the kind byte (kAlienBit).
+  void Push(SimOp::Kind kind, Addr addr, uint64_t payload,
             FunctionId ip = kInvalidFunction, uint8_t flags = 0) {
-    if (kind >= SimOp::kFirstSync) {
-      sync_points.push_back(static_cast<uint32_t>(n));
-    }
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, addr, static_cast<uint32_t>(payload),
-                   static_cast<uint32_t>(payload >> 32)};
-    meta[n] = Meta{ip, static_cast<uint8_t>(kind | flags), {0, 0, 0}};
-    ++n;
-    run_open = false;
+    ops.push_back(SimOp{addr, payload, static_cast<uint32_t>(access.size()), ip,
+                        static_cast<uint8_t>(kind | flags)});
   }
 
-  // Hot-path access pushes: one capacity branch, two stores.
-  void PushAccess(uint64_t t, Addr addr, uint32_t size_w, FunctionId ip) {
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, addr, size_w, 0};
-    meta[n] = Meta{ip, SimOp::kAccess, {0, 0, 0}};
-    ++n;
-    run_open = false;
+  // Appends one access recorded at lower-bound time `t`. `result` is left
+  // for the apply pass, except in fast-forward epochs, where the access
+  // never walks the hierarchy but a hook filter window overlaps it, so
+  // commit needs a real access to dispatch: the result then carries the
+  // estimated latency at level kL1 (the lower bound; sampled mode trades
+  // this precision away). The engine checks once per epoch that every
+  // t_delta fits its 32 bits.
+  void PushAccess(uint64_t t, Addr addr, uint32_t size_w, FunctionId ip,
+                  uint32_t result = 0) {
+    access.push_back(ApplyLane{addr, static_cast<uint32_t>(t - epoch_start_clock), size_w,
+                               result, ip});
   }
-  // Fast-forward push with a prefilled apply result: the access never walks
-  // the hierarchy, but a hook filter window overlaps it, so commit needs a
-  // real kAccess op to dispatch. The result carries the estimated latency at
-  // level kL1 (the lower bound; sampled mode trades this precision away).
-  void PushFfAccess(uint64_t t, Addr addr, uint32_t size_w, uint32_t result,
-                    FunctionId ip) {
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, addr, size_w, result};
-    meta[n] = Meta{ip, SimOp::kAccess, {0, 0, 0}};
-    ++n;
-    run_open = false;
-  }
-  // Fast-forwarded run marker: addr accumulates the access count, the
-  // payload accumulates the estimated cycle charge. Consecutive
-  // fast-forwarded accesses extend the open marker, so a quiet fast-forward
-  // epoch records O(1) ops.
-  void PushFfRun(uint64_t t, uint64_t est) {
-    if (run_open) {
-      ++lane[n - 1].addr;
-      lane[n - 1].set_payload(lane[n - 1].payload() + est);
+  // Fast-forwarded run: `addr` accumulates the access count, the payload
+  // the estimated cycle charge. Consecutive fast-forwarded accesses extend
+  // the open run (the last op, with no access recorded after it), so a
+  // quiet fast-forward epoch records O(1) ops.
+  void PushFfRun(uint64_t est) {
+    if (!ops.empty() && ops.back().kind == SimOp::kFfRun && ops.back().at == access.size()) {
+      ++ops.back().addr;
+      ops.back().payload += est;
       return;
     }
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, 1, static_cast<uint32_t>(est), static_cast<uint32_t>(est >> 32)};
-    meta[n] = Meta{kInvalidFunction, SimOp::kFfRun, {0, 0, 0}};
-    ++n;
-    run_open = true;
+    Push(SimOp::kFfRun, 1, est);
   }
   // Extends the previous op instead of pushing when it is the same cycle
-  // burst kind from the same function: consecutive compute/idle steps fuse
-  // into one op with the summed payload (clock effect identical).
+  // burst kind from the same function with no access in between:
+  // consecutive compute/idle steps fuse into one op with the summed payload
+  // (clock effect identical).
   bool CoalesceCycles(SimOp::Kind kind, FunctionId ip, uint64_t cycles) {
-    if (n == 0) {
+    if (ops.empty()) {
       return false;
     }
-    const Meta& last = meta[n - 1];
-    if (last.kind != static_cast<uint8_t>(kind) || last.ip != ip) {
+    SimOp& last = ops.back();
+    if (last.kind != kind || last.ip != ip || last.at != access.size()) {
       return false;
     }
-    lane[n - 1].set_payload(lane[n - 1].payload() + cycles);
+    last.payload += cycles;
     return true;
   }
 
@@ -425,23 +406,17 @@ class CoreRecorder {
     exact_cost += cycles;
   }
 
-  // Raw growable columns (capacity persists across epochs, so Grow is cold
-  // after warm-up; plain pointers keep the hot pushes to one branch).
-  Lane* lane = nullptr;
-  Meta* meta = nullptr;
-  size_t n = 0;
-  size_t capacity = 0;
+  RecordColumn<ApplyLane> access;
+  RecordColumn<SimOp> ops;
   // Fast-forward mode (sampled execution): accesses charge the calibrated
-  // estimate and coalesce into kFfRun markers instead of walking the
-  // hierarchy at apply time. Accesses overlapping [ff_lo, ff_hi) — the armed
-  // hook filter window snapshotted at epoch start — still record real
-  // kAccess ops (with prefilled results) so watchpoints keep firing.
+  // estimate and coalesce into kFfRun ops instead of walking the hierarchy
+  // at apply time. Accesses overlapping [ff_lo, ff_hi) — the armed hook
+  // filter window snapshotted at epoch start — still record real accesses
+  // (with prefilled results) so watchpoints keep firing.
   bool ff = false;
   Addr ff_lo = kNullAddr;
   Addr ff_hi = kNullAddr;
-  bool run_open = false;  // last op is this epoch's open kFfRun
   uint64_t accesses = 0;  // line-chunk accesses recorded this epoch (any mode)
-  std::vector<uint32_t> sync_points;
   uint64_t lb = 0;
   uint64_t epoch_start_clock = 0;
   uint64_t raw_access_cost = 0;  // sum of unscaled access costs this epoch
@@ -449,12 +424,6 @@ class CoreRecorder {
   // Q4 fixed-point committed-cost / raw-cost calibration, fed back by the
   // engine each epoch (16 = 1.0x).
   uint32_t cost_scale16 = 16;
-
- private:
-  void Grow();  // doubles the column storage (cold; capacity persists)
-
-  std::unique_ptr<Lane[]> lane_store_;
-  std::unique_ptr<Meta[]> meta_store_;
 };
 
 struct MachineConfig {

@@ -27,9 +27,6 @@ SamplingController::SamplingController(const SamplingConfig& config) : config_(c
   if (config_.window_cycles == 0) {
     config_.window_cycles = SamplingConfig().window_cycles;
   }
-  if (config_.ff_epoch_cycles == 0) {
-    config_.ff_epoch_cycles = SamplingConfig().ff_epoch_cycles;
-  }
   // A window at least as long as the period means "always detailed".
   config_.window_cycles = std::min(config_.window_cycles, config_.period_cycles);
 }
@@ -48,6 +45,7 @@ uint64_t SamplingController::Jitter(uint64_t k) const {
 }
 
 bool SamplingController::BeginEpoch(uint64_t clock) {
+  detailed_ = true;
   if (exact_fallback_) {
     return true;
   }
@@ -85,7 +83,8 @@ bool SamplingController::BeginEpoch(uint64_t clock) {
   // epoch strides vary, "past the offset and not yet served" guarantees at
   // least one detailed epoch per period regardless of how clocks land.
   const uint64_t in_period = clock - k * config_.period_cycles;
-  return served_ < config_.window_cycles && in_period >= offset_;
+  detailed_ = served_ < config_.window_cycles && in_period >= offset_;
+  return detailed_;
 }
 
 uint64_t SamplingController::FfRunway(uint64_t clock) const {
@@ -99,9 +98,9 @@ uint64_t SamplingController::FfRunway(uint64_t clock) const {
   return (k + 1) * config_.period_cycles + Jitter(k + 1) - clock;
 }
 
-void SamplingController::EndEpoch(bool detailed, uint64_t advance, uint64_t accesses) {
+void SamplingController::EndEpoch(uint64_t advance, uint64_t accesses) {
   total_cycles_ += advance;
-  if (detailed) {
+  if (detailed_) {
     served_ += advance;
     ++detailed_epochs_;
     measured_cycles_ += advance;

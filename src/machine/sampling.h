@@ -23,12 +23,6 @@ struct SamplingConfig {
   // Seed for the deterministic window-placement jitter. The schedule is a
   // pure function of (seed, committed clock).
   uint64_t seed = 0x5a17;
-  // Epoch-length cap for fast-forward stretches. FF epochs skip the apply
-  // phase and keep the counting PMU hooks frozen, so the engine coarsens
-  // them to amortize per-epoch overhead; FfRunway() still ends a stretch at
-  // the next detailed window. Watchpoint filters armed mid-epoch see accesses only from the
-  // next epoch on, so this also bounds that arming lag in simulated cycles.
-  uint64_t ff_epoch_cycles = 100'000;
 };
 
 // One confidence interval on a proportion, in percentage points.
@@ -53,11 +47,10 @@ class SamplingController {
   // function of the clock sequence.
   bool BeginEpoch(uint64_t clock);
 
-  // Report the epoch that just committed. `detailed` is the mode it ran in
-  // (BeginEpoch's decision), `advance` is the simulated cycles the global
-  // min-clock moved,
+  // Report the epoch that just committed, in the mode the last BeginEpoch
+  // chose: `advance` is the simulated cycles the global min-clock moved,
   // and `accesses` is the number of memory accesses the epoch recorded.
-  void EndEpoch(bool detailed, uint64_t advance, uint64_t accesses);
+  void EndEpoch(uint64_t advance, uint64_t accesses);
 
   // Cycles from `clock` until the next detailed window could begin — the cap
   // a fast-forward epoch must respect so one long FF epoch never jumps a
@@ -126,6 +119,7 @@ class SamplingController {
   uint64_t cur_period_ = ~0ull;  // index of the period being served
   uint64_t served_ = 0;          // detailed cycles served in cur_period_
   uint64_t offset_ = 0;          // window start offset inside cur_period_
+  bool detailed_ = true;         // the last BeginEpoch's decision
   uint64_t violations_ = 0;      // periods that broke the honesty contract
   bool widened_ = false;         // the window budget was doubled at least once
   bool exact_fallback_ = false;  // degraded to always-detailed execution

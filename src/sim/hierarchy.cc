@@ -586,20 +586,15 @@ void CacheHierarchy::ApplyBatch(int core, uint64_t base, ApplyLane* lanes, size_
   DPROF_DCHECK(core >= 0 && core < config_.num_cores);
   for (size_t i = 0; i < count; ++i) {
     ApplyLane& lane = lanes[i];
-    const bool write = (lane.size_w & ApplyLane::kWriteBit) != 0;
-    const uint32_t size = lane.size_w & ~ApplyLane::kWriteBit;
-    const uint64_t now = base + lane.t_delta;
     const uint64_t line = lane.addr >> line_shift_;
-    if (((lane.addr + size - 1) >> line_shift_) != line) {
-      const AccessResult r = write ? AccessImpl<true>(core, lane.addr, size, now)
-                                   : AccessImpl<false>(core, lane.addr, size, now);
-      lane.size_w = PackAccessResult(r.latency, r.level, r.invalidation);
-      continue;
-    }
-    const uint32_t packed =
-        write ? AccessLine<true>(core, line, now) : AccessLine<false>(core, line, now);
+    DPROF_DCHECK(((lane.addr + (lane.size_w & ~ApplyLane::kWriteBit) - 1) >> line_shift_) ==
+                 line);
+    const uint64_t now = base + lane.t_delta;
+    const uint32_t packed = (lane.size_w & ApplyLane::kWriteBit) != 0
+                                ? AccessLine<true>(core, line, now)
+                                : AccessLine<false>(core, line, now);
     CountAccess(core, packed);
-    lane.size_w = packed & ~kRemoteFill;
+    lane.result = packed & ~kRemoteFill;
   }
 }
 

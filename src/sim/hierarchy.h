@@ -96,10 +96,9 @@ struct AccessResult {
 };
 
 // Packed form of an AccessResult: latency (24 bits) | level (3) |
-// invalidation (1). The batch-apply interface below writes it, and the
-// engine's lane records (CoreRecorder in src/machine/machine.h) carry the
-// same layout; simulated latencies are a few hundred cycles, so 24 bits
-// leaves three orders of magnitude of headroom.
+// invalidation (1). ApplyBatch writes it into ApplyLane::result;
+// simulated latencies are a few hundred cycles, so 24 bits leaves three
+// orders of magnitude of headroom.
 inline uint32_t PackAccessResult(uint32_t latency, ServedBy level, bool invalidation) {
   return latency | (static_cast<uint32_t>(level) << 24) |
          (static_cast<uint32_t>(invalidation) << 27);
@@ -112,17 +111,20 @@ inline bool PackedAccessInvalidation(uint32_t packed) {
   return ((packed >> 27) & 1u) != 0;
 }
 
-// One access of a batch-apply span: the compact 16-byte record the engine
-// gathers its recorded accesses into before applying them. `size_w` carries
-// size | kWriteBit on entry and the packed AccessResult on return.
+// One recorded single-line access, the engine's only access record: the
+// simulated core appends it to its recorder's access column
+// (CoreRecorder in src/machine/machine.h), ApplyBatch resolves a span of
+// that column in place, and the commit pass reads the result back.
 struct ApplyLane {
   static constexpr uint32_t kWriteBit = 0x8000'0000u;
 
   Addr addr;
   uint32_t t_delta;  // access time = span base + t_delta
-  uint32_t size_w;   // in: size | write bit; out: PackAccessResult(...)
+  uint32_t size_w;   // size | kWriteBit
+  uint32_t result;   // PackAccessResult(...), written by ApplyBatch
+  FunctionId ip;     // the instruction, for PMU hook events
 };
-static_assert(sizeof(ApplyLane) == 16, "spans are streamed as 16-byte records");
+static_assert(sizeof(ApplyLane) == 24, "the access column streams 24-byte records");
 
 struct HierarchyConfig {
   int num_cores = 16;
@@ -199,13 +201,11 @@ class CacheHierarchy {
   }
 
   // Batch apply, the engine's one entry point into the hierarchy: resolves
-  // `count` accesses by `core` in order (access i happens at base +
-  // lanes[i].t_delta) and writes each packed result into lanes[i].size_w.
-  // A lane inside one line (every engine lane: the simulated core splits
-  // accesses at line boundaries) takes one inlined single-line walk; a lane
-  // spanning lines takes the Access loop. State effects, results and stats
-  // are exactly those of `count` sequential Access calls. Not thread-safe:
-  // one caller at a time.
+  // `count` single-line accesses by `core` in order (access i happens at
+  // base + lanes[i].t_delta) and writes each packed result into
+  // lanes[i].result, leaving the rest of the lane intact. State effects,
+  // results and stats are exactly those of `count` sequential Access calls.
+  // Not thread-safe: one caller at a time.
   void ApplyBatch(int core, uint64_t base, ApplyLane* lanes, size_t count);
 
   const HierarchyConfig& config() const { return config_; }

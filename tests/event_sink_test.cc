@@ -44,6 +44,73 @@ TEST(EventSinkDeathTest, EngineRejectsAttachedObserver) {
       "observers_.empty");
 }
 
+// Fast-forward epochs keep the counting hooks frozen, so IBS accounts
+// exactly the measured-window accesses. The watchpoint's handler disarms it
+// on its first hit, inside a fast-forward epoch; the epoch's later accesses
+// to the watched line were recorded as real accesses (the filter window is
+// snapshotted at epoch start) but match no live filter after the resync,
+// and must still not reach IBS.
+TEST(EventSinkTest, CountingHooksStayFrozenInFastForwardEpochs) {
+  constexpr Addr kWatched = 0x200000;
+  // Touches the watched line only from cycle 40k on: after period 0's
+  // detailed window [0, 20k), inside the first fast-forward stretch.
+  struct Streamer final : CoreDriver {
+    uint64_t i = 0;
+    bool Step(CoreContext& ctx) override {
+      if (ctx.now() >= 40'000) {
+        ctx.Read(1, kWatched, 8);
+      }
+      ctx.Write(2, 0x400000 + (i++ % 512) * 64, 8);
+      ctx.Compute(3, 50);
+      return true;
+    }
+  };
+  // IBS with its accounting exposed: every access it is told about, one by
+  // one or in quiet batches.
+  struct CountingIbs final : PmuHook {
+    CountingIbs(int cores, const IbsConfig& config) : ibs(cores, config) {}
+    uint64_t OnAccess(const AccessEvent& event) override {
+      ++accounted;
+      return ibs.OnAccess(event);
+    }
+    uint64_t QuietOps(int core) const override { return ibs.QuietOps(core); }
+    void OnQuietAccessBatch(int core, uint64_t count) override {
+      accounted += count;
+      ibs.OnQuietAccessBatch(core, count);
+    }
+    IbsUnit ibs;
+    uint64_t accounted = 0;
+  };
+  MachineConfig config;
+  config.hierarchy.num_cores = 2;
+  Machine machine(config);
+  Streamer drivers[2];
+  machine.SetDriver(0, &drivers[0]);
+  machine.SetDriver(1, &drivers[1]);
+  IbsConfig ibs_config;
+  ibs_config.period_ops = 64;
+  CountingIbs ibs(2, ibs_config);
+  DebugRegisterFile regs;
+  regs.SetHandler([&regs](const AccessEvent&, int reg) { regs.Disarm(reg); });
+  regs.Arm(0, kWatched, 8);
+  machine.AddPmuHook(&ibs);
+  machine.AddPmuHook(&regs);
+  EngineConfig engine_config;
+  engine_config.epoch_cycles = 10'000;
+  engine_config.sampling.enabled = true;
+  engine_config.sampling.period_cycles = 200'000;
+  engine_config.sampling.window_cycles = 20'000;
+  Engine engine(&machine, engine_config);
+  machine.SetExecutor(&engine);
+  machine.RunFor(600'000);
+
+  const SamplingController& sampler = *engine.sampler();
+  ASSERT_GT(sampler.ff_epochs(), 0u);
+  ASSERT_EQ(regs.hits(), 1u);
+  EXPECT_GT(ibs.ibs.samples_taken(), 0u);
+  EXPECT_EQ(ibs.accounted, sampler.measured_accesses());
+}
+
 TEST(EventSinkTest, IbsQuietSkipMatchesPerOpCountdown) {
   // Feeding one unit per-op and its twin through QuietOps/OnQuietAccessBatch
   // chunks must sample the same ops and charge the same cycles.

@@ -265,6 +265,26 @@ TEST(ValidateRunSpecTest, SamplingErrorsNameTheRealFlags) {
   error = ValidateRunSpec(spec);
   EXPECT_EQ(error.rfind("--sampling-window (2000)", 0), 0u) << error;
   EXPECT_NE(error.find("--sampling-period (1000)"), std::string::npos) << error;
+  // Without --sampling-period the window is checked against the default
+  // period, which the message names.
+  spec.sampling_period = 0;
+  spec.sampling_window = 500'000;
+  error = ValidateRunSpec(spec);
+  EXPECT_EQ(error.rfind("--sampling-window (500000)", 0), 0u) << error;
+  EXPECT_NE(error.find("--sampling-period (" +
+                       std::to_string(SamplingConfig().period_cycles) + ", the default)"),
+            std::string::npos)
+      << error;
+  // And a period below the default window.
+  spec.sampling_period = 10'000;
+  spec.sampling_window = 0;
+  error = ValidateRunSpec(spec);
+  EXPECT_EQ(error.rfind("--sampling-window (" + std::to_string(SamplingConfig().window_cycles) +
+                            ", the default)",
+                        0),
+            0u)
+      << error;
+  EXPECT_NE(error.find("--sampling-period (10000)"), std::string::npos) << error;
 }
 
 // The legacy loop builds no engine, so engine-only options would be silently

@@ -356,7 +356,8 @@ TEST(HierarchyTest, WrongHomeFaultInjectableOnlyOnNuma) {
 // Differential: ApplyBatch against sequential Access calls on a twin
 // hierarchy. Tiny extension banks (1-2 ways per set) make ReclaimExtWay
 // fire, and 1, 2 and 4 sockets cover the home-slice and interconnect paths.
-// Lanes mix the single-line walk with multi-line lanes.
+// Lanes stay inside one line, as the engine's recorded accesses do;
+// multi-line Access is covered by the 4-line and straddle cases above.
 // ---------------------------------------------------------------------------
 
 void ExpectSameTotals(const HierarchyTotals& a, const HierarchyTotals& b) {
@@ -405,25 +406,26 @@ TEST_P(ApplyBatchDifferentialTest, MatchesSequentialAccess) {
       for (size_t i = 0; i < count; ++i) {
         const Addr addr = 0x100000 + (rng() % kPoolLines) * line_size + rng() % line_size;
         const uint32_t in_line = line_size - static_cast<uint32_t>(addr % line_size);
-        // One lane in five spans lines; the rest stay inside one line.
-        const bool spans = rng() % 5 == 0;
-        const uint32_t size = spans ? in_line + 1 + static_cast<uint32_t>(rng() % 150)
-                                    : 1 + static_cast<uint32_t>(rng() % in_line);
+        const uint32_t size = 1 + static_cast<uint32_t>(rng() % in_line);
         writes[i] = rng() % 10 < 3;
         now += 1 + rng() % 3;
         lanes[i] = ApplyLane{addr, static_cast<uint32_t>(now - base),
-                             size | (writes[i] ? ApplyLane::kWriteBit : 0u)};
-        for (Addr a = addr / line_size; a <= (addr + size - 1) / line_size; ++a) {
-          touched.insert(a * line_size);
-        }
+                             size | (writes[i] ? ApplyLane::kWriteBit : 0u), 0,
+                             static_cast<FunctionId>(i)};
+        touched.insert(addr / line_size * line_size);
       }
-      std::vector<ApplyLane> in = lanes;
+      const std::vector<ApplyLane> in = lanes;
       batch.ApplyBatch(core, base, lanes.data(), count);
       for (size_t i = 0; i < count; ++i) {
         const uint32_t size = in[i].size_w & ~ApplyLane::kWriteBit;
         const AccessResult r = seq.Access(core, in[i].addr, size, writes[i], base + in[i].t_delta);
-        ASSERT_EQ(lanes[i].size_w, PackAccessResult(r.latency, r.level, r.invalidation))
+        ASSERT_EQ(lanes[i].result, PackAccessResult(r.latency, r.level, r.invalidation))
             << "seed " << seed << " span " << span << " lane " << i;
+        // Everything but the result is left for the commit pass.
+        ASSERT_EQ(lanes[i].addr, in[i].addr);
+        ASSERT_EQ(lanes[i].t_delta, in[i].t_delta);
+        ASSERT_EQ(lanes[i].size_w, in[i].size_w);
+        ASSERT_EQ(lanes[i].ip, in[i].ip);
       }
     }
     ExpectSameTotals(batch.Totals(), seq.Totals());
