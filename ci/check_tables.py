@@ -5,6 +5,9 @@ numbers, with tolerances. Each spec reads the rows a reproduction emits as
 
 Usage: check_tables.py --dprof ./build/dprof [--only name1,name2]
 
+The specs run on at most os.cpu_count() worker processes; each spec's block
+is printed whole and in spec order, so the output is that of a serial run.
+
 Each checked table has a spec below: the headline facts the reproduction must
 preserve (which type tops the profile, bounce verdicts, how working sets and
 latencies move between operating points), plus numeric values compared against
@@ -17,9 +20,13 @@ Exit code 1 when any check fails; tables without a spec are not run.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 
 def view_rows(doc, view):
@@ -327,6 +334,30 @@ RUN_SPECS = {
 }
 
 
+def run_spec(name, dprof):
+    """Runs one spec; returns its printed block and whether it passed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print(f"== {name}")
+        checker = Checker(name)
+        try:
+            if name in RUN_SPECS:
+                RUN_SPECS[name](dprof, checker)
+            else:
+                proc = subprocess.run(
+                    [dprof, "bench", name, "--json"], capture_output=True, text=True
+                )
+                if proc.returncode == 0:
+                    SPECS[name](json.loads(proc.stdout), checker)
+                else:
+                    checker.check(f"dprof bench {name} exited {proc.returncode}", False)
+        except (ValueError, KeyError, TypeError) as e:
+            # Output that is not JSON, or lacks a row or column the spec
+            # reads: this spec fails, the others still run.
+            checker.check("report readable", False, f"({type(e).__name__}: {e})")
+    return out.getvalue(), not checker.failures
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--dprof", default="./build/dprof")
@@ -342,26 +373,15 @@ def main():
         return 1
 
     failed = []
-    for name in names:
-        print(f"== {name}")
-        checker = Checker(name)
-        try:
-            if name in RUN_SPECS:
-                RUN_SPECS[name](args.dprof, checker)
-            else:
-                proc = subprocess.run(
-                    [args.dprof, "bench", name, "--json"], capture_output=True, text=True
-                )
-                if proc.returncode == 0:
-                    SPECS[name](json.loads(proc.stdout), checker)
-                else:
-                    checker.check(f"dprof bench {name} exited {proc.returncode}", False)
-        except (ValueError, KeyError, TypeError) as e:
-            # Output that is not JSON, or lacks a row or column the spec
-            # reads: this spec fails, the others still run.
-            checker.check("report readable", False, f"({type(e).__name__}: {e})")
-        if checker.failures:
-            failed.append(name)
+    workers = min(os.cpu_count() or 1, len(names))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        runs = [pool.submit(run_spec, name, args.dprof) for name in names]
+        for name, run in zip(names, runs):
+            block, ok = run.result()
+            sys.stdout.write(block)
+            sys.stdout.flush()
+            if not ok:
+                failed.append(name)
 
     if failed:
         print(f"\nFAIL: table reproductions out of tolerance: {', '.join(failed)}")

@@ -30,7 +30,9 @@ void ApplySpec(ScenarioRig& rig, const RunSpec& spec) {
 // RSS would depend on the seed and, under `whatif`'s host threads, on
 // which thread runs which experiment. A threshold pinned at glibc's default
 // 128 KiB keeps such tables in mappings of their own, returned to the OS
-// when the run frees them.
+// when the run frees them. The lattice arrays do not go through malloc:
+// CacheHierarchy maps them itself (anonymous mmap, unmapped when the rig
+// ends), so the threshold governs the recorder and session tables.
 void PinMmapThreshold() {
 #if defined(__GLIBC__)
   static const int pinned = mallopt(M_MMAP_THRESHOLD, 128 * 1024);
@@ -93,15 +95,16 @@ std::string ValidateRunSpec(const RunSpec& spec) {
   if (!spec.sampled && (spec.sampling_period > 0 || spec.sampling_window > 0)) {
     return "--sampling-period/--sampling-window only apply to sampled runs; add --sampled";
   }
-  // A window longer than the period would silently run every epoch
-  // detailed; compare the values the run will use, defaults included.
+  // A window as long as the period would silently run every epoch
+  // detailed (a sampled run that fast-forwards nothing); compare the values
+  // the run will use, defaults included.
   const SamplingConfig defaults;
   const uint64_t period = spec.sampling_period > 0 ? spec.sampling_period : defaults.period_cycles;
   const uint64_t window = spec.sampling_window > 0 ? spec.sampling_window : defaults.window_cycles;
-  if (spec.sampled && window > period) {
+  if (spec.sampled && window >= period) {
     return "--sampling-window (" + std::to_string(window) +
            (spec.sampling_window > 0 ? "" : ", the default") +
-           ") must not exceed --sampling-period (" + std::to_string(period) +
+           ") must be less than --sampling-period (" + std::to_string(period) +
            (spec.sampling_period > 0 ? ")" : ", the default)");
   }
   if (!spec.fault_seams.empty()) {

@@ -27,7 +27,9 @@ SamplingController::SamplingController(const SamplingConfig& config) : config_(c
   if (config_.window_cycles == 0) {
     config_.window_cycles = SamplingConfig().window_cycles;
   }
-  // A window at least as long as the period means "always detailed".
+  // A window at least as long as the period means "always detailed". The
+  // CLI rejects such a window up front (ValidateRunSpec); this clamp serves
+  // library callers that build a SamplingConfig directly.
   config_.window_cycles = std::min(config_.window_cycles, config_.period_cycles);
 }
 

@@ -47,10 +47,14 @@ AuditResult InvariantAuditor::Audit() const {
   // The audit trusts nothing derived: lattice lookups rescan every data way
   // and every extension slot instead of going through FindL3Slot, whose
   // early exits lean on the per-set tag count the audit is itself verifying.
+  // Data tags are read decoded (kNoLine for an empty way), way by way
+  // through the plane layout.
+  const auto data_tag = [&](uint64_t set, uint32_t w) -> uint64_t {
+    return CacheHierarchy::DecodeTag(h.l3_tags_[h.L3Slot(set, w)]);
+  };
   const auto find_slot = [&](uint64_t set, uint64_t line) -> int {
-    const size_t set_base = set * h.l3_ways_;
     for (uint32_t w = 0; w < h.l3_ways_; ++w) {
-      const uint64_t tag = h.l3_tags_[set_base + w];
+      const uint64_t tag = data_tag(set, w);
       if (tag != kNoLine && (tag & kTagMask) == line) {
         return static_cast<int>(w);
       }
@@ -65,7 +69,7 @@ AuditResult InvariantAuditor::Audit() const {
   };
   const auto meta_of = [&](uint64_t set, int slot) -> const WayMeta& {
     return static_cast<uint32_t>(slot) < h.l3_ways_
-               ? h.l3_meta_[set * h.l3_ways_ + static_cast<uint32_t>(slot)]
+               ? h.l3_meta_[h.L3Slot(set, static_cast<uint32_t>(slot))]
                : h.l3_ext_[set][static_cast<uint32_t>(slot) - h.l3_ways_].meta;
   };
 
@@ -78,7 +82,7 @@ AuditResult InvariantAuditor::Audit() const {
       for (uint64_t set = 0; set < level.sets; ++set) {
         const size_t row = (static_cast<uint64_t>(core) * level.sets + set) * level.ways;
         for (uint32_t w = 0; w < level.ways; ++w) {
-          const uint64_t tag = level.tags[row + w];
+          const uint64_t tag = CacheHierarchy::DecodeTag(level.tags[row + w]);
           if (tag == kNoLine) {
             continue;
           }
@@ -90,7 +94,7 @@ AuditResult InvariantAuditor::Audit() const {
           }
           const uint64_t line = tag & kPrivTagMask;
           for (uint32_t w2 = w + 1; w2 < level.ways; ++w2) {
-            const uint64_t other = level.tags[row + w2];
+            const uint64_t other = CacheHierarchy::DecodeTag(level.tags[row + w2]);
             if (other != kNoLine && (other & kPrivTagMask) == line) {
               violate("%s core %d set %" PRIu64 ": line %#" PRIx64
                       " tagged in two ways",
@@ -114,10 +118,10 @@ AuditResult InvariantAuditor::Audit() const {
                     level_names[li], core, line);
           }
           if ((tag & kPrivExclBit) != 0) {
-            if (meta.owner != core) {
+            if (meta.owner() != core) {
               violate("exclusive: %s core %d carries kPrivExclBit on line %#" PRIx64
                       " but directory owner is %d",
-                      level_names[li], core, line, meta.owner);
+                      level_names[li], core, line, meta.owner());
             } else if ((meta.excl_levels & (1u << li)) == 0) {
               violate("exclusive: %s core %d carries kPrivExclBit on line %#" PRIx64
                       " outside the excl_levels grant %u",
@@ -136,7 +140,6 @@ AuditResult InvariantAuditor::Audit() const {
   // in its home slice (set / l3_sets_ names the slice being walked).
   for (uint64_t set = 0; set < h.l3_total_sets_; ++set) {
     const uint64_t slice = set / h.l3_sets_;
-    const size_t set_base = set * h.l3_ways_;
     const auto& ext = h.l3_ext_[set];
     const uint32_t ext_count = static_cast<uint32_t>(ext.size());
     if (ext_count > h.l3_ext_ways_) {
@@ -147,7 +150,7 @@ AuditResult InvariantAuditor::Audit() const {
 
     uint32_t tagged_data = 0;
     for (uint32_t w = 0; w < h.l3_ways_; ++w) {
-      if (h.l3_tags_[set_base + w] != kNoLine) {
+      if (data_tag(set, w) != kNoLine) {
         ++tagged_data;
         ++result.tags_checked;
       }
@@ -168,7 +171,7 @@ AuditResult InvariantAuditor::Audit() const {
     // live extension tags, plus directory field sanity per tagged slot.
     const uint32_t total_slots = h.l3_ways_ + ext_count;
     const auto tag_at = [&](uint32_t s) -> uint64_t {
-      return s < h.l3_ways_ ? h.l3_tags_[set_base + s] : ext[s - h.l3_ways_].tag;
+      return s < h.l3_ways_ ? data_tag(set, s) : ext[s - h.l3_ways_].tag;
     };
     for (uint32_t a = 0; a < total_slots; ++a) {
       const uint64_t tag_a = tag_at(a);
@@ -196,13 +199,13 @@ AuditResult InvariantAuditor::Audit() const {
                 "(sharers %#" PRIx64 ", invalidated %#" PRIx64 ")",
                 set, a, meta.sharers, meta.invalidated_from);
       }
-      if (meta.owner >= 0) {
-        if (meta.owner >= num_cores) {
-          violate("directory set %" PRIu64 " slot %u: owner %d out of range", set, a,
-                  meta.owner);
-        } else if (((meta.sharers >> meta.owner) & 1u) == 0) {
+      const int owner = meta.owner();
+      if (owner >= 0) {
+        if (owner >= num_cores) {
+          violate("directory set %" PRIu64 " slot %u: owner %d out of range", set, a, owner);
+        } else if (((meta.sharers >> owner) & 1u) == 0) {
           violate("directory set %" PRIu64 " slot %u: owner %d outside sharer set %#" PRIx64,
-                  set, a, meta.owner, meta.sharers);
+                  set, a, owner, meta.sharers);
         }
       }
     }

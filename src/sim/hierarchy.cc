@@ -1,5 +1,7 @@
 #include "src/sim/hierarchy.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 
 #include "src/util/check.h"
@@ -38,6 +40,26 @@ uint32_t LatencyModel::Of(ServedBy level) const {
   return dram;
 }
 
+// Anonymous private mappings come back zero-filled and page-aligned, and
+// their pages stay on the kernel's zero page until first written.
+void* CacheHierarchy::MapZeroPages(size_t bytes) {
+  void* data = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  DPROF_CHECK(data != MAP_FAILED);
+  return data;
+}
+
+void CacheHierarchy::UnmapPages(void* data, size_t bytes) {
+  if (data != nullptr) {
+    munmap(data, bytes);
+  }
+}
+
+void CacheHierarchy::RemapZeroPages(void* data, size_t bytes) {
+  void* fresh = mmap(data, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED, -1, 0);
+  DPROF_CHECK(fresh == data);
+}
+
 void CacheHierarchy::Level::Init(const CacheGeometry& geometry, int num_cores) {
   DPROF_CHECK(geometry.ways > 0);
   DPROF_CHECK(geometry.IsPowerOfTwoShaped());
@@ -45,8 +67,8 @@ void CacheHierarchy::Level::Init(const CacheGeometry& geometry, int num_cores) {
   sets = geometry.NumSets();
   set_mask = geometry.SetMask();
   const size_t slots = static_cast<size_t>(num_cores) * sets * ways;
-  tags.assign(slots, kNoLine);
-  stamps.assign(slots, 0);
+  tags = ZeroPages<uint64_t>(slots);
+  stamps = ZeroPages<uint64_t>(slots);
 }
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig& config) : config_(config) {
@@ -71,11 +93,15 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config) : config_(config) 
   // One L3 slice per socket: the global set array concatenates the slices,
   // and L3SetOf(line) = home_socket * l3_sets_ + within-slice set.
   l3_total_sets_ = l3_sets_ * static_cast<uint64_t>(sockets);
-  l3_tags_.assign(l3_total_sets_ * l3_ways_, kNoLine);
-  l3_stamps_.assign(l3_total_sets_ * l3_ways_, 0);
-  l3_meta_.assign(l3_total_sets_ * l3_ways_, WayMeta());
+  // Data ways in 8-way planes; a partial last plane is padded to 8 ways.
+  const uint64_t plane_slots = l3_total_sets_ * kPlaneWays;
+  l3_plane_shift_ = static_cast<uint32_t>(__builtin_ctzll(plane_slots));
+  const size_t l3_slots = (l3_ways_ + kPlaneWays - 1) / kPlaneWays * plane_slots;
+  l3_tags_ = ZeroPages<uint64_t>(l3_slots);
+  l3_stamps_ = ZeroPages<uint64_t>(l3_slots);
+  l3_meta_ = ZeroPages<WayMeta>(l3_slots);
   l3_ext_.resize(l3_total_sets_);
-  l3_tag_count_.assign(l3_total_sets_, 0);
+  l3_tag_count_ = ZeroPages<uint16_t>(l3_total_sets_);
 
   // Home bits sit at the top of the home period, and the period divides
   // every level's set count (all powers of two), so two lines in the same
@@ -96,7 +122,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& config) : config_(config) 
 }
 
 void CacheHierarchy::RemoveAt(Level& level, size_t slot) {
-  level.tags[slot] = kNoLine;
+  level.tags[slot] = kEmptyTag;
   level.stamps[slot] = 0;
 }
 
@@ -114,23 +140,24 @@ uint32_t CacheHierarchy::FillAt(Level& level, size_t row, const RowScan& scan,
   } else {
     // Row is full: pick the LRU way now.
     w = OldestOf(&level.stamps[row], level.ways);
-    *victim = level.tags[row + w] & kPrivTagMask;
+    *victim = DecodeTag(level.tags[row + w]) & kPrivTagMask;
   }
   const size_t slot = row + w;
-  level.tags[slot] = line;  // a fresh fill is never exclusive
+  level.tags[slot] = EncodeTag(line);  // a fresh fill is never exclusive
   level.stamps[slot] = now;
   return w;
 }
 
 int CacheHierarchy::FindL3Slot(uint64_t set, uint64_t line) const {
-  const uint64_t* tags = &l3_tags_[set * l3_ways_];
+  const uint64_t* tags = &l3_tags_[L3SetBase(set)];
+  const uint64_t key = EncodeTag(line);
   uint32_t remaining = l3_tag_count_[set];
   for (uint32_t w = 0; remaining > 0; ++w) {
-    const uint64_t tag = tags[w];
-    if (tag == kNoLine) {
+    const uint64_t tag = tags[L3WayOffset(w)];
+    if (tag == kEmptyTag) {
       continue;
     }
-    if ((tag & kTagMask) == line) {
+    if ((tag & kTagMask) == key) {
       return static_cast<int>(w);
     }
     --remaining;
@@ -150,14 +177,15 @@ int CacheHierarchy::FindL3Slot(uint64_t set, uint64_t line) const {
 // means no *valid data*: untagged ways and in-place dir-only residues both
 // qualify — exactly the ways the classic model would have left invalid.
 CacheHierarchy::L3Scan CacheHierarchy::ScanL3(uint64_t set, uint64_t line) const {
-  const uint64_t* tags = &l3_tags_[set * l3_ways_];
+  const uint64_t* tags = &l3_tags_[L3SetBase(set)];
+  const uint64_t key = EncodeTag(line);
   L3Scan scan;
   int free = -1;
   uint32_t remaining = l3_tag_count_[set];
   uint32_t w = 0;
   for (; remaining > 0; ++w) {
-    const uint64_t tag = tags[w];
-    if (tag == kNoLine) {
+    const uint64_t tag = tags[L3WayOffset(w)];
+    if (tag == kEmptyTag) {
       if (free < 0) {
         free = static_cast<int>(w);
       }
@@ -168,7 +196,7 @@ CacheHierarchy::L3Scan CacheHierarchy::ScanL3(uint64_t set, uint64_t line) const
     if (dir_only && free < 0) {
       free = static_cast<int>(w);
     }
-    if ((tag & kTagMask) == line) {
+    if ((tag & kTagMask) == key) {
       scan.slot = static_cast<int>(w);
       scan.free_data = free;
       return scan;
@@ -248,13 +276,13 @@ void CacheHierarchy::PushExt(uint64_t set, uint64_t line, uint64_t stamp, WayMet
 
 int CacheHierarchy::PromoteToData(uint64_t set, const L3Scan& scan, uint64_t line,
                                   uint64_t now) {
-  const size_t set_base = set * l3_ways_;
   int slot = scan.slot;
   if (slot >= 0 && static_cast<uint32_t>(slot) < l3_ways_) {
-    if (l3_tags_[set_base + slot] == line) {
+    const size_t at = L3Slot(set, static_cast<uint32_t>(slot));
+    if (l3_tags_[at] == EncodeTag(line)) {
       // Valid data way already: refresh recency, like a classic
       // insert-existing.
-      l3_stamps_[set_base + slot] = now;
+      l3_stamps_[at] = now;
       return slot;
     }
     if (slot == scan.free_data) {
@@ -262,8 +290,8 @@ int CacheHierarchy::PromoteToData(uint64_t set, const L3Scan& scan, uint64_t lin
       // would land (its way is the first free one): revalidate in place —
       // the hot path of a modified line bouncing between cores. The tag
       // count is unchanged: the way was tagged and stays tagged.
-      l3_tags_[set_base + slot] = line;
-      l3_stamps_[set_base + slot] = now;
+      l3_tags_[at] = EncodeTag(line);
+      l3_stamps_[at] = now;
       return slot;
     }
   }
@@ -274,36 +302,40 @@ int CacheHierarchy::PromoteToData(uint64_t set, const L3Scan& scan, uint64_t lin
       meta = *MetaAt(set, slot);
       RemoveExtAt(set, slot);
     } else {
-      meta = l3_meta_[set_base + slot];
+      const size_t at = L3Slot(set, static_cast<uint32_t>(slot));
+      meta = l3_meta_[at];
       // In-place residue elsewhere in the set: vacate its way; the fill
       // below lands on the first free way, as the classic model would.
-      l3_tags_[set_base + slot] = kNoLine;
-      l3_meta_[set_base + slot] = WayMeta();
+      l3_tags_[at] = kEmptyTag;
+      l3_meta_[at] = WayMeta();
       l3_tag_count_[set] = static_cast<uint16_t>(l3_tag_count_[set] - 1);
     }
   }
   // Classic N-way fill over the data ways, candidate already scanned:
   // first free way, else evict the LRU data way — whose tag (with its
   // directory state) demotes into the extension bank instead of vanishing.
+  size_t at;
   if (scan.free_data >= 0) {
     slot = scan.free_data;
-    const uint64_t displaced = l3_tags_[set_base + slot];
+    at = L3Slot(set, static_cast<uint32_t>(slot));
+    const uint64_t displaced = DecodeTag(l3_tags_[at]);
     if (displaced != kNoLine) {
       // The free way carries another line's dir-only residue; displace it
       // into the extension bank.
-      PushExt(set, displaced & kTagMask, now, l3_meta_[set_base + slot]);
+      PushExt(set, displaced & kTagMask, now, l3_meta_[at]);
     } else {
       l3_tag_count_[set] = static_cast<uint16_t>(l3_tag_count_[set] + 1);
     }
   } else {
-    slot = static_cast<int>(OldestOf(&l3_stamps_[set_base], l3_ways_));
-    if (l3_meta_[set_base + slot].HasState()) {
-      PushExt(set, l3_tags_[set_base + slot], now, l3_meta_[set_base + slot]);
+    slot = static_cast<int>(OldestL3Way(set));
+    at = L3Slot(set, static_cast<uint32_t>(slot));
+    if (l3_meta_[at].HasState()) {
+      PushExt(set, DecodeTag(l3_tags_[at]), now, l3_meta_[at]);
     }
   }
-  l3_tags_[set_base + slot] = line;
-  l3_stamps_[set_base + slot] = now;
-  l3_meta_[set_base + slot] = meta;
+  l3_tags_[at] = EncodeTag(line);
+  l3_stamps_[at] = now;
+  l3_meta_[at] = meta;
   return slot;
 }
 
@@ -322,8 +354,8 @@ void CacheHierarchy::InvalidateFrom(int c, uint64_t line, WayMeta* meta) {
     meta->invalidated_from |= 1ull << c;
   }
   meta->sharers &= ~(1ull << c);
-  if (meta->owner == c) {
-    meta->owner = -1;
+  if (meta->owner() == c) {
+    meta->set_owner(-1);
     meta->excl_levels = 0;  // the owner's tagged copies just left with it
   }
 }
@@ -343,14 +375,14 @@ void CacheHierarchy::WriteUpgrade(int core, uint64_t line, uint64_t set, int slo
     others &= others - 1;
     InvalidateFrom(victim_core, line, meta);
   }
-  meta->owner = static_cast<int8_t>(core);
+  meta->set_owner(core);
   meta->sharers |= 1ull << core;
   // The L3 data copy is now stale; mark the way dir-only in place (no tag
   // motion) so remote readers must fetch from us, while the embedded
   // directory state stays put. The way reads as free to later fills, which
   // displace the residue into the extension bank only when they claim it.
   if (static_cast<uint32_t>(slot) < l3_ways_) {
-    l3_tags_[set * l3_ways_ + slot] |= kDirOnlyBit;
+    l3_tags_[L3Slot(set, static_cast<uint32_t>(slot))] |= kDirOnlyBit;
   }
   // Sole modified owner: later write hits can skip the directory entirely.
   // The exclusive bit lives in the tag word the probe already loaded, and
@@ -384,11 +416,11 @@ void CacheHierarchy::HandlePrivateEviction(int c, const Level& other, uint64_t v
   }
   WayMeta* meta = MetaAt(set, scan.slot);
   meta->sharers &= ~(1ull << c);
-  if (meta->owner == c) {
+  if (meta->owner() == c) {
     // Dirty victim: write back into the shared L3. Both private copies are
     // gone (the eviction took one, the probe above cleared the other), so
     // no exclusive tag survives anywhere.
-    meta->owner = -1;
+    meta->set_owner(-1);
     meta->excl_levels = 0;
     PromoteToData(set, scan, victim, now);
   } else if (!meta->HasState()) {
@@ -396,9 +428,9 @@ void CacheHierarchy::HandlePrivateEviction(int c, const Level& other, uint64_t v
     if (static_cast<uint32_t>(scan.slot) >= l3_ways_) {
       RemoveExtAt(set, scan.slot);
     } else {
-      const size_t slot = set * l3_ways_ + static_cast<uint32_t>(scan.slot);
-      if (l3_tags_[slot] >= kDirOnlyBit) {
-        l3_tags_[slot] = kNoLine;
+      const size_t slot = L3Slot(set, static_cast<uint32_t>(scan.slot));
+      if (DecodeTag(l3_tags_[slot]) >= kDirOnlyBit) {
+        l3_tags_[slot] = kEmptyTag;
         l3_meta_[slot] = WayMeta();
         l3_tag_count_[set] = static_cast<uint16_t>(l3_tag_count_[set] - 1);
       }
@@ -454,7 +486,6 @@ template <bool kWrite>
   // Private miss: one L3 lattice scan yields the data way (if any), the
   // embedded directory state, and the fill candidates a promote needs.
   const uint64_t set = L3SetOf(line);
-  const size_t set_base = set * l3_ways_;
   const L3Scan l3scan = ScanL3(set, line);
   int slot = l3scan.slot;
   WayMeta* meta = slot >= 0 ? MetaAt(set, slot) : nullptr;
@@ -476,13 +507,13 @@ template <bool kWrite>
   bool remote = false;
   ServedBy level;
   bool promote = true;  // every outcome but an L3 data hit fills a data way
-  if (meta != nullptr && meta->owner >= 0 && meta->owner != core) {
+  if (meta != nullptr && meta->owner() >= 0 && meta->owner() != core) {
     // Dirty in another core's cache: cache-to-cache transfer. The L3 picks
     // up the written-back data via the promote below.
     level = ServedBy::kForeignCache;
-    const int owner = meta->owner;
+    const int owner = meta->owner();
     remote = socket_mask_ != 0 && SocketOfCore(owner) != my_socket;
-    meta->owner = -1;
+    meta->set_owner(-1);
     if (!kWrite) {
       // The owner keeps a shared, no-longer-exclusive copy. (On a write the
       // upgrade below invalidates the owner's copies outright, so clearing
@@ -506,9 +537,9 @@ template <bool kWrite>
     }
     meta->excl_levels = 0;
   } else if (slot >= 0 && static_cast<uint32_t>(slot) < l3_ways_ &&
-             l3_tags_[set_base + slot] == line) {
+             l3_tags_[L3Slot(set, static_cast<uint32_t>(slot))] == EncodeTag(line)) {
     level = ServedBy::kL3;
-    l3_stamps_[set_base + slot] = now;
+    l3_stamps_[L3Slot(set, static_cast<uint32_t>(slot))] = now;
     promote = false;
     remote = remote_home;
   } else if (others != 0) {
@@ -643,9 +674,8 @@ uint64_t CacheHierarchy::remote_fills() const {
 uint64_t CacheHierarchy::L3DataLines() const {
   uint64_t n = 0;
   for (uint64_t set = 0; set < l3_total_sets_; ++set) {
-    const size_t base = set * l3_ways_;
     for (uint32_t w = 0; w < l3_ways_; ++w) {
-      if (l3_tags_[base + w] < kDirOnlyBit) {
+      if (DecodeTag(l3_tags_[L3Slot(set, w)]) < kDirOnlyBit) {
         ++n;
       }
     }
@@ -676,11 +706,11 @@ ServedBy CacheHierarchy::ProbeLevel(int core, Addr addr) const {
   const int slot = FindL3Slot(set, line);
   const WayMeta* meta =
       slot >= 0 ? const_cast<CacheHierarchy*>(this)->MetaAt(set, slot) : nullptr;
-  if (meta != nullptr && meta->owner >= 0 && meta->owner != core) {
+  if (meta != nullptr && meta->owner() >= 0 && meta->owner() != core) {
     return ServedBy::kForeignCache;
   }
   if (slot >= 0 && static_cast<uint32_t>(slot) < l3_ways_ &&
-      l3_tags_[set * l3_ways_ + slot] == line) {
+      l3_tags_[L3Slot(set, static_cast<uint32_t>(slot))] == EncodeTag(line)) {
     return ServedBy::kL3;
   }
   if (meta != nullptr && (meta->sharers & ~(1ull << core)) != 0) {
@@ -689,18 +719,20 @@ ServedBy CacheHierarchy::ProbeLevel(int core, Addr addr) const {
   return ServedBy::kDram;
 }
 
+// Zero bytes are every array's empty state, so a flush maps fresh zero
+// pages over the arrays instead of writing every slot.
 void CacheHierarchy::FlushAll() {
-  std::fill(l1_.tags.begin(), l1_.tags.end(), kNoLine);
-  std::fill(l1_.stamps.begin(), l1_.stamps.end(), 0);
-  std::fill(l2_.tags.begin(), l2_.tags.end(), kNoLine);
-  std::fill(l2_.stamps.begin(), l2_.stamps.end(), 0);
-  std::fill(l3_tags_.begin(), l3_tags_.end(), kNoLine);
-  std::fill(l3_stamps_.begin(), l3_stamps_.end(), 0);
-  std::fill(l3_meta_.begin(), l3_meta_.end(), WayMeta());
+  l1_.tags.Reset();
+  l1_.stamps.Reset();
+  l2_.tags.Reset();
+  l2_.stamps.Reset();
+  l3_tags_.Reset();
+  l3_stamps_.Reset();
+  l3_meta_.Reset();
   for (std::vector<ExtWay>& ext : l3_ext_) {
     ext.clear();
   }
-  std::fill(l3_tag_count_.begin(), l3_tag_count_.end(), 0);
+  l3_tag_count_.Reset();
 }
 
 bool CacheHierarchy::InjectLatticeFault(int kind) {
@@ -709,9 +741,9 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
       // Inclusion break: a private cache keeps its copy while the lattice
       // forgets the tag.
       for (int c = 0; c < config_.num_cores; ++c) {
-        for (size_t i = 0; i < l1_.tags.size() / config_.num_cores; ++i) {
+        for (size_t i = 0; i < l1_.sets * l1_.ways; ++i) {
           const size_t slot = static_cast<size_t>(c) * l1_.sets * l1_.ways + i;
-          const uint64_t tag = l1_.tags[slot];
+          const uint64_t tag = DecodeTag(l1_.tags[slot]);
           if (tag == kNoLine) {
             continue;
           }
@@ -722,8 +754,8 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
             continue;
           }
           if (static_cast<uint32_t>(l3slot) < l3_ways_) {
-            l3_tags_[set * l3_ways_ + static_cast<uint32_t>(l3slot)] = kNoLine;
-            l3_meta_[set * l3_ways_ + static_cast<uint32_t>(l3slot)] = WayMeta();
+            l3_tags_[L3Slot(set, static_cast<uint32_t>(l3slot))] = kEmptyTag;
+            l3_meta_[L3Slot(set, static_cast<uint32_t>(l3slot))] = WayMeta();
             l3_tag_count_[set] = static_cast<uint16_t>(l3_tag_count_[set] - 1);
           } else {
             RemoveExtAt(set, l3slot);
@@ -737,9 +769,9 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
       // Exclusive-bit inconsistency: forge the bit on a line the directory
       // does not credit to this core, or orphan a granted bit.
       for (int c = 0; c < config_.num_cores; ++c) {
-        for (size_t i = 0; i < l1_.tags.size() / config_.num_cores; ++i) {
+        for (size_t i = 0; i < l1_.sets * l1_.ways; ++i) {
           const size_t slot = static_cast<size_t>(c) * l1_.sets * l1_.ways + i;
-          const uint64_t tag = l1_.tags[slot];
+          const uint64_t tag = DecodeTag(l1_.tags[slot]);
           if (tag == kNoLine) {
             continue;
           }
@@ -749,12 +781,12 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
             continue;
           }
           WayMeta* meta = MetaAt(L3SetOf(line), l3slot);
-          if ((tag & kPrivExclBit) == 0 && meta->owner != c) {
-            l1_.tags[slot] = tag | kPrivExclBit;
+          if ((tag & kPrivExclBit) == 0 && meta->owner() != c) {
+            l1_.tags[slot] = EncodeTag(tag | kPrivExclBit);
             return true;
           }
-          if ((tag & kPrivExclBit) != 0 && meta->owner == c) {
-            meta->owner = -1;
+          if ((tag & kPrivExclBit) != 0 && meta->owner() == c) {
+            meta->set_owner(-1);
             return true;
           }
         }
@@ -775,9 +807,9 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
     case 3: {
       // Sharer-set underflow: a live private holder loses its directory bit.
       for (int c = 0; c < config_.num_cores; ++c) {
-        for (size_t i = 0; i < l1_.tags.size() / config_.num_cores; ++i) {
+        for (size_t i = 0; i < l1_.sets * l1_.ways; ++i) {
           const size_t slot = static_cast<size_t>(c) * l1_.sets * l1_.ways + i;
-          const uint64_t tag = l1_.tags[slot];
+          const uint64_t tag = DecodeTag(l1_.tags[slot]);
           if (tag == kNoLine) {
             continue;
           }
@@ -802,9 +834,8 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
         if (l3_ext_[set].size() >= l3_ext_ways_) {
           continue;
         }
-        const size_t set_base = set * l3_ways_;
         for (uint32_t w = 0; w < l3_ways_; ++w) {
-          const uint64_t tag = l3_tags_[set_base + w];
+          const uint64_t tag = DecodeTag(l3_tags_[L3Slot(set, w)]);
           if (tag == kNoLine) {
             continue;
           }
@@ -817,12 +848,12 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
     case 5: {
       // Owner outside the sharer set.
       for (uint64_t set = 0; set < l3_total_sets_; ++set) {
-        const size_t set_base = set * l3_ways_;
         for (uint32_t w = 0; w < l3_ways_; ++w) {
-          if (l3_tags_[set_base + w] == kNoLine || l3_meta_[set_base + w].sharers == 0) {
+          const size_t at = L3Slot(set, w);
+          if (l3_tags_[at] == kEmptyTag || l3_meta_[at].sharers == 0) {
             continue;
           }
-          WayMeta& meta = l3_meta_[set_base + w];
+          WayMeta& meta = l3_meta_[at];
           int outside = -1;
           for (int c = 0; c < config_.num_cores; ++c) {
             if (((meta.sharers >> c) & 1u) == 0) {
@@ -831,9 +862,9 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
             }
           }
           if (outside >= 0) {
-            meta.owner = static_cast<int8_t>(outside);
+            meta.set_owner(outside);
           } else {
-            meta.owner = 0;
+            meta.set_owner(0);
             meta.sharers &= ~1ull;
           }
           return true;
@@ -849,9 +880,8 @@ bool CacheHierarchy::InjectLatticeFault(int kind) {
         return false;
       }
       for (uint64_t set = 0; set < l3_total_sets_; ++set) {
-        const size_t set_base = set * l3_ways_;
         for (uint32_t w = 0; w < l3_ways_; ++w) {
-          const uint64_t tag = l3_tags_[set_base + w];
+          const uint64_t tag = DecodeTag(l3_tags_[L3Slot(set, w)]);
           if (tag == kNoLine) {
             continue;
           }

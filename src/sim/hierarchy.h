@@ -13,6 +13,21 @@
 // row, then its L2 set row, then the line's L3 set — three bounded scans
 // over packed tags with no hashing and no per-level object indirection.
 //
+// Memory tracks occupancy, not geometry. All-zero bytes are the empty state
+// of every lattice array: tags are stored biased by +1 (kNoLine is stored
+// as 0), WayMeta stores "no owner" as a zero byte, and every array sits on
+// anonymous pages of its own (ZeroPages), which the kernel backs with its
+// shared zero page until a slot is first written; FlushAll maps fresh zero
+// pages over them instead of filling. The L3's tags, stamps and directory
+// words are stored in planes of 8 ways: way w of set s sits at
+// (w / 8) * total_sets * 8 + s * 8 + w % 8, with a last plane padded to 8
+// ways that the padding never touches. A set's first 8 tags are one 64-byte
+// host line, and because fills take the first free way, the pages of ways 8
+// and up are faulted in only for sets that really fill them. Private L1/L2
+// rows keep their set-major layout — every run touches them all — but take
+// the same encoding, so a machine built and never run costs no lattice
+// memory.
+//
 // The L3 is an inclusive tag lattice with the coherence directory (sharers
 // mask, modified owner, invalidated-from set) embedded in its way metadata.
 // Each L3 set has `ways` data ways — which behave exactly like a classic
@@ -52,7 +67,9 @@
 #ifndef DPROF_SRC_SIM_HIERARCHY_H_
 #define DPROF_SRC_SIM_HIERARCHY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/sim/cache.h"
@@ -282,6 +299,41 @@ class CacheHierarchy {
     __builtin_prefetch(l2_.tags.data() + l2_.RowOf(core, line));
   }
 
+  // A zero-filled array of trivially copyable T on anonymous pages of its
+  // own (mmap), so the kernel maps every page to its shared zero page until
+  // a slot is first written: resident memory follows the slots written, not
+  // the length. All-zero bytes must be T's empty state.
+  template <typename T>
+  class ZeroPages {
+   public:
+    ZeroPages() = default;
+    explicit ZeroPages(size_t count)
+        : data_(static_cast<T*>(MapZeroPages(count * sizeof(T)))),
+          bytes_(count * sizeof(T)) {}
+    ~ZeroPages() { UnmapPages(data_, bytes_); }
+    ZeroPages(const ZeroPages&) = delete;
+    ZeroPages& operator=(const ZeroPages&) = delete;
+    ZeroPages& operator=(ZeroPages&& other) noexcept {
+      std::swap(data_, other.data_);
+      std::swap(bytes_, other.bytes_);
+      return *this;
+    }
+
+    T& operator[](size_t i) { return data_[i]; }
+    const T& operator[](size_t i) const { return data_[i]; }
+    const T* data() const { return data_; }
+    // Returns every slot to zero (and its pages to the kernel) by mapping
+    // fresh zero pages over the array in place.
+    void Reset() { RemapZeroPages(data_, bytes_); }
+
+   private:
+    T* data_ = nullptr;
+    size_t bytes_ = 0;
+  };
+  static void* MapZeroPages(size_t bytes);
+  static void UnmapPages(void* data, size_t bytes);
+  static void RemapZeroPages(void* data, size_t bytes);
+
   static constexpr uint64_t kNoLine = ~0ull;
   // Exclusive-owner bit packed into private (L1/L2) tag words: the line is
   // held by this core as sole modified owner, so write hits skip the
@@ -302,16 +354,26 @@ class CacheHierarchy {
   static constexpr uint64_t kDirOnlyBit = 1ull << 63;
   static constexpr uint64_t kTagMask = kDirOnlyBit - 1;
 
+  // Stored form of a tag word: the tag biased by +1, so kNoLine is stored
+  // as 0 (kEmptyTag) and a zero-filled array is an empty one. Line numbers
+  // are < 2^58, so the bias never carries into kPrivExclBit or kDirOnlyBit:
+  // both bits can be set and cleared on the stored word, and a masked
+  // compare of a stored word against EncodeTag(line) means what the masked
+  // compare of the raw tag against `line` means (kEmptyTag matches no line).
+  static constexpr uint64_t EncodeTag(uint64_t tag) { return tag + 1; }
+  static constexpr uint64_t DecodeTag(uint64_t stored) { return stored - 1; }
+  static constexpr uint64_t kEmptyTag = kNoLine + 1;  // EncodeTag(kNoLine) == 0
+
   // One private cache level (L1 or L2) for all cores, SoA: a core's set row
   // is `ways` contiguous tags.
   struct Level {
     uint32_t ways = 0;
     uint64_t sets = 0;
     uint64_t set_mask = 0;
-    // [core][set][way]; kNoLine = invalid. A valid tag may carry
-    // kPrivExclBit (sole modified owner).
-    std::vector<uint64_t> tags;
-    std::vector<uint64_t> stamps;  // LRU stamp per way
+    // [core][set][way], stored by EncodeTag; kEmptyTag = invalid. A valid
+    // tag may carry kPrivExclBit (sole modified owner).
+    ZeroPages<uint64_t> tags;
+    ZeroPages<uint64_t> stamps;  // LRU stamp per way
 
     void Init(const CacheGeometry& geometry, int num_cores);
     size_t RowOf(int core, uint64_t line) const {
@@ -321,11 +383,12 @@ class CacheHierarchy {
 
   // Directory metadata embedded in every L3 lattice way. The core masks are
   // 64 bits wide to match Engine::kMaxCores. Packed: an aligned word would
-  // carry 6 padding bytes in each of the lattice's ways.
+  // carry 6 padding bytes in each of the lattice's ways. All-zero bytes are
+  // the empty word: the owner is stored biased by +1 behind owner().
   struct __attribute__((packed)) WayMeta {
     uint64_t sharers = 0;           // cores whose private caches may hold the line
     uint64_t invalidated_from = 0;  // cores that lost the line to a remote write
-    int8_t owner = -1;              // core with a dirty copy, or -1
+    uint8_t owner_bias = 0;         // owner() + 1; 0 = no owner
     // Level-presence hint for the owner's exclusive grant: bit 0 = the
     // owner's L1 may carry kPrivExclBit, bit 1 = its L2 may. Granting L2
     // sets both bits (an exclusive L2 silently propagates its bit to an L1
@@ -334,8 +397,12 @@ class CacheHierarchy {
     // probe.
     uint8_t excl_levels = 0;
 
+    // Core with a dirty copy, or -1.
+    int owner() const { return static_cast<int>(owner_bias) - 1; }
+    void set_owner(int core) { owner_bias = static_cast<uint8_t>(core + 1); }
+
     bool HasState() const {
-      return sharers != 0 || invalidated_from != 0 || owner >= 0;
+      return sharers != 0 || invalidated_from != 0 || owner_bias != 0;
     }
   };
   static_assert(sizeof(WayMeta) == 18, "directory word is packed");
@@ -361,15 +428,16 @@ class CacheHierarchy {
   // faster on a memcached run.)
   static RowScan ScanRow(const Level& level, size_t row, uint64_t line) {
     const uint64_t* tags = &level.tags[row];
+    const uint64_t key = EncodeTag(line);
     RowScan scan;
     int free = -1;
     for (uint32_t w = 0; w < level.ways; ++w) {
       const uint64_t tag = tags[w];
-      if ((tag & kPrivTagMask) == line) {
+      if ((tag & kPrivTagMask) == key) {
         scan.way = static_cast<int>(w);
         return scan;
       }
-      if (tag == kNoLine && free < 0) {
+      if (tag == kEmptyTag && free < 0) {
         free = static_cast<int>(w);
       }
     }
@@ -383,6 +451,20 @@ class CacheHierarchy {
     for (uint32_t i = 1; i < n; ++i) {
       if (stamps[i] < stamps[oldest]) {
         oldest = i;
+      }
+    }
+    return oldest;
+  }
+  // The same over the data ways of L3 set `set`, across its planes.
+  uint32_t OldestL3Way(uint64_t set) const {
+    const uint64_t* stamps = &l3_stamps_[L3SetBase(set)];
+    uint32_t oldest = 0;
+    uint64_t least = stamps[0];
+    for (uint32_t w = 1; w < l3_ways_; ++w) {
+      const uint64_t stamp = stamps[L3WayOffset(w)];
+      if (stamp < least) {
+        least = stamp;
+        oldest = w;
       }
     }
     return oldest;
@@ -427,16 +509,26 @@ class CacheHierarchy {
   // Drops live extension way `slot`, compacting the bank.
   void RemoveExtAt(uint64_t set, int slot);
 
+  // L3 plane addressing: data way w of set `set` lives at
+  // L3SetBase(set) + L3WayOffset(w), i.e. in plane w / kPlaneWays.
+  static constexpr uint32_t kPlaneWays = 8;
+  static size_t L3SetBase(uint64_t set) { return set * kPlaneWays; }
+  size_t L3WayOffset(uint32_t w) const {
+    return (static_cast<size_t>(w / kPlaneWays) << l3_plane_shift_) + (w % kPlaneWays);
+  }
+  size_t L3Slot(uint64_t set, uint32_t w) const { return L3SetBase(set) + L3WayOffset(w); }
+
   // Directory metadata of unified slot `slot` (data way or ways+ext index).
   WayMeta* MetaAt(uint64_t set, int slot) {
     return static_cast<uint32_t>(slot) < l3_ways_
-               ? &l3_meta_[set * l3_ways_ + static_cast<uint32_t>(slot)]
+               ? &l3_meta_[L3Slot(set, static_cast<uint32_t>(slot))]
                : &l3_ext_[set][static_cast<uint32_t>(slot) - l3_ways_].meta;
   }
-  // Raw tag at unified slot `slot` (data tags may carry kDirOnlyBit).
+  // Raw (decoded) tag at unified slot `slot` (data tags may carry
+  // kDirOnlyBit).
   uint64_t TagAt(uint64_t set, int slot) const {
     return static_cast<uint32_t>(slot) < l3_ways_
-               ? l3_tags_[set * l3_ways_ + static_cast<uint32_t>(slot)]
+               ? DecodeTag(l3_tags_[L3Slot(set, static_cast<uint32_t>(slot))])
                : l3_ext_[set][static_cast<uint32_t>(slot) - l3_ways_].tag;
   }
   // Unified slot of the set's newest extension way.
@@ -465,8 +557,9 @@ class CacheHierarchy {
   // Way index of `line` in the row, or -1.
   static int ProbeRow(const Level& level, size_t row, uint64_t line) {
     const uint64_t* tags = &level.tags[row];
+    const uint64_t key = EncodeTag(line);
     for (uint32_t w = 0; w < level.ways; ++w) {
-      if ((tags[w] & kPrivTagMask) == line) {
+      if ((tags[w] & kPrivTagMask) == key) {
         return static_cast<int>(w);
       }
     }
@@ -516,22 +609,23 @@ class CacheHierarchy {
   };
   static_assert(sizeof(ExtWay) == 34, "extension way is packed");
 
-  // The L3 tag lattice. Data ways are dense per-set rows (`l3_ways_` tags,
-  // one or two host cache lines) — the hot scans touch only these. Each
-  // set's compacted extension bank is its own vector holding only live
-  // extension ways (at most `l3_ext_ways_`), touched only when a tag
-  // actually moves out of the data row. A unified slot index addresses
-  // both: data way w, or l3_ways_ + ext index.
+  // The L3 tag lattice. Data ways live in 8-way planes (see "Layout"
+  // above): a set's first 8 tags are one host cache line, and the hot scans
+  // touch only data tags. Each set's compacted extension bank is its own
+  // vector holding only live extension ways (at most `l3_ext_ways_`),
+  // touched only when a tag actually moves out of the data ways. A unified
+  // slot index addresses both: data way w, or l3_ways_ + ext index.
   uint32_t l3_ways_ = 0;
   uint32_t l3_ext_ways_ = 0;  // cap on each set's live extension ways
   uint64_t l3_sets_ = 0;        // sets per slice (config.l3 geometry)
   uint64_t l3_total_sets_ = 0;  // l3_sets_ * num_sockets: all slices' sets
   uint64_t l3_set_mask_ = 0;    // within-slice set mask
-  std::vector<uint64_t> l3_tags_;
-  std::vector<uint64_t> l3_stamps_;
-  std::vector<WayMeta> l3_meta_;
+  uint32_t l3_plane_shift_ = 0;  // log2 of the slots per plane, l3_total_sets_ * kPlaneWays
+  ZeroPages<uint64_t> l3_tags_;   // stored by EncodeTag
+  ZeroPages<uint64_t> l3_stamps_;
+  ZeroPages<WayMeta> l3_meta_;
   std::vector<std::vector<ExtWay>> l3_ext_;  // per set: live extension ways
-  std::vector<uint16_t> l3_tag_count_;  // tagged data ways per set (valid + residue)
+  ZeroPages<uint16_t> l3_tag_count_;  // tagged data ways per set (valid + residue)
 
   std::vector<StatStripe> core_stats_;  // one cell per core
   mutable std::vector<CoreMemStats> agg_core_stats_;  // cache for core_stats()

@@ -285,6 +285,28 @@ TEST(ValidateRunSpecTest, SamplingErrorsNameTheRealFlags) {
             0u)
       << error;
   EXPECT_NE(error.find("--sampling-period (10000)"), std::string::npos) << error;
+  // A window equal to the period leaves nothing to fast-forward: rejected
+  // against an explicit period and against the default one.
+  spec.sampling_period = 30'000;
+  spec.sampling_window = 30'000;
+  error = ValidateRunSpec(spec);
+  EXPECT_EQ(error.rfind("--sampling-window (30000)", 0), 0u) << error;
+  EXPECT_NE(error.find("--sampling-period (30000)"), std::string::npos) << error;
+  spec.sampling_period = 0;
+  spec.sampling_window = SamplingConfig().period_cycles;
+  error = ValidateRunSpec(spec);
+  EXPECT_EQ(error.rfind("--sampling-window (" + std::to_string(SamplingConfig().period_cycles) +
+                            ")",
+                        0),
+            0u)
+      << error;
+  EXPECT_NE(error.find("--sampling-period (" +
+                       std::to_string(SamplingConfig().period_cycles) + ", the default)"),
+            std::string::npos)
+      << error;
+  // One cycle short of the period passes.
+  spec.sampling_window = SamplingConfig().period_cycles - 1;
+  EXPECT_EQ(ValidateRunSpec(spec), "");
 }
 
 // The legacy loop builds no engine, so engine-only options would be silently

@@ -460,6 +460,186 @@ INSTANTIATE_TEST_SUITE_P(TinyLattices, ApplyBatchDifferentialTest,
                          DiffCaseName);
 
 // ---------------------------------------------------------------------------
+// Layout: the lattice's storage layout (8-way L3 planes, biased tags, an
+// all-zero empty state) must not move a single simulated result. Seeded
+// traces — read-mostly lines oversubscribing every L3 set, mixed with a
+// small write-heavy pool shared by all cores — run through ApplyBatch on
+// single-plane (4, 8 ways), partial-plane (12) and multi-plane (16, 32) L3
+// sets, with 1-2 extension ways so ReclaimExtWay fires, on 1 and 4 sockets.
+// Each case's FNV-1a digest over every packed result (latency, level,
+// invalidation) and the final totals was recorded on the set-major layout
+// with kNoLine = ~0 that preceded the planes.
+// ---------------------------------------------------------------------------
+
+struct LayoutCase {
+  uint32_t l3_ways;
+  uint32_t ext_ways;
+  int sockets;
+  uint64_t digest;
+};
+
+HierarchyConfig LayoutConfig(const LayoutCase& c) {
+  HierarchyConfig config;
+  config.num_cores = 8;
+  config.num_sockets = c.sockets;
+  config.l1 = CacheGeometry{512, 64, 2};   // 4 sets
+  config.l2 = CacheGeometry{2048, 64, 4};  // 8 sets
+  config.l3 = CacheGeometry{16ull * 64 * c.l3_ways, 64, c.l3_ways};  // 16 sets per slice
+  config.l3_dir_ext_ways = c.ext_ways;
+  return config;
+}
+
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xff;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Runs the case's trace; returns the digest of its packed results and
+// collects every line it touched.
+uint64_t RunLayoutTrace(CacheHierarchy& h, const LayoutCase& c, std::set<Addr>* touched) {
+  const HierarchyConfig& config = h.config();
+  const uint32_t line_size = config.l3.line_size;
+  const uint64_t read_lines = 2 * config.l3.NumSets() * config.l3.ways * c.sockets;
+  constexpr uint64_t kSharedLines = 48;
+  std::mt19937_64 rng(c.l3_ways * 131 + c.ext_ways * 17 + static_cast<uint64_t>(c.sockets));
+  uint64_t hash = 14695981039346656037ull;
+  uint64_t now = 1;
+  for (int span = 0; span < 2000; ++span) {
+    const int core = static_cast<int>(rng() % static_cast<uint64_t>(config.num_cores));
+    const size_t count = 1 + rng() % 16;
+    const uint64_t base = now;
+    std::vector<ApplyLane> lanes(count);
+    for (size_t i = 0; i < count; ++i) {
+      const bool shared = rng() % 10 < 4;
+      const uint64_t line = shared ? read_lines + rng() % kSharedLines : rng() % read_lines;
+      const bool write = rng() % 100 < (shared ? 50u : 5u);
+      const Addr addr = 0x400000 + line * line_size;
+      now += 1 + rng() % 3;
+      lanes[i] = ApplyLane{addr, static_cast<uint32_t>(now - base),
+                           8 | (write ? ApplyLane::kWriteBit : 0u), 0,
+                           static_cast<FunctionId>(i)};
+      touched->insert(addr);
+    }
+    h.ApplyBatch(core, base, lanes.data(), count);
+    for (const ApplyLane& lane : lanes) {
+      hash = Fnv1a(hash, lane.result);
+    }
+  }
+  return hash;
+}
+
+// The recorded digest: the trace's results, then the final totals.
+uint64_t LayoutDigest(const CacheHierarchy& h, uint64_t results) {
+  const HierarchyTotals totals = h.Totals();
+  uint64_t hash = Fnv1a(results, totals.tag_reclaims);
+  hash = Fnv1a(hash, totals.back_invalidations);
+  hash = Fnv1a(hash, totals.remote_fills);
+  hash = Fnv1a(hash, totals.cross_socket_back_invalidations);
+  return Fnv1a(hash, h.L3DataLines());
+}
+
+void ExpectEmptyLattice(const CacheHierarchy& h, const std::set<Addr>& addrs) {
+  EXPECT_EQ(h.L3DataLines(), 0u);
+  for (const Addr addr : addrs) {
+    EXPECT_FALSE(h.L3HasTag(addr)) << std::hex << addr;
+    for (int core = 0; core < h.config().num_cores; ++core) {
+      ASSERT_EQ(h.ProbeLevel(core, addr), ServedBy::kDram) << std::hex << addr;
+    }
+  }
+  const AuditResult audit = InvariantAuditor(&h).Audit();
+  EXPECT_TRUE(audit.ok()) << (audit.violations.empty() ? "" : audit.violations[0]);
+  EXPECT_EQ(audit.tags_checked, 0u);
+}
+
+class LatticeLayoutTest : public ::testing::TestWithParam<LayoutCase> {};
+
+TEST_P(LatticeLayoutTest, TraceMatchesRecordedDigest) {
+  const LayoutCase& c = GetParam();
+  CacheHierarchy h(LayoutConfig(c));
+  std::set<Addr> touched;
+  ExpectEmptyLattice(h, {0x400000, 0x400040, 0x7fffc0});
+
+  const uint64_t results = RunLayoutTrace(h, c, &touched);
+  const uint64_t digest = LayoutDigest(h, results);
+  EXPECT_EQ(digest, c.digest) << "0x" << std::hex << digest;
+  EXPECT_GT(h.tag_reclaims(), 0u) << "the trace never overflowed an extension bank";
+  EXPECT_GT(h.L3DataLines(), 0u);
+  const AuditResult audit = InvariantAuditor(&h).Audit();
+  EXPECT_TRUE(audit.ok()) << (audit.violations.empty() ? "" : audit.violations[0]);
+
+  h.FlushAll();
+  ExpectEmptyLattice(h, touched);
+  // A flushed lattice is a fresh one: the trace replays result for result
+  // (counters survive the flush, so only the results are compared).
+  std::set<Addr> replayed;
+  EXPECT_EQ(RunLayoutTrace(h, c, &replayed), results);
+}
+
+std::string LayoutCaseName(const ::testing::TestParamInfo<LayoutCase>& info) {
+  return "ways" + std::to_string(info.param.l3_ways) + "_ext" +
+         std::to_string(info.param.ext_ways) + "_sockets" +
+         std::to_string(info.param.sockets);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Planes, LatticeLayoutTest,
+    ::testing::Values(LayoutCase{4, 1, 1, 0x6cf039f71f5766beull},
+                      LayoutCase{4, 1, 4, 0xce94676ff4873ac7ull},
+                      LayoutCase{4, 2, 1, 0xedec9d5383717fb5ull},
+                      LayoutCase{4, 2, 4, 0x21db85f616fae46full},
+                      LayoutCase{8, 1, 1, 0x554d250b93d75ee7ull},
+                      LayoutCase{8, 1, 4, 0xfa48d890b47f0f58ull},
+                      LayoutCase{8, 2, 1, 0xccaecd9b9bd0aac2ull},
+                      LayoutCase{8, 2, 4, 0x3ba0ef2a45779990ull},
+                      LayoutCase{12, 1, 1, 0xc07b86e98aed9013ull},
+                      LayoutCase{12, 1, 4, 0x1e0fcc98ecc77a64ull},
+                      LayoutCase{12, 2, 1, 0xfde900af99138688ull},
+                      LayoutCase{12, 2, 4, 0x751b9ce8df9dbe96ull},
+                      LayoutCase{16, 1, 1, 0x407346442a8af473ull},
+                      LayoutCase{16, 1, 4, 0xf0e8e41fe97da8e4ull},
+                      LayoutCase{16, 2, 1, 0x981bfd6de571d3b2ull},
+                      LayoutCase{16, 2, 4, 0x74708df4e06e2d9bull},
+                      LayoutCase{32, 1, 1, 0xf556fa2edfd005adull},
+                      LayoutCase{32, 1, 4, 0xd7fa07e993e8dbd2ull},
+                      LayoutCase{32, 2, 1, 0xdd2044fe4fd5ac04ull},
+                      LayoutCase{32, 2, 4, 0x2992e9dfa73c5474ull}),
+    LayoutCaseName);
+
+// LRU ties across the plane boundary: ways 7 and 8 carry the same oldest
+// stamp, so the L3 eviction takes way 7 — the first index — as the classic
+// model does, although the two ways sit in different planes.
+TEST(HierarchyTest, L3LruTieAcrossPlaneBoundaryTakesFirstWay) {
+  HierarchyConfig config;
+  config.num_cores = 1;
+  config.l1 = CacheGeometry{128, 64, 2};  // one set: lines leave quickly
+  config.l2 = CacheGeometry{256, 64, 4};
+  config.l3 = CacheGeometry{2 * 16 * 64, 64, 16};  // 2 sets
+  CacheHierarchy h(config);
+  const uint64_t set_span = config.l3.NumSets() * config.l3.line_size;
+  const auto line_addr = [&](uint64_t i) { return static_cast<Addr>(0x10000 + i * set_span); };
+  // Lines 0..15 fill ways 0..15 of one set in order. Lines 7 and 8 share
+  // the oldest stamp; every other way is newer.
+  for (uint64_t i = 0; i < 16; ++i) {
+    const uint64_t now = (i == 7 || i == 8) ? 1 : 10 + i;
+    h.Access(0, line_addr(i), 8, false, now);
+  }
+  // The private caches (6 lines) no longer hold 7 or 8, so their L3 tags
+  // carry no directory state and an eviction drops them outright.
+  ASSERT_FALSE(h.InPrivateCache(0, line_addr(7)));
+  ASSERT_FALSE(h.InPrivateCache(0, line_addr(8)));
+  ASSERT_EQ(h.L3DataLines(), 16u);
+  h.Access(0, line_addr(16), 8, false, 100);
+  EXPECT_FALSE(h.L3HasTag(line_addr(7)));
+  EXPECT_TRUE(h.L3HasTag(line_addr(8)));
+  EXPECT_TRUE(h.L3HasTag(line_addr(16)));
+  EXPECT_EQ(h.L3DataLines(), 16u);
+  EXPECT_TRUE(InvariantAuditor(&h).Audit().ok());
+}
+
+// ---------------------------------------------------------------------------
 // Directory-extension overflow scenario (test-only, unregistered): a full
 // engine-driven workload that actually fires the ReclaimExtWay inclusion
 // obligation, which no registered scenario reaches. Core 0 writes two lines
