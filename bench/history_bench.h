@@ -91,7 +91,7 @@ inline HistoryBenchResult RunHistoryBench(const WorkloadFactory& factory,
   const uint64_t elapsed = collect_session.CollectHistories(type, config.sets);
   const DebugRegisterFile& regs = collect_session.debug_registers();
   result.charged_cycles = rig->machine->charged_cycles() - charged_before +
-                          regs.hits() * regs.costs().interrupt_cycles;
+                          regs.hits() * DebugRegisterFile::kInterruptCycles;
   result.histories = collect_session.histories(type).size();
   result.collection_seconds = static_cast<double>(elapsed) / kCyclesPerSecond;
   result.breakdown = collect_session.history_overhead(type);

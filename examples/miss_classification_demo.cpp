@@ -60,7 +60,7 @@ int main() {
     SlabAllocator allocator(&machine, &registry);
     machine.SetAllocator(&allocator);
     KernelEnv env(&machine, &allocator);
-    ConflictDemoWorkload workload(&env, ConflictDemoConfig{});
+    ConflictDemoWorkload workload(&env);
     WorkingSetOptions ws;
     ws.geometry = machine.hierarchy().config().l2;
     Classify(workload, machine, allocator, "conflict demo (expect conflict on pkt_stat)", ws);

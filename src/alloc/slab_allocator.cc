@@ -2,18 +2,30 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "src/machine/faults.h"
 
 namespace dprof {
 namespace {
 
+constexpr uint32_t kSlabHeaderSize = 64;
+constexpr uint32_t kMagazineCapacity = 32;  // array_cache entries per core
+constexpr uint32_t kBatchCount = 16;        // objects moved per refill/flush
+// Upper bound on slabs per arena. Reaching it is reported as a sticky
+// kResourceExhausted status (see status()), not an abort.
+constexpr uint32_t kMaxSlabsPerArena = 8192;
+
+static_assert(kSlabHeaderSize < SlabAllocator::kPageSize);
+static_assert(kBatchCount > 0 && kBatchCount <= kMagazineCapacity);
+static_assert(SlabAllocator::kArenaStride % SlabAllocator::kPageSize == 0);
+
 // Color cycle length for kRecolor: successive slabs (or static array
 // elements) start one line later, modulo this, spreading hot same-offset
 // fields across eight associativity sets.
 constexpr uint32_t kColorCycle = 8;
 
-// Emergency slab reserve past max_slabs_per_arena: reaching the configured
+// Emergency slab reserve past kMaxSlabsPerArena: reaching the configured
 // bound sets a sticky kResourceExhausted status instead of aborting, and the
 // reserve lets the in-flight epoch keep allocating until the engine polls
 // the status at the epoch boundary and stops the run. Past the reserve,
@@ -29,15 +41,11 @@ constexpr uint32_t kNoCache = ~0u;
 
 }  // namespace
 
-SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry, const SlabConfig& config)
-    : machine_(machine), registry_(registry), config_(config) {
-  DPROF_CHECK(config_.page_size >= 256);
-  DPROF_CHECK(config_.slab_header_size < config_.page_size);
-  DPROF_CHECK(config_.batch_count > 0 && config_.batch_count <= config_.magazine_capacity);
-  DPROF_CHECK(config_.arena_stride % config_.page_size == 0);
+SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry, TransformSet transforms)
+    : machine_(machine), registry_(registry), transforms_(std::move(transforms)) {
   line_size_ = machine_->hierarchy().line_size();
 
-  slab_type_ = registry_->Register("slab", config_.slab_header_size);
+  slab_type_ = registry_->Register("slab", kSlabHeaderSize);
   array_cache_type_ = registry_->Register("array_cache", 128);
   kmem_cache_type_ = registry_->Register("kmem_cache", 256);
   // The allocator carves its descriptors itself (AllocMeta, GrowCache's
@@ -59,21 +67,21 @@ SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry, const Sla
   arenas_.resize(num_arenas);
   for (int a = 0; a < num_arenas; ++a) {
     Arena& arena = arenas_[a];
-    arena.base = config_.base_addr + static_cast<Addr>(a) * config_.arena_stride;
+    arena.base = kBaseAddr + static_cast<Addr>(a) * kArenaStride;
     arena.bump = arena.base;
-    arena.limit = arena.base + config_.arena_stride;
+    arena.limit = arena.base + kArenaStride;
     // Room for the cap plus the emergency reserve, so a slab is never
     // moved; capacity no slab reaches is never touched.
-    arena.slabs.reserve(config_.max_slabs_per_arena + kEmergencySlabs);
+    arena.slabs.reserve(kMaxSlabsPerArena + kEmergencySlabs);
   }
 }
 
 int SlabAllocator::ArenaOf(Addr addr) const {
-  if (addr < config_.base_addr) {
+  if (addr < kBaseAddr) {
     return -1;
   }
-  const Addr offset = addr - config_.base_addr;
-  const Addr index = offset / config_.arena_stride;
+  const Addr offset = addr - kBaseAddr;
+  const Addr index = offset / kArenaStride;
   if (index >= arenas_.size()) {
     return -1;
   }
@@ -88,14 +96,14 @@ const SlabAllocator::PageInfo* SlabAllocator::PageFor(Addr addr) const {
   // Pages past the bump pointer have never been handed out.
   static const PageInfo kUnused;
   const Arena& arena = arenas_[a];
-  const Addr page = (addr - arena.base) / config_.page_size;
+  const Addr page = (addr - arena.base) / kPageSize;
   return page < arena.pages.size() ? &arena.pages[page] : &kUnused;
 }
 
 Addr SlabAllocator::BumpPages(Arena& arena, uint32_t num_pages, PageInfo info) {
   const Addr base = arena.bump;
-  DPROF_CHECK(base + static_cast<Addr>(num_pages) * config_.page_size <= arena.limit);
-  arena.bump += static_cast<Addr>(num_pages) * config_.page_size;
+  DPROF_CHECK(base + static_cast<Addr>(num_pages) * kPageSize <= arena.limit);
+  arena.bump += static_cast<Addr>(num_pages) * kPageSize;
   arena.pages.resize(arena.pages.size() + num_pages, info);
   return base;
 }
@@ -103,7 +111,7 @@ Addr SlabAllocator::BumpPages(Arena& arena, uint32_t num_pages, PageInfo info) {
 Addr SlabAllocator::AllocMeta(TypeId type, uint32_t size) {
   // Metadata and static objects get their own pages in the setup-time
   // metadata arena, found via meta ranges.
-  const uint32_t pages = (size + config_.page_size - 1) / config_.page_size;
+  const uint32_t pages = (size + kPageSize - 1) / kPageSize;
   const Addr base =
       BumpPages(arenas_.back(), std::max(1u, pages), PageInfo{PageInfo::Kind::kMeta, 0});
   meta_ranges_.push_back(MetaRange{base, size, type});
@@ -139,13 +147,13 @@ Addr SlabAllocator::RegisterStaticArray(TypeId type, uint32_t elem_size, uint32_
   DPROF_CHECK(count > 0 && elem_size > 0 && stride >= elem_size);
   const std::string& name = registry_->Name(type);
   uint32_t eff_stride = stride;
-  if (config_.transforms.Has(name, TypeTransformKind::kPadToLine)) {
+  if (transforms_.Has(name, TypeTransformKind::kPadToLine)) {
     // Repack densely, one line-multiple stride per element, discarding the
     // caller's hand-chosen placement.
     eff_stride = (elem_size + line_size_ - 1) / line_size_ * line_size_;
   }
   const uint32_t color_lines =
-      config_.transforms.Has(name, TypeTransformKind::kRecolor) ? kColorCycle : 0;
+      transforms_.Has(name, TypeTransformKind::kRecolor) ? kColorCycle : 0;
   static_array_log_.push_back(StaticArrayLayout{type, eff_stride, color_lines});
   const uint64_t span = static_cast<uint64_t>(eff_stride) * count +
                         (color_lines > 0 ? (color_lines - 1) * line_size_ : 0);
@@ -163,7 +171,7 @@ Addr SlabAllocator::RegisterStaticArray(TypeId type, uint32_t elem_size, uint32_
 }
 
 bool SlabAllocator::HasTransform(TypeId type, TypeTransformKind kind) {
-  const bool answer = config_.transforms.Has(registry_->Name(type), kind);
+  const bool answer = transforms_.Has(registry_->Name(type), kind);
   query_log_.push_back(TransformQuery{type, kind, answer});
   return answer;
 }
@@ -191,23 +199,23 @@ CacheLayout SlabAllocator::LayoutFor(TypeId type) const {
   CacheLayout layout;
   // Pad to 8 bytes like the kernel allocator.
   layout.obj_size = (registry_->Size(type) + 7u) & ~7u;
-  if (config_.transforms.empty()) {
+  if (transforms_.empty()) {
     return layout;
   }
   const std::string& name = registry_->Name(type);
-  if (config_.transforms.Has(name, TypeTransformKind::kPadToLine)) {
+  if (transforms_.Has(name, TypeTransformKind::kPadToLine)) {
     layout.obj_size = (layout.obj_size + line_size_ - 1) / line_size_ * line_size_;
   }
-  if (config_.transforms.Has(name, TypeTransformKind::kAlign)) {
+  if (transforms_.Has(name, TypeTransformKind::kAlign)) {
     // Pad past the on-slab header to a line boundary.
-    layout.align_pad = (line_size_ - config_.slab_header_size % line_size_) % line_size_;
+    layout.align_pad = (line_size_ - kSlabHeaderSize % line_size_) % line_size_;
   }
-  if (config_.transforms.Has(name, TypeTransformKind::kRecolor)) {
+  if (transforms_.Has(name, TypeTransformKind::kRecolor)) {
     layout.color_lines = kColorCycle;
   }
-  layout.pin_home = config_.transforms.Has(name, TypeTransformKind::kPinHome);
+  layout.pin_home = transforms_.Has(name, TypeTransformKind::kPinHome);
   if (layout.pin_home) {
-    const int socket = config_.transforms.ParamFor(name, TypeTransformKind::kPinHome);
+    const int socket = transforms_.ParamFor(name, TypeTransformKind::kPinHome);
     DPROF_CHECK(socket < machine_->hierarchy().num_sockets());
     layout.pin_socket = socket;
   }
@@ -233,8 +241,8 @@ SlabAllocator::KmemCache& SlabAllocator::CacheFor(TypeId type) {
     pc.array_cache_addr = AllocMeta(array_cache_type_, 128);
     // Linux models per-node alien queues with the same array_cache struct.
     pc.alien_addr = AllocMeta(array_cache_type_, 128);
-    pc.magazine.reserve(config_.magazine_capacity + config_.batch_count);
-    pc.alien.reserve(config_.batch_count + 1);
+    pc.magazine.reserve(kMagazineCapacity + kBatchCount);
+    pc.alien.reserve(kBatchCount + 1);
   }
   if (type >= cache_by_type_.size()) {
     cache_by_type_.resize(static_cast<size_t>(type) + 1, kNoCache);
@@ -267,14 +275,14 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
       faults->SlabGrowFails(ctx.core(), arena.slabs.size())) {
     return kGrowFailed;
   }
-  if (arena.slabs.size() >= config_.max_slabs_per_arena) {
+  if (arena.slabs.size() >= kMaxSlabsPerArena) {
     // Genuine exhaustion: report instead of aborting. Growth continues into
     // the emergency reserve so the epoch in flight can finish; the engine
     // polls status() at the epoch boundary and stops the run with this
     // diagnostic.
     status_.Update(Status(StatusCode::kResourceExhausted, "slab_grow",
                           "core " + std::to_string(ctx.core()) + " arena reached " +
-                              std::to_string(config_.max_slabs_per_arena) +
+                              std::to_string(kMaxSlabsPerArena) +
                               " slabs (max_slabs_per_arena)"));
   }
   // kRecolor sizes the slab for the worst-case color so every colored slab
@@ -294,17 +302,17 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
           ? static_cast<uint32_t>(home_block * static_cast<uint64_t>(hierarchy.num_sockets()))
           : 0;
   const uint32_t span =
-      config_.slab_header_size + layout.align_pad + color_max + pin_max + layout.obj_size;
-  const uint32_t num_pages = (span + config_.page_size - 1) / config_.page_size;
-  const uint32_t bytes = num_pages * config_.page_size;
+      kSlabHeaderSize + layout.align_pad + color_max + pin_max + layout.obj_size;
+  const uint32_t num_pages = (span + kPageSize - 1) / kPageSize;
+  const uint32_t bytes = num_pages * kPageSize;
 
-  DPROF_CHECK(arena.slabs.size() < config_.max_slabs_per_arena + kEmergencySlabs);
+  DPROF_CHECK(arena.slabs.size() < kMaxSlabsPerArena + kEmergencySlabs);
   const uint32_t slab_id = static_cast<uint32_t>(arena.slabs.size());
   const uint32_t color_off =
       layout.color_lines > 0 ? (slab_id % layout.color_lines) * line_size_ : 0;
   const Addr page_base =
       BumpPages(arena, num_pages, PageInfo{PageInfo::Kind::kSlab, slab_id});
-  uint32_t lead = config_.slab_header_size + layout.align_pad + color_off;
+  uint32_t lead = kSlabHeaderSize + layout.align_pad + color_off;
   uint32_t num_objects = std::max(1u, (bytes - lead) / layout.obj_size);
   if (pin_placement) {
     const int target =
@@ -336,7 +344,7 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
   slab.home.assign(num_objects, -1);
 
   // Initialize the on-slab header (type "slab").
-  ctx.Write(fn_grow_, page_base, config_.slab_header_size);
+  ctx.Write(fn_grow_, page_base, kSlabHeaderSize);
   ctx.Compute(fn_grow_, 150);
   pc.partial.push_back(slab_id);
   return slab_id;
@@ -346,7 +354,7 @@ void SlabAllocator::Refill(CoreContext& ctx, KmemCache& cache, PerCoreCache& pc)
   ctx.LockAcquire(*cache.lock, fn_refill_);
   ctx.Compute(fn_refill_, 60);
   Arena& arena = arenas_[ctx.core()];
-  uint32_t want = config_.batch_count;
+  uint32_t want = kBatchCount;
   while (want > 0) {
     if (pc.partial.empty()) {
       if (GrowCache(ctx, cache, pc, /*allow_fault=*/true) == kGrowFailed) {
@@ -392,7 +400,7 @@ void SlabAllocator::ReturnToSlab(KmemCache& cache, Addr obj) {
 void SlabAllocator::FlushMagazine(CoreContext& ctx, KmemCache& cache, PerCoreCache& pc) {
   ctx.LockAcquire(*cache.lock, fn_free_);
   ctx.Compute(fn_free_, 60);
-  for (uint32_t i = 0; i < config_.batch_count && !pc.magazine.empty(); ++i) {
+  for (uint32_t i = 0; i < kBatchCount && !pc.magazine.empty(); ++i) {
     const Addr obj = pc.magazine.front();
     pc.magazine.erase(pc.magazine.begin());
     // free_block() updates the slab descriptor's free count and linkage.
@@ -495,7 +503,7 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
     PerCoreCache& pc = cache.per_core[ctx.core()];
     ctx.Access(fn_free_, pc.array_cache_addr, 16, true);
     pc.magazine.push_back(res.base);
-    if (pc.magazine.size() > config_.magazine_capacity) {
+    if (pc.magazine.size() > kMagazineCapacity) {
       FlushMagazine(ctx, cache, pc);
     }
   } else if (cache.layout.pin_home) {
@@ -510,8 +518,8 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
     } else {
       PerCoreCache& home_pc = cache.per_core[home];
       home_pc.magazine.push_back(res.base);
-      if (home_pc.magazine.size() > config_.magazine_capacity) {
-        for (uint32_t i = 0; i < config_.batch_count && !home_pc.magazine.empty(); ++i) {
+      if (home_pc.magazine.size() > kMagazineCapacity) {
+        for (uint32_t i = 0; i < kBatchCount && !home_pc.magazine.empty(); ++i) {
           const Addr obj = home_pc.magazine.front();
           home_pc.magazine.erase(home_pc.magazine.begin());
           ReturnToSlab(cache, obj);
@@ -526,7 +534,7 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
     PerCoreCache& pc = cache.per_core[ctx.core()];
     ctx.Access(fn_free_, pc.alien_addr, 16, true);
     pc.alien.push_back(AlienEntry{res.base, static_cast<int8_t>(home)});
-    if (pc.alien.size() >= config_.batch_count) {
+    if (pc.alien.size() >= kBatchCount) {
       DrainAlien(ctx, cache, pc);
     }
   }
@@ -555,8 +563,8 @@ void SlabAllocator::DrainAlien(CoreContext& ctx, KmemCache& cache, PerCoreCache&
       continue;
     }
     home_pc.magazine.push_back(entry.obj);
-    if (home_pc.magazine.size() > config_.magazine_capacity) {
-      for (uint32_t i = 0; i < config_.batch_count && !home_pc.magazine.empty(); ++i) {
+    if (home_pc.magazine.size() > kMagazineCapacity) {
+      for (uint32_t i = 0; i < kBatchCount && !home_pc.magazine.empty(); ++i) {
         const Addr obj = home_pc.magazine.front();
         home_pc.magazine.erase(home_pc.magazine.begin());
         // free_block() updates the slab descriptor of the returned object.
@@ -600,7 +608,7 @@ ResolveResult SlabAllocator::Resolve(Addr addr) const {
       out.type = slab_type_;
       out.base = slab.page_base;
       out.offset = static_cast<uint32_t>(addr - slab.page_base);
-      out.size = config_.slab_header_size;
+      out.size = kSlabHeaderSize;
       return out;
     }
     const uint64_t idx = (addr - slab.objs_base) / cache.layout.obj_size;

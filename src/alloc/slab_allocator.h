@@ -63,24 +63,6 @@ struct ResolveResult {
   uint32_t size = 0;
 };
 
-struct SlabConfig {
-  uint32_t page_size = 4096;
-  uint32_t slab_header_size = 64;
-  uint32_t magazine_capacity = 32;  // array_cache entries per core
-  uint32_t batch_count = 16;        // objects moved per refill/flush
-  Addr base_addr = 0x100000000ull;  // start of the simulated heap
-  // Simulated address space per core arena (and for the metadata arena).
-  Addr arena_stride = 256ull * 1024 * 1024;
-  // Upper bound on slabs per arena. Reaching it is reported as a sticky
-  // kResourceExhausted status (see status()), not an abort.
-  uint32_t max_slabs_per_arena = 8192;
-  // Data-layout transforms applied per type name when its kmem_cache or
-  // static registration is created (see type_transform.h). Empty by
-  // default: an empty or all-identity set leaves every layout decision
-  // byte-identical to the untransformed allocator.
-  TransformSet transforms;
-};
-
 // The layout a type's kmem_cache gets: every decision a TransformSet can
 // change about the cache, as effective values rather than transform flags.
 struct CacheLayout {
@@ -168,7 +150,18 @@ struct AllocatorTypeStats {
 
 class SlabAllocator : public AllocatorIface {
  public:
-  SlabAllocator(Machine* machine, TypeRegistry* registry, const SlabConfig& config = {});
+  // Simulated heap geometry: the per-core arenas (and the trailing metadata
+  // arena) sit kArenaStride apart from kBaseAddr and grow in kPageSize
+  // pages.
+  static constexpr uint32_t kPageSize = 4096;
+  static constexpr Addr kBaseAddr = 0x100000000ull;
+  static constexpr Addr kArenaStride = 256ull * 1024 * 1024;
+
+  // `transforms` are the data-layout transforms applied per type name when
+  // its kmem_cache or static registration is created (see
+  // type_transform.h). An empty or all-identity set leaves every layout
+  // decision byte-identical to the untransformed allocator.
+  SlabAllocator(Machine* machine, TypeRegistry* registry, TransformSet transforms = {});
 
   SlabAllocator(const SlabAllocator&) = delete;
   SlabAllocator& operator=(const SlabAllocator&) = delete;
@@ -346,7 +339,7 @@ class SlabAllocator : public AllocatorIface {
 
   Machine* machine_;
   TypeRegistry* registry_;
-  SlabConfig config_;
+  TransformSet transforms_;
   uint32_t line_size_ = 64;
 
   TypeId slab_type_ = kInvalidType;

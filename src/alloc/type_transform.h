@@ -76,8 +76,8 @@ struct TypeTransform {
   int param = -1;
 };
 
-// An ordered set of transforms, carried by value through SlabConfig and
-// RunSpec. Multiple transforms may target one type (e.g. pad + recolor);
+// An ordered set of transforms, carried by value through RunSpec into the
+// SlabAllocator. Multiple transforms may target one type (e.g. pad + recolor);
 // duplicates are ignored.
 class TransformSet {
  public:

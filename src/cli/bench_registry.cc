@@ -112,14 +112,12 @@ BenchReport RunMicroCosts(const BenchParams& params) {
          static_cast<double>(machine.MaxClock()) / static_cast<double>(steps), "cycles"});
   }
 
-  const IbsConfig ibs;
   report.metrics.push_back(
-      {"ibs_interrupt_cycles", static_cast<double>(ibs.interrupt_cycles), "cycles"});
-  const DebugRegCostModel debug_costs;
+      {"ibs_interrupt_cycles", static_cast<double>(IbsUnit::kInterruptCycles), "cycles"});
   report.metrics.push_back({"watchpoint_interrupt_cycles",
-                            static_cast<double>(debug_costs.interrupt_cycles), "cycles"});
+                            static_cast<double>(DebugRegisterFile::kInterruptCycles), "cycles"});
   report.metrics.push_back({"debugreg_setup_initiator_cycles",
-                            static_cast<double>(debug_costs.setup_initiator_cycles),
+                            static_cast<double>(DebugRegisterFile::kSetupInitiatorCycles),
                             "cycles"});
   return report;
 }

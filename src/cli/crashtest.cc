@@ -68,7 +68,7 @@ RunSpec CellSpec(const SeamCase& sc) {
     spec.sampling_window = 10'000;
   }
   if (sc.seam == FaultSeam::kEpochStall) {
-    // The stall begins at epoch 64 (FaultPlanConfig::stall_after_epochs);
+    // The stall begins at epoch 64 (faults.cc's kStallAfterEpochs);
     // a tight stall budget turns it into a diagnostic quickly.
     spec.watchdog_stall_epochs = 64;
   }

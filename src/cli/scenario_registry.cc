@@ -147,10 +147,8 @@ std::unique_ptr<ScenarioRig> MakeBaseRig(const RunSpec& spec) {
   }
   rig->machine = std::make_unique<Machine>(config);
   rig->machine->SetFaultPlan(rig->faults.get());
-  SlabConfig slab_config;
-  slab_config.transforms = spec.transforms;
   rig->allocator =
-      std::make_unique<SlabAllocator>(rig->machine.get(), rig->registry.get(), slab_config);
+      std::make_unique<SlabAllocator>(rig->machine.get(), rig->registry.get(), spec.transforms);
   rig->machine->SetAllocator(rig->allocator.get());
   rig->env = std::make_unique<KernelEnv>(rig->machine.get(), rig->allocator.get());
   // Interactive default: bound each type's history phase to ~50ms of
@@ -243,8 +241,7 @@ void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
       "to the same L1 sets and evict each other",
       [](const RunSpec& spec) {
         auto rig = MakeBaseRig(spec);
-        rig->workload =
-            std::make_unique<ConflictDemoWorkload>(rig->env.get(), ConflictDemoConfig{});
+        rig->workload = std::make_unique<ConflictDemoWorkload>(rig->env.get());
         rig->options.ibs_period_ops = 100;
         rig->collect_cycles = 20'000'000;
         // Hot objects live forever: the collector arms debug registers on
@@ -355,7 +352,6 @@ ScenarioReport RunScenarioRig(std::unique_ptr<ScenarioRig> rig, const std::strin
   ScenarioReport report;
   if (engine != nullptr) {
     const EnginePhaseStats& stats = engine->phase_stats();
-    report.used_engine = true;
     report.engine_simulate_seconds = stats.simulate_seconds;
     report.engine_apply_seconds = stats.apply_seconds;
     report.engine_commit_seconds = stats.commit_seconds;

@@ -85,8 +85,8 @@ struct RunSpec {
   // while a mailbox-fed type's histories are collected). Stats-equivalence
   // tests turn this off to compare against fixed-epoch baselines.
   bool adaptive_epoch_focus = true;
-  // Data-layout transforms the allocator applies per type name
-  // (SlabConfig::transforms) — the whatif engine's experimental variable.
+  // Data-layout transforms the allocator applies per type name (the
+  // SlabAllocator's TransformSet) — the whatif engine's experimental variable.
   TransformSet transforms;
   // Workload-logic fixes that are not expressible as layout transforms,
   // promoted from ad-hoc workload config booleans:
@@ -284,7 +284,6 @@ struct ScenarioReport {
   // Deliberately excluded from ScenarioReportToJson: wall-clock varies with
   // the thread count while the report must stay byte-identical; the bench
   // driver surfaces these through `dprof bench --json` instead.
-  bool used_engine = false;
   double engine_simulate_seconds = 0.0;
   double engine_apply_seconds = 0.0;
   double engine_commit_seconds = 0.0;

@@ -3,9 +3,13 @@
 #include "src/util/check.h"
 
 namespace dprof {
+namespace {
 
-AddressSet::AddressSet(const AddressSetOptions& options)
-    : options_(options), rng_(options.seed) {}
+constexpr uint64_t kSeed = 0x5eed;  // seeds the reservoir draws
+
+}  // namespace
+
+AddressSet::AddressSet(const AddressSetOptions& options) : options_(options), rng_(kSeed) {}
 
 AddressSet::PerType& AddressSet::Entry(TypeId type) {
   DPROF_CHECK(type != kInvalidType);

@@ -20,7 +20,6 @@ namespace dprof {
 struct AddressSetOptions {
   uint64_t modulo = 16 * 1024 * 1024;  // max cache size of interest
   size_t reservoir_per_type = 4096;
-  uint64_t seed = 0x5eed;
 };
 
 class AddressSet final : public AllocationObserver {

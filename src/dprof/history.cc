@@ -5,6 +5,12 @@
 #include "src/util/check.h"
 
 namespace dprof {
+namespace {
+
+constexpr uint64_t kMaxMonitorCycles = 50'000'000;  // guard for long-lived objects
+constexpr uint64_t kSeed = 0xdeb6;                  // seeds the arm-skip draw
+
+}  // namespace
 
 HistoryCollector::HistoryCollector(Machine* machine, DebugRegisterFile* regs, TypeId type,
                                    uint32_t object_size, const HistoryCollectorOptions& options,
@@ -15,7 +21,7 @@ HistoryCollector::HistoryCollector(Machine* machine, DebugRegisterFile* regs, Ty
       object_size_(object_size),
       options_(options),
       allocator_(allocator),
-      rng_(options.seed) {
+      rng_(kSeed) {
   DPROF_CHECK(options_.granularity >= 1 &&
               options_.granularity <= DebugRegisterFile::kMaxWatchBytes);
   if (!options_.member_offsets.empty()) {
@@ -44,7 +50,7 @@ void HistoryCollector::OnAlloc(TypeId type, Addr base, uint32_t size, int core, 
   // monitored offset has gone cold (or that is never freed) must not stall
   // the sweep forever.
   if (monitoring_ && now > current_.alloc_time &&
-      now - current_.alloc_time > options_.max_monitor_cycles) {
+      now - current_.alloc_time > kMaxMonitorCycles) {
     FinishMonitoring(false);
   }
   if (type != type_ || monitoring_ || done()) {
@@ -78,17 +84,16 @@ void HistoryCollector::BeginMonitoring(Addr base, int core, uint64_t now) {
   current_.num_watch = 1;
 
   // Reserve the object with the memory subsystem.
-  const DebugRegCostModel& costs = regs_->costs();
-  machine_->ChargeCycles(core, costs.reserve_cycles);
-  overhead_.reserve_cycles += costs.reserve_cycles;
+  machine_->ChargeCycles(core, DebugRegisterFile::kReserveCycles);
+  overhead_.reserve_cycles += DebugRegisterFile::kReserveCycles;
 
   // Broadcast debug-register setup to every core.
-  machine_->ChargeCycles(core, costs.setup_initiator_cycles);
-  overhead_.comm_cycles += costs.setup_initiator_cycles;
+  machine_->ChargeCycles(core, DebugRegisterFile::kSetupInitiatorCycles);
+  overhead_.comm_cycles += DebugRegisterFile::kSetupInitiatorCycles;
   for (int c = 0; c < machine_->num_cores(); ++c) {
     if (c != core) {
-      machine_->ChargeCycles(c, costs.setup_ipi_cycles);
-      overhead_.comm_cycles += costs.setup_ipi_cycles;
+      machine_->ChargeCycles(c, DebugRegisterFile::kSetupIpiCycles);
+      overhead_.comm_cycles += DebugRegisterFile::kSetupIpiCycles;
     }
   }
 
@@ -108,8 +113,7 @@ void HistoryCollector::OnDebugHit(const AccessEvent& event, int reg) {
   if (!monitoring_) {
     return;
   }
-  const DebugRegCostModel& costs = regs_->costs();
-  overhead_.interrupt_cycles += costs.interrupt_cycles;
+  overhead_.interrupt_cycles += DebugRegisterFile::kInterruptCycles;
 
   HistoryElement elem;
   elem.offset = reg == 0 ? current_.watch_offsets[0] : current_.watch_offsets[1];
@@ -123,7 +127,7 @@ void HistoryCollector::OnDebugHit(const AccessEvent& event, int reg) {
   ++overhead_.elements_recorded;
 
   if (current_.elements.size() >= options_.max_elements_per_history ||
-      elem.time > options_.max_monitor_cycles) {
+      elem.time > kMaxMonitorCycles) {
     FinishMonitoring(false);
   }
 }
@@ -181,10 +185,10 @@ void HistoryCollector::Poll(uint64_t now) {
   // Timeout for a stale in-flight object; with no allocation events for any
   // type, OnAlloc's timeout check never runs, so it must also live here.
   if (monitoring_ && now > current_.alloc_time &&
-      now - current_.alloc_time > options_.max_monitor_cycles) {
+      now - current_.alloc_time > kMaxMonitorCycles) {
     FinishMonitoring(false);
   }
-  if (!options_.arm_live_objects || allocator_ == nullptr || monitoring_ || done()) {
+  if (allocator_ == nullptr || monitoring_ || done()) {
     return;
   }
   if (alloc_events_seen_ > 0 || now < earliest_arm_) {

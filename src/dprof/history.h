@@ -52,7 +52,6 @@ struct HistoryCollectorOptions {
   bool pair_mode = false;
   uint32_t max_sets = 0;                     // stop after N sets; 0 = no limit
   uint32_t max_elements_per_history = 8192;  // guard for hot offsets
-  uint64_t max_monitor_cycles = 50'000'000;  // guard for long-lived objects
   // Restrict the sweep to these offsets (e.g. the hot members found in the
   // access samples — paper §6.4). Empty = all offsets.
   std::vector<uint32_t> member_offsets;
@@ -66,12 +65,6 @@ struct HistoryCollectorOptions {
   // the machine in IPIs (the paper's fastest collection rate, 4,600
   // histories/s, corresponds to roughly one setup per 217k cycles).
   uint64_t min_rearm_cycles = 150'000;
-  // Debug registers watch addresses, not allocations: when a type's objects
-  // never recycle (no allocation events arrive to trigger arming), Poll()
-  // arms the sweep on already-live objects instead of spinning to the phase
-  // cap. Requires the collector to be built with an allocator.
-  bool arm_live_objects = true;
-  uint64_t seed = 0xdeb6;
 };
 
 struct HistoryOverhead {
@@ -87,9 +80,10 @@ struct HistoryOverhead {
 class HistoryCollector final : public AllocationObserver {
  public:
   // The collector drives `regs` (it installs its own handler) and charges
-  // setup costs to `machine`'s cores. With an `allocator`, Poll() can arm
-  // already-live objects of types that never allocate (see
-  // HistoryCollectorOptions::arm_live_objects).
+  // setup costs to `machine`'s cores. Debug registers watch addresses, not
+  // allocations: with an `allocator`, when a type's objects never recycle
+  // (no allocation events arrive to trigger arming), Poll() arms the sweep
+  // on already-live objects instead of spinning to the phase cap.
   HistoryCollector(Machine* machine, DebugRegisterFile* regs, TypeId type, uint32_t object_size,
                    const HistoryCollectorOptions& options = {},
                    SlabAllocator* allocator = nullptr);

@@ -7,6 +7,13 @@
 #include "src/util/table.h"
 
 namespace dprof {
+namespace {
+
+// Conflicts are "concentrated" (vs. uniform capacity pressure) when the
+// conflicted sets hold at most this fraction of all sets.
+constexpr double kConcentratedSetsFraction = 0.10;
+
+}  // namespace
 
 const char* MissKindName(MissKind kind) {
   switch (kind) {
@@ -25,8 +32,7 @@ const char* MissKindName(MissKind kind) {
 std::vector<MissClassRow> MissClassifier::Build(
     const TypeRegistry& registry, const AccessSampleTable& samples,
     const WorkingSetView& working_set,
-    const std::vector<std::vector<PathTrace>>& traces_per_type,
-    const MissClassifierOptions& options) {
+    const std::vector<std::vector<PathTrace>>& traces_per_type) {
   const auto by_type = samples.AggregateByType();
 
   // Are conflicts concentrated in a few sets (conflict regime) or spread
@@ -35,7 +41,7 @@ std::vector<MissClassRow> MissClassifier::Build(
   const bool conflicts_concentrated =
       !working_set.conflicted_sets().empty() &&
       static_cast<double>(working_set.conflicted_sets().size()) <=
-          options.concentrated_sets_fraction * static_cast<double>(num_sets);
+          kConcentratedSetsFraction * static_cast<double>(num_sets);
   const bool over_capacity = working_set.OverCapacity();
 
   std::vector<MissClassRow> rows;

@@ -40,12 +40,6 @@ struct MissClassRow {
   bool path_invalidation_evidence = false;  // corroborated by path traces
 };
 
-struct MissClassifierOptions {
-  // Conflicts are "concentrated" (vs. uniform capacity pressure) when the
-  // conflicted sets hold at most this fraction of all sets.
-  double concentrated_sets_fraction = 0.10;
-};
-
 class MissClassifier {
  public:
   // `traces_per_type` may be empty for types without collected histories;
@@ -53,8 +47,7 @@ class MissClassifier {
   static std::vector<MissClassRow> Build(
       const TypeRegistry& registry, const AccessSampleTable& samples,
       const WorkingSetView& working_set,
-      const std::vector<std::vector<PathTrace>>& traces_per_type,
-      const MissClassifierOptions& options = {});
+      const std::vector<std::vector<PathTrace>>& traces_per_type);
 
   static std::string ToTable(const std::vector<MissClassRow>& rows);
 

@@ -5,14 +5,13 @@ namespace dprof {
 DProfSession::DProfSession(Machine* machine, SlabAllocator* allocator,
                            const DProfOptions& options)
     : machine_(machine), allocator_(allocator), options_(options), addresses_(options.address_set) {
-  ibs_ = std::make_unique<IbsUnit>(machine_->num_cores(), options_.ibs);
+  ibs_ = std::make_unique<IbsUnit>(machine_->num_cores());
   ibs_->SetHandler([this](const IbsSample& sample) {
     // The interrupt handler resolves the data address to its type via the
-    // allocator (paper §5.2); the cycle cost is part of the IBS config.
+    // allocator (paper §5.2); IbsUnit::kHandlerCycles is its cycle cost.
     samples_.Record(sample, allocator_->Resolve(sample.vaddr));
   });
   debug_regs_ = std::make_unique<DebugRegisterFile>();
-  debug_regs_->set_costs(options_.debug_costs);
 
   machine_->AddPmuHook(ibs_.get());
   machine_->AddPmuHook(debug_regs_.get());

@@ -32,8 +32,6 @@ namespace dprof {
 struct DProfOptions {
   // IBS sampling period in ops during the access-sample phase.
   uint64_t ibs_period_ops = 200;
-  IbsConfig ibs;
-  DebugRegCostModel debug_costs;
   AddressSetOptions address_set;
   HistoryCollectorOptions history;
   // Safety cap for one type's history phase, in machine cycles.

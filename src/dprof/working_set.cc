@@ -11,6 +11,11 @@ namespace dprof {
 
 namespace {
 
+// A set is conflicted if it holds more than kConflictFactor times the
+// average and more lines than it has ways (paper §4.3's factor-2 rule).
+constexpr double kConflictFactor = 2.0;
+constexpr uint64_t kSeed = 0xca11;  // seeds the address-sample draws
+
 // Offsets of `type` that the profiled software actually touches, from the
 // access samples; used to mark which lines of each live object are cached.
 std::vector<uint32_t> TouchedLineOffsets(const AccessSampleTable& samples, TypeId type,
@@ -45,7 +50,7 @@ WorkingSetView WorkingSetView::Build(const TypeRegistry& registry, const Address
   view.set_histogram_.assign(num_sets, 0);
   view.capacity_lines_ = static_cast<double>(num_sets) * geom.ways;
 
-  Rng rng(options.seed);
+  Rng rng(kSeed);
   std::vector<std::map<TypeId, uint64_t>> per_set_types(num_sets);
 
   for (const TypeId type : addresses.KnownTypes()) {
@@ -99,7 +104,7 @@ WorkingSetView WorkingSetView::Build(const TypeRegistry& registry, const Address
               return a.avg_live_bytes > b.avg_live_bytes;
             });
 
-  // Conflict detection: sets holding > conflict_factor * mean and more lines
+  // Conflict detection: sets holding > kConflictFactor * mean and more lines
   // than they have ways.
   uint64_t total = 0;
   for (const uint64_t count : view.set_histogram_) {
@@ -110,7 +115,7 @@ WorkingSetView WorkingSetView::Build(const TypeRegistry& registry, const Address
   for (uint64_t set = 0; set < num_sets; ++set) {
     const uint64_t count = view.set_histogram_[set];
     if (count > geom.ways &&
-        static_cast<double>(count) > options.conflict_factor * view.mean_lines_per_set_) {
+        static_cast<double>(count) > kConflictFactor * view.mean_lines_per_set_) {
       AssocSetPressure pressure;
       pressure.set = set;
       pressure.distinct_lines = count;

@@ -40,10 +40,6 @@ struct AssocSetPressure {
 
 struct WorkingSetOptions {
   CacheGeometry geometry{512 * 1024, 64, 16};  // default: private L2
-  // A set is conflicted if it holds more than `conflict_factor` times the
-  // average and more lines than it has ways (paper §4.3's factor-2 rule).
-  double conflict_factor = 2.0;
-  uint64_t seed = 0xca11;
 };
 
 class WorkingSetView {

@@ -382,7 +382,7 @@ void Engine::ApplyGlobal() {
       faults != nullptr && (faults->enabled(FaultSeam::kLaneDrop) ||
                             faults->enabled(FaultSeam::kLaneDup));
   const uint32_t drop_result =
-      PackAccessResult(m.config_.hierarchy.latency.l1, ServedBy::kL1, false);
+      PackAccessResult(LatencyOf(ServedBy::kL1), ServedBy::kL1, false);
   uint64_t keys[kMaxCores];
   uint32_t cursor[kMaxCores] = {0};
   int remaining = 0;
@@ -595,7 +595,6 @@ void Engine::CommitRun(int core) {
   uint64_t clock = m.clocks_[core];
   uint64_t probe_lat = probe_latency_[core];
   uint8_t probing = probe_active_[core];
-  const uint64_t base_cost = m.config_.base_op_cost;
   // The access run ends at the next op, or at the column's end.
   auto run_end = [&]() __attribute__((always_inline)) {
     return op < num_ops ? ops[op].at : num_lanes;
@@ -619,7 +618,7 @@ void Engine::CommitRun(int core) {
       // integrate the latency share.
       clock += o.payload;
       if (probing != 0) {
-        probe_lat += o.payload - o.addr * base_cost;
+        probe_lat += o.payload - o.addr * Machine::kBaseOpCost;
       }
     } else if (k == SimOp::kProbeBegin) {
       probing = 1;
@@ -642,7 +641,7 @@ void Engine::CommitRun(int core) {
     do {
       for (const uint32_t end = run_end(); i < end; ++i) {
         const uint32_t latency = PackedAccessLatency(lanes[i].result);
-        clock += base_cost + latency;
+        clock += Machine::kBaseOpCost + latency;
         if (probing != 0) {
           probe_lat += latency;
         }
@@ -695,7 +694,7 @@ void Engine::CommitRun(int core) {
       --quiet;
       ++skipped;
       const uint32_t latency = PackedAccessLatency(lane.result);
-      clock += base_cost + latency;
+      clock += Machine::kBaseOpCost + latency;
       if (probing != 0) {
         probe_lat += latency;
       }
@@ -715,7 +714,7 @@ void Engine::DispatchAccess(int core, const ApplyLane& lane, uint64_t& clock) {
   // Counting hooks must be current before their per-op consultation.
   FlushQuiet(core);
   const uint32_t latency = PackedAccessLatency(lane.result);
-  clock += m.config_.base_op_cost + latency;
+  clock += Machine::kBaseOpCost + latency;
   if (probe_active_[core] != 0) {
     probe_latency_[core] += latency;
   }

@@ -4,6 +4,15 @@ namespace dprof {
 
 namespace {
 
+// Per-seam magnitudes, sized so a short run sees every enabled seam fire
+// many times.
+constexpr uint32_t kSlabGrowPeriod = 4;        // ~1/4 of slab grows fail (then retry)
+constexpr uint32_t kLanePeriod = 512;          // ~1/512 of lane records faulted
+constexpr uint32_t kSkewMaxCycles = 64;        // per-core skew in [0, max) per epoch
+constexpr uint32_t kExtWaysUnderPressure = 1;  // l3_dir_ext_ways under pressure
+constexpr uint64_t kStallAfterEpochs = 64;     // epochs stop advancing from here on
+constexpr uint64_t kCorruptFromAudit = 1;      // corrupt before this audit ordinal on
+
 // SplitMix64 finalizer, same as the sampling schedule's: stateless, so every
 // seam decision is a pure function of (seed, seam salt, coordinates).
 uint64_t Mix(uint64_t x) {
@@ -95,7 +104,7 @@ bool FaultPlan::SlabGrowFails(int core, uint64_t slab_ordinal) {
   }
   const uint64_t h = Mix(config_.seed ^ Salt(FaultSeam::kSlabGrow) ^
                          (slab_ordinal << 8) ^ static_cast<uint64_t>(core));
-  if (h % config_.slab_grow_period != 0) {
+  if (h % kSlabGrowPeriod != 0) {
     return false;
   }
   NoteInjected(FaultSeam::kSlabGrow);
@@ -110,7 +119,7 @@ LaneFault FaultPlan::LaneFaultFor(int core, uint64_t t, Addr addr) {
   }
   const uint64_t h = Mix(config_.seed ^ Salt(FaultSeam::kLaneDrop) ^ (addr << 6) ^
                          (t << 1) ^ static_cast<uint64_t>(core));
-  if (h % config_.lane_period != 0) {
+  if (h % kLanePeriod != 0) {
     return LaneFault::kNone;
   }
   // Both seams on: the hash picks which fault this record suffers.
@@ -122,12 +131,12 @@ LaneFault FaultPlan::LaneFaultFor(int core, uint64_t t, Addr addr) {
 }
 
 uint32_t FaultPlan::ClockSkew(int core, uint64_t epoch) {
-  if (!enabled(FaultSeam::kClockSkew) || config_.skew_max_cycles == 0) {
+  if (!enabled(FaultSeam::kClockSkew)) {
     return 0;
   }
   const uint64_t h = Mix(config_.seed ^ Salt(FaultSeam::kClockSkew) ^ (epoch << 5) ^
                          static_cast<uint64_t>(core));
-  const uint32_t skew = static_cast<uint32_t>(h % config_.skew_max_cycles);
+  const uint32_t skew = static_cast<uint32_t>(h % kSkewMaxCycles);
   if (skew != 0) {
     NoteInjected(FaultSeam::kClockSkew);
     NoteRecovered(FaultSeam::kClockSkew);
@@ -139,9 +148,8 @@ void FaultPlan::ApplyToHierarchy(HierarchyConfig* config) {
   if (!enabled(FaultSeam::kExtBankPressure)) {
     return;
   }
-  const uint32_t ways = config_.ext_ways_override > 0 ? config_.ext_ways_override : 1;
-  if (ways < config->l3_dir_ext_ways) {
-    config->l3_dir_ext_ways = ways;
+  if (kExtWaysUnderPressure < config->l3_dir_ext_ways) {
+    config->l3_dir_ext_ways = kExtWaysUnderPressure;
     NoteInjected(FaultSeam::kExtBankPressure);
   }
 }
@@ -167,7 +175,7 @@ bool FaultPlan::WindowJitterFires(uint64_t period) {
 }
 
 int FaultPlan::CorruptionAtAudit(uint64_t audit) {
-  if (!enabled(FaultSeam::kLatticeCorrupt) || audit < config_.corrupt_from_audit) {
+  if (!enabled(FaultSeam::kLatticeCorrupt) || audit < kCorruptFromAudit) {
     return -1;
   }
   const uint64_t h = Mix(config_.seed ^ Salt(FaultSeam::kLatticeCorrupt) ^ audit);
@@ -176,7 +184,7 @@ int FaultPlan::CorruptionAtAudit(uint64_t audit) {
 }
 
 bool FaultPlan::StallsEpoch(uint64_t epoch) {
-  if (!enabled(FaultSeam::kEpochStall) || epoch < config_.stall_after_epochs) {
+  if (!enabled(FaultSeam::kEpochStall) || epoch < kStallAfterEpochs) {
     return false;
   }
   NoteInjected(FaultSeam::kEpochStall);

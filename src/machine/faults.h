@@ -51,16 +51,6 @@ enum class LaneFault : uint8_t { kNone = 0, kDrop, kDup };
 struct FaultPlanConfig {
   uint64_t seed = 0xfa017;
   uint32_t enabled_mask = 0;  // bit per FaultSeam
-
-  // Per-seam magnitudes; deterministic defaults sized so a short run sees
-  // every enabled seam fire many times.
-  uint32_t slab_grow_period = 4;       // ~1/4 of slab grows fail (then retry)
-  uint32_t lane_period = 512;          // ~1/512 of lane records faulted
-  uint32_t skew_max_cycles = 64;       // per-core skew in [0, max) per epoch
-  uint32_t ext_ways_override = 1;      // l3_dir_ext_ways under pressure
-  uint32_t mailbox_cap = 8;           // max queued packets per mailbox
-  uint64_t stall_after_epochs = 64;    // epochs stop advancing from here on
-  uint64_t corrupt_from_audit = 1;     // corrupt before this audit ordinal on
 };
 
 // Builds an enabled-mask from a comma-separated seam list ("slab_grow,
@@ -91,7 +81,7 @@ class FaultPlan {
   LaneFault LaneFaultFor(int core, uint64_t t, Addr addr);
 
   // Deterministic per-core clock skew injected at the start of the epoch
-  // with ordinal `epoch`, in cycles ([0, skew_max_cycles)).
+  // with ordinal `epoch`, in cycles ([0, 64)).
   uint32_t ClockSkew(int core, uint64_t epoch);
 
   // Applies configuration-level seams to a hierarchy config at rig build
@@ -101,7 +91,7 @@ class FaultPlan {
   // Mailbox depth cap; ~0u when the seam is off. The queue drops (and
   // counts) packets beyond the cap.
   uint32_t MailboxCap() const {
-    return enabled(FaultSeam::kMailboxOverflow) ? config_.mailbox_cap : ~0u;
+    return enabled(FaultSeam::kMailboxOverflow) ? kMailboxCap : ~0u;
   }
   void NoteMailboxDrop();
 
@@ -128,6 +118,8 @@ class FaultPlan {
   }
 
  private:
+  static constexpr uint32_t kMailboxCap = 8;  // max queued packets per mailbox
+
   void NoteInjected(FaultSeam seam) {
     ++injected_[static_cast<int>(seam)];
   }

@@ -105,8 +105,8 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
   if (recorder_ != nullptr) {
     // Engine mode: queue one op per line chunk; results resolve at commit.
     CoreRecorder& rec = *recorder_;
-    const uint32_t l1_latency = m.config_.hierarchy.latency.l1;
-    const uint32_t raw_cost = m.config_.base_op_cost + l1_latency;
+    const uint32_t l1_latency = LatencyOf(ServedBy::kL1);
+    const uint32_t raw_cost = Machine::kBaseOpCost + l1_latency;
     const uint32_t write_bit = is_write ? ApplyLane::kWriteBit : 0u;
     AccessResult total;
     Addr at = addr;
@@ -125,7 +125,7 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
         const uint64_t est = rec.ChargeFf(raw_cost);
         if (at < rec.ff_hi && at + chunk > rec.ff_lo) {
           const uint64_t extra =
-              est > m.config_.base_op_cost ? est - m.config_.base_op_cost : 0;
+              est > Machine::kBaseOpCost ? est - Machine::kBaseOpCost : 0;
           rec.PushAccess(t, at, chunk | write_bit, ip,
                          PackAccessResult(static_cast<uint32_t>(extra), ServedBy::kL1, false));
         } else {
@@ -160,7 +160,7 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
     const uint32_t line_room = static_cast<uint32_t>(line_size - (at & (line_size - 1)));
     const uint32_t chunk = remaining < line_room ? remaining : line_room;
     const AccessResult r = m.hierarchy_.Access(core_, at, chunk, is_write, now());
-    m.clocks_[core_] += m.config_.base_op_cost + r.latency;
+    m.clocks_[core_] += Machine::kBaseOpCost + r.latency;
 
     total.latency += r.latency;
     total.level = std::max(total.level, r.level);

@@ -429,12 +429,14 @@ class CoreRecorder {
 struct MachineConfig {
   HierarchyConfig hierarchy;
   uint64_t idle_cycles = 2000;  // clock advance when a driver reports no work
-  uint32_t base_op_cost = 1;    // pipeline cost of one op, excluding memory
   uint64_t seed = 1;
 };
 
 class Machine {
  public:
+  // Pipeline cost of one op, excluding memory, in cycles.
+  static constexpr uint32_t kBaseOpCost = 1;
+
   explicit Machine(const MachineConfig& config);
 
   Machine(const Machine&) = delete;

@@ -74,7 +74,7 @@ uint64_t DebugRegisterFile::OnAccess(const AccessEvent& event) {
       continue;
     }
     ++hits_;
-    cost += costs_.interrupt_cycles;
+    cost += kInterruptCycles;
     if (handler_) {
       handler_(event, r);
     }

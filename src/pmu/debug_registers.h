@@ -4,7 +4,7 @@
 // 1/2/4/8-byte region and raise an interrupt on every load or store to it.
 // DProf programs the same watchpoint on every core (objects migrate), so this
 // model keeps one global register file; the per-core setup broadcast cost is
-// charged by the history collector using DebugRegCostModel.
+// charged by the history collector using the setup costs below.
 
 #ifndef DPROF_SRC_PMU_DEBUG_REGISTERS_H_
 #define DPROF_SRC_PMU_DEBUG_REGISTERS_H_
@@ -16,25 +16,23 @@
 
 namespace dprof {
 
-// Cycle costs measured in the paper (§6.4, Table 6.9).
-struct DebugRegCostModel {
-  // Cost of taking one watchpoint interrupt and saving a history element.
-  uint64_t interrupt_cycles = 1000;
-  // Cost on the core that initiates debug-register setup for a new object
-  // (dominated by IPIs to all other cores).
-  uint64_t setup_initiator_cycles = 130000;
-  // Cost on each other core to handle the setup IPI. The paper reports a
-  // ~220,000 cycle total setup cost, of which 130k is the initiator.
-  uint64_t setup_ipi_cycles = 6000;
-  // Cost to reserve a newly allocated object for profiling with the memory
-  // subsystem.
-  uint64_t reserve_cycles = 20000;
-};
-
 class DebugRegisterFile final : public PmuHook {
  public:
   static constexpr int kNumRegisters = 4;
   static constexpr uint32_t kMaxWatchBytes = 8;
+
+  // Cycle costs measured in the paper (§6.4, Table 6.9). Cost of taking
+  // one watchpoint interrupt and saving a history element:
+  static constexpr uint64_t kInterruptCycles = 1000;
+  // Cost on the core that initiates debug-register setup for a new object
+  // (dominated by IPIs to all other cores).
+  static constexpr uint64_t kSetupInitiatorCycles = 130000;
+  // Cost on each other core to handle the setup IPI. The paper reports a
+  // ~220,000 cycle total setup cost, of which 130k is the initiator.
+  static constexpr uint64_t kSetupIpiCycles = 6000;
+  // Cost to reserve a newly allocated object for profiling with the memory
+  // subsystem.
+  static constexpr uint64_t kReserveCycles = 20000;
 
   // Handler receives the triggering access and the register index.
   using Handler = std::function<void(const AccessEvent& event, int reg)>;
@@ -69,9 +67,6 @@ class DebugRegisterFile final : public PmuHook {
     return true;
   }
 
-  const DebugRegCostModel& costs() const { return costs_; }
-  void set_costs(const DebugRegCostModel& costs) { costs_ = costs; }
-
  private:
   struct Watchpoint {
     Addr base = 0;
@@ -83,7 +78,6 @@ class DebugRegisterFile final : public PmuHook {
 
   Watchpoint regs_[kNumRegisters];
   Handler handler_;
-  DebugRegCostModel costs_;
   uint64_t hits_ = 0;
   int num_active_ = 0;
   // Bounding window over the active watchpoints, kept by Arm/Disarm.

@@ -1,32 +1,37 @@
 #include "src/pmu/ibs_unit.h"
 
 namespace dprof {
+namespace {
 
-IbsUnit::IbsUnit(int num_cores, const IbsConfig& config)
-    : config_(config), countdown_(num_cores, 0) {
+// Seeds the per-core jitter streams.
+constexpr uint64_t kSeed = 0x1b5;
+
+}  // namespace
+
+IbsUnit::IbsUnit(int num_cores, uint64_t period_ops) : countdown_(num_cores, 0) {
   rngs_.reserve(num_cores);
   for (int c = 0; c < num_cores; ++c) {
-    rngs_.emplace_back(config.seed * 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(c) + 1);
+    rngs_.emplace_back(kSeed * 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(c) + 1);
   }
-  SetPeriod(config.period_ops);
+  SetPeriod(period_ops);
 }
 
 void IbsUnit::SetPeriod(uint64_t period_ops) {
-  config_.period_ops = period_ops;
+  period_ops_ = period_ops;
   for (size_t c = 0; c < countdown_.size(); ++c) {
     countdown_[c] = period_ops == 0 ? 0 : static_cast<int64_t>(rngs_[c].Jitter(period_ops));
   }
 }
 
 uint64_t IbsUnit::OnAccess(const AccessEvent& event) {
-  if (config_.period_ops == 0) {
+  if (period_ops_ == 0) {
     return 0;
   }
   int64_t& cd = countdown_[event.core];
   if (--cd > 0) {
     return 0;
   }
-  cd = static_cast<int64_t>(rngs_[event.core].Jitter(config_.period_ops));
+  cd = static_cast<int64_t>(rngs_[event.core].Jitter(period_ops_));
   ++samples_taken_;
   if (handler_) {
     IbsSample sample;
@@ -40,7 +45,7 @@ uint64_t IbsUnit::OnAccess(const AccessEvent& event) {
     sample.now = event.now;
     handler_(sample);
   }
-  return config_.interrupt_cycles + config_.handler_cycles;
+  return kInterruptCycles + kHandlerCycles;
 }
 
 }  // namespace dprof

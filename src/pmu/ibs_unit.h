@@ -38,31 +38,28 @@ struct IbsSample {
   uint64_t now = 0;
 };
 
-struct IbsConfig {
-  // Mean ops between samples per core; 0 disables sampling.
-  uint64_t period_ops = 0;
-  // Cycles charged to the sampled core per IBS interrupt: interrupt
-  // entry/exit plus reading the IBS register bank (paper: ~2,000 cycles,
-  // half spent reading IBS registers).
-  uint64_t interrupt_cycles = 2000;
-  // Extra cycles for the consumer's handler work (e.g. DProf's address-to-
-  // type resolution); charged on top of interrupt_cycles.
-  uint64_t handler_cycles = 1200;
-  uint64_t seed = 0x1b5;
-};
-
 class IbsUnit final : public PmuHook {
  public:
   using Handler = std::function<void(const IbsSample&)>;
 
-  explicit IbsUnit(int num_cores, const IbsConfig& config = {});
+  // Cycles charged to the sampled core per IBS interrupt: interrupt
+  // entry/exit plus reading the IBS register bank (paper: ~2,000 cycles,
+  // half spent reading IBS registers).
+  static constexpr uint64_t kInterruptCycles = 2000;
+  // Extra cycles for the consumer's handler work (DProf's address-to-type
+  // resolution); charged on top of kInterruptCycles.
+  static constexpr uint64_t kHandlerCycles = 1200;
+
+  // `period_ops` is the mean ops between samples per core; 0 disables
+  // sampling.
+  explicit IbsUnit(int num_cores, uint64_t period_ops = 0);
 
   void SetHandler(Handler handler) { handler_ = std::move(handler); }
 
   // Reconfigures the sampling period; 0 disables.
   void SetPeriod(uint64_t period_ops);
-  uint64_t period_ops() const { return config_.period_ops; }
-  bool enabled() const { return config_.period_ops != 0; }
+  uint64_t period_ops() const { return period_ops_; }
+  bool enabled() const { return period_ops_ != 0; }
 
   uint64_t samples_taken() const { return samples_taken_; }
   void ResetCounters() { samples_taken_ = 0; }
@@ -70,20 +67,20 @@ class IbsUnit final : public PmuHook {
   // PmuHook:
   uint64_t OnAccess(const AccessEvent& event) override;
   uint64_t QuietOps(int core) const override {
-    if (config_.period_ops == 0) {
+    if (period_ops_ == 0) {
       return kQuietUnbounded;
     }
     const int64_t cd = countdown_[core];
     return cd > 1 ? static_cast<uint64_t>(cd - 1) : 0;
   }
   void OnQuietAccessBatch(int core, uint64_t count) override {
-    if (config_.period_ops != 0) {
+    if (period_ops_ != 0) {
       countdown_[core] -= static_cast<int64_t>(count);
     }
   }
 
  private:
-  IbsConfig config_;
+  uint64_t period_ops_ = 0;
   Handler handler_;
   std::vector<int64_t> countdown_;
   std::vector<Rng> rngs_;  // per-core jitter streams

@@ -24,22 +24,6 @@ const char* ServedByName(ServedBy level) {
   return "?";
 }
 
-uint32_t LatencyModel::Of(ServedBy level) const {
-  switch (level) {
-    case ServedBy::kL1:
-      return l1;
-    case ServedBy::kL2:
-      return l2;
-    case ServedBy::kL3:
-      return l3;
-    case ServedBy::kForeignCache:
-      return foreign;
-    case ServedBy::kDram:
-      return dram;
-  }
-  return dram;
-}
-
 // Anonymous private mappings come back zero-filled and page-aligned, and
 // their pages stay on the kernel's zero page until first written.
 void* CacheHierarchy::MapZeroPages(size_t bytes) {
@@ -443,19 +427,18 @@ void CacheHierarchy::HandlePrivateEviction(int c, const Level& other, uint64_t v
 template <bool kWrite>
 [[gnu::always_inline]] inline uint32_t CacheHierarchy::AccessLine(int core, uint64_t line,
                                                                   uint64_t now) {
-  const LatencyModel& lat = config_.latency;
   // L1 probe: the read-hit fast path is this one row scan plus a stamp.
   const size_t row1 = l1_.RowOf(core, line);
   const RowScan scan1 = ScanRow(l1_, row1, line);
   if (scan1.way >= 0) {
     const size_t slot1 = row1 + static_cast<uint32_t>(scan1.way);
     l1_.stamps[slot1] = now;
-    if (!kWrite || (l1_.tags[slot1] & kPrivExclBit) != 0) {
-      return PackAccessResult(lat.l1, ServedBy::kL1, false);  // read hit, or owned write
+    if (!kWrite || (l1_.tags[slot1] & kPrivExclBit) != 0) {  // read hit, or owned write
+      return PackAccessResult(LatencyOf(ServedBy::kL1), ServedBy::kL1, false);
     }
     const uint64_t set = L3SetOf(line);
     WriteUpgrade(core, line, set, FindL3Slot(set, line), scan1.way, -1);
-    return PackAccessResult(lat.l1, ServedBy::kL1, false);
+    return PackAccessResult(LatencyOf(ServedBy::kL1), ServedBy::kL1, false);
   }
 
   // L2 probe; the L1 scan above already produced the L1 fill candidates.
@@ -473,14 +456,14 @@ template <bool kWrite>
     if (exclusive) {
       l1_.tags[row1 + l1_way] |= kPrivExclBit;
       // Already sole modified owner, reads and writes alike.
-      return PackAccessResult(lat.l2, ServedBy::kL2, false);
+      return PackAccessResult(LatencyOf(ServedBy::kL2), ServedBy::kL2, false);
     }
     if (kWrite) {
       const uint64_t set = L3SetOf(line);
       WriteUpgrade(core, line, set, FindL3Slot(set, line),
                    static_cast<int64_t>(l1_way), scan2.way);
     }
-    return PackAccessResult(lat.l2, ServedBy::kL2, false);
+    return PackAccessResult(LatencyOf(ServedBy::kL2), ServedBy::kL2, false);
   }
 
   // Private miss: one L3 lattice scan yields the data way (if any), the
@@ -583,7 +566,7 @@ template <bool kWrite>
     WriteUpgrade(core, line, set, slot, static_cast<int64_t>(l1_way),
                  static_cast<int64_t>(l2_way));
   }
-  const uint32_t latency = lat.Of(level) + (remote ? lat.interconnect : 0);
+  const uint32_t latency = LatencyOf(level) + (remote ? kInterconnectLatency : 0);
   return PackAccessResult(latency, level, invalidation) | (remote ? kRemoteFill : 0);
 }
 

@@ -51,7 +51,7 @@
 // extension bank. A line's home slice is an address hash (see "Home
 // interleaving" below). Accesses served by a remote home slice, or by a
 // supplier core on another socket (including the foreign-read downgrade),
-// pay LatencyModel::interconnect per line and count as remote_fills;
+// pay kInterconnectLatency per line and count as remote_fills;
 // reclaim back-invalidations crossing a socket boundary count as
 // cross_socket_back_invalidations. num_sockets == 1 degenerates to the flat
 // SMP exactly.
@@ -88,20 +88,28 @@ enum class ServedBy : uint8_t {
 
 const char* ServedByName(ServedBy level);
 
-struct LatencyModel {
-  uint32_t l1 = 3;
-  uint32_t l2 = 14;
-  uint32_t l3 = 50;
-  uint32_t foreign = 200;
-  uint32_t dram = 250;
-  // Added once per line when the serving agent sits on another socket: an
-  // L3/DRAM fill whose home slice is remote, or a cache-to-cache transfer
-  // (including the foreign-read downgrade) whose supplier core is remote.
-  // Never charged on single-socket machines.
-  uint32_t interconnect = 100;
+// Cycles to serve one line from `level`.
+constexpr uint32_t LatencyOf(ServedBy level) {
+  switch (level) {
+    case ServedBy::kL1:
+      return 3;
+    case ServedBy::kL2:
+      return 14;
+    case ServedBy::kL3:
+      return 50;
+    case ServedBy::kForeignCache:
+      return 200;
+    case ServedBy::kDram:
+      return 250;
+  }
+  return 250;
+}
 
-  uint32_t Of(ServedBy level) const;
-};
+// Added once per line when the serving agent sits on another socket: an
+// L3/DRAM fill whose home slice is remote, or a cache-to-cache transfer
+// (including the foreign-read downgrade) whose supplier core is remote.
+// Never charged on single-socket machines.
+inline constexpr uint32_t kInterconnectLatency = 100;
 
 // Result of one (possibly multi-line) access.
 struct AccessResult {
@@ -162,7 +170,6 @@ struct HierarchyConfig {
   // oldest extension tag is reclaimed and its private copies
   // back-invalidated); sized so registered workloads never overflow.
   uint32_t l3_dir_ext_ways = 32;
-  LatencyModel latency;
 };
 
 // Per-core aggregate counters (ground truth, not what DProf sees).

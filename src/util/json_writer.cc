@@ -97,12 +97,6 @@ JsonWriter& JsonWriter::Bool(bool value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::Raw(std::string_view json) {
   DPROF_CHECK(!json.empty());
   BeforeValue();

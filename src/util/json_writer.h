@@ -28,7 +28,6 @@ class JsonWriter {
   JsonWriter& Int(int64_t value);
   JsonWriter& UInt(uint64_t value);
   JsonWriter& Bool(bool value);
-  JsonWriter& Null();
 
   // Splices a pre-rendered JSON document in as one value (e.g. a view's
   // ToJson() output embedded in a larger report). The caller vouches for its

@@ -33,19 +33,6 @@ struct ApacheConfig {
   // Offered load as a fraction of the nominal per-core service rate. > 1.0
   // means the generators always have connections pending (drop-off regime).
   double offered_load = 1.5;
-  // Calibrated per-request service cost used to convert offered_load into an
-  // inter-arrival time in cycles.
-  uint64_t nominal_service_cycles = 12800;
-  // Worker threads per Apache instance; their task_structs are touched on
-  // every request (futex wait/wake + scheduling). The ring exceeds L1 so
-  // scheduling writes are steady L1 misses (paper Table 6.4's task_struct).
-  int worker_threads = 36;
-  // Served connections linger this many requests before teardown (keep-alive
-  // drain / FIN). Sized so the recycling tcp_sock footprint fits in L1 at
-  // peak — which is what makes the drop-off contrast stark.
-  int linger_depth = 12;
-  // Userspace request handling cost (cycles).
-  uint64_t handler_cycles = 4500;
   // The paper's fix: cap in-flight connections regardless of `backlog`.
   // The limit keeps queued sockets L2-resident without starving workers.
   bool admission_control = false;
@@ -75,6 +62,11 @@ struct ApacheConfig {
 
 class ApacheWorkload final : public Workload {
  public:
+  // Worker threads per Apache instance; their task_structs are touched on
+  // every request (futex wait/wake + scheduling). The ring exceeds L1 so
+  // scheduling writes are steady L1 misses (paper Table 6.4's task_struct).
+  static constexpr int kWorkerThreads = 36;
+
   ApacheWorkload(KernelEnv* env, const ApacheConfig& config);
   ~ApacheWorkload() override;
 

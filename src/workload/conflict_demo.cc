@@ -1,14 +1,22 @@
 #include "src/workload/conflict_demo.h"
 
 namespace dprof {
+namespace {
+
+// Number of hot objects per core; with stride aliasing, any count above the
+// L1 way count causes steady conflict misses.
+constexpr int kHotObjects = 24;
+constexpr uint32_t kObjectBytes = 64;
+
+}  // namespace
 
 class ConflictDemoWorkload::CoreDriver final : public dprof::CoreDriver {
  public:
   // Setup happens eagerly at install time: RegisterStatic touches the
   // allocator's shared metadata arena, which must not run from a driver
   // stepping in the engine's simulate phase.
-  CoreDriver(KernelEnv* env, const ConflictDemoConfig* config, TypeId hot_type, int core)
-      : env_(env), config_(config), hot_type_(hot_type), core_(core) {
+  CoreDriver(KernelEnv* env, TypeId hot_type, int core)
+      : env_(env), hot_type_(hot_type), core_(core) {
     fn_ = env_->machine().symbols().Intern("conflict_scan");
     SetUp();
   }
@@ -17,7 +25,7 @@ class ConflictDemoWorkload::CoreDriver final : public dprof::CoreDriver {
     // Cycle through the aliased objects; with more objects than cache ways
     // mapping to one set, every pass evicts the next victim.
     for (const Addr obj : objects_) {
-      ctx.Read(fn_, obj, config_->object_bytes);
+      ctx.Read(fn_, obj, kObjectBytes);
     }
     ctx.Compute(fn_, 100);
     ++requests;
@@ -28,33 +36,28 @@ class ConflictDemoWorkload::CoreDriver final : public dprof::CoreDriver {
 
  private:
   void SetUp() {
-    // Alias in the L2 (covers L1 as well, since L1 sets divide L2 sets).
+    // Alias in the L2 (covers L1 as well, since L1 sets divide L2 sets):
+    // objects one L2 way apart all map to the same set.
     const CacheGeometry& l2 = env_->machine().hierarchy().config().l2;
-    uint32_t stride = config_->stride;
-    if (stride == 0) {
-      stride = static_cast<uint32_t>(l2.NumSets() * l2.line_size);
-    }
+    const uint32_t stride = static_cast<uint32_t>(l2.NumSets() * l2.line_size);
     // Reserve one private region per core and carve aliased objects out of
     // it. RegisterStaticArray keeps the resolver aware of the type and lets
     // the hot type's layout transforms (pad_to_line repacks the run densely,
     // recolor staggers elements across sets) undo the aliasing — the paper's
     // conflict-miss fixes, expressed mechanically.
-    env_->allocator().RegisterStaticArray(hot_type_, config_->object_bytes,
-                                          static_cast<uint32_t>(config_->hot_objects), stride,
-                                          &objects_);
+    env_->allocator().RegisterStaticArray(hot_type_, kObjectBytes,
+                                          static_cast<uint32_t>(kHotObjects), stride, &objects_);
   }
 
   KernelEnv* env_;
-  const ConflictDemoConfig* config_;
   TypeId hot_type_;
   int core_;
   FunctionId fn_ = kInvalidFunction;
   std::vector<Addr> objects_;
 };
 
-ConflictDemoWorkload::ConflictDemoWorkload(KernelEnv* env, const ConflictDemoConfig& config)
-    : env_(env), config_(config) {
-  hot_type_ = env_->allocator().registry().Register("pkt_stat", config_.object_bytes);
+ConflictDemoWorkload::ConflictDemoWorkload(KernelEnv* env) : env_(env) {
+  hot_type_ = env_->allocator().registry().Register("pkt_stat", kObjectBytes);
 }
 
 ConflictDemoWorkload::~ConflictDemoWorkload() = default;
@@ -62,7 +65,7 @@ ConflictDemoWorkload::~ConflictDemoWorkload() = default;
 void ConflictDemoWorkload::Install(Machine& machine) {
   drivers_.clear();
   for (int c = 0; c < machine.num_cores(); ++c) {
-    drivers_.push_back(std::make_unique<CoreDriver>(env_, &config_, hot_type_, c));
+    drivers_.push_back(std::make_unique<CoreDriver>(env_, hot_type_, c));
     machine.SetDriver(c, drivers_.back().get());
   }
 }

@@ -17,22 +17,9 @@
 
 namespace dprof {
 
-struct ConflictDemoConfig {
-  // Number of hot objects per core; with stride aliasing, any count above
-  // the L1 way count causes steady conflict misses.
-  int hot_objects = 24;
-  // Object stride in bytes; must be a multiple of (num_sets * line_size) of
-  // the target cache so all objects alias to the same set.
-  uint32_t stride = 0;  // 0 = derive from the machine's L1 geometry
-  uint32_t object_bytes = 64;
-  // The paper's conflict-miss fixes are applied through the allocator's
-  // TypeTransform API on the hot type ("pkt_stat"): pad_to_line repacks the
-  // run densely, recolor staggers elements across associativity sets.
-};
-
 class ConflictDemoWorkload final : public Workload {
  public:
-  ConflictDemoWorkload(KernelEnv* env, const ConflictDemoConfig& config);
+  explicit ConflictDemoWorkload(KernelEnv* env);
   ~ConflictDemoWorkload() override;
 
   void Install(Machine& machine) override;
@@ -45,7 +32,6 @@ class ConflictDemoWorkload final : public Workload {
   class CoreDriver;
 
   KernelEnv* env_;
-  ConflictDemoConfig config_;
   TypeId hot_type_ = kInvalidType;
   std::vector<std::unique_ptr<CoreDriver>> drivers_;
 };

@@ -1,6 +1,23 @@
 #include "src/workload/memcached.h"
 
 namespace dprof {
+namespace {
+
+// Max packets drained from this core's hardware queue per step.
+constexpr int kTxDrainBatch = 8;
+// Userspace lookup cost (cycles) per request.
+constexpr uint64_t kLookupCycles = 2600;
+// Path-variability knobs; rare paths exist so that Figure 6-3's
+// paths-vs-history-sets experiment has a realistic tail.
+constexpr double kPItrUpdate = 0.10;   // driver interrupt-throttle update path
+constexpr double kPTimestamp = 0.25;   // timestamping path
+constexpr double kPDrop = 0.02;        // malformed packet dropped in ip_rcv
+constexpr double kPStatsRead = 0.05;   // periodic stats read touching udp_sock
+// Fraction of transmit completions that actually wake the socket owner
+// through epoll (wakeups coalesce when the poll flag is already set).
+constexpr double kPTxWakeup = 0.6;
+
+}  // namespace
 
 // One core's slice of the workload: its memcached instance, its NIC receive
 // queue (the load generator always has a request pending), and its share of
@@ -18,7 +35,7 @@ class MemcachedWorkload::CoreDriver final : public dprof::CoreDriver {
   bool Step(CoreContext& ctx) override {
     switch (phase_) {
       case Phase::kDrain:
-        if (drained_ < config_->tx_drain_batch && !env_->tx_queue(core_).empty()) {
+        if (drained_ < kTxDrainBatch && !env_->tx_queue(core_).empty()) {
           DrainOnePacket(ctx);
         } else {
           drained_ = 0;
@@ -82,7 +99,7 @@ class MemcachedWorkload::CoreDriver final : public dprof::CoreDriver {
     ctx.Compute(f.ixgbe_xmit_frame, 150);
     ctx.Compute(f.local_bh_enable, 40);
 
-    if (ctx.rng().Chance(config_->p_itr_update)) {
+    if (ctx.rng().Chance(kPItrUpdate)) {
       ctx.Write(f.ixgbe_set_itr_msix, env_->netdev().config_addr() + 32, 8);
       ctx.Compute(f.ixgbe_set_itr_msix, 80);
     }
@@ -93,7 +110,7 @@ class MemcachedWorkload::CoreDriver final : public dprof::CoreDriver {
     const int owner = pkt.rx_core;
     const Addr sock = sock_addr(owner);
     ctx.Write(f.sock_def_write_space, sock + 192, 16);
-    if (ctx.rng().Chance(config_->p_tx_wakeup)) {
+    if (ctx.rng().Chance(kPTxWakeup)) {
       // sock wakeup: the socket's wait queue lock is taken first, then the
       // epoll callback takes the epoll instance's lock (Linux nesting).
       EpollInstance& ep = env_->epoll(owner);
@@ -157,7 +174,7 @@ class MemcachedWorkload::CoreDriver final : public dprof::CoreDriver {
     ctx.Read(f.ip_rcv, rx_.payload + 16, 24);
     ctx.Write(f.ip_rcv, rx_.skb + 40, 16);
     ctx.Compute(f.ip_rcv, 80);
-    if (rng.Chance(config_->p_drop)) {
+    if (rng.Chance(kPDrop)) {
       // Malformed packet path: drop without replying.
       ctx.Free(rx_.payload, f.kfree);
       ctx.Free(rx_.skb, f.kfree_skb);
@@ -174,7 +191,7 @@ class MemcachedWorkload::CoreDriver final : public dprof::CoreDriver {
     ctx.Read(f.skb_copy_datagram_iovec, rx_.payload + 40, 88);
     ctx.Write(f.copy_user_generic_string, env_->user_buffer(core_), 128);
     ctx.Compute(f.copy_user_generic_string, 60);
-    if (rng.Chance(config_->p_stats_read)) {
+    if (rng.Chance(kPStatsRead)) {
       ctx.Read(f.udp_recvmsg, sock + 256, 64);
     }
 
@@ -192,7 +209,7 @@ class MemcachedWorkload::CoreDriver final : public dprof::CoreDriver {
       const Addr line = table + (rng.Next() % (env_->hashtable_size() / 64)) * 64;
       ctx.Read(f.mc_process, line, 16);
     }
-    ctx.Compute(f.mc_process, config_->lookup_cycles);
+    ctx.Compute(f.mc_process, kLookupCycles);
     phase_ = Phase::kTransmit;
   }
 
@@ -210,7 +227,7 @@ class MemcachedWorkload::CoreDriver final : public dprof::CoreDriver {
     const Addr sock = sock_addr(core_);
     ctx.Read(f.udp_sendmsg, sock + 64, 64);
     ctx.Compute(f.udp_sendmsg, 180);
-    if (rng.Chance(config_->p_timestamp)) {
+    if (rng.Chance(kPTimestamp)) {
       ctx.Compute(f.getnstimeofday, 40);
       ctx.Write(f.udp_sendmsg, tx_skb + 48, 8);
     }

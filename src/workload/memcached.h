@@ -25,24 +25,11 @@ namespace dprof {
 
 struct MemcachedConfig {
   bool local_queue_fix = false;
-  // Max packets drained from this core's hardware queue per step.
-  int tx_drain_batch = 8;
   // Pre-posted NIC receive buffers per core. Received packets come from the
   // front of this ring and a fresh buffer is posted at the back, so rx
   // buffers are cold by the time the NIC writes into them and the live
   // skbuff/size-1024 population matches a real driver's.
   int rx_ring_entries = 256;
-  // Userspace lookup cost (cycles) per request.
-  uint64_t lookup_cycles = 2600;
-  // Path-variability knobs; rare paths exist so that Figure 6-3's
-  // paths-vs-history-sets experiment has a realistic tail.
-  double p_itr_update = 0.10;    // driver interrupt-throttle update path
-  double p_timestamp = 0.25;     // timestamping path
-  double p_drop = 0.02;          // malformed packet dropped in ip_rcv
-  double p_stats_read = 0.05;    // periodic stats read touching udp_sock
-  // Fraction of transmit completions that actually wake the socket owner
-  // through epoll (wakeups coalesce when the poll flag is already set).
-  double p_tx_wakeup = 0.6;
 };
 
 class MemcachedWorkload final : public Workload {

@@ -68,7 +68,7 @@ TEST(EventSinkTest, CountingHooksStayFrozenInFastForwardEpochs) {
   // IBS with its accounting exposed: every access it is told about, one by
   // one or in quiet batches.
   struct CountingIbs final : PmuHook {
-    CountingIbs(int cores, const IbsConfig& config) : ibs(cores, config) {}
+    CountingIbs(int cores, uint64_t period_ops) : ibs(cores, period_ops) {}
     uint64_t OnAccess(const AccessEvent& event) override {
       ++accounted;
       return ibs.OnAccess(event);
@@ -87,9 +87,7 @@ TEST(EventSinkTest, CountingHooksStayFrozenInFastForwardEpochs) {
   Streamer drivers[2];
   machine.SetDriver(0, &drivers[0]);
   machine.SetDriver(1, &drivers[1]);
-  IbsConfig ibs_config;
-  ibs_config.period_ops = 64;
-  CountingIbs ibs(2, ibs_config);
+  CountingIbs ibs(2, 64);
   DebugRegisterFile regs;
   regs.SetHandler([&regs](const AccessEvent&, int reg) { regs.Disarm(reg); });
   regs.Arm(0, kWatched, 8);
@@ -114,10 +112,8 @@ TEST(EventSinkTest, CountingHooksStayFrozenInFastForwardEpochs) {
 TEST(EventSinkTest, IbsQuietSkipMatchesPerOpCountdown) {
   // Feeding one unit per-op and its twin through QuietOps/OnQuietAccessBatch
   // chunks must sample the same ops and charge the same cycles.
-  IbsConfig config;
-  config.period_ops = 50;
-  IbsUnit per_op(1, config);
-  IbsUnit batched(1, config);
+  IbsUnit per_op(1, 50);
+  IbsUnit batched(1, 50);
   std::vector<int> fired_per_op;
   std::vector<int> fired_batched;
   per_op.SetHandler([&](const IbsSample& s) { fired_per_op.push_back(static_cast<int>(s.now)); });

@@ -27,7 +27,7 @@ TEST(HierarchyTest, FirstAccessComesFromDram) {
   CacheHierarchy h(SmallConfig());
   const AccessResult r = h.Access(0, 0x1000, 8, false, 1);
   EXPECT_EQ(r.level, ServedBy::kDram);
-  EXPECT_EQ(r.latency, h.config().latency.dram);
+  EXPECT_EQ(r.latency, LatencyOf(ServedBy::kDram));
   EXPECT_TRUE(r.l1_miss);
   EXPECT_FALSE(r.invalidation);
 }
@@ -95,7 +95,7 @@ TEST(HierarchyTest, MultiLineAccessAggregates) {
   CacheHierarchy h(SmallConfig());
   const AccessResult r = h.Access(0, 0x6000, 256, false, 1);  // 4 lines
   EXPECT_EQ(r.lines, 4u);
-  EXPECT_EQ(r.latency, 4 * h.config().latency.dram);
+  EXPECT_EQ(r.latency, 4 * LatencyOf(ServedBy::kDram));
   EXPECT_EQ(r.level, ServedBy::kDram);
 }
 
@@ -136,11 +136,10 @@ TEST(HierarchyTest, FlushAllEmptiesEverything) {
 }
 
 TEST(HierarchyTest, LatencyModelOrdering) {
-  LatencyModel lat;
-  EXPECT_LT(lat.Of(ServedBy::kL1), lat.Of(ServedBy::kL2));
-  EXPECT_LT(lat.Of(ServedBy::kL2), lat.Of(ServedBy::kL3));
-  EXPECT_LT(lat.Of(ServedBy::kL3), lat.Of(ServedBy::kForeignCache));
-  EXPECT_LE(lat.Of(ServedBy::kForeignCache), lat.Of(ServedBy::kDram));
+  EXPECT_LT(LatencyOf(ServedBy::kL1), LatencyOf(ServedBy::kL2));
+  EXPECT_LT(LatencyOf(ServedBy::kL2), LatencyOf(ServedBy::kL3));
+  EXPECT_LT(LatencyOf(ServedBy::kL3), LatencyOf(ServedBy::kForeignCache));
+  EXPECT_LE(LatencyOf(ServedBy::kForeignCache), LatencyOf(ServedBy::kDram));
 }
 
 TEST(HierarchyTest, ServedByNames) {
@@ -278,12 +277,12 @@ TEST(HierarchyTest, NumaRemoteHomeFillChargesInterconnect) {
   // Local-home DRAM fill: core 0 (socket 0) reads a socket-0 block.
   const AccessResult local = h.Access(0, 0, 8, false, 1);
   EXPECT_EQ(local.level, ServedBy::kDram);
-  EXPECT_EQ(local.latency, h.config().latency.dram);
+  EXPECT_EQ(local.latency, LatencyOf(ServedBy::kDram));
   EXPECT_EQ(h.remote_fills(), 0u);
   // Remote-home DRAM fill: the next block's home slice is socket 1.
   const AccessResult remote = h.Access(0, block, 8, false, 2);
   EXPECT_EQ(remote.level, ServedBy::kDram);
-  EXPECT_EQ(remote.latency, h.config().latency.dram + h.config().latency.interconnect);
+  EXPECT_EQ(remote.latency, LatencyOf(ServedBy::kDram) + kInterconnectLatency);
   EXPECT_EQ(h.remote_fills(), 1u);
   EXPECT_EQ(h.core_stats(0).remote_fills, 1u);
 }
@@ -302,7 +301,7 @@ TEST(HierarchyTest, NumaCrossSocketDirtyTransferChargesInterconnect) {
   cross.Access(0, 0x2000, 8, true, 1);
   const AccessResult r_cross = cross.Access(2, 0x2000, 8, false, 2);
   EXPECT_EQ(r_cross.level, ServedBy::kForeignCache);
-  EXPECT_EQ(r_cross.latency, r_same.latency + cross.config().latency.interconnect);
+  EXPECT_EQ(r_cross.latency, r_same.latency + kInterconnectLatency);
   EXPECT_EQ(same.remote_fills(), 0u);
   EXPECT_EQ(cross.remote_fills(), 1u);
 }

@@ -155,12 +155,12 @@ TEST_F(HistoryFixture, OverheadAccounting) {
 
   const HistoryOverhead& overhead = collector.overhead();
   EXPECT_EQ(overhead.objects_profiled, 4u);
-  const DebugRegCostModel& costs = regs.costs();
-  EXPECT_EQ(overhead.reserve_cycles, 4 * costs.reserve_cycles);
+  EXPECT_EQ(overhead.reserve_cycles, 4 * DebugRegisterFile::kReserveCycles);
   // 2-core machine: initiator + 1 IPI per object.
   EXPECT_EQ(overhead.comm_cycles,
-            4 * (costs.setup_initiator_cycles + costs.setup_ipi_cycles));
-  EXPECT_EQ(overhead.interrupt_cycles, overhead.elements_recorded * costs.interrupt_cycles);
+            4 * (DebugRegisterFile::kSetupInitiatorCycles + DebugRegisterFile::kSetupIpiCycles));
+  EXPECT_EQ(overhead.interrupt_cycles,
+            overhead.elements_recorded * DebugRegisterFile::kInterruptCycles);
   EXPECT_EQ(overhead.elements_recorded, 3u);  // offsets 0, 8, 12 touched once each
 }
 
@@ -193,8 +193,8 @@ TEST_F(HistoryFixture, SetupChargesCores) {
   allocator.RemoveObserver(&collector);
   // Core 0 (initiator) pays reserve + initiator; core 1 pays the IPI.
   EXPECT_GE(machine.CoreClock(0) - clock0_before,
-            regs.costs().reserve_cycles + regs.costs().setup_initiator_cycles);
-  EXPECT_GE(machine.CoreClock(1) - clock1_before, regs.costs().setup_ipi_cycles);
+            DebugRegisterFile::kReserveCycles + DebugRegisterFile::kSetupInitiatorCycles);
+  EXPECT_GE(machine.CoreClock(1) - clock1_before, DebugRegisterFile::kSetupIpiCycles);
   (void)obj;
 }
 

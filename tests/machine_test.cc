@@ -91,7 +91,7 @@ TEST(MachineTest, AccessChargesBaseCostPlusLatency) {
   Machine machine(SmallMachine(1));
   CoreContext ctx = machine.Context(0);
   const AccessResult r = ctx.Read(0, 0x1000, 8);
-  EXPECT_EQ(machine.CoreClock(0), machine.config().base_op_cost + r.latency);
+  EXPECT_EQ(machine.CoreClock(0), Machine::kBaseOpCost + r.latency);
 }
 
 TEST(MachineTest, LargeAccessSplitsIntoLineOps) {
@@ -142,11 +142,11 @@ TEST(MachineTest, PmuHookChargesExtraCycles) {
   machine.AddPmuHook(&hook);
   CoreContext ctx = machine.Context(0);
   const AccessResult r = ctx.Read(0, 0x100, 8);
-  EXPECT_EQ(machine.CoreClock(0), machine.config().base_op_cost + r.latency + 777);
+  EXPECT_EQ(machine.CoreClock(0), Machine::kBaseOpCost + r.latency + 777);
   machine.RemovePmuHook(&hook);
   const uint64_t before = machine.CoreClock(0);
   const AccessResult r2 = ctx.Read(0, 0x100, 8);
-  EXPECT_EQ(machine.CoreClock(0), before + machine.config().base_op_cost + r2.latency);
+  EXPECT_EQ(machine.CoreClock(0), before + Machine::kBaseOpCost + r2.latency);
 }
 
 TEST(MachineTest, ChargeCyclesIsDirect) {

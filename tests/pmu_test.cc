@@ -34,9 +34,7 @@ TEST(IbsUnitTest, DisabledTakesNoSamples) {
 }
 
 TEST(IbsUnitTest, SamplingRateApproximatesPeriod) {
-  IbsConfig config;
-  config.period_ops = 100;
-  IbsUnit ibs(1, config);
+  IbsUnit ibs(1, 100);
   int samples = 0;
   ibs.SetHandler([&](const IbsSample&) { ++samples; });
   const int ops = 100000;
@@ -48,9 +46,7 @@ TEST(IbsUnitTest, SamplingRateApproximatesPeriod) {
 }
 
 TEST(IbsUnitTest, SampleCarriesEventPayload) {
-  IbsConfig config;
-  config.period_ops = 1;
-  IbsUnit ibs(2, config);
+  IbsUnit ibs(2, 1);
   std::vector<IbsSample> samples;
   ibs.SetHandler([&](const IbsSample& s) { samples.push_back(s); });
   AccessEvent event = MakeEvent(1, 0xabc, 16, true);
@@ -70,11 +66,7 @@ TEST(IbsUnitTest, SampleCarriesEventPayload) {
 }
 
 TEST(IbsUnitTest, InterruptCostCharged) {
-  IbsConfig config;
-  config.period_ops = 1;
-  config.interrupt_cycles = 2000;
-  config.handler_cycles = 1200;
-  IbsUnit ibs(1, config);
+  IbsUnit ibs(1, 1);
   uint64_t charged = 0;
   for (int i = 0; i < 10; ++i) {
     charged += ibs.OnAccess(MakeEvent(0, 0x100, 8));
@@ -83,9 +75,7 @@ TEST(IbsUnitTest, InterruptCostCharged) {
 }
 
 TEST(IbsUnitTest, PerCoreCountdownsIndependent) {
-  IbsConfig config;
-  config.period_ops = 50;
-  IbsUnit ibs(2, config);
+  IbsUnit ibs(2, 50);
   int samples = 0;
   ibs.SetHandler([&](const IbsSample&) { ++samples; });
   // Only core 0 executes; core 1 must not dilute core 0's rate.
@@ -133,7 +123,7 @@ TEST(DebugRegistersTest, ArmAndMatch) {
 TEST(DebugRegistersTest, InterruptCostPerHit) {
   DebugRegisterFile regs;
   regs.Arm(0, 0x1000, 8);
-  EXPECT_EQ(regs.OnAccess(MakeEvent(0, 0x1000, 4)), regs.costs().interrupt_cycles);
+  EXPECT_EQ(regs.OnAccess(MakeEvent(0, 0x1000, 4)), DebugRegisterFile::kInterruptCycles);
   EXPECT_EQ(regs.OnAccess(MakeEvent(0, 0x2000, 4)), 0u);
 }
 
@@ -145,7 +135,7 @@ TEST(DebugRegistersTest, TwoRegistersBothFire) {
   regs.Arm(1, 0x1008, 4);
   // A 16-byte access covering both windows triggers both registers.
   const uint64_t cost = regs.OnAccess(MakeEvent(0, 0x1000, 16));
-  EXPECT_EQ(cost, 2 * regs.costs().interrupt_cycles);
+  EXPECT_EQ(cost, 2 * DebugRegisterFile::kInterruptCycles);
   ASSERT_EQ(fired.size(), 2u);
   EXPECT_EQ(fired[0], 0);
   EXPECT_EQ(fired[1], 1);
@@ -176,10 +166,10 @@ TEST(DebugRegistersTest, FreeRegisterScan) {
 TEST(DebugRegistersTest, CostModelDefaultsMatchPaper) {
   // Paper §6.3/§6.4: ~1,000 cycles per watchpoint interrupt, ~130,000 on the
   // initiating core for cross-core setup, ~220,000 total setup.
-  DebugRegCostModel costs;
-  EXPECT_EQ(costs.interrupt_cycles, 1000u);
-  EXPECT_EQ(costs.setup_initiator_cycles, 130000u);
-  EXPECT_EQ(costs.setup_initiator_cycles + 15 * costs.setup_ipi_cycles, 220000u);
+  EXPECT_EQ(DebugRegisterFile::kInterruptCycles, 1000u);
+  EXPECT_EQ(DebugRegisterFile::kSetupInitiatorCycles, 130000u);
+  EXPECT_EQ(DebugRegisterFile::kSetupInitiatorCycles + 15 * DebugRegisterFile::kSetupIpiCycles,
+            220000u);
 }
 
 }  // namespace

@@ -75,9 +75,7 @@ class IbsRateTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IbsRateTest, AchievedRateMatchesPeriod) {
   const uint64_t period = GetParam();
-  IbsConfig config;
-  config.period_ops = period;
-  IbsUnit ibs(1, config);
+  IbsUnit ibs(1, period);
   const uint64_t ops = 200000;
   for (uint64_t i = 0; i < ops; ++i) {
     AccessEvent event;

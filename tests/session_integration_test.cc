@@ -186,7 +186,7 @@ TEST(SessionIntegrationTest, MissClassificationMemcachedInvalidation) {
 
 TEST(SessionIntegrationTest, MissClassificationConflictDemo) {
   Rig rig(4);
-  ConflictDemoWorkload workload(rig.env.get(), ConflictDemoConfig{});
+  ConflictDemoWorkload workload(rig.env.get());
   workload.Install(*rig.machine);
   DProfOptions options;
   options.ibs_period_ops = 80;

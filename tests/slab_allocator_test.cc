@@ -89,16 +89,15 @@ TEST_F(AllocFixture, ResolveUnknownAddressFails) {
 // and the last byte of the arena, resolve as unknown until a slab or
 // metadata page is bumped over them.
 TEST_F(AllocFixture, UnbumpedPagesResolveAsUnknown) {
-  const SlabConfig config;
   const int num_arenas = machine.num_cores() + 1;  // per-core arenas + metadata
   auto arena_base = [&](int a) {
-    return config.base_addr + static_cast<Addr>(a) * config.arena_stride;
+    return SlabAllocator::kBaseAddr + static_cast<Addr>(a) * SlabAllocator::kArenaStride;
   };
   for (int a = 0; a < num_arenas; ++a) {
     SCOPED_TRACE(a);
     EXPECT_FALSE(allocator.Resolve(arena_base(a) + 8).valid);
-    EXPECT_FALSE(allocator.Resolve(arena_base(a) + 100 * config.page_size).valid);
-    EXPECT_FALSE(allocator.Resolve(arena_base(a) + config.arena_stride - 1).valid);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + 100 * SlabAllocator::kPageSize).valid);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + SlabAllocator::kArenaStride - 1).valid);
   }
 
   // The first widget on each core bumps one slab page at the arena base;
@@ -106,13 +105,13 @@ TEST_F(AllocFixture, UnbumpedPagesResolveAsUnknown) {
   for (int core = 0; core < machine.num_cores(); ++core) {
     CoreContext ctx = machine.Context(core);
     const Addr obj = ctx.Alloc(widget, fn);
-    EXPECT_EQ(obj / config.page_size * config.page_size, arena_base(core));
+    EXPECT_EQ(obj / SlabAllocator::kPageSize * SlabAllocator::kPageSize, arena_base(core));
   }
   for (int a = 0; a < num_arenas; ++a) {
     SCOPED_TRACE(a);
     EXPECT_TRUE(allocator.Resolve(arena_base(a) + 8).valid);
-    EXPECT_FALSE(allocator.Resolve(arena_base(a) + 100 * config.page_size).valid);
-    EXPECT_FALSE(allocator.Resolve(arena_base(a) + config.arena_stride - 1).valid);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + 100 * SlabAllocator::kPageSize).valid);
+    EXPECT_FALSE(allocator.Resolve(arena_base(a) + SlabAllocator::kArenaStride - 1).valid);
   }
   const ResolveResult header = allocator.Resolve(arena_base(0) + 8);
   EXPECT_EQ(header.type, allocator.slab_type());
@@ -312,9 +311,7 @@ AllocatorLayout LayoutAfterSetUp(const TransformSet& transforms, int sockets = 1
   machine_config.hierarchy.num_sockets = sockets;
   Machine machine(machine_config);
   TypeRegistry registry;
-  SlabConfig config;
-  config.transforms = transforms;
-  SlabAllocator allocator(&machine, &registry, config);
+  SlabAllocator allocator(&machine, &registry, transforms);
   machine.SetAllocator(&allocator);
   registry.Register("widget", 100);
   registry.Register("buffer", 256);

@@ -17,7 +17,7 @@ void AddSamples(AccessSampleTable* table, TypeId type, FunctionId ip, uint32_t o
     s.ip = ip;
     s.vaddr = 0x1000 + offset;
     s.level = level;
-    s.latency = LatencyModel().Of(level);
+    s.latency = LatencyOf(level);
     ResolveResult r;
     r.valid = true;
     r.type = type;

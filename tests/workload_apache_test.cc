@@ -125,7 +125,7 @@ TEST(ApacheWorkloadTest, TaskStructsStayLive) {
   const TypeId task = f.registry.Find("task_struct");
   // One worker pool per core.
   EXPECT_EQ(f.allocator->LiveCount(task),
-            static_cast<uint64_t>(4 * ApacheConfig::Peak().worker_threads));
+            static_cast<uint64_t>(4 * ApacheWorkload::kWorkerThreads));
 }
 
 }  // namespace
