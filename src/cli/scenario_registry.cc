@@ -40,6 +40,17 @@ void PinMmapThreshold() {
 #endif
 }
 
+// A finished run's freed heap stays in its malloc arena: glibc returns
+// only an arena's top to the OS, so blocks the next run does not reuse (a
+// `whatif` worker's next rig comes from that worker's own arena) would count
+// toward peak RSS until the process exits. One malloc_trim per run, after
+// its rig is gone, hands the free pages of every arena back.
+void ReleaseFreedHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
 }  // namespace
 
 bool ApplyTopologyPreset(const std::string& name, HierarchyConfig* config) {
@@ -269,8 +280,12 @@ std::unique_ptr<ScenarioRig> BuildScenarioRig(const ScenarioRegistry& registry,
   return rig;
 }
 
-ScenarioReport RunScenarioRig(std::unique_ptr<ScenarioRig> rig, const std::string& name,
-                              const RunSpec& spec) {
+namespace {
+
+// RunScenarioRig's run: the session, the engine and the rig end with this
+// call.
+ScenarioReport RunRig(std::unique_ptr<ScenarioRig> rig, const std::string& name,
+                      const RunSpec& spec) {
   // Validate the drill-down type before spending the run: workloads
   // register every type during rig construction / install.
   TypeId drill = kInvalidType;
@@ -460,6 +475,15 @@ ScenarioReport RunScenarioRig(std::unique_ptr<ScenarioRig> rig, const std::strin
       report.data_flow_json = session.BuildDataFlow(top[0]).ToJson();
     }
   }
+  return report;
+}
+
+}  // namespace
+
+ScenarioReport RunScenarioRig(std::unique_ptr<ScenarioRig> rig, const std::string& name,
+                              const RunSpec& spec) {
+  ScenarioReport report = RunRig(std::move(rig), name, spec);
+  ReleaseFreedHeap();
   return report;
 }
 

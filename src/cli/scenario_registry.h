@@ -299,7 +299,9 @@ std::unique_ptr<ScenarioRig> BuildScenarioRig(const ScenarioRegistry& registry,
                                               const std::string& name, const RunSpec& spec);
 
 // Runs both DProf phases on a rig BuildScenarioRig built for `spec` and
-// assembles the report. A rig runs once.
+// assembles the report. A rig runs once: the run destroys it, and on glibc
+// then hands the process's freed heap back to the OS, so a finished run
+// holds no memory.
 ScenarioReport RunScenarioRig(std::unique_ptr<ScenarioRig> rig, const std::string& name,
                               const RunSpec& spec);
 

@@ -306,8 +306,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     if (faults != nullptr && epoch_end > min_clock) {
       const uint32_t skew = faults->ClockSkew(c, epochs_run_);
       if (skew != 0) {
-        rec.Push(SimOp::kIdle, kNullAddr, skew);
-        rec.ChargeExact(skew);
+        rec.RecordCycles(SimOp::kIdle, kInvalidFunction, skew);
       }
     }
   }
@@ -354,10 +353,7 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
   while (rec.lb < epoch_end) {
     const bool did_work = driver != nullptr && driver->Step(ctx);
     if (!did_work) {
-      if (!rec.CoalesceCycles(SimOp::kIdle, kInvalidFunction, m.config_.idle_cycles)) {
-        rec.Push(SimOp::kIdle, kNullAddr, m.config_.idle_cycles);
-      }
-      rec.ChargeExact(m.config_.idle_cycles);
+      rec.RecordCycles(SimOp::kIdle, kInvalidFunction, m.config_.idle_cycles);
     }
   }
   // Every access was recorded at an lb no later than this one, so this
@@ -615,7 +611,8 @@ void Engine::CommitRun(int core) {
       clock += o.payload;
     } else if (k == SimOp::kFfRun) {
       // The estimate is base cost + estimated latency per access; probes
-      // integrate the latency share.
+      // integrate the latency share. A run opened or extended inside a probe
+      // holds accesses only (CoreRecorder::RecordCycles).
       clock += o.payload;
       if (probing != 0) {
         probe_lat += o.payload - o.addr * Machine::kBaseOpCost;

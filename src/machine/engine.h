@@ -176,7 +176,8 @@ class Engine final : public Executor {
   // access some PMU hook can act on — a cross-core-visible effect that must
   // re-arbitrate; when that access is the first thing at the cursors, it
   // was already arbitrated and dispatches immediately. In a fast-forward
-  // epoch, kFfRun ops advance the clock by their accumulated estimate.
+  // epoch, kFfRun ops advance the clock by their accumulated estimate and
+  // the compute and idle cycles folded into them.
   void CommitRun(int core);
   // Commits the sync op at `index` of the core's op stream; returns false
   // when the core parked on a lock whose release is still pending (op not

@@ -202,10 +202,7 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
 void CoreContext::Compute(FunctionId ip, uint64_t cycles) {
   Machine& m = *machine_;
   if (recorder_ != nullptr) {
-    if (!recorder_->CoalesceCycles(SimOp::kCompute, ip, cycles)) {
-      recorder_->Push(SimOp::kCompute, kNullAddr, cycles, ip);
-    }
-    recorder_->ChargeExact(cycles);
+    recorder_->RecordCycles(SimOp::kCompute, ip, cycles);
     return;
   }
   m.clocks_[core_] += cycles;
@@ -270,6 +267,7 @@ void CoreContext::LockRelease(SimLock& lock, FunctionId ip) {
 void CoreContext::BeginLatencyProbe() {
   if (recorder_ != nullptr) {
     recorder_->Push(SimOp::kProbeBegin, kNullAddr, 0);
+    recorder_->probing = true;
     return;
   }
   probing_ = true;
@@ -282,6 +280,7 @@ void CoreContext::EndLatencyProbe(RunningStat* stat, double divisor) {
     uint64_t bits = 0;
     __builtin_memcpy(&bits, &divisor, sizeof(double));
     recorder_->Push(SimOp::kProbeEnd, reinterpret_cast<Addr>(stat), bits);
+    recorder_->probing = false;
     return;
   }
   probing_ = false;

@@ -242,7 +242,9 @@ struct SimOp {
     kProbeBegin,       // latency probe window opens
     kProbeEnd,         // addr = RunningStat*, payload = divisor bits
     kFfRun,            // engine-internal fast-forwarded run: addr = access
-                       // count, payload = estimated cycles (sampled mode)
+                       // count, payload = estimated cycles plus any compute
+                       // and idle cycles recorded outside a latency probe
+                       // (sampled mode)
     kLockAcquire,      // addr = SimLock*; wait + acquire callback at commit
     kLockRelease,      // addr = SimLock*
     kAllocEvent,       // addr = base, payload = type<<32 | size
@@ -275,6 +277,7 @@ class RecordColumn {
   T& operator[](size_t i) { return data_[i]; }
   const T& operator[](size_t i) const { return data_[i]; }
   T& back() { return data_[n_ - 1]; }
+  const T& back() const { return data_[n_ - 1]; }
 
   void push_back(const T& record) {
     if (__builtin_expect(n_ == capacity_, 0)) {
@@ -331,6 +334,10 @@ class CoreRecorder {
   }
 
   bool empty() const { return access.empty() && ops.empty(); }
+  // The last op is a fast-forwarded run with no access recorded after it.
+  bool OpenFfRun() const {
+    return !ops.empty() && ops.back().kind == SimOp::kFfRun && ops.back().at == access.size();
+  }
 
   // Appends one non-access op after the accesses recorded so far; `flags`
   // is ORed into the kind byte (kAlienBit).
@@ -357,27 +364,40 @@ class CoreRecorder {
   // the open run (the last op, with no access recorded after it), so a
   // quiet fast-forward epoch records O(1) ops.
   void PushFfRun(uint64_t est) {
-    if (!ops.empty() && ops.back().kind == SimOp::kFfRun && ops.back().at == access.size()) {
+    if (OpenFfRun()) {
       ++ops.back().addr;
       ops.back().payload += est;
       return;
     }
     Push(SimOp::kFfRun, 1, est);
   }
-  // Extends the previous op instead of pushing when it is the same cycle
-  // burst kind from the same function with no access in between:
-  // consecutive compute/idle steps fuse into one op with the summed payload
-  // (clock effect identical).
-  bool CoalesceCycles(SimOp::Kind kind, FunctionId ip, uint64_t cycles) {
-    if (ops.empty()) {
-      return false;
+  // Records a compute (`ip`'s) or idle burst of `cycles` and charges it to
+  // the lower-bound clock. Commit advances the clock by compute, idle and
+  // fast-forwarded-run payloads alike and reads no compute op's ip, so in a
+  // fast-forward epoch with no latency probe open the burst joins the open
+  // kFfRun (or opens one of no accesses): a stretch between sync ops
+  // records one op. Inside a probe it stays a separate op, because a run's
+  // probe share is its payload less kBaseOpCost per access. Otherwise
+  // consecutive bursts of one kind from one function, with no access in
+  // between, fuse into one op.
+  void RecordCycles(SimOp::Kind kind, FunctionId ip, uint64_t cycles) {
+    ChargeExact(cycles);
+    if (ff && !probing) {
+      if (OpenFfRun()) {
+        ops.back().payload += cycles;
+      } else {
+        Push(SimOp::kFfRun, 0, cycles);
+      }
+      return;
     }
-    SimOp& last = ops.back();
-    if (last.kind != kind || last.ip != ip || last.at != access.size()) {
-      return false;
+    if (!ops.empty()) {
+      SimOp& last = ops.back();
+      if (last.kind == kind && last.ip == ip && last.at == access.size()) {
+        last.payload += cycles;
+        return;
+      }
     }
-    last.payload += cycles;
-    return true;
+    Push(kind, kNullAddr, cycles, ip);
   }
 
   // Advances the lower-bound clock for one recorded access of raw cost
@@ -416,6 +436,9 @@ class CoreRecorder {
   bool ff = false;
   Addr ff_lo = kNullAddr;
   Addr ff_hi = kNullAddr;
+  // A latency probe is open: set by the kProbeBegin push, cleared by the
+  // kProbeEnd push. A probe can span epochs, so Reset keeps it.
+  bool probing = false;
   uint64_t accesses = 0;  // line-chunk accesses recorded this epoch (any mode)
   uint64_t lb = 0;
   uint64_t epoch_start_clock = 0;

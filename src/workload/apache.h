@@ -29,11 +29,11 @@ namespace dprof {
 
 struct ApacheConfig {
   // Accept-queue depth the kernel will buffer per instance.
-  int backlog = 512;
+  static constexpr int kBacklog = 512;
   // Offered load as a fraction of the nominal per-core service rate. > 1.0
   // means the generators always have connections pending (drop-off regime).
   double offered_load = 1.5;
-  // The paper's fix: cap in-flight connections regardless of `backlog`.
+  // The paper's fix: cap in-flight connections regardless of kBacklog.
   // The limit keeps queued sockets L2-resident without starving workers.
   bool admission_control = false;
   int admission_limit = 384;
@@ -41,13 +41,11 @@ struct ApacheConfig {
   // Paper operating points.
   static ApacheConfig Peak() {
     ApacheConfig c;
-    c.backlog = 512;
     c.offered_load = 0.85;
     return c;
   }
   static ApacheConfig DropOff() {
     ApacheConfig c;
-    c.backlog = 512;
     c.offered_load = 1.5;
     return c;
   }
@@ -57,7 +55,7 @@ struct ApacheConfig {
     return c;
   }
 
-  int EffectiveBacklog() const { return admission_control ? admission_limit : backlog; }
+  int EffectiveBacklog() const { return admission_control ? admission_limit : kBacklog; }
 };
 
 class ApacheWorkload final : public Workload {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "src/machine/engine.h"
 #include "src/util/stats.h"
@@ -115,6 +116,156 @@ TEST(EngineTest, LatencyProbeMatchesDirectMode) {
   const double engine_mean = run(true);
   // First access misses to DRAM, the rest hit L1: identical in both modes.
   EXPECT_DOUBLE_EQ(direct_mean, engine_mean);
+}
+
+// Latency probes that span compute, idle and accesses inside fast-forward
+// epochs. A fast-forwarded run's probe share is its payload less the base
+// op cost per access, so cycles folded into a run while a probe is open
+// would count as latency: the probe stats and committed clocks must stay
+// what separate compute and idle ops give.
+struct ProbeRun {
+  RunningStat stat[2];
+  uint64_t clock[2] = {0, 0};
+  uint64_t ff_epochs = 0;
+};
+
+ProbeRun RunProbedSampledEngine() {
+  // Five-step cycle: a probe opens, idles one step and closes; then a
+  // probe-free step with a lock (two sync ops), then a probe-free idle.
+  struct Driver final : CoreDriver {
+    Driver(SimLock* lock, int core) : lock(lock), core(core) {}
+    bool Step(CoreContext& ctx) override {
+      const Addr own = 0x1000000 + static_cast<Addr>(core) * 0x100000;
+      const uint64_t phase = step++ % 5;
+      switch (phase) {
+        case 0:
+          ctx.BeginLatencyProbe();
+          ctx.Compute(1, 40);
+          ctx.Read(1, own + (step % 256) * 64, 8);
+          return true;
+        case 1:
+          return false;  // idle with the probe open
+        case 2:
+          ctx.Compute(2, 25);
+          ctx.Read(2, 0x800000 + (step % 64) * 64, 128);
+          ctx.EndLatencyProbe(&stat, 2.0);
+          ctx.Compute(2, 30);
+          return true;
+        case 3:
+          ctx.Write(3, own + (step % 512) * 64, 8);
+          ctx.LockAcquire(*lock, 3);
+          ctx.Compute(3, 20);
+          ctx.LockRelease(*lock, 3);
+          ctx.Compute(3, 15);
+          return true;
+        default:
+          return false;  // probe-free idle
+      }
+    }
+    SimLock* lock;
+    int core;
+    uint64_t step = 0;
+    RunningStat stat;
+  };
+  MachineConfig config;
+  config.hierarchy.num_cores = 2;
+  Machine machine(config);
+  SimLock lock("probe test lock", 0x9000);
+  Driver d0(&lock, 0), d1(&lock, 1);
+  machine.SetDriver(0, &d0);
+  machine.SetDriver(1, &d1);
+  EngineConfig engine_config;
+  engine_config.epoch_cycles = 10'000;
+  engine_config.sampling.enabled = true;
+  engine_config.sampling.period_cycles = 200'000;
+  engine_config.sampling.window_cycles = 20'000;
+  Engine engine(&machine, engine_config);
+  machine.SetExecutor(&engine);
+  machine.RunFor(600'000);
+  ProbeRun out;
+  out.stat[0] = d0.stat;
+  out.stat[1] = d1.stat;
+  for (int c = 0; c < 2; ++c) {
+    out.clock[c] = machine.CoreClock(c);
+  }
+  out.ff_epochs = engine.sampler()->ff_epochs();
+  return out;
+}
+
+TEST(EngineTest, ProbesInFastForwardEpochsKeepTheirLatencyShare) {
+  const ProbeRun run = RunProbedSampledEngine();
+  ASSERT_GT(run.ff_epochs, 0u);
+  // Recorded with compute and idle bursts committed as ops of their own.
+  EXPECT_EQ(run.stat[0].count(), 126u);
+  EXPECT_EQ(run.stat[0].sum(), 20017.0);
+  EXPECT_EQ(run.stat[0].min(), 126.0);
+  EXPECT_EQ(run.stat[0].max(), 375.0);
+  EXPECT_EQ(run.stat[1].count(), 127u);
+  EXPECT_EQ(run.stat[1].sum(), 19423.0);
+  EXPECT_EQ(run.stat[1].min(), 97.5);
+  EXPECT_EQ(run.stat[1].max(), 375.0);
+  EXPECT_EQ(run.clock[0], 601'956u);
+  EXPECT_EQ(run.clock[1], 601'824u);
+}
+
+TEST(EngineTest, FastForwardStretchRecordsOneOpPerSyncGap) {
+  MachineConfig config;
+  config.hierarchy.num_cores = 1;
+  Machine machine(config);
+  SimLock lock("stretch lock", 0x9000);
+  CoreRecorder rec;
+  rec.Reset(0);
+  rec.ff = true;  // no filter window: every access fast-forwards
+  CoreContext ctx(&machine, 0, &rec);
+  const auto kinds = [&rec] {
+    std::vector<int> out;
+    for (size_t i = 0; i < rec.ops.size(); ++i) {
+      out.push_back(rec.ops[i].kind & SimOp::kKindMask);
+    }
+    return out;
+  };
+  const auto payloads = [&rec] {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < rec.ops.size(); ++i) {
+      if ((rec.ops[i].kind & SimOp::kKindMask) < SimOp::kFirstSync) {
+        sum += rec.ops[i].payload;
+      }
+    }
+    return sum;
+  };
+
+  // Probe-free: compute, idle and accesses between two sync ops fold into
+  // one run that carries every cycle charged, and counts only accesses.
+  ctx.Compute(1, 40);
+  ctx.Read(1, 0x1000, 8);
+  rec.RecordCycles(SimOp::kIdle, kInvalidFunction, 2000);
+  ctx.Read(1, 0x2000, 128);
+  ctx.LockAcquire(lock, 2);  // lock-word access, then the sync op
+  ctx.Compute(2, 20);
+  ctx.LockRelease(lock, 2);
+  ctx.Compute(3, 15);
+  EXPECT_EQ(kinds(), (std::vector<int>{SimOp::kFfRun, SimOp::kLockAcquire, SimOp::kFfRun,
+                                       SimOp::kLockRelease, SimOp::kFfRun}));
+  EXPECT_EQ(rec.ops[0].addr, 4u);  // one-line read, two-line read, lock word
+  EXPECT_EQ(rec.ops[4].addr, 0u);  // compute only
+  EXPECT_EQ(payloads(), rec.lb);
+  EXPECT_TRUE(rec.access.empty());
+
+  // Inside a probe, compute and idle stay ops of their own: a run's probe
+  // share is its payload less the base cost per access.
+  rec.Reset(rec.lb);
+  rec.ff = true;
+  ctx.BeginLatencyProbe();
+  ctx.Compute(1, 40);
+  ctx.Read(1, 0x1000, 8);
+  rec.RecordCycles(SimOp::kIdle, kInvalidFunction, 2000);
+  ctx.Read(1, 0x1040, 8);
+  RunningStat stat;
+  ctx.EndLatencyProbe(&stat, 1.0);
+  ctx.Compute(1, 30);
+  EXPECT_EQ(kinds(), (std::vector<int>{SimOp::kProbeBegin, SimOp::kCompute, SimOp::kFfRun,
+                                       SimOp::kIdle, SimOp::kFfRun, SimOp::kProbeEnd,
+                                       SimOp::kFfRun}));
 }
 
 TEST(EngineTest, LockArbitrationSerializesUnderEngine) {

@@ -101,7 +101,7 @@ TEST(ApacheWorkloadTest, ConfigPresets) {
   EXPECT_GT(ApacheConfig::DropOff().offered_load, 1.0);
   EXPECT_TRUE(ApacheConfig::Fixed().admission_control);
   EXPECT_EQ(ApacheConfig::Fixed().EffectiveBacklog(), ApacheConfig::Fixed().admission_limit);
-  EXPECT_EQ(ApacheConfig::DropOff().EffectiveBacklog(), ApacheConfig::DropOff().backlog);
+  EXPECT_EQ(ApacheConfig::DropOff().EffectiveBacklog(), ApacheConfig::kBacklog);
 }
 
 TEST(ApacheWorkloadTest, NoBouncingTypesGroundTruth) {
