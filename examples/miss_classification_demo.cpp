@@ -19,16 +19,15 @@ namespace {
 
 using namespace dprof;
 
-void Classify(Workload& workload, Machine& machine, SlabAllocator& allocator,
-              const char* label, const WorkingSetOptions& ws_options) {
+void Classify(Workload& workload, Machine& machine, SlabAllocator& allocator, const char* label) {
   workload.Install(machine);
   DProfOptions options;
   options.ibs_period_ops = 120;
   DProfSession session(&machine, &allocator, options);
   session.CollectAccessSamples(30'000'000);
 
-  const WorkingSetView ws = session.BuildWorkingSet(ws_options);
-  const auto rows = session.ClassifyMisses(ws_options);
+  const WorkingSetView ws = session.BuildWorkingSet();
+  const auto rows = session.ClassifyMisses();
   std::printf("== %s ==\n", label);
   std::printf("%s", MissClassifier::ToTable(rows).c_str());
   std::printf("evidence: demand %.0f lines vs capacity %.0f; %zu conflicted sets "
@@ -49,8 +48,7 @@ int main() {
     machine.SetAllocator(&allocator);
     KernelEnv env(&machine, &allocator);
     MemcachedWorkload workload(&env, MemcachedConfig{});
-    Classify(workload, machine, allocator, "memcached with tx-hash bug (expect invalidation)",
-             WorkingSetOptions{});
+    Classify(workload, machine, allocator, "memcached with tx-hash bug (expect invalidation)");
   }
   {
     MachineConfig config;
@@ -61,9 +59,7 @@ int main() {
     machine.SetAllocator(&allocator);
     KernelEnv env(&machine, &allocator);
     ConflictDemoWorkload workload(&env);
-    WorkingSetOptions ws;
-    ws.geometry = machine.hierarchy().config().l2;
-    Classify(workload, machine, allocator, "conflict demo (expect conflict on pkt_stat)", ws);
+    Classify(workload, machine, allocator, "conflict demo (expect conflict on pkt_stat)");
   }
   {
     MachineConfig config;
@@ -74,8 +70,7 @@ int main() {
     machine.SetAllocator(&allocator);
     KernelEnv env(&machine, &allocator);
     ApacheWorkload workload(&env, ApacheConfig::DropOff());
-    Classify(workload, machine, allocator, "apache past drop-off (expect capacity on tcp_sock)",
-             WorkingSetOptions{});
+    Classify(workload, machine, allocator, "apache past drop-off (expect capacity on tcp_sock)");
   }
   return 0;
 }

@@ -20,7 +20,6 @@ namespace {
 
 void ApplySpec(ScenarioRig& rig, const RunSpec& spec) {
   if (spec.collect_cycles > 0) rig.collect_cycles = spec.collect_cycles;
-  rig.options.adaptive_epoch_focus = spec.adaptive_epoch_focus;
 }
 
 // A run builds its lattice, recorder and session tables (tens of MB) fresh

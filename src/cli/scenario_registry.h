@@ -81,10 +81,6 @@ struct RunSpec {
   // types. The whatif engine turns this off: throughput diffs must not
   // include history-phase perturbation.
   bool collect_histories = true;
-  // DProfOptions::adaptive_epoch_focus for the run's session (tight epochs
-  // while a mailbox-fed type's histories are collected). Stats-equivalence
-  // tests turn this off to compare against fixed-epoch baselines.
-  bool adaptive_epoch_focus = true;
   // Data-layout transforms the allocator applies per type name (the
   // SlabAllocator's TransformSet) — the whatif engine's experimental variable.
   TransformSet transforms;

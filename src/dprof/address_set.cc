@@ -6,10 +6,13 @@ namespace dprof {
 namespace {
 
 constexpr uint64_t kSeed = 0x5eed;  // seeds the reservoir draws
+// Sampled addresses are kept modulo the largest cache of interest.
+constexpr uint64_t kModulo = 16 * 1024 * 1024;
+constexpr size_t kReservoirPerType = 4096;
 
 }  // namespace
 
-AddressSet::AddressSet(const AddressSetOptions& options) : options_(options), rng_(kSeed) {}
+AddressSet::AddressSet() : rng_(kSeed) {}
 
 AddressSet::PerType& AddressSet::Entry(TypeId type) {
   DPROF_CHECK(type != kInvalidType);
@@ -36,8 +39,8 @@ void AddressSet::OnAlloc(TypeId type, Addr base, uint32_t size, int core, uint64
   ++entry.live;
   entry.obj_size = size;
 
-  const Addr sample = base % options_.modulo;
-  if (entry.samples.size() < options_.reservoir_per_type) {
+  const Addr sample = base % kModulo;
+  if (entry.samples.size() < kReservoirPerType) {
     entry.samples.push_back(sample);
   } else {
     // Reservoir sampling keeps a uniform sample of all allocations.

@@ -17,14 +17,9 @@
 
 namespace dprof {
 
-struct AddressSetOptions {
-  uint64_t modulo = 16 * 1024 * 1024;  // max cache size of interest
-  size_t reservoir_per_type = 4096;
-};
-
 class AddressSet final : public AllocationObserver {
  public:
-  explicit AddressSet(const AddressSetOptions& options = {});
+  AddressSet();
 
   // AllocationObserver:
   void OnAlloc(TypeId type, Addr base, uint32_t size, int core, uint64_t now) override;
@@ -37,7 +32,7 @@ class AddressSet final : public AllocationObserver {
   // Average concurrently-live bytes of `type` over [0, now].
   double AverageLiveBytes(TypeId type, uint64_t now) const;
 
-  // Sampled object base addresses (modulo `options.modulo`).
+  // Sampled object base addresses (modulo 16 MiB, at most 4,096 per type).
   const std::vector<Addr>& AddressSamples(TypeId type) const;
 
   std::vector<TypeId> KnownTypes() const;
@@ -58,7 +53,6 @@ class AddressSet final : public AllocationObserver {
   // below it that no event named read as all zeros.
   const PerType* Find(TypeId type) const;
 
-  AddressSetOptions options_;
   Rng rng_;
   std::vector<PerType> per_type_;  // indexed by TypeId (registry ids are dense)
   std::vector<Addr> empty_;

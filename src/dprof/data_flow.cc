@@ -7,14 +7,20 @@
 #include "src/util/json_writer.h"
 
 namespace dprof {
+namespace {
+
+constexpr double kDarkLatencyThreshold = 60.0;  // cycles
+constexpr const char* kAllocLabel = "kmem_cache_alloc_node()";
+constexpr const char* kFreeLabel = "kfree()";
+
+}  // namespace
 
 DataFlowGraph DataFlowGraph::Build(const std::vector<PathTrace>& traces,
-                                   const SymbolTable& symbols,
-                                   const DataFlowOptions& options) {
+                                   const SymbolTable& symbols) {
   DataFlowGraph graph;
-  graph.nodes_.push_back(DataFlowNode{options.alloc_label, false, 0.0, 0});
+  graph.nodes_.push_back(DataFlowNode{kAllocLabel, false, 0.0, 0});
   graph.root_ = 0;
-  graph.nodes_.push_back(DataFlowNode{options.free_label, false, 0.0, 0});
+  graph.nodes_.push_back(DataFlowNode{kFreeLabel, false, 0.0, 0});
   graph.sink_ = 1;
 
   // Prefix trie: children[(node, step key)] -> node.
@@ -46,7 +52,7 @@ DataFlowGraph DataFlowGraph::Build(const std::vector<PathTrace>& traces,
         DataFlowNode node;
         node.label = symbols.Name(step.ip) + "()";
         node.avg_latency = step.avg_latency;
-        node.dark = step.has_sample_stats && step.avg_latency > options.dark_latency_threshold;
+        node.dark = step.has_sample_stats && step.avg_latency > kDarkLatencyThreshold;
         next = static_cast<int>(graph.nodes_.size());
         graph.nodes_.push_back(std::move(node));
         children[{at, key}] = next;
@@ -56,7 +62,7 @@ DataFlowGraph DataFlowGraph::Build(const std::vector<PathTrace>& traces,
       if (step.has_sample_stats) {
         // Keep the max latency seen for this node across merged paths.
         node.avg_latency = std::max(node.avg_latency, step.avg_latency);
-        node.dark = node.dark || step.avg_latency > options.dark_latency_threshold;
+        node.dark = node.dark || step.avg_latency > kDarkLatencyThreshold;
       }
       add_edge(at, next, trace.frequency, step.cpu_change);
       at = next;

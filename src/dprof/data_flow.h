@@ -32,16 +32,12 @@ struct DataFlowEdge {
   bool cpu_change = false;  // rendered bold, like the paper's figure
 };
 
-struct DataFlowOptions {
-  double dark_latency_threshold = 60.0;  // cycles
-  std::string alloc_label = "kmem_cache_alloc_node()";
-  std::string free_label = "kfree()";
-};
-
 class DataFlowGraph {
  public:
-  static DataFlowGraph Build(const std::vector<PathTrace>& traces, const SymbolTable& symbols,
-                             const DataFlowOptions& options = {});
+  // The synthetic root and sink are labelled kmem_cache_alloc_node() and
+  // kfree(); a node is dark when a path's average latency there exceeds 60
+  // cycles.
+  static DataFlowGraph Build(const std::vector<PathTrace>& traces, const SymbolTable& symbols);
 
   const std::vector<DataFlowNode>& nodes() const { return nodes_; }
   const std::vector<DataFlowEdge>& edges() const { return edges_; }

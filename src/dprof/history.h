@@ -55,16 +55,6 @@ struct HistoryCollectorOptions {
   // Restrict the sweep to these offsets (e.g. the hot members found in the
   // access samples — paper §6.4). Empty = all offsets.
   std::vector<uint32_t> member_offsets;
-  // When ready to monitor, skip a uniform-random number of allocations in
-  // [0, arm_skip_max) before arming, so monitoring decorrelates from the
-  // workload's allocation order (a request often allocates several objects
-  // of the same type in a fixed sequence).
-  uint32_t arm_skip_max = 8;
-  // Minimum cycles between finishing one object and arming the next: paces
-  // the 220k-cycle setup broadcast so short-lived hot types do not drown
-  // the machine in IPIs (the paper's fastest collection rate, 4,600
-  // histories/s, corresponds to roughly one setup per 217k cycles).
-  uint64_t min_rearm_cycles = 150'000;
 };
 
 struct HistoryOverhead {

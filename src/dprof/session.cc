@@ -4,7 +4,7 @@ namespace dprof {
 
 DProfSession::DProfSession(Machine* machine, SlabAllocator* allocator,
                            const DProfOptions& options)
-    : machine_(machine), allocator_(allocator), options_(options), addresses_(options.address_set) {
+    : machine_(machine), allocator_(allocator), options_(options) {
   ibs_ = std::make_unique<IbsUnit>(machine_->num_cores());
   ibs_->SetHandler([this](const IbsSample& sample) {
     // The interrupt handler resolves the data address to its type via the
@@ -96,9 +96,10 @@ DataProfile DProfSession::BuildDataProfile() const {
   return DataProfile::Build(allocator_->registry(), samples_, addresses_, now);
 }
 
-WorkingSetView DProfSession::BuildWorkingSet(const WorkingSetOptions& options) const {
+WorkingSetView DProfSession::BuildWorkingSet() const {
   const uint64_t now = profile_end_ == 0 ? machine_->MaxClock() : profile_end_;
-  return WorkingSetView::Build(allocator_->registry(), addresses_, samples_, now, options);
+  return WorkingSetView::Build(allocator_->registry(), addresses_, samples_, now,
+                               machine_->hierarchy().config().l2);
 }
 
 std::vector<PathTrace> DProfSession::BuildPathTraces(TypeId type,
@@ -106,13 +107,12 @@ std::vector<PathTrace> DProfSession::BuildPathTraces(TypeId type,
   return PathTraceBuilder::Build(type, histories(type), samples_, options);
 }
 
-DataFlowGraph DProfSession::BuildDataFlow(TypeId type, const DataFlowOptions& options) const {
-  return DataFlowGraph::Build(BuildPathTraces(type), machine_->symbols(), options);
+DataFlowGraph DProfSession::BuildDataFlow(TypeId type) const {
+  return DataFlowGraph::Build(BuildPathTraces(type), machine_->symbols());
 }
 
-std::vector<MissClassRow> DProfSession::ClassifyMisses(
-    const WorkingSetOptions& ws_options) const {
-  const WorkingSetView working_set = BuildWorkingSet(ws_options);
+std::vector<MissClassRow> DProfSession::ClassifyMisses() const {
+  const WorkingSetView working_set = BuildWorkingSet();
   std::vector<std::vector<PathTrace>> traces;
   for (const auto& [type, histories] : histories_) {
     traces.push_back(PathTraceBuilder::Build(type, histories, samples_));

@@ -32,7 +32,6 @@ namespace dprof {
 struct DProfOptions {
   // IBS sampling period in ops during the access-sample phase.
   uint64_t ibs_period_ops = 200;
-  AddressSetOptions address_set;
   HistoryCollectorOptions history;
   // Safety cap for one type's history phase, in machine cycles.
   uint64_t history_phase_max_cycles = 4'000'000'000ull;
@@ -62,11 +61,13 @@ class DProfSession {
 
   // Views.
   DataProfile BuildDataProfile() const;
-  WorkingSetView BuildWorkingSet(const WorkingSetOptions& options = {}) const;
+  // The working-set and miss-classification views model the machine's
+  // private L2.
+  WorkingSetView BuildWorkingSet() const;
   std::vector<PathTrace> BuildPathTraces(TypeId type,
                                          const PathTraceOptions& options = {}) const;
-  DataFlowGraph BuildDataFlow(TypeId type, const DataFlowOptions& options = {}) const;
-  std::vector<MissClassRow> ClassifyMisses(const WorkingSetOptions& ws_options = {}) const;
+  DataFlowGraph BuildDataFlow(TypeId type) const;
+  std::vector<MissClassRow> ClassifyMisses() const;
 
   // Raw data access.
   const AccessSampleTable& samples() const { return samples_; }

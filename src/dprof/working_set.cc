@@ -41,9 +41,8 @@ std::vector<uint32_t> TouchedLineOffsets(const AccessSampleTable& samples, TypeI
 
 WorkingSetView WorkingSetView::Build(const TypeRegistry& registry, const AddressSet& addresses,
                                      const AccessSampleTable& samples, uint64_t now,
-                                     const WorkingSetOptions& options) {
+                                     const CacheGeometry& geom) {
   WorkingSetView view;
-  const CacheGeometry& geom = options.geometry;
   // LineOf/SetOf are shift/mask math and silently wrong otherwise.
   DPROF_CHECK(geom.IsPowerOfTwoShaped());
   const uint64_t num_sets = geom.NumSets();

@@ -38,15 +38,13 @@ struct AssocSetPressure {
   std::map<TypeId, uint64_t> lines_per_type;
 };
 
-struct WorkingSetOptions {
-  CacheGeometry geometry{512 * 1024, 64, 16};  // default: private L2
-};
-
 class WorkingSetView {
  public:
+  // Models a cache of geometry `geom`; DProfSession passes the machine's
+  // private L2.
   static WorkingSetView Build(const TypeRegistry& registry, const AddressSet& addresses,
                               const AccessSampleTable& samples, uint64_t now,
-                              const WorkingSetOptions& options = {});
+                              const CacheGeometry& geom);
 
   const std::vector<WorkingSetRow>& rows() const { return rows_; }
   const WorkingSetRow* Find(TypeId type) const;

@@ -175,7 +175,7 @@ void Engine::RunFor(uint64_t cycles) {
     // committed stream — is deterministic).
     const uint64_t epoch = m.epoch_focus() ? kEpochCyclesFocus : config_.epoch_cycles;
     RunEpoch(min_clock, deadline, epoch);
-    if (config_.audit_epochs > 0 && epochs_run_ % config_.audit_epochs == 0) {
+    if (config_.audit_epochs > 0 && phase_stats_.epochs % config_.audit_epochs == 0) {
       RunAudit();
     }
     if (m.allocator_ != nullptr) {
@@ -251,7 +251,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     epoch_end = std::min(deadline, min_clock + stretch);
   }
   FaultPlan* const faults = m.fault_plan();
-  if (faults != nullptr && faults->StallsEpoch(epochs_run_)) {
+  if (faults != nullptr && faults->StallsEpoch(phase_stats_.epochs)) {
     // Injected scheduler wedge: the epoch ends where it starts, so no core
     // simulates and the committed min clock cannot advance. The watchdog in
     // RunFor is what turns the resulting no-progress streak into a status.
@@ -304,7 +304,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     // deterministic. Recovery is inherent — the commit pass
     // reconstructs exact clocks from the recorded ops like any idle time.
     if (faults != nullptr && epoch_end > min_clock) {
-      const uint32_t skew = faults->ClockSkew(c, epochs_run_);
+      const uint32_t skew = faults->ClockSkew(c, phase_stats_.epochs);
       if (skew != 0) {
         rec.RecordCycles(SimOp::kIdle, kInvalidFunction, skew);
       }
@@ -335,7 +335,6 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   if (ff_epoch_) {
     ++phase_stats_.ff_epochs;
   }
-  ++epochs_run_;
   if (sampler_ != nullptr) {
     uint64_t accesses = 0;
     for (int c = 0; c < cores; ++c) {
@@ -353,7 +352,7 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
   while (rec.lb < epoch_end) {
     const bool did_work = driver != nullptr && driver->Step(ctx);
     if (!did_work) {
-      rec.RecordCycles(SimOp::kIdle, kInvalidFunction, m.config_.idle_cycles);
+      rec.RecordCycles(SimOp::kIdle, kInvalidFunction, Machine::kIdleCycles);
     }
   }
   // Every access was recorded at an lb no later than this one, so this

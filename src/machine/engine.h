@@ -130,7 +130,6 @@ class Engine final : public Executor {
   void RunFor(uint64_t cycles) override;
 
   const EngineConfig& config() const { return config_; }
-  uint64_t epochs_run() const { return epochs_run_; }
   const EnginePhaseStats& phase_stats() const { return phase_stats_; }
   // Non-null when sampled execution is enabled; exposes the measured-window
   // accounting the report layer turns into scaled estimates + intervals.
@@ -199,7 +198,6 @@ class Engine final : public Executor {
   bool ff_epoch_ = false;
   std::unique_ptr<SamplingController> sampler_;
   std::vector<CoreRecorder> recorders_;
-  uint64_t epochs_run_ = 0;
   EnginePhaseStats phase_stats_;
 
   // Health state: sticky status, audit cadence bookkeeping, and the

@@ -68,7 +68,7 @@ void Machine::StepCore(int core) {
     did_work = driver->Step(ctx);
   }
   if (!did_work) {
-    clocks_[core] += config_.idle_cycles;
+    clocks_[core] += kIdleCycles;
   }
 }
 

@@ -174,7 +174,7 @@ class AllocatorIface {
 
 // Per-core workload logic. Step() performs one unit of work (typically one
 // request) and returns true, or returns false if the core has nothing to do
-// (the machine then idles the core forward by config.idle_cycles).
+// (the machine then idles the core forward by Machine::kIdleCycles).
 class CoreDriver {
  public:
   virtual ~CoreDriver() = default;
@@ -451,7 +451,6 @@ class CoreRecorder {
 
 struct MachineConfig {
   HierarchyConfig hierarchy;
-  uint64_t idle_cycles = 2000;  // clock advance when a driver reports no work
   uint64_t seed = 1;
 };
 
@@ -459,6 +458,8 @@ class Machine {
  public:
   // Pipeline cost of one op, excluding memory, in cycles.
   static constexpr uint32_t kBaseOpCost = 1;
+  // Clock advance when a core's driver reports no work.
+  static constexpr uint64_t kIdleCycles = 2000;
 
   explicit Machine(const MachineConfig& config);
 

@@ -8,12 +8,11 @@ constexpr uint64_t kSeed = 0x1b5;
 
 }  // namespace
 
-IbsUnit::IbsUnit(int num_cores, uint64_t period_ops) : countdown_(num_cores, 0) {
+IbsUnit::IbsUnit(int num_cores) : countdown_(num_cores, 0) {
   rngs_.reserve(num_cores);
   for (int c = 0; c < num_cores; ++c) {
     rngs_.emplace_back(kSeed * 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(c) + 1);
   }
-  SetPeriod(period_ops);
 }
 
 void IbsUnit::SetPeriod(uint64_t period_ops) {

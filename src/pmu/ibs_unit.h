@@ -50,13 +50,13 @@ class IbsUnit final : public PmuHook {
   // resolution); charged on top of kInterruptCycles.
   static constexpr uint64_t kHandlerCycles = 1200;
 
-  // `period_ops` is the mean ops between samples per core; 0 disables
-  // sampling.
-  explicit IbsUnit(int num_cores, uint64_t period_ops = 0);
+  // Starts disabled; SetPeriod turns sampling on.
+  explicit IbsUnit(int num_cores);
 
   void SetHandler(Handler handler) { handler_ = std::move(handler); }
 
-  // Reconfigures the sampling period; 0 disables.
+  // Sets the mean ops between samples per core (each countdown is redrawn);
+  // 0 disables.
   void SetPeriod(uint64_t period_ops);
   uint64_t period_ops() const { return period_ops_; }
   bool enabled() const { return period_ops_ != 0; }

@@ -42,24 +42,22 @@ TEST(AddressSetTest, ToleratesOutOfOrderTimestamps) {
 }
 
 TEST(AddressSetTest, AddressSamplesModulo) {
-  AddressSetOptions options;
-  options.modulo = 0x1000;
-  AddressSet set(options);
-  set.OnAlloc(1, 0x123456, 64, 0, 1);
+  AddressSet set;
+  // Samples are kept modulo 16 MiB, the largest cache of interest.
+  set.OnAlloc(1, 0x7f0003123456, 64, 0, 1);
   const auto& samples = set.AddressSamples(1);
   ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0], 0x123456ull % 0x1000);
+  EXPECT_EQ(samples[0], 0x123456u);
 }
 
 TEST(AddressSetTest, ReservoirBounded) {
-  AddressSetOptions options;
-  options.reservoir_per_type = 16;
-  AddressSet set(options);
-  for (int i = 0; i < 1000; ++i) {
+  AddressSet set;
+  // The reservoir keeps 4,096 samples per type.
+  for (int i = 0; i < 5000; ++i) {
     set.OnAlloc(1, 0x1000 + static_cast<Addr>(i) * 64, 64, 0, static_cast<uint64_t>(i));
   }
-  EXPECT_EQ(set.AddressSamples(1).size(), 16u);
-  EXPECT_EQ(set.AllocCount(1), 1000u);
+  EXPECT_EQ(set.AddressSamples(1).size(), 4096u);
+  EXPECT_EQ(set.AllocCount(1), 5000u);
 }
 
 TEST(AddressSetTest, UnknownTypeIsEmpty) {

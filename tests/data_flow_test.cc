@@ -88,10 +88,9 @@ TEST_F(DataFlowFixture, SameIpWithAndWithoutCpuChangeAreDistinctNodes) {
 }
 
 TEST_F(DataFlowFixture, DarkNodesForHighLatency) {
-  DataFlowOptions options;
-  options.dark_latency_threshold = 60.0;
+  // Dark means an average latency above 60 cycles.
   const auto graph = DataFlowGraph::Build(
-      {Trace({Step(fn_a, false, 150.0), Step(fn_b, false, 10.0)}, 1)}, sym, options);
+      {Trace({Step(fn_a, false, 150.0), Step(fn_b, false, 10.0)}, 1)}, sym);
   int dark = 0;
   for (const auto& node : graph.nodes()) {
     if (node.dark) {
@@ -120,18 +119,11 @@ TEST_F(DataFlowFixture, AsciiOutputShowsTransitionsAndCounts) {
   EXPECT_NE(ascii.find("[x3"), std::string::npos);
 }
 
-TEST_F(DataFlowFixture, SentinelLabelsConfigurable) {
-  DataFlowOptions options;
-  options.alloc_label = "my_alloc()";
-  options.free_label = "my_free()";
-  const auto graph = DataFlowGraph::Build({Trace({Step(fn_a)}, 1)}, sym, options);
-  EXPECT_EQ(graph.nodes()[0].label, "my_alloc()");
-  EXPECT_EQ(graph.nodes()[1].label, "my_free()");
-}
-
 TEST_F(DataFlowFixture, EmptyTraceListYieldsSentinelsOnly) {
   const auto graph = DataFlowGraph::Build({}, sym);
-  EXPECT_EQ(graph.nodes().size(), 2u);
+  ASSERT_EQ(graph.nodes().size(), 2u);
+  EXPECT_EQ(graph.nodes()[0].label, "kmem_cache_alloc_node()");
+  EXPECT_EQ(graph.nodes()[1].label, "kfree()");
   EXPECT_TRUE(graph.edges().empty());
   EXPECT_TRUE(graph.CpuTransitions().empty());
 }

@@ -10,15 +10,21 @@
 namespace dprof {
 namespace {
 
+EngineConfig WithEpochCycles(uint64_t epoch_cycles) {
+  EngineConfig config;
+  config.epoch_cycles = epoch_cycles;
+  return config;
+}
+
 TEST(EngineTest, RunForReachesDeadline) {
   MachineConfig config;
   config.hierarchy.num_cores = 4;
   Machine machine(config);
-  Engine engine(&machine, EngineConfig{1, 10'000});
+  Engine engine(&machine, WithEpochCycles(10'000));
   machine.SetExecutor(&engine);
   machine.RunFor(100'000);  // no drivers: cores idle forward deterministically
   EXPECT_GE(machine.MinClock(), 100'000u);
-  EXPECT_GT(engine.epochs_run(), 0u);
+  EXPECT_GT(engine.phase_stats().epochs, 0u);
 }
 
 TEST(EngineTest, RecordedStreamMatchesDirectModeForIndependentCores) {
@@ -50,7 +56,7 @@ TEST(EngineTest, RecordedStreamMatchesDirectModeForIndependentCores) {
     machine.SetDriver(1, &drivers[1]);
     std::optional<Engine> engine;
     if (epoch_cycles > 0) {
-      engine.emplace(&machine, EngineConfig{1, epoch_cycles});
+      engine.emplace(&machine, WithEpochCycles(epoch_cycles));
       machine.SetExecutor(&*engine);
     }
     machine.RunFor(cycles);
@@ -59,7 +65,7 @@ TEST(EngineTest, RecordedStreamMatchesDirectModeForIndependentCores) {
       out.clock[c] = machine.CoreClock(c);
       out.steps[c] = drivers[c].steps;
     }
-    out.epochs = engine ? engine->epochs_run() : 0;
+    out.epochs = engine ? engine->phase_stats().epochs : 0;
     return out;
   };
 
@@ -105,7 +111,7 @@ TEST(EngineTest, LatencyProbeMatchesDirectMode) {
     Machine machine(config);
     Driver driver;
     machine.SetDriver(0, &driver);
-    Engine engine(&machine, EngineConfig{1, 5'000});
+    Engine engine(&machine, WithEpochCycles(5'000));
     if (engine_mode) {
       machine.SetExecutor(&engine);
     }
@@ -303,7 +309,7 @@ TEST(EngineTest, LockArbitrationSerializesUnderEngine) {
     machine.SetDriver(1, &d1);
     Observer observer;
     machine.SetLockObserver(&observer);
-    Engine engine(&machine, EngineConfig{1, 5'000});
+    Engine engine(&machine, WithEpochCycles(5'000));
     machine.SetExecutor(&engine);
     machine.RunFor(100'000);
     return std::make_pair(observer.total_wait, observer.acquires);

@@ -37,7 +37,9 @@ TEST(EventSinkDeathTest, EngineRejectsAttachedObserver) {
         machine.SetDriver(1, &driver);
         Counter counter;
         machine.AddObserver(&counter);
-        Engine engine(&machine, EngineConfig{1, 10'000});
+        EngineConfig engine_config;
+        engine_config.epoch_cycles = 10'000;
+        Engine engine(&machine, engine_config);
         machine.SetExecutor(&engine);
         machine.RunFor(50'000);
       },
@@ -68,7 +70,7 @@ TEST(EventSinkTest, CountingHooksStayFrozenInFastForwardEpochs) {
   // IBS with its accounting exposed: every access it is told about, one by
   // one or in quiet batches.
   struct CountingIbs final : PmuHook {
-    CountingIbs(int cores, uint64_t period_ops) : ibs(cores, period_ops) {}
+    CountingIbs(int cores, uint64_t period_ops) : ibs(cores) { ibs.SetPeriod(period_ops); }
     uint64_t OnAccess(const AccessEvent& event) override {
       ++accounted;
       return ibs.OnAccess(event);
@@ -112,8 +114,10 @@ TEST(EventSinkTest, CountingHooksStayFrozenInFastForwardEpochs) {
 TEST(EventSinkTest, IbsQuietSkipMatchesPerOpCountdown) {
   // Feeding one unit per-op and its twin through QuietOps/OnQuietAccessBatch
   // chunks must sample the same ops and charge the same cycles.
-  IbsUnit per_op(1, 50);
-  IbsUnit batched(1, 50);
+  IbsUnit per_op(1);
+  per_op.SetPeriod(50);
+  IbsUnit batched(1);
+  batched.SetPeriod(50);
   std::vector<int> fired_per_op;
   std::vector<int> fired_batched;
   per_op.SetHandler([&](const IbsSample& s) { fired_per_op.push_back(static_cast<int>(s.now)); });

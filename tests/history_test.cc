@@ -6,7 +6,10 @@
 namespace dprof {
 namespace {
 
-// A tiny driver that allocates an object, touches some offsets, frees it.
+// A tiny driver that allocates an object, touches some offsets, frees it,
+// then computes past the collector's 150k-cycle pacing between watched
+// objects. The collector also skips a seeded number (0-7) of allocations
+// after each arming; the test loops allocate until the sweep is done.
 class TouchDriver : public CoreDriver {
  public:
   TouchDriver(TypeId type, FunctionId fn_alloc, FunctionId fn_touch) // NOLINT
@@ -19,6 +22,7 @@ class TouchDriver : public CoreDriver {
     ctx.Write(fn_touch_, obj + 12, 4);  // offset 12
     ctx.Compute(fn_touch_, 50);
     ctx.Free(obj, fn_alloc_);
+    ctx.Compute(fn_touch_, 200'000);
     ++iterations;
     return true;
   }
@@ -49,8 +53,6 @@ struct HistoryFixture : ::testing::Test {
     HistoryCollectorOptions options;
     options.max_sets = sets;
     options.pair_mode = pair;
-    options.arm_skip_max = 0;       // deterministic arming for tests
-    options.min_rearm_cycles = 0;   // no pacing in unit tests
     return options;
   }
 
@@ -83,6 +85,12 @@ TEST_F(HistoryFixture, SingleModeSweepsAllOffsets) {
   EXPECT_EQ(collector.histories()[2].watch_offsets[0], 8u);
   EXPECT_EQ(collector.histories()[3].watch_offsets[0], 12u);
   EXPECT_EQ(collector.histories()[4].sweep, 1u);
+  // Arming skipped some allocations and kept 150k cycles between objects.
+  EXPECT_GT(driver.iterations, collector.histories().size());
+  for (size_t i = 1; i < collector.histories().size(); ++i) {
+    EXPECT_GE(collector.histories()[i].alloc_time - collector.histories()[i - 1].alloc_time,
+              150'000u);
+  }
 }
 
 TEST_F(HistoryFixture, ElementsRecordTouchedOffsetsOnly) {

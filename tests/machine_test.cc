@@ -64,20 +64,18 @@ TEST(MachineTest, MinClockSchedulingBalancesCores) {
 }
 
 TEST(MachineTest, IdleDriverAdvancesByIdleCycles) {
-  MachineConfig config = SmallMachine(1);
-  config.idle_cycles = 500;
-  Machine machine(config);
+  Machine machine(SmallMachine(1));
   IdleDriver idle;
   machine.SetDriver(0, &idle);
   machine.RunSteps(10);
-  EXPECT_EQ(machine.CoreClock(0), 5000u);
+  EXPECT_EQ(machine.CoreClock(0), 10 * Machine::kIdleCycles);
   EXPECT_EQ(idle.steps, 10u);
 }
 
 TEST(MachineTest, NullDriverIdles) {
   Machine machine(SmallMachine(1));
   machine.RunSteps(3);
-  EXPECT_EQ(machine.CoreClock(0), 3 * machine.config().idle_cycles);
+  EXPECT_EQ(machine.CoreClock(0), 3 * Machine::kIdleCycles);
 }
 
 TEST(MachineTest, ComputeAdvancesClock) {

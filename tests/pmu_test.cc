@@ -34,7 +34,8 @@ TEST(IbsUnitTest, DisabledTakesNoSamples) {
 }
 
 TEST(IbsUnitTest, SamplingRateApproximatesPeriod) {
-  IbsUnit ibs(1, 100);
+  IbsUnit ibs(1);
+  ibs.SetPeriod(100);
   int samples = 0;
   ibs.SetHandler([&](const IbsSample&) { ++samples; });
   const int ops = 100000;
@@ -46,7 +47,8 @@ TEST(IbsUnitTest, SamplingRateApproximatesPeriod) {
 }
 
 TEST(IbsUnitTest, SampleCarriesEventPayload) {
-  IbsUnit ibs(2, 1);
+  IbsUnit ibs(2);
+  ibs.SetPeriod(1);
   std::vector<IbsSample> samples;
   ibs.SetHandler([&](const IbsSample& s) { samples.push_back(s); });
   AccessEvent event = MakeEvent(1, 0xabc, 16, true);
@@ -66,7 +68,8 @@ TEST(IbsUnitTest, SampleCarriesEventPayload) {
 }
 
 TEST(IbsUnitTest, InterruptCostCharged) {
-  IbsUnit ibs(1, 1);
+  IbsUnit ibs(1);
+  ibs.SetPeriod(1);
   uint64_t charged = 0;
   for (int i = 0; i < 10; ++i) {
     charged += ibs.OnAccess(MakeEvent(0, 0x100, 8));
@@ -75,7 +78,8 @@ TEST(IbsUnitTest, InterruptCostCharged) {
 }
 
 TEST(IbsUnitTest, PerCoreCountdownsIndependent) {
-  IbsUnit ibs(2, 50);
+  IbsUnit ibs(2);
+  ibs.SetPeriod(50);
   int samples = 0;
   ibs.SetHandler([&](const IbsSample&) { ++samples; });
   // Only core 0 executes; core 1 must not dilute core 0's rate.

@@ -75,7 +75,8 @@ class IbsRateTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IbsRateTest, AchievedRateMatchesPeriod) {
   const uint64_t period = GetParam();
-  IbsUnit ibs(1, period);
+  IbsUnit ibs(1);
+  ibs.SetPeriod(period);
   const uint64_t ops = 200000;
   for (uint64_t i = 0; i < ops; ++i) {
     AccessEvent event;

@@ -15,8 +15,9 @@ namespace dprof {
 namespace {
 
 struct Rig {
-  explicit Rig(int cores) {
+  explicit Rig(int cores, const HierarchyConfig& hierarchy = {}) {
     MachineConfig config;
+    config.hierarchy = hierarchy;
     config.hierarchy.num_cores = cores;
     machine = std::make_unique<Machine>(config);
     allocator = std::make_unique<SlabAllocator>(machine.get(), &registry);
@@ -193,12 +194,49 @@ TEST(SessionIntegrationTest, MissClassificationConflictDemo) {
   DProfSession session(rig.machine.get(), rig.allocator.get(), options);
   session.CollectAccessSamples(8'000'000);
 
-  WorkingSetOptions ws_options;
-  ws_options.geometry = rig.machine->hierarchy().config().l2;
-  const WorkingSetView ws = session.BuildWorkingSet(ws_options);
+  const WorkingSetView ws = session.BuildWorkingSet();
   EXPECT_FALSE(ws.conflicted_sets().empty());
   // pkt_stat's lines should sit in the conflicted sets.
   EXPECT_GT(ws.ConflictedFraction(workload.hot_type()), 0.5);
+}
+
+// The working-set and miss-classification views model the profiled
+// machine's own private L2: on a 64 KB, 8-way L2 the session's views match
+// ones built directly for that cache.
+TEST(SessionIntegrationTest, ViewsModelTheMachinesL2) {
+  HierarchyConfig hierarchy;
+  hierarchy.l2 = CacheGeometry{64 * 1024, 64, 8};
+  Rig rig(4, hierarchy);
+  ConflictDemoWorkload workload(rig.env.get());
+  workload.Install(*rig.machine);
+  DProfOptions options;
+  options.ibs_period_ops = 80;
+  DProfSession session(rig.machine.get(), rig.allocator.get(), options);
+  session.CollectAccessSamples(4'000'000);
+
+  const WorkingSetView ws = session.BuildWorkingSet();
+  const CacheGeometry& l2 = hierarchy.l2;
+  const uint64_t now = session.last_profile_end();
+  const WorkingSetView expected =
+      WorkingSetView::Build(rig.registry, session.addresses(), session.samples(), now, l2);
+  EXPECT_EQ(ws.capacity_lines(), 1024.0);  // 128 sets x 8 ways
+  EXPECT_EQ(ws.capacity_lines(), expected.capacity_lines());
+  ASSERT_FALSE(expected.conflicted_sets().empty());
+  ASSERT_EQ(ws.conflicted_sets().size(), expected.conflicted_sets().size());
+  for (size_t i = 0; i < expected.conflicted_sets().size(); ++i) {
+    EXPECT_EQ(ws.conflicted_sets()[i].set, expected.conflicted_sets()[i].set);
+    EXPECT_EQ(ws.conflicted_sets()[i].distinct_lines, expected.conflicted_sets()[i].distinct_lines);
+  }
+
+  const auto rows = session.ClassifyMisses();
+  const auto expected_rows = MissClassifier::Build(rig.registry, session.samples(), expected, {});
+  ASSERT_EQ(rows.size(), expected_rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].name, expected_rows[i].name);
+    EXPECT_EQ(rows[i].dominant, expected_rows[i].dominant);
+    EXPECT_EQ(rows[i].conflict_pct, expected_rows[i].conflict_pct);
+    EXPECT_EQ(rows[i].capacity_pct, expected_rows[i].capacity_pct);
+  }
 }
 
 TEST(SessionIntegrationTest, IbsOverheadSlowsThroughput) {

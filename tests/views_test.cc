@@ -55,6 +55,8 @@ struct ViewsFixture : ::testing::Test {
   TypeId cold = kInvalidType;
   TypeId shared = kInvalidType;
   static constexpr uint64_t kNow = 1000;
+  static constexpr CacheGeometry kSmallCache{64 * 1024, 64, 8};
+  static constexpr CacheGeometry kL2{512 * 1024, 64, 16};  // HierarchyConfig's L2
 };
 
 TEST_F(ViewsFixture, DataProfileRanksByMissShare) {
@@ -92,10 +94,8 @@ TEST_F(ViewsFixture, DataProfileTopTypesAndTable) {
 }
 
 TEST_F(ViewsFixture, WorkingSetRowsSortedByLiveBytes) {
-  WorkingSetOptions options;
-  options.geometry = CacheGeometry{64 * 1024, 64, 8};
   const WorkingSetView view =
-      WorkingSetView::Build(registry, addresses, samples, kNow, options);
+      WorkingSetView::Build(registry, addresses, samples, kNow, kSmallCache);
   ASSERT_GE(view.rows().size(), 2u);
   EXPECT_EQ(view.rows()[0].name, "hot_type");
   EXPECT_GT(view.rows()[0].cache_lines_touched, 0.0);
@@ -104,10 +104,8 @@ TEST_F(ViewsFixture, WorkingSetRowsSortedByLiveBytes) {
 }
 
 TEST_F(ViewsFixture, WorkingSetDetectsNoConflictsForSpreadAddresses) {
-  WorkingSetOptions options;
-  options.geometry = CacheGeometry{64 * 1024, 64, 8};
   const WorkingSetView view =
-      WorkingSetView::Build(registry, addresses, samples, kNow, options);
+      WorkingSetView::Build(registry, addresses, samples, kNow, kSmallCache);
   EXPECT_TRUE(view.conflicted_sets().empty());
   EXPECT_FALSE(view.OverCapacity());
 }
@@ -122,10 +120,8 @@ TEST(WorkingSetConflictTest, AliasedAddressesFlagConflictedSets) {
   for (int i = 0; i < 64; ++i) {
     addresses.OnAlloc(aliased, static_cast<Addr>(i) * stride, 64, 0, 1);
   }
-  WorkingSetOptions options;
-  options.geometry = CacheGeometry{64 * 64 * 4, 64, 4};  // 64 sets, 4 ways
-  const WorkingSetView view =
-      WorkingSetView::Build(registry, addresses, samples, 1000, options);
+  const CacheGeometry cache{64 * 64 * 4, 64, 4};  // 64 sets, 4 ways
+  const WorkingSetView view = WorkingSetView::Build(registry, addresses, samples, 1000, cache);
   ASSERT_FALSE(view.conflicted_sets().empty());
   EXPECT_EQ(view.conflicted_sets()[0].set, 0u);
   EXPECT_GT(view.conflicted_sets()[0].distinct_lines, 4u);
@@ -133,9 +129,7 @@ TEST(WorkingSetConflictTest, AliasedAddressesFlagConflictedSets) {
 }
 
 TEST_F(ViewsFixture, MissClassifierInvalidationForForeignHeavyType) {
-  WorkingSetOptions options;
-  options.geometry = CacheGeometry{64 * 1024, 64, 8};
-  const WorkingSetView ws = WorkingSetView::Build(registry, addresses, samples, kNow, options);
+  const WorkingSetView ws = WorkingSetView::Build(registry, addresses, samples, kNow, kSmallCache);
   const auto rows = MissClassifier::Build(registry, samples, ws, {});
   const MissClassRow* shared_row = nullptr;
   for (const auto& row : rows) {
@@ -149,7 +143,7 @@ TEST_F(ViewsFixture, MissClassifierInvalidationForForeignHeavyType) {
 }
 
 TEST_F(ViewsFixture, MissClassifierSharesSumToHundred) {
-  const WorkingSetView ws = WorkingSetView::Build(registry, addresses, samples, kNow);
+  const WorkingSetView ws = WorkingSetView::Build(registry, addresses, samples, kNow, kL2);
   const auto rows = MissClassifier::Build(registry, samples, ws, {});
   for (const auto& row : rows) {
     EXPECT_NEAR(row.invalidation_pct + row.conflict_pct + row.capacity_pct, 100.0, 1e-6);
@@ -178,9 +172,8 @@ TEST(MissClassifierTest, ConflictRegime) {
     r.offset = 0;
     samples.Record(s, r);
   }
-  WorkingSetOptions options;
-  options.geometry = CacheGeometry{64 * 64 * 4, 64, 4};
-  const WorkingSetView ws = WorkingSetView::Build(registry, addresses, samples, 1000, options);
+  const CacheGeometry cache{64 * 64 * 4, 64, 4};
+  const WorkingSetView ws = WorkingSetView::Build(registry, addresses, samples, 1000, cache);
   const auto rows = MissClassifier::Build(registry, samples, ws, {});
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].dominant, MissKind::kConflict);
@@ -207,9 +200,8 @@ TEST(MissClassifierTest, CapacityRegime) {
     r.offset = 0;
     samples.Record(s, r);
   }
-  WorkingSetOptions options;
-  options.geometry = CacheGeometry{16 * 1024, 64, 4};  // 256 lines capacity
-  const WorkingSetView ws = WorkingSetView::Build(registry, addresses, samples, 1000, options);
+  const CacheGeometry cache{16 * 1024, 64, 4};  // 256 lines capacity
+  const WorkingSetView ws = WorkingSetView::Build(registry, addresses, samples, 1000, cache);
   EXPECT_TRUE(ws.OverCapacity());
   const auto rows = MissClassifier::Build(registry, samples, ws, {});
   ASSERT_EQ(rows.size(), 1u);
@@ -250,7 +242,7 @@ TEST_F(ViewsFixture, DataProfileJsonCarriesRankedRows) {
 }
 
 TEST_F(ViewsFixture, WorkingSetJsonCarriesDemandAndRows) {
-  const WorkingSetView view = WorkingSetView::Build(registry, addresses, samples, kNow);
+  const WorkingSetView view = WorkingSetView::Build(registry, addresses, samples, kNow, kL2);
   const std::string json = view.ToJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"demand_lines\":"), std::string::npos);

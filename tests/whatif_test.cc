@@ -52,9 +52,11 @@ TEST(WhatIfTest, IdentityRunReproducesGoldenFingerprint) {
   spec.threads = 1;
   spec.collect_cycles = 6'000'000;
   spec.build_view_json = false;
-  spec.adaptive_epoch_focus = false;
   spec.transforms.Add("skbuff", TypeTransformKind::kIdentity);
-  const ScenarioReport report = RunScenario(registry, "memcached", spec);
+  std::unique_ptr<ScenarioRig> rig = BuildScenarioRig(registry, "memcached", spec);
+  // Fixed epochs, as the golden harness runs them.
+  rig->options.adaptive_epoch_focus = false;
+  const ScenarioReport report = RunScenarioRig(std::move(rig), "memcached", spec);
   EXPECT_EQ(report.hierarchy.accesses, 12661292u);
   EXPECT_EQ(report.hierarchy.l1_hits, 7628418u);
   EXPECT_EQ(report.hierarchy.l1_misses, 5032874u);
