@@ -6,6 +6,9 @@
 // pfifo_fast_enqueue and pfifo_fast_dequeue — the smoking gun for the
 // tx-queue selection bug.
 
+#include <map>
+#include <string>
+
 #include "bench/bench_common.h"
 
 namespace dprof {
@@ -35,13 +38,19 @@ BenchReport RunFigure61DataflowSkbuff(const BenchParams&) {
   out += "== ASCII rendering (==CPU=> marks a core transition) ==\n" + flow.ToAscii() + "\n";
 
   out += "== Cross-CPU transitions, heaviest first ==\n";
+  // Distinct nodes may share a label; the second and later edges with the
+  // same "from=>to" key get "#2", "#3", ... in emission order, so every
+  // metric name is unique.
+  std::map<std::string, int> key_uses;
   for (const DataFlowEdge& edge : flow.CpuTransitions()) {
     const std::string& from = flow.nodes()[edge.from].label;
     const std::string& to = flow.nodes()[edge.to].label;
     Appendf(&out, "  %-28s ==CPU=> %-28s x%llu\n", from.c_str(), to.c_str(),
             static_cast<unsigned long long>(edge.frequency));
-    AddCell(report, "cpu_transitions", from + "=>" + to, "frequency",
-            static_cast<double>(edge.frequency), "");
+    std::string key = from + "=>" + to;
+    if (const int uses = ++key_uses[key]; uses > 1) key += "#" + std::to_string(uses);
+    AddCell(report, "cpu_transitions", key, "frequency", static_cast<double>(edge.frequency),
+            "");
   }
 
   out += "\n== Graphviz DOT (paper's figure format) ==\n";

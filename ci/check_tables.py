@@ -33,13 +33,17 @@ def view_rows(doc, view):
     """One view of a `dprof bench --json` document, in table row order:
     {row key: {column: value}} from the metrics named
     `<view>.<row key>.<column>` (row keys may hold dots; names split at the
-    first and last one)."""
+    first and last one). A repeated (row, column) raises ValueError instead
+    of one value silently replacing the other."""
     rows = {}
     for metric in doc["metrics"]:
         name = metric["name"]
         first, last = name.find("."), name.rfind(".")
         if 0 < first < last and name[:first] == view:
-            rows.setdefault(name[first + 1:last], {})[name[last + 1:]] = metric["value"]
+            row = rows.setdefault(name[first + 1:last], {})
+            if name[last + 1:] in row:
+                raise ValueError(f"metric '{name}' appears more than once")
+            row[name[last + 1:]] = metric["value"]
     return rows
 
 
@@ -352,8 +356,8 @@ def run_spec(name, dprof):
                 else:
                     checker.check(f"dprof bench {name} exited {proc.returncode}", False)
         except (ValueError, KeyError, TypeError) as e:
-            # Output that is not JSON, or lacks a row or column the spec
-            # reads: this spec fails, the others still run.
+            # Output that is not JSON, or lacks or repeats a row or column
+            # the spec reads: this spec fails, the others still run.
             checker.check("report readable", False, f"({type(e).__name__}: {e})")
     return out.getvalue(), not checker.failures
 

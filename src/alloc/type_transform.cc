@@ -97,11 +97,6 @@ int TransformSet::ParamFor(std::string_view type, TypeTransformKind kind) const 
   return -1;
 }
 
-bool TransformSet::AnyFor(std::string_view type) const {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const TypeTransform& t) { return t.type == type; });
-}
-
 std::string TransformSet::ToString() const {
   std::string out;
   for (const TypeTransform& t : entries_) {

@@ -87,7 +87,6 @@ class TransformSet {
   // The parameter of the (type, kind) entry, or -1 when absent or
   // unparameterized.
   int ParamFor(std::string_view type, TypeTransformKind kind) const;
-  bool AnyFor(std::string_view type) const;
   bool empty() const { return entries_.empty(); }
   const std::vector<TypeTransform>& entries() const { return entries_; }
 

@@ -1,6 +1,8 @@
 #include "src/cli/crashtest.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "src/cli/scenario_registry.h"
 #include "src/machine/faults.h"
@@ -127,18 +129,7 @@ std::string MatrixToJson(const std::vector<CellResult>& cells, bool pass) {
 
 }  // namespace
 
-int CmdCrashtest(const std::vector<std::string>& args) {
-  bool json = false;
-  for (size_t i = 2; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--json") {
-      json = true;
-    } else {
-      std::fprintf(stderr, "dprof: unknown flag '%s' (accepted here: --json)\n", arg.c_str());
-      return 2;
-    }
-  }
-
+int CmdCrashtest(bool json) {
   std::vector<CellResult> cells;
   uint64_t injected_by_seam[kNumFaultSeams] = {};
   for (const char* scenario : kScenarios) {

@@ -12,15 +12,12 @@
 #ifndef DPROF_SRC_CLI_CRASHTEST_H_
 #define DPROF_SRC_CLI_CRASHTEST_H_
 
-#include <string>
-#include <vector>
-
 namespace dprof {
 
-// Entry point for `dprof crashtest [--json]`. Returns 0 iff
-// every cell ended in its expected outcome and every seam fired in at least
-// one scenario.
-int CmdCrashtest(const std::vector<std::string>& args);
+// Runs `dprof crashtest`, printing the matrix as text or, with `json`, as
+// one JSON document. Returns 0 iff every cell ended in its expected outcome
+// and every seam fired in at least one scenario.
+int CmdCrashtest(bool json);
 
 }  // namespace dprof
 

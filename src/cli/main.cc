@@ -8,66 +8,20 @@
 //                                     x every seam must recover or produce a
 //                                     structured diagnostic, never crash
 //
-// All subcommands share one flag parser that fills a RunSpec; each declares
-// which flags it honours, so an inapplicable flag errors instead of being
-// silently ignored.
-//
-// Flags:
-//   --json             machine-readable output (run, whatif, bench)
-//   --cores N          simulated cores (run, whatif; default 16)
-//   --topology NAME    machine topology preset (run, whatif): paper-amd
-//                      (4 sockets x 4 cores, 4MB L3 slice each) or big
-//                      (4 sockets x 16 cores, 16MB slices); overrides --cores
-//   --cycles N         phase-1 collection length in simulated cycles
-//   --threads N        whatif: parallel candidate experiments (default 0 =
-//                      hardware concurrency; output is bit-identical for
-//                      every value)
-//   --type NAME        run: per-type path-trace drill-down;
-//                      whatif: the type the next --fix applies to
-//   --fix KIND         whatif: candidate transform for the preceding --type
-//                      (pad_to_line, align, recolor, replicate, pin_home,
-//                      identity); repeatable
-//   --auto             whatif: search top profiled types x all fixes
-//   --top N            whatif --auto: how many profiled types it explores
-//                      (default 3)
-//   --local-tx-queue   apply the memcached §6.1 workload fix: transmit on
-//                      the receiving core's queue (run, whatif)
-//   --admission-control apply the apache §6.2 workload fix: cap accepted
-//                      connections (run, whatif)
-//   --legacy-loop      run on the legacy sequential loop instead of the
-//                      epoch engine (run; the validation baseline; not
-//                      combinable with the engine-only --sampled, --audit
-//                      and --watchdog-* flags)
-//   --sampled          statistical fast-forward: alternate short detailed
-//                      windows with functional-only stretches and report
-//                      scaled estimates with confidence intervals (run,
-//                      whatif; deterministic per seed)
-//   --sampling-period N  cycles between detailed windows (default 400000)
-//   --sampling-window N  detailed-window length in cycles (default 20000)
-//   --audit N          verify the tag-lattice invariants every N engine
-//                      epochs; violations end the run with a structured
-//                      diagnostic (run; healthy output is byte-identical
-//                      with or without auditing)
-//   --fault SEAMS      deterministic fault injection: comma-separated seam
-//                      list or "all" (run; see `dprof crashtest` for names)
-//   --fault-seed N     seed salting every fault decision (run)
-//   --watchdog-stall-epochs N  end the run with a diagnostic after N epochs
-//                      without clock progress (run; default 256)
-//   --watchdog-seconds X  wall-clock budget before the watchdog ends the
-//                      run with a diagnostic (run; default 300)
-//   --seed N           machine seed (default 1; not for paper reproductions,
-//                      which fix their own)
-//   --scale X          bench iteration scale factor (default 1.0; not for
-//                      paper reproductions)
+// Every flag is one row of kFlags: its name, how its value is read, the
+// commands that take it, its --help line, and the field it sets. Parsing
+// writes straight into the RunSpec the command runs, and a flag the command
+// does not take is an error, never silently ignored.
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/cli/bench_registry.h"
@@ -77,6 +31,118 @@
 
 namespace dprof {
 namespace {
+
+// What one command line asks for: the RunSpec its flags fill, plus the few
+// values only the CLI reads. Deriving from RunSpec lets one member-pointer
+// type name a RunSpec field and a CLI-only value alike.
+struct Request : RunSpec {
+  std::string scenario;
+  bool json = false;
+  bool auto_search = false;
+  uint64_t top = 0;  // 0 = not given: --auto explores 3 types
+  double scale = 1.0;
+  std::vector<WhatIfCandidate> candidates;
+  bool type_unpaired = false;  // the last --type has no --fix after it
+};
+
+// The commands a flag belongs to, as bits. A reproduction bench takes
+// --json only, so it is a command of its own.
+enum Command : unsigned {
+  kRun = 1u << 0,
+  kWhatIf = 1u << 1,
+  kBench = 1u << 2,
+  kReproduction = 1u << 3,
+  kCrashtest = 1u << 4,
+};
+
+enum class Kind {
+  kSwitch,        // takes no value; sets its bool
+  kSwitchOff,     // takes no value; clears its bool
+  kUnsigned,      // decimal integer that fits its field
+  kPositive,      // kUnsigned whose 0 is the field's "use the default" sentinel
+  kPositiveReal,  // number > 0
+  kString,
+  // Stateful, no field of their own: --scenario names the scenario once;
+  // --type sets the drill-down type (run) or the type the next --fix
+  // applies to (whatif); --fix appends a candidate for the last --type.
+  kScenario,
+  kType,
+  kFix,
+};
+
+using Field = std::variant<std::monostate, bool Request::*, int Request::*, uint64_t Request::*,
+                           double Request::*, std::string Request::*>;
+
+struct FlagInfo {
+  const char* name;
+  const char* value;  // the value's name in --help; "" for a switch
+  Kind kind;
+  unsigned commands;
+  const char* help;
+  Field field;
+};
+
+constexpr unsigned kScenarioRuns = kRun | kWhatIf;
+
+const FlagInfo kFlags[] = {
+    {"--json", "", Kind::kSwitch, kScenarioRuns | kBench | kReproduction | kCrashtest,
+     "machine-readable output", &Request::json},
+    {"--scenario", "NAME", Kind::kScenario, kScenarioRuns,
+     "the scenario, when not named right after the command", {}},
+    {"--cores", "N", Kind::kUnsigned, kScenarioRuns, "simulated cores (default 16)",
+     &Request::cores},
+    {"--topology", "NAME", Kind::kString, kScenarioRuns,
+     "machine preset, overrides --cores: paper-amd (4 sockets x 4 cores)\n"
+     "or big (4 sockets x 16 cores)",
+     &Request::topology},
+    {"--cycles", "N", Kind::kPositive, kScenarioRuns,
+     "phase-1 collection length in simulated cycles", &Request::collect_cycles},
+    {"--seed", "N", Kind::kUnsigned, kScenarioRuns | kBench,
+     "machine seed (default 1; not for reproductions)", &Request::seed},
+    {"--threads", "N", Kind::kUnsigned, kWhatIf,
+     "parallel candidate experiments (0 = all cores);\n"
+     "the output is identical for every value",
+     &Request::threads},
+    {"--type", "NAME", Kind::kType, kScenarioRuns,
+     "drill-down type (run) / the next --fix's target (whatif)", {}},
+    {"--fix", "KIND", Kind::kFix, kWhatIf,
+     "candidate transform for the last --type; repeatable: identity,\n"
+     "pad_to_line, align, recolor, replicate or pin_home[@socket]",
+     {}},
+    {"--auto", "", Kind::kSwitch, kWhatIf, "search the top profiled types x all fixes",
+     &Request::auto_search},
+    {"--top", "N", Kind::kPositive, kWhatIf, "types --auto explores (default 3)", &Request::top},
+    {"--local-tx-queue", "", Kind::kSwitch, kScenarioRuns,
+     "memcached fix (paper 6.1): core-local transmit queue", &Request::local_tx_queue},
+    {"--admission-control", "", Kind::kSwitch, kScenarioRuns,
+     "apache fix (paper 6.2): cap accepted connections", &Request::admission_control},
+    {"--legacy-loop", "", Kind::kSwitchOff, kRun,
+     "run on the legacy sequential loop, not the epoch engine", &Request::use_engine},
+    {"--sampled", "", Kind::kSwitch, kScenarioRuns,
+     "statistical fast-forward with confidence intervals", &Request::sampled},
+    {"--sampling-period", "N", Kind::kPositive, kScenarioRuns,
+     "cycles between detailed windows (default 400000)", &Request::sampling_period},
+    {"--sampling-window", "N", Kind::kPositive, kScenarioRuns,
+     "detailed-window length in cycles (default 20000)", &Request::sampling_window},
+    {"--audit", "N", Kind::kPositive, kRun, "verify tag-lattice invariants every N epochs",
+     &Request::audit_epochs},
+    {"--fault", "SEAMS", Kind::kString, kRun,
+     "comma-separated fault seams, or 'all' (names: dprof crashtest)", &Request::fault_seams},
+    {"--fault-seed", "N", Kind::kUnsigned, kRun, "seed for fault decisions",
+     &Request::fault_seed},
+    {"--watchdog-stall-epochs", "N", Kind::kPositive, kRun,
+     "epochs without clock progress before a diagnostic (default 256)",
+     &Request::watchdog_stall_epochs},
+    {"--watchdog-seconds", "X", Kind::kPositiveReal, kRun,
+     "wall-clock budget before a diagnostic (default 300)", &Request::watchdog_wall_seconds},
+    {"--scale", "X", Kind::kPositiveReal, kBench,
+     "bench iteration scale (default 1.0; not for reproductions)", &Request::scale},
+};
+
+// The commands --help names after each flag; a reproduction bench is a
+// bench there.
+constexpr std::pair<Command, const char*> kCommandNames[] = {
+    {kRun, "run"}, {kWhatIf, "whatif"}, {kBench, "bench"}, {kCrashtest, "crashtest"}};
 
 int Usage(FILE* out) {
   std::fprintf(out,
@@ -89,275 +155,135 @@ int Usage(FILE* out) {
                "  bench <name> [flags]        run a registered benchmark\n"
                "  crashtest [flags]           scenario x fault-seam recovery matrix\n"
                "\n"
-               "flags:\n"
-               "  --json        machine-readable output\n"
-               "  --cores N     simulated cores (run, whatif; default 16)\n"
-               "  --topology NAME  preset: paper-amd or big (run, whatif)\n"
-               "  --cycles N    phase-1 collection cycles (run, whatif)\n"
-               "  --type NAME   drill-down type (run) / transform target (whatif)\n"
-               "  --fix KIND    candidate transform for the preceding --type (whatif)\n"
-               "  --auto        search top profiled types x all fixes (whatif)\n"
-               "  --top N       types --auto explores (whatif; default 3)\n"
-               "  --threads N   parallel candidate experiments (whatif; 0 = all cores)\n"
-               "  --local-tx-queue    memcached core-local transmit fix\n"
-               "  --admission-control apache admission-control fix\n"
-               "  --legacy-loop run on the legacy loop, not the engine (run)\n"
-               "  --sampled     statistical fast-forward with confidence intervals\n"
-               "  --sampling-period N  cycles between detailed windows (sampled)\n"
-               "  --sampling-window N  detailed-window length in cycles (sampled)\n"
-               "  --audit N     verify tag-lattice invariants every N epochs (run)\n"
-               "  --fault SEAMS comma-separated fault seams, or 'all' (run)\n"
-               "  --fault-seed N  seed for fault decisions (run)\n"
-               "  --watchdog-stall-epochs N  stall budget before diagnostic (run)\n"
-               "  --watchdog-seconds X  wall-clock budget before diagnostic (run)\n"
-               "  --seed N      machine seed (default 1)\n"
-               "  --scale X     bench iteration scale (bench; default 1.0)\n"
-               "  --help, -h    print this text (any command)\n");
+               "flags [the commands that take them]:\n");
+  for (const FlagInfo& flag : kFlags) {
+    std::string commands;
+    for (const auto& [bit, name] : kCommandNames) {
+      if (flag.commands & bit) commands += commands.empty() ? name : std::string(", ") + name;
+    }
+    const std::string usage = std::string(flag.name) + (*flag.value ? " " : "") + flag.value;
+    std::string help = flag.help;
+    for (size_t at = help.find('\n'); at != std::string::npos; at = help.find('\n', at + 1)) {
+      help.insert(at + 1, 28, ' ');  // a continuation line starts under the first
+    }
+    std::fprintf(out, "  %-25s %s [%s]\n", usage.c_str(), help.c_str(), commands.c_str());
+  }
+  std::fprintf(out, "  %-25s print this text (any command)\n", "--help, -h");
   return out == stdout ? 0 : 2;
 }
 
-struct ParsedFlags {
-  bool json = false;
-  int cores = 16;
-  std::string topology;
-  uint64_t cycles = 0;
-  uint64_t seed = 1;
-  double scale = 1.0;
-  int threads = 0;
-  bool legacy_loop = false;
-  bool local_tx_queue = false;
-  bool admission_control = false;
-  bool sampled = false;
-  uint64_t sampling_period = 0;
-  uint64_t sampling_window = 0;
-  uint64_t audit = 0;
-  std::string fault_seams;
-  uint64_t fault_seed = 0;
-  uint64_t watchdog_stall_epochs = 0;
-  double watchdog_seconds = 0.0;
-  std::string drill_type;
-  // whatif candidate selection. type_unpaired: the last --type has no --fix
-  // after it.
-  bool type_unpaired = false;
-  bool auto_search = false;
-  uint64_t top = 0;  // 0 = not given: --auto explores 3 types
-  std::vector<WhatIfCandidate> candidates;
-};
-
-// The one place flags become a run request: every subcommand that runs a
-// scenario builds its RunSpec here.
-RunSpec SpecFromFlags(const ParsedFlags& flags) {
-  RunSpec spec;
-  spec.cores = flags.cores;
-  spec.topology = flags.topology;
-  spec.seed = flags.seed;
-  spec.collect_cycles = flags.cycles;
-  spec.threads = flags.threads;
-  spec.use_engine = !flags.legacy_loop;
-  spec.build_view_json = flags.json;
-  spec.local_tx_queue = flags.local_tx_queue;
-  spec.admission_control = flags.admission_control;
-  spec.sampled = flags.sampled;
-  spec.sampling_period = flags.sampling_period;
-  spec.sampling_window = flags.sampling_window;
-  spec.audit_epochs = flags.audit;
-  spec.fault_seams = flags.fault_seams;
-  spec.fault_seed = flags.fault_seed;
-  spec.watchdog_stall_epochs = flags.watchdog_stall_epochs;
-  spec.watchdog_wall_seconds = flags.watchdog_seconds;
-  return spec;
-}
-
-// Strict unsigned decimal parse; rejects empty values and trailing garbage
-// (so "--cycles 2e6" errors instead of silently running 2 cycles).
-bool ParseUInt(const char* flag, const char* value, uint64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0') {
-    std::fprintf(stderr, "dprof: %s expects a non-negative integer, got '%s'\n", flag,
-                 value);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-// Returns false (after printing a diagnostic) on malformed or, for this
-// command, inapplicable flags. `allowed` is the space-separated flag list the
-// current subcommand honours, so e.g. `bench --cores 4` errors instead of
-// silently running the default geometry.
-bool ParseFlags(const std::vector<std::string>& args, size_t start, std::string_view allowed,
-                ParsedFlags* flags) {
-  for (size_t i = start; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto next_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "dprof: %s requires a value\n", flag);
-        return nullptr;
-      }
-      return args[++i].c_str();
-    };
-    // Exact-token membership in the space-separated `allowed` list ("--c"
-    // must not pass as a prefix of "--cores").
-    bool flag_allowed = false;
-    for (size_t pos = 0; pos < allowed.size();) {
-      const size_t space = allowed.find(' ', pos);
-      const std::string_view token = allowed.substr(
-          pos, space == std::string_view::npos ? allowed.size() - pos : space - pos);
-      if (token == arg) {
-        flag_allowed = true;
-        break;
-      }
-      if (space == std::string_view::npos) break;
-      pos = space + 1;
-    }
-    if (!flag_allowed) {
-      std::fprintf(stderr, "dprof: unknown flag '%s' (accepted here: %s)\n", arg.c_str(),
-                   std::string(allowed).c_str());
-      return false;
-    }
-    if (arg == "--legacy-loop") {
-      flags->legacy_loop = true;
-    } else if (arg == "--topology") {
-      const char* v = next_value("--topology");
-      if (v == nullptr) return false;
-      flags->topology = v;
-    } else if (arg == "--json") {
-      flags->json = true;
-    } else if (arg == "--auto") {
-      flags->auto_search = true;
-    } else if (arg == "--local-tx-queue") {
-      flags->local_tx_queue = true;
-    } else if (arg == "--admission-control") {
-      flags->admission_control = true;
-    } else if (arg == "--sampled") {
-      flags->sampled = true;
-    } else if (arg == "--sampling-period") {
-      const char* v = next_value("--sampling-period");
-      if (v == nullptr || !ParseUInt("--sampling-period", v, &flags->sampling_period))
-        return false;
-      if (flags->sampling_period == 0) {
-        std::fprintf(stderr, "dprof: --sampling-period must be positive\n");
-        return false;
-      }
-    } else if (arg == "--sampling-window") {
-      const char* v = next_value("--sampling-window");
-      if (v == nullptr || !ParseUInt("--sampling-window", v, &flags->sampling_window))
-        return false;
-      if (flags->sampling_window == 0) {
-        std::fprintf(stderr, "dprof: --sampling-window must be positive\n");
-        return false;
-      }
-    } else if (arg == "--scenario") {
-      // Already consumed by FindScenarioArg; skip the value token.
-      if (next_value("--scenario") == nullptr) return false;
-    } else if (arg == "--cores") {
-      const char* v = next_value("--cores");
-      uint64_t cores = 0;
-      if (v == nullptr || !ParseUInt("--cores", v, &cores)) return false;
-      // Range check (against the simulated machine's real core limit, not a
-      // parser-local guess) happens in ValidateRunSpec.
-      if (cores > 4096) {
-        std::fprintf(stderr, "dprof: --cores expects a small integer, got '%s'\n", v);
-        return false;
-      }
-      flags->cores = static_cast<int>(cores);
-    } else if (arg == "--audit") {
-      const char* v = next_value("--audit");
-      if (v == nullptr || !ParseUInt("--audit", v, &flags->audit)) return false;
-      if (flags->audit == 0) {
-        std::fprintf(stderr,
-                     "dprof: --audit expects the positive epoch period between "
-                     "invariant audits\n");
-        return false;
-      }
-    } else if (arg == "--fault") {
-      const char* v = next_value("--fault");
-      if (v == nullptr) return false;
-      flags->fault_seams = v;
-    } else if (arg == "--fault-seed") {
-      const char* v = next_value("--fault-seed");
-      if (v == nullptr || !ParseUInt("--fault-seed", v, &flags->fault_seed)) return false;
-    } else if (arg == "--watchdog-stall-epochs") {
-      const char* v = next_value("--watchdog-stall-epochs");
-      if (v == nullptr ||
-          !ParseUInt("--watchdog-stall-epochs", v, &flags->watchdog_stall_epochs))
-        return false;
-      if (flags->watchdog_stall_epochs == 0) {
-        std::fprintf(stderr, "dprof: --watchdog-stall-epochs must be positive\n");
-        return false;
-      }
-    } else if (arg == "--watchdog-seconds") {
-      const char* v = next_value("--watchdog-seconds");
-      if (v == nullptr) return false;
+// Applies one occurrence of `flag` (with `value`, null for a switch) to
+// `request`. Range checks that ValidateRunSpec makes are left to it; this
+// rejects only malformed values, values that do not fit the field, and a
+// sentinel 0 (for --cycles, accepting it would silently run the default).
+bool ApplyFlag(const FlagInfo& flag, const char* value, Request* request) {
+  switch (flag.kind) {
+    case Kind::kSwitch:
+    case Kind::kSwitchOff:
+      request->*std::get<bool Request::*>(flag.field) = flag.kind == Kind::kSwitch;
+      return true;
+    case Kind::kUnsigned:
+    case Kind::kPositive: {
+      // Strict decimal: empty values and trailing garbage are errors, so
+      // "--cycles 2e6" does not silently run 2 cycles.
+      errno = 0;
       char* end = nullptr;
-      flags->watchdog_seconds = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(flags->watchdog_seconds > 0.0)) {
-        std::fprintf(stderr, "dprof: --watchdog-seconds must be a positive number\n");
+      const uint64_t parsed = std::strtoull(value, &end, 10);
+      if (errno != 0 || end == value || *end != '\0') {
+        std::fprintf(stderr, "dprof: %s expects a non-negative integer, got '%s'\n",
+                     flag.name, value);
         return false;
       }
-    } else if (arg == "--cycles") {
-      const char* v = next_value("--cycles");
-      if (v == nullptr || !ParseUInt("--cycles", v, &flags->cycles)) return false;
-      if (flags->cycles == 0) {
-        // 0 is the "use the scenario default" sentinel internally; accepting
-        // it here would silently run the 40M-cycle default.
-        std::fprintf(stderr, "dprof: --cycles must be positive\n");
+      if (flag.kind == Kind::kPositive && parsed == 0) {
+        std::fprintf(stderr, "dprof: %s must be positive\n", flag.name);
         return false;
       }
-    } else if (arg == "--seed") {
-      const char* v = next_value("--seed");
-      if (v == nullptr || !ParseUInt("--seed", v, &flags->seed)) return false;
-    } else if (arg == "--threads") {
-      const char* v = next_value("--threads");
-      uint64_t threads = 0;
-      if (v == nullptr || !ParseUInt("--threads", v, &threads)) return false;
-      if (threads > 1024) {
-        std::fprintf(stderr, "dprof: --threads must be in [0, 1024]\n");
+      if (const auto* field = std::get_if<int Request::*>(&flag.field)) {
+        if (parsed > INT_MAX) {
+          std::fprintf(stderr, "dprof: %s value '%s' is out of range\n", flag.name, value);
+          return false;
+        }
+        request->**field = static_cast<int>(parsed);
+      } else {
+        request->*std::get<uint64_t Request::*>(flag.field) = parsed;
+      }
+      return true;
+    }
+    case Kind::kPositiveReal: {
+      char* end = nullptr;
+      const double parsed = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !(parsed > 0.0)) {
+        std::fprintf(stderr, "dprof: %s must be a positive number\n", flag.name);
         return false;
       }
-      flags->threads = static_cast<int>(threads);
-    } else if (arg == "--top") {
-      const char* v = next_value("--top");
-      if (v == nullptr || !ParseUInt("--top", v, &flags->top)) return false;
-      if (flags->top == 0 || flags->top > 64) {
-        std::fprintf(stderr, "dprof: --top must be in [1, 64]\n");
+      request->*std::get<double Request::*>(flag.field) = parsed;
+      return true;
+    }
+    case Kind::kString:
+      request->*std::get<std::string Request::*>(flag.field) = value;
+      return true;
+    case Kind::kScenario:
+      if (!request->scenario.empty() && request->scenario != value) {
+        std::fprintf(stderr, "dprof: two scenarios named: '%s' and '%s'\n",
+                     request->scenario.c_str(), value);
         return false;
       }
-    } else if (arg == "--type") {
-      const char* v = next_value("--type");
-      if (v == nullptr) return false;
-      flags->drill_type = v;
-      flags->type_unpaired = true;
-    } else if (arg == "--fix") {
-      const char* v = next_value("--fix");
-      if (v == nullptr) return false;
+      request->scenario = value;
+      return true;
+    case Kind::kType:
+      request->drill_type = value;
+      request->type_unpaired = true;
+      return true;
+    case Kind::kFix: {
       TypeTransformKind kind;
       int param = -1;
-      if (!ParseTypeTransformSpec(v, &kind, &param)) {
+      if (!ParseTypeTransformSpec(value, &kind, &param)) {
         std::fprintf(stderr,
                      "dprof: unknown fix '%s' (one of: identity, pad_to_line, align, "
                      "recolor, replicate, pin_home[@socket])\n",
-                     v);
+                     value);
         return false;
       }
-      if (flags->drill_type.empty()) {
+      if (request->drill_type.empty()) {
         std::fprintf(stderr, "dprof: --fix requires a preceding --type\n");
         return false;
       }
-      flags->candidates.push_back(WhatIfCandidate{flags->drill_type, kind, param});
-      flags->type_unpaired = false;
-    } else if (arg == "--scale") {
-      const char* v = next_value("--scale");
-      if (v == nullptr) return false;
-      char* end = nullptr;
-      flags->scale = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(flags->scale > 0.0)) {
-        std::fprintf(stderr, "dprof: --scale must be a positive number\n");
+      request->candidates.push_back(WhatIfCandidate{request->drill_type, kind, param});
+      request->type_unpaired = false;
+      return true;
+    }
+  }
+  return false;
+}
+
+// Parses args[start..] into `request`. Returns false (after printing a
+// diagnostic) on a malformed value or a flag `command` does not take, so
+// e.g. `bench --cores 4` errors instead of silently running the default
+// geometry.
+bool ParseFlags(const std::vector<std::string>& args, size_t start, Command command,
+                Request* request) {
+  for (size_t i = start; i < args.size(); ++i) {
+    const FlagInfo* flag = nullptr;
+    std::string accepted;
+    for (const FlagInfo& row : kFlags) {
+      if (!(row.commands & command)) continue;
+      if (row.name == args[i]) flag = &row;
+      accepted += accepted.empty() ? row.name : std::string(" ") + row.name;
+    }
+    if (flag == nullptr) {
+      std::fprintf(stderr, "dprof: unknown flag '%s' (accepted here: %s)\n", args[i].c_str(),
+                   accepted.c_str());
+      return false;
+    }
+    const char* value = nullptr;
+    if (*flag->value) {
+      if (i + 1 >= args.size()) {
+        std::fprintf(stderr, "dprof: %s requires a value\n", flag->name);
         return false;
       }
+      value = args[++i].c_str();
     }
+    if (!ApplyFlag(*flag, value, request)) return false;
   }
   return true;
 }
@@ -384,62 +310,50 @@ int CmdList() {
   return 0;
 }
 
-// Scenario-name lookup shared by run and whatif. `args[2]` may be the name,
-// or a `--scenario NAME` flag anywhere after the subcommand; `*flag_start`
-// receives the index where flag parsing begins.
-bool FindScenarioArg(const std::vector<std::string>& args, std::string* name,
-                     size_t* flag_start) {
-  *flag_start = 2;
+// run and whatif take the scenario right after the command or as
+// `--scenario NAME` anywhere among the flags.
+bool ParseScenarioCommand(const std::vector<std::string>& args, Command command,
+                          Request* request) {
+  size_t flag_start = 2;
   if (args.size() > 2 && args[2].rfind("--", 0) != 0) {
-    *name = args[2];
-    *flag_start = 3;
-  } else {
-    for (size_t i = 2; i + 1 < args.size(); ++i) {
-      if (args[i] == "--scenario") {
-        *name = args[i + 1];
-        break;
-      }
-    }
+    request->scenario = args[2];
+    flag_start = 3;
   }
-  if (name->empty()) {
+  if (!ParseFlags(args, flag_start, command, request)) return false;
+  if (request->scenario.empty()) {
     std::fprintf(stderr, "dprof: %s requires a scenario name\n", args[1].c_str());
     return false;
   }
-  if (!ScenarioRegistry::Default().Has(*name)) {
-    std::fprintf(stderr, "dprof: unknown scenario '%s'; try 'dprof list'\n", name->c_str());
+  if (!ScenarioRegistry::Default().Has(request->scenario)) {
+    std::fprintf(stderr, "dprof: unknown scenario '%s'; try 'dprof list'\n",
+                 request->scenario.c_str());
     return false;
   }
   return true;
 }
 
-int CmdRun(const std::vector<std::string>& args) {
-  std::string name;
-  size_t flag_start = 0;
-  if (!FindScenarioArg(args, &name, &flag_start)) return 2;
-  ParsedFlags flags;
-  if (!ParseFlags(args, flag_start,
-                  "--json --cores --topology --cycles --type --seed "
-                  "--legacy-loop --local-tx-queue --admission-control "
-                  "--sampled --sampling-period --sampling-window --audit --fault "
-                  "--fault-seed --watchdog-stall-epochs --watchdog-seconds --scenario",
-                  &flags))
-    return 2;
+// Prints ValidateRunSpec's complaint about `spec`, if it has one.
+bool ValidSpec(const RunSpec& spec) {
+  const std::string error = ValidateRunSpec(spec);
+  if (!error.empty()) std::fprintf(stderr, "dprof: %s\n", error.c_str());
+  return error.empty();
+}
 
-  RunSpec spec = SpecFromFlags(flags);
-  spec.drill_type = flags.drill_type;
-  const std::string spec_error = ValidateRunSpec(spec);
-  if (!spec_error.empty()) {
-    std::fprintf(stderr, "dprof: %s\n", spec_error.c_str());
-    return 2;
-  }
-  const ScenarioReport report = RunScenario(ScenarioRegistry::Default(), name, spec);
+int CmdRun(const std::vector<std::string>& args) {
+  Request request;
+  if (!ParseScenarioCommand(args, kRun, &request)) return 2;
+  // Text output renders no view documents.
+  request.build_view_json = request.json;
+  if (!ValidSpec(request)) return 2;
+  const std::string& name = request.scenario;
+  const ScenarioReport report = RunScenario(ScenarioRegistry::Default(), name, request);
   if (!report.drill_type.empty() && !report.drill_type_found) {
     std::fprintf(stderr, "dprof: scenario '%s' has no type named '%s'\n", name.c_str(),
                  report.drill_type.c_str());
     return 2;
   }
 
-  if (flags.json) {
+  if (request.json) {
     // On a diagnostic ending, the document still prints — it carries the
     // structured "error" block — but the exit code says the run failed.
     std::printf("%s\n", ScenarioReportToJson(report).c_str());
@@ -476,41 +390,34 @@ int CmdRun(const std::vector<std::string>& args) {
 }
 
 int CmdWhatIf(const std::vector<std::string>& args) {
-  std::string name;
-  size_t flag_start = 0;
-  if (!FindScenarioArg(args, &name, &flag_start)) return 2;
-  ParsedFlags flags;
-  if (!ParseFlags(args, flag_start,
-                  "--json --cores --topology --cycles --threads --seed --scenario "
-                  "--type --fix --auto --top --local-tx-queue --admission-control "
-                  "--sampled --sampling-period --sampling-window",
-                  &flags))
-    return 2;
-  if (flags.type_unpaired) {
-    std::fprintf(stderr, "dprof: whatif --type '%s' needs a --fix after it\n",
-                 flags.drill_type.c_str());
+  Request request;
+  if (!ParseScenarioCommand(args, kWhatIf, &request)) return 2;
+  if (request.top > 64) {
+    std::fprintf(stderr, "dprof: --top must be in [1, 64]\n");
     return 2;
   }
-  if (flags.auto_search == !flags.candidates.empty()) {
+  if (request.type_unpaired) {
+    std::fprintf(stderr, "dprof: whatif --type '%s' needs a --fix after it\n",
+                 request.drill_type.c_str());
+    return 2;
+  }
+  if (request.auto_search == !request.candidates.empty()) {
     std::fprintf(stderr,
                  "dprof: whatif needs either --auto or at least one --type/--fix pair\n");
     return 2;
   }
-  if (flags.top > 0 && !flags.auto_search) {
+  if (request.top > 0 && !request.auto_search) {
     std::fprintf(stderr, "dprof: --top applies only to --auto\n");
     return 2;
   }
 
   ScenarioRegistry& registry = ScenarioRegistry::Default();
-  const RunSpec spec = SpecFromFlags(flags);
-  const std::string spec_error = ValidateRunSpec(spec);
-  if (!spec_error.empty()) {
-    std::fprintf(stderr, "dprof: %s\n", spec_error.c_str());
-    return 2;
-  }
+  const std::string& name = request.scenario;
+  const RunSpec& spec = request;
+  if (!ValidSpec(spec)) return 2;
   HierarchyConfig topo_probe;
   ApplyTopologyPreset(spec.topology, &topo_probe);
-  for (const WhatIfCandidate& candidate : flags.candidates) {
+  for (const WhatIfCandidate& candidate : request.candidates) {
     if (candidate.kind == TypeTransformKind::kPinHome &&
         candidate.param >= topo_probe.num_sockets) {
       std::fprintf(stderr, "dprof: pin_home@%d names a socket this topology lacks (%d)\n",
@@ -518,11 +425,11 @@ int CmdWhatIf(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  if (!flags.candidates.empty()) {
+  if (!request.candidates.empty()) {
     // Every candidate must name a type the scenario registers. Building the
     // rig registers them all; nothing is simulated.
     const std::unique_ptr<ScenarioRig> rig = BuildScenarioRig(registry, name, spec);
-    for (const WhatIfCandidate& candidate : flags.candidates) {
+    for (const WhatIfCandidate& candidate : request.candidates) {
       if (rig->registry->Find(candidate.type) == kInvalidType) {
         std::fprintf(stderr, "dprof: scenario '%s' has no type named '%s'\n", name.c_str(),
                      candidate.type.c_str());
@@ -531,13 +438,14 @@ int CmdWhatIf(const std::vector<std::string>& args) {
     }
   }
   const WhatIfReport report =
-      flags.auto_search ? RunWhatIfAuto(registry, name, spec, flags.top > 0 ? flags.top : 3)
-                        : RunWhatIf(registry, name, spec, flags.candidates);
+      request.auto_search
+          ? RunWhatIfAuto(registry, name, spec, request.top > 0 ? request.top : 3)
+          : RunWhatIf(registry, name, spec, request.candidates);
   if (report.outcomes.empty()) {
     std::fprintf(stderr, "dprof: scenario '%s' produced no profiled types\n", name.c_str());
     return 1;
   }
-  if (flags.json) {
+  if (request.json) {
     std::printf("%s\n", WhatIfReportToJson(report).c_str());
     return 0;
   }
@@ -566,15 +474,14 @@ int CmdBench(const std::vector<std::string>& args) {
     std::fprintf(stderr, "dprof: unknown bench '%s'; try 'dprof list'\n", name.c_str());
     return 2;
   }
-  ParsedFlags flags;
-  if (!ParseFlags(args, 3, info->reproduction ? "--json" : "--json --scale --seed", &flags))
-    return 2;
+  Request request;
+  if (!ParseFlags(args, 3, info->reproduction ? kReproduction : kBench, &request)) return 2;
 
   BenchParams params;
-  params.scale = flags.scale;
-  params.seed = flags.seed;
+  params.scale = request.scale;
+  params.seed = request.seed;
   const BenchReport report = info->fn(params);
-  if (flags.json) {
+  if (request.json) {
     std::printf("%s\n", BenchReportToJson(report).c_str());
   } else {
     std::printf("%s", BenchReportToText(report).c_str());
@@ -594,7 +501,10 @@ int Main(int argc, char** argv) {
   if (command == "run") return CmdRun(args);
   if (command == "whatif") return CmdWhatIf(args);
   if (command == "bench") return CmdBench(args);
-  if (command == "crashtest") return CmdCrashtest(args);
+  if (command == "crashtest") {
+    Request request;
+    return ParseFlags(args, 2, kCrashtest, &request) ? CmdCrashtest(request.json) : 2;
+  }
   std::fprintf(stderr, "dprof: unknown command '%s'\n", command.c_str());
   return Usage(stderr);
 }

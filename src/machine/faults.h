@@ -68,7 +68,6 @@ class FaultPlan {
   bool enabled(FaultSeam seam) const {
     return (config_.enabled_mask >> static_cast<int>(seam)) & 1u;
   }
-  bool any_enabled() const { return config_.enabled_mask != 0; }
 
   // --- Seam decisions. Each is a pure function of (seed, args); the
   // injection counters are the only mutable state.

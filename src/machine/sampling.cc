@@ -101,11 +101,9 @@ uint64_t SamplingController::FfRunway(uint64_t clock) const {
 }
 
 void SamplingController::EndEpoch(uint64_t advance, uint64_t accesses) {
-  total_cycles_ += advance;
   if (detailed_) {
     served_ += advance;
     ++detailed_epochs_;
-    measured_cycles_ += advance;
     measured_accesses_ += accesses;
   } else {
     ++ff_epochs_;

@@ -62,8 +62,6 @@ class SamplingController {
   uint64_t ff_epochs() const { return ff_epochs_; }
   uint64_t measured_accesses() const { return measured_accesses_; }
   uint64_t ff_accesses() const { return ff_accesses_; }
-  uint64_t measured_cycles() const { return measured_cycles_; }
-  uint64_t total_cycles() const { return total_cycles_; }
 
   // Ratio of all accesses to measured-window accesses: the factor by which a
   // measured-window counter is scaled to estimate its full-run value.
@@ -127,8 +125,6 @@ class SamplingController {
   uint64_t ff_epochs_ = 0;
   uint64_t measured_accesses_ = 0;
   uint64_t ff_accesses_ = 0;
-  uint64_t measured_cycles_ = 0;
-  uint64_t total_cycles_ = 0;
 };
 
 }  // namespace dprof

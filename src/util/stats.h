@@ -1,12 +1,10 @@
-// Small statistics helpers: running mean/max accumulators and fixed-bucket
-// histograms. Used for latency accounting, working-set estimation, and the
-// bench tables.
+// Small statistics helpers: a running count/sum/min/max accumulator and a
+// zero-safe percentage. Used for latency accounting and the bench tables.
 
 #ifndef DPROF_SRC_UTIL_STATS_H_
 #define DPROF_SRC_UTIL_STATS_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace dprof {
 
@@ -49,49 +47,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Integer-keyed counter histogram with dense storage up to a bound.
-class DenseHistogram {
- public:
-  explicit DenseHistogram(size_t buckets) : counts_(buckets, 0) {}
-
-  void Add(size_t bucket, uint64_t n = 1) {
-    if (bucket >= counts_.size()) {
-      counts_.resize(bucket + 1, 0);
-    }
-    counts_[bucket] += n;
-  }
-
-  uint64_t At(size_t bucket) const { return bucket < counts_.size() ? counts_[bucket] : 0; }
-  size_t size() const { return counts_.size(); }
-
-  uint64_t Total() const {
-    uint64_t t = 0;
-    for (uint64_t c : counts_) {
-      t += c;
-    }
-    return t;
-  }
-
-  double Mean() const {
-    return counts_.empty() ? 0.0 : static_cast<double>(Total()) / static_cast<double>(counts_.size());
-  }
-
-  uint64_t MaxCount() const {
-    uint64_t m = 0;
-    for (uint64_t c : counts_) {
-      if (c > m) {
-        m = c;
-      }
-    }
-    return m;
-  }
-
-  const std::vector<uint64_t>& counts() const { return counts_; }
-
- private:
-  std::vector<uint64_t> counts_;
 };
 
 // Percentage helper that tolerates zero denominators.

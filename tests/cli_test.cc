@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -360,6 +362,128 @@ TEST(CliBinaryTest, HelpAfterAnyCommandPrintsUsage) {
     EXPECT_EQ(result.exit_code, 0) << result.output;
     EXPECT_EQ(result.output, help.output);
   }
+}
+
+// Each command's flags, as `dprof` accepted them when the flag table
+// replaced the per-command accept strings.
+const std::set<std::string> kRunFlags = {
+    "--json", "--cores", "--topology", "--cycles", "--type", "--seed", "--legacy-loop",
+    "--local-tx-queue", "--admission-control", "--sampled", "--sampling-period",
+    "--sampling-window", "--audit", "--fault", "--fault-seed", "--watchdog-stall-epochs",
+    "--watchdog-seconds", "--scenario"};
+const std::set<std::string> kWhatIfFlags = {
+    "--json", "--cores", "--topology", "--cycles", "--threads", "--seed", "--scenario",
+    "--type", "--fix", "--auto", "--top", "--local-tx-queue", "--admission-control",
+    "--sampled", "--sampling-period", "--sampling-window"};
+
+std::set<std::string> AllFlags() {
+  std::set<std::string> all = kRunFlags;
+  all.insert(kWhatIfFlags.begin(), kWhatIfFlags.end());
+  all.insert("--scale");
+  return all;
+}
+
+// A valid value for each flag that takes one.
+std::string FlagWithValue(const std::string& flag) {
+  static const std::map<std::string, std::string> kValues = {
+      {"--scenario", "conflict_demo"},
+      {"--cores", "4"},
+      {"--topology", "paper-amd"},
+      {"--cycles", "1000"},
+      {"--seed", "3"},
+      {"--threads", "2"},
+      {"--type", "pkt_stat"},
+      {"--fix", "align"},
+      {"--top", "2"},
+      {"--sampling-period", "300000"},
+      {"--sampling-window", "10000"},
+      {"--audit", "16"},
+      {"--fault", "all"},
+      {"--fault-seed", "5"},
+      {"--watchdog-stall-epochs", "100"},
+      {"--watchdog-seconds", "30"},
+      {"--scale", "0.5"}};
+  const auto it = kValues.find(flag);
+  return it == kValues.end() ? flag : flag + " " + it->second;
+}
+
+// Every command takes exactly its own flags. Parsing stops at the first
+// flag a command does not take, before anything runs: an accepted flag (and
+// its value) followed by `--not-a-flag` fails on `--not-a-flag`, and a
+// refused one fails on itself, naming the command's flags.
+TEST(CliBinaryTest, EveryCommandTakesExactlyItsFlags) {
+  struct Command {
+    const char* prefix;
+    std::set<std::string> flags;
+  };
+  for (const Command& command : {
+           Command{"run conflict_demo", kRunFlags},
+           Command{"whatif conflict_demo", kWhatIfFlags},
+           Command{"bench micro_costs", {"--json", "--scale", "--seed"}},
+           Command{"bench table_6_6_lockstat_apache", {"--json"}},
+           Command{"crashtest", {"--json"}},
+       }) {
+    for (const std::string& flag : AllFlags()) {
+      SCOPED_TRACE(std::string(command.prefix) + " " + flag);
+      const bool takes = command.flags.count(flag) > 0;
+      // An accepted --fix needs a --type before it.
+      const std::string args = std::string(command.prefix) +
+                               (flag == "--fix" && takes ? " --type pkt_stat " : " ") +
+                               FlagWithValue(flag);
+      if (takes) {
+        const CliResult result = RunDprof(args + " --not-a-flag");
+        EXPECT_EQ(result.exit_code, 2) << result.output;
+        EXPECT_NE(result.output.find("unknown flag '--not-a-flag'"), std::string::npos)
+            << result.output;
+        continue;
+      }
+      const CliResult result = RunDprof(args);
+      EXPECT_EQ(result.exit_code, 2) << result.output;
+      const std::string prefix = "unknown flag '" + flag + "' (accepted here: ";
+      const size_t at = result.output.find(prefix);
+      ASSERT_NE(at, std::string::npos) << result.output;
+      const size_t list = at + prefix.size();
+      std::istringstream accepted(
+          result.output.substr(list, result.output.find(')', list) - list));
+      std::set<std::string> named;
+      for (std::string name; accepted >> name;) named.insert(name);
+      EXPECT_EQ(named, command.flags);
+    }
+  }
+}
+
+// `dprof help` lists every flag on exactly one line, then --help itself.
+TEST(CliBinaryTest, HelpListsEveryFlagOnce) {
+  const CliResult help = RunDprof("help");
+  ASSERT_EQ(help.exit_code, 0) << help.output;
+  std::map<std::string, int> listed;
+  std::istringstream lines(help.output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  --", 0) == 0) ++listed[line.substr(2, line.find(' ', 2) - 2)];
+  }
+  std::map<std::string, int> expected = {{"--help,", 1}};
+  for (const std::string& flag : AllFlags()) expected[flag] = 1;
+  EXPECT_EQ(listed, expected);
+}
+
+// A scenario is named once: a second, different name is an error naming
+// both, wherever the names come from; repeating the same name is not.
+TEST(CliBinaryTest, SecondScenarioNameIsAnError) {
+  for (const char* args : {"run conflict_demo --scenario memcached",
+                           "whatif --scenario memcached --scenario apache --auto"}) {
+    SCOPED_TRACE(args);
+    const CliResult result = RunDprof(args);
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_NE(result.output.find("two scenarios named"), std::string::npos) << result.output;
+  }
+  const CliResult named_twice = RunDprof("run conflict_demo --scenario memcached");
+  EXPECT_NE(named_twice.output.find("'conflict_demo' and 'memcached'"), std::string::npos)
+      << named_twice.output;
+  const CliResult repeated =
+      RunDprof("run --scenario conflict_demo --scenario conflict_demo --not-a-flag");
+  EXPECT_EQ(repeated.exit_code, 2) << repeated.output;
+  EXPECT_NE(repeated.output.find("unknown flag '--not-a-flag'"), std::string::npos)
+      << repeated.output;
 }
 
 }  // namespace

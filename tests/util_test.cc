@@ -138,24 +138,6 @@ TEST(RunningStatTest, MergeWithEmptyIsNoop) {
   EXPECT_DOUBLE_EQ(empty.mean(), 7.0);
 }
 
-TEST(DenseHistogramTest, AddAndQuery) {
-  DenseHistogram h(4);
-  h.Add(0);
-  h.Add(2, 5);
-  EXPECT_EQ(h.At(0), 1u);
-  EXPECT_EQ(h.At(2), 5u);
-  EXPECT_EQ(h.At(3), 0u);
-  EXPECT_EQ(h.Total(), 6u);
-  EXPECT_EQ(h.MaxCount(), 5u);
-}
-
-TEST(DenseHistogramTest, GrowsOnDemand) {
-  DenseHistogram h(2);
-  h.Add(10);
-  EXPECT_GE(h.size(), 11u);
-  EXPECT_EQ(h.At(10), 1u);
-}
-
 TEST(PctTest, HandlesZeroDenominator) {
   EXPECT_EQ(Pct(5, 0), 0.0);
   EXPECT_DOUBLE_EQ(Pct(1, 4), 25.0);
