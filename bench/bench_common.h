@@ -33,9 +33,7 @@ BenchReport RunTable62LockstatMemcached(const BenchParams& params);
 BenchReport RunTable63OprofileMemcached(const BenchParams& params);
 BenchReport RunTable64And65ApacheProfile(const BenchParams& params);
 BenchReport RunTable66LockstatApache(const BenchParams& params);
-BenchReport RunTable67HistoryCollection(const BenchParams& params);
-BenchReport RunTable68HistoryRates(const BenchParams& params);
-BenchReport RunTable69OverheadBreakdown(const BenchParams& params);
+BenchReport RunTable67To69History(const BenchParams& params);
 BenchReport RunTable610Pairwise(const BenchParams& params);
 BenchReport RunFigure61DataflowSkbuff(const BenchParams& params);
 BenchReport RunFigure62IbsOverhead(const BenchParams& params);

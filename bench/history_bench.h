@@ -1,6 +1,6 @@
 // Shared harness for the object-access-history benches (paper §6.4,
-// Tables 6.7-6.10 and Figure 6-3): runs history collection for one data
-// type under a live workload and reports times, rates, and overheads.
+// Tables 6.7-6.10): runs history collection for one data type under a live
+// workload and reports times, rates, and overheads.
 //
 // Like the paper (§6.4 last paragraph), collection is restricted to the
 // object members the access samples flag as hot, which is what makes
@@ -42,29 +42,31 @@ struct HistoryBenchConfig {
   std::string type_name;
   uint32_t sets = 4;
   bool pair_mode = false;
-  size_t max_member_offsets = 32;  // hot members monitored (paper §6.4)
-  uint64_t max_cycles = 3'000'000'000ull;
 };
 
 // Factory builds a fresh workload inside the rig (so baseline and collection
 // runs are independent and deterministic).
 using WorkloadFactory = std::function<std::unique_ptr<Workload>(ScenarioRig&)>;
 
+// Throughput of the unprofiled workload: the baseline each row's overhead
+// is measured against.
+inline double MeasureHistoryBaseline(const WorkloadFactory& factory) {
+  auto rig = MakePaperRig(11);
+  auto workload = factory(*rig);
+  workload->Install(*rig->machine);
+  return MeasureThroughput(*rig->machine, *workload, 15'000'000, 20'000'000);
+}
+
 inline HistoryBenchResult RunHistoryBench(const WorkloadFactory& factory,
-                                          const HistoryBenchConfig& config) {
+                                          const HistoryBenchConfig& config, double baseline) {
+  // Hot members monitored (paper §6.4): pairwise sweeps grow as C(N,2).
+  const size_t max_member_offsets = config.pair_mode ? 10 : 32;
+  constexpr uint64_t kHistoryPhaseMaxCycles = 3'000'000'000ull;
+
   HistoryBenchResult result;
   result.benchmark = config.benchmark;
   result.type_name = config.type_name;
   result.sets = config.sets;
-
-  // Baseline throughput without any profiling.
-  double baseline = 0.0;
-  {
-    auto rig = MakePaperRig(11);
-    auto workload = factory(*rig);
-    workload->Install(*rig->machine);
-    baseline = MeasureThroughput(*rig->machine, *workload, 15'000'000, 20'000'000);
-  }
 
   // Collection run: short access-sample phase to find hot members, then the
   // history sweeps.
@@ -77,12 +79,12 @@ inline HistoryBenchResult RunHistoryBench(const WorkloadFactory& factory,
   DProfOptions options;
   options.ibs_period_ops = 150;
   options.history.pair_mode = config.pair_mode;
-  options.history_phase_max_cycles = config.max_cycles;
+  options.history_phase_max_cycles = kHistoryPhaseMaxCycles;
   DProfSession session(rig->machine.get(), rig->allocator.get(), options);
   rig->machine->RunFor(15'000'000);
   session.CollectAccessSamples(8'000'000);
   options.history.member_offsets =
-      session.samples().HotOffsets(type, config.max_member_offsets);
+      session.samples().HotOffsets(type, max_member_offsets);
 
   // Timed collection of the requested number of sets.
   DProfOptions collect_options = options;
@@ -138,9 +140,9 @@ inline void AddHistoryCells(BenchReport& report, const std::string& view,
   AddCell(report, view, row, "overhead_pct", r.overhead_pct, "%");
 }
 
-// The (benchmark, type) rows of paper Tables 6.7/6.8.
-inline std::vector<std::pair<WorkloadFactory, HistoryBenchConfig>> PaperHistoryRows(
-    bool pair_mode) {
+// The (benchmark, type) rows of paper Tables 6.7-6.10, in table order. Each
+// workload's unprofiled baseline is measured once and shared by its rows.
+inline std::vector<HistoryBenchResult> RunHistoryRows(bool pair_mode) {
   auto memcached = [](ScenarioRig& rig) -> std::unique_ptr<Workload> {
     MemcachedConfig config;
     config.rx_ring_entries = 96;
@@ -153,34 +155,29 @@ inline std::vector<std::pair<WorkloadFactory, HistoryBenchConfig>> PaperHistoryR
     config.admission_limit = 64;
     return std::make_unique<ApacheWorkload>(rig.env.get(), config);
   };
+  struct Row {
+    const char* type_name;
+    uint32_t sets;  // pairwise sweeps collect one set
+  };
+  const struct {
+    const char* benchmark;
+    WorkloadFactory factory;
+    std::vector<Row> rows;
+  } kBenchmarks[] = {
+      {"memcached", memcached, {{"size-1024", 3}, {"skbuff", 6}}},
+      {"Apache", apache, {{"size-1024", 4}, {"skbuff", 6}, {"skbuff_fclone", 6}, {"tcp_sock", 4}}},
+  };
 
-  std::vector<std::pair<WorkloadFactory, HistoryBenchConfig>> rows;
-  HistoryBenchConfig config;
-  config.pair_mode = pair_mode;
-  config.max_member_offsets = pair_mode ? 10 : 32;
-
-  config.benchmark = "memcached";
-  config.type_name = "size-1024";
-  config.sets = pair_mode ? 1 : 3;
-  rows.push_back({memcached, config});
-  config.type_name = "skbuff";
-  config.sets = pair_mode ? 1 : 6;
-  rows.push_back({memcached, config});
-
-  config.benchmark = "Apache";
-  config.type_name = "size-1024";
-  config.sets = pair_mode ? 1 : 4;
-  rows.push_back({apache, config});
-  config.type_name = "skbuff";
-  config.sets = pair_mode ? 1 : 6;
-  rows.push_back({apache, config});
-  config.type_name = "skbuff_fclone";
-  config.sets = pair_mode ? 1 : 6;
-  rows.push_back({apache, config});
-  config.type_name = "tcp_sock";
-  config.sets = pair_mode ? 1 : 4;
-  rows.push_back({apache, config});
-  return rows;
+  std::vector<HistoryBenchResult> results;
+  for (const auto& bench : kBenchmarks) {
+    const double baseline = MeasureHistoryBaseline(bench.factory);
+    for (const Row& row : bench.rows) {
+      const HistoryBenchConfig config{bench.benchmark, row.type_name, pair_mode ? 1 : row.sets,
+                                      pair_mode};
+      results.push_back(RunHistoryBench(bench.factory, config, baseline));
+    }
+  }
+  return results;
 }
 
 }  // namespace dprof

@@ -20,8 +20,7 @@ BenchReport RunTable610Pairwise(const BenchParams&) {
   TablePrinter table({"Benchmark", "Data Type", "Size (bytes)", "Histories/Sets",
                       "Time (s)", "Overhead (%)"});
   table.SetAlign(1, TablePrinter::Align::kLeft);
-  for (const auto& [factory, config] : PaperHistoryRows(true)) {
-    const HistoryBenchResult r = RunHistoryBench(factory, config);
+  for (const HistoryBenchResult& r : RunHistoryRows(true)) {
     char ratio[32];
     std::snprintf(ratio, sizeof(ratio), "%llu/%u",
                   static_cast<unsigned long long>(r.histories), r.sets);

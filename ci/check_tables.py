@@ -7,6 +7,9 @@ Usage: check_tables.py --dprof ./build/dprof [--only name1,name2]
 
 The specs run on at most os.cpu_count() worker processes; each spec's block
 is printed whole and in spec order, so the output is that of a serial run.
+Each block's `== name` line gives that spec's wall seconds, and the summary
+gives their sum (the serial cost) beside the pool's wall time; no verdict
+depends on them.
 
 Each checked table has a spec below: the headline facts the reproduction must
 preserve (which type tops the profile, bounce verdicts, how working sets and
@@ -26,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 
@@ -244,6 +248,21 @@ def check_table_6_9(doc, c):
                rows["skbuff_fclone"]["communication_pct"], 90.0, 15.0)
 
 
+def check_history(doc, c):
+    """Tables 6.7-6.9 are three views of one collection run per row, so each
+    row's rate times its time gives back its history count."""
+    check_table_6_7(doc, c)
+    check_table_6_8(doc, c)
+    check_table_6_9(doc, c)
+    history = view_rows(doc, "history")
+    rates = view_rows(doc, "rates")
+    for key, r in history.items():
+        product = rates[key]["histories_per_s"] * r["time_s"]
+        c.check(f"{key} rate x time gives its histories",
+                abs(product - r["histories"]) <= 0.01,
+                f"({product:.2f} vs {r['histories']:.0f})")
+
+
 def check_table_6_10(doc, c):
     """Pairwise sampling: object sizes match the paper's, every sweep yields
     histories, and the paper's conclusion — overhead stays tolerable (its
@@ -272,9 +291,7 @@ SPECS = {
     "table_6_3_oprofile_memcached": check_table_6_3,
     "table_6_4_6_5_apache_profile": check_table_6_4_6_5,
     "table_6_6_lockstat_apache": check_table_6_6,
-    "table_6_7_history_collection": check_table_6_7,
-    "table_6_8_history_rates": check_table_6_8,
-    "table_6_9_overhead_breakdown": check_table_6_9,
+    "table_6_7_6_8_6_9_history": check_history,
     "table_6_10_pairwise": check_table_6_10,
 }
 
@@ -339,10 +356,11 @@ RUN_SPECS = {
 
 
 def run_spec(name, dprof):
-    """Runs one spec; returns its printed block and whether it passed."""
+    """Runs one spec; returns its printed block, whether it passed, and its
+    wall seconds."""
+    start = time.monotonic()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        print(f"== {name}")
         checker = Checker(name)
         try:
             if name in RUN_SPECS:
@@ -359,7 +377,8 @@ def run_spec(name, dprof):
             # Output that is not JSON, or lacks or repeats a row or column
             # the spec reads: this spec fails, the others still run.
             checker.check("report readable", False, f"({type(e).__name__}: {e})")
-    return out.getvalue(), not checker.failures
+    seconds = time.monotonic() - start
+    return f"== {name} ({seconds:.1f} s)\n" + out.getvalue(), not checker.failures, seconds
 
 
 def main():
@@ -377,15 +396,20 @@ def main():
         return 1
 
     failed = []
+    spec_seconds = 0.0
+    start = time.monotonic()
     workers = min(os.cpu_count() or 1, len(names))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         runs = [pool.submit(run_spec, name, args.dprof) for name in names]
         for name, run in zip(names, runs):
-            block, ok = run.result()
+            block, ok, seconds = run.result()
             sys.stdout.write(block)
             sys.stdout.flush()
+            spec_seconds += seconds
             if not ok:
                 failed.append(name)
+    print(f"\ntime: {spec_seconds:.1f} s summed over {len(names)} specs, "
+          f"{time.monotonic() - start:.1f} s wall on {workers} workers")
 
     if failed:
         print(f"\nFAIL: table reproductions out of tolerance: {', '.join(failed)}")

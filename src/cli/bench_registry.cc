@@ -455,12 +455,9 @@ void RegisterBuiltinBenches(BenchRegistry& registry) {
        RunTable64And65ApacheProfile},
       {"table_6_6_lockstat_apache", "paper Table 6.6: lock-stat under Apache at drop-off",
        RunTable66LockstatApache},
-      {"table_6_7_history_collection", "paper Table 6.7: history collection time and overhead",
-       RunTable67HistoryCollection},
-      {"table_6_8_history_rates", "paper Table 6.8: history collection rates",
-       RunTable68HistoryRates},
-      {"table_6_9_overhead_breakdown", "paper Table 6.9: history overhead breakdown",
-       RunTable69OverheadBreakdown},
+      {"table_6_7_6_8_6_9_history",
+       "paper Tables 6.7/6.8/6.9: history collection time, rates and overhead breakdown",
+       RunTable67To69History},
       {"table_6_10_pairwise", "paper Table 6.10: pairwise-sampling collection",
        RunTable610Pairwise},
       {"figure_6_1_dataflow_skbuff", "paper Figure 6-1: skbuff data flow view",

@@ -6,8 +6,10 @@
 //    whatif_smoke), which take --scale/--seed and which CI compares against
 //    the merge base;
 //  - paper reproductions (bench/*.cc: table_*, figure_*, ablation_*,
-//    case_study_fixes), which fix their own seeds and lengths, print their
-//    tables as text and emit each row as `<view>.<row key>.<column>`
+//    case_study_fixes), one per experiment, so tables that view one
+//    experiment share a bench (table_6_4_6_5_apache_profile,
+//    table_6_7_6_8_6_9_history). They fix their own seeds and lengths, print
+//    their tables as text and emit each row as `<view>.<row key>.<column>`
 //    metrics, which ci/check_tables.py reads.
 
 #ifndef DPROF_SRC_CLI_BENCH_REGISTRY_H_

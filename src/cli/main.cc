@@ -14,6 +14,7 @@
 // does not take is an error, never silently ignored.
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -185,11 +186,12 @@ bool ApplyFlag(const FlagInfo& flag, const char* value, Request* request) {
     case Kind::kUnsigned:
     case Kind::kPositive: {
       // Strict decimal: empty values and trailing garbage are errors, so
-      // "--cycles 2e6" does not silently run 2 cycles.
+      // "--cycles 2e6" does not silently run 2 cycles. strtoull would also
+      // take a sign or leading space, and wrap "-1" to 2^64-1.
       errno = 0;
       char* end = nullptr;
       const uint64_t parsed = std::strtoull(value, &end, 10);
-      if (errno != 0 || end == value || *end != '\0') {
+      if (!std::isdigit(static_cast<unsigned char>(value[0])) || errno != 0 || *end != '\0') {
         std::fprintf(stderr, "dprof: %s expects a non-negative integer, got '%s'\n",
                      flag.name, value);
         return false;

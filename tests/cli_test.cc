@@ -169,8 +169,7 @@ TEST(BenchRegistryTest, BuiltinsAreRegistered) {
   const char* kReproductions[] = {
       "table_6_1_memcached_profile", "table_6_2_lockstat_memcached",
       "table_6_3_oprofile_memcached", "table_6_4_6_5_apache_profile",
-      "table_6_6_lockstat_apache",   "table_6_7_history_collection",
-      "table_6_8_history_rates",     "table_6_9_overhead_breakdown",
+      "table_6_6_lockstat_apache",   "table_6_7_6_8_6_9_history",
       "table_6_10_pairwise",         "figure_6_1_dataflow_skbuff",
       "figure_6_2_ibs_overhead",     "figure_6_3_unique_paths",
       "ablation_pairwise",           "ablation_sampling_rate",
@@ -179,7 +178,12 @@ TEST(BenchRegistryTest, BuiltinsAreRegistered) {
     ASSERT_NE(registry.Find(name), nullptr) << name;
     EXPECT_TRUE(registry.Find(name)->reproduction) << name;
   }
-  EXPECT_EQ(registry.size(), 19u);
+  // Tables 6.7-6.9 are one experiment, reproduced by one bench.
+  for (const char* name : {"table_6_7_history_collection", "table_6_8_history_rates",
+                           "table_6_9_overhead_breakdown"}) {
+    EXPECT_EQ(registry.Find(name), nullptr) << name;
+  }
+  EXPECT_EQ(registry.size(), 17u);
   EXPECT_EQ(registry.Find("no_such_bench"), nullptr);
 }
 
@@ -464,6 +468,30 @@ TEST(CliBinaryTest, HelpListsEveryFlagOnce) {
   std::map<std::string, int> expected = {{"--help,", 1}};
   for (const std::string& flag : AllFlags()) expected[flag] = 1;
   EXPECT_EQ(listed, expected);
+}
+
+// An integer flag takes plain decimal digits. A sign or a leading space is
+// refused before anything runs, not wrapped ("-1" as 2^64-1) or skipped.
+TEST(CliBinaryTest, IntegerFlagsRefuseSignsAndSpaces) {
+  struct Case {
+    const char* args;
+    const char* message;
+  };
+  for (const Case& c : {
+           Case{"run conflict_demo --seed -1", "--seed expects a non-negative integer, got '-1'"},
+           Case{"run conflict_demo --cycles -1",
+                "--cycles expects a non-negative integer, got '-1'"},
+           Case{"run conflict_demo --cycles +5",
+                "--cycles expects a non-negative integer, got '+5'"},
+           Case{"run conflict_demo --cycles ' 100000'",
+                "--cycles expects a non-negative integer, got ' 100000'"},
+           Case{"run conflict_demo --cores -3", "--cores expects a non-negative integer, got '-3'"},
+       }) {
+    SCOPED_TRACE(c.args);
+    const CliResult result = RunDprof(c.args);
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_NE(result.output.find(c.message), std::string::npos) << result.output;
+  }
 }
 
 // A scenario is named once: a second, different name is an error naming
