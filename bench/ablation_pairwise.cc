@@ -13,32 +13,6 @@
 namespace dprof {
 namespace {
 
-std::vector<PathTrace> Reconstruct(bool pair_mode, uint32_t sets) {
-  auto rig = MakePaperRig(13);
-  MemcachedConfig config;
-  config.rx_ring_entries = 48;
-  MemcachedWorkload workload(rig->env.get(), config);
-  workload.Install(*rig->machine);
-
-  DProfOptions options;
-  options.ibs_period_ops = 200;
-  DProfSession bootstrap(rig->machine.get(), rig->allocator.get(), options);
-  rig->machine->RunFor(10'000'000);
-  bootstrap.CollectAccessSamples(6'000'000);
-  const TypeId skbuff = rig->registry->Find("skbuff");
-
-  DProfOptions collect_options = options;
-  collect_options.history.pair_mode = pair_mode;
-  collect_options.history.member_offsets = bootstrap.samples().HotOffsets(skbuff, 8);
-  collect_options.history_phase_max_cycles = 6'000'000'000ull;
-  DProfSession session(rig->machine.get(), rig->allocator.get(), collect_options);
-  session.CollectHistories(skbuff, sets);
-
-  PathTraceOptions trace_options;
-  trace_options.combine_sweeps = true;
-  return session.BuildPathTraces(skbuff, trace_options);
-}
-
 struct OrderCheck {
   int enqueue_before_dequeue = 0;
   int dequeue_before_enqueue = 0;
@@ -69,11 +43,44 @@ OrderCheck CheckOrdering(const std::vector<PathTrace>& traces, const SymbolTable
   return check;
 }
 
-void AddReconstructionCells(BenchReport& report, const char* row, size_t paths,
-                            const OrderCheck& check) {
-  AddCell(report, "reconstruction", row, "paths", static_cast<double>(paths), "");
-  AddCell(report, "reconstruction", row, "enqueue_first", check.enqueue_before_dequeue, "");
-  AddCell(report, "reconstruction", row, "dequeue_first", check.dequeue_before_enqueue, "");
+struct Reconstruction {
+  size_t paths = 0;
+  OrderCheck order;
+};
+
+// Reconstructs skbuff's combined path traces and checks their order against
+// the symbols of the rig that recorded them.
+Reconstruction Reconstruct(bool pair_mode, uint32_t sets) {
+  auto rig = MakePaperRig(13);
+  MemcachedConfig config;
+  config.rx_ring_entries = 48;
+  MemcachedWorkload workload(rig->env.get(), config);
+  workload.Install(*rig->machine);
+
+  DProfOptions options;
+  options.ibs_period_ops = 200;
+  DProfSession bootstrap(rig->machine.get(), rig->allocator.get(), options);
+  rig->machine->RunFor(10'000'000);
+  bootstrap.CollectAccessSamples(6'000'000);
+  const TypeId skbuff = rig->registry->Find("skbuff");
+
+  DProfOptions collect_options = options;
+  collect_options.history.pair_mode = pair_mode;
+  collect_options.history.member_offsets = bootstrap.samples().HotOffsets(skbuff, 8);
+  collect_options.history_phase_max_cycles = 6'000'000'000ull;
+  DProfSession session(rig->machine.get(), rig->allocator.get(), collect_options);
+  session.CollectHistories(skbuff, sets);
+
+  PathTraceOptions trace_options;
+  trace_options.combine_sweeps = true;
+  const std::vector<PathTrace> traces = session.BuildPathTraces(skbuff, trace_options);
+  return {traces.size(), CheckOrdering(traces, rig->machine->symbols())};
+}
+
+void AddReconstructionCells(BenchReport& report, const char* row, const Reconstruction& r) {
+  AddCell(report, "reconstruction", row, "paths", static_cast<double>(r.paths), "");
+  AddCell(report, "reconstruction", row, "enqueue_first", r.order.enqueue_before_dequeue, "");
+  AddCell(report, "reconstruction", row, "dequeue_first", r.order.dequeue_before_enqueue, "");
 }
 
 }  // namespace
@@ -84,25 +91,16 @@ BenchReport RunAblationPairwise(const BenchParams&) {
                                    "design choice behind paper §5.3 / Table 6.10");
   std::string& out = report.text;
 
-  // A throwaway machine supplies the symbol table (ids are deterministic).
-  RunSpec names_spec;
-  names_spec.cores = 1;
-  auto names = MakeBaseRig(names_spec);
-  KernelFns::Intern(names->machine->symbols());
-
-  const auto single = Reconstruct(false, 6);
-  const auto pair = Reconstruct(true, 2);
-
-  const OrderCheck single_check = CheckOrdering(single, names->machine->symbols());
-  const OrderCheck pair_check = CheckOrdering(pair, names->machine->symbols());
+  const Reconstruction single = Reconstruct(false, 6);
+  const Reconstruction pair = Reconstruct(true, 2);
 
   Appendf(&out, "%-34s %16s %16s\n", "", "single-offset", "pairwise");
-  Appendf(&out, "%-34s %16zu %16zu\n", "combined paths reconstructed", single.size(), pair.size());
+  Appendf(&out, "%-34s %16zu %16zu\n", "combined paths reconstructed", single.paths, pair.paths);
   Appendf(&out, "%-34s %13d/%-3d %13d/%-3d\n", "enqueue-before-dequeue (right/wrong)",
-          single_check.enqueue_before_dequeue, single_check.dequeue_before_enqueue,
-          pair_check.enqueue_before_dequeue, pair_check.dequeue_before_enqueue);
-  AddReconstructionCells(report, "single-offset", single.size(), single_check);
-  AddReconstructionCells(report, "pairwise", pair.size(), pair_check);
+          single.order.enqueue_before_dequeue, single.order.dequeue_before_enqueue,
+          pair.order.enqueue_before_dequeue, pair.order.dequeue_before_enqueue);
+  AddReconstructionCells(report, "single-offset", single);
+  AddReconstructionCells(report, "pairwise", pair);
 
   out += "\ninterpretation: single-offset reconstruction fragments paths and can\n"
          "only order offsets by cross-object time alignment; pair sampling\n"

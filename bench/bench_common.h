@@ -29,8 +29,7 @@ namespace dprof {
 
 // The paper reproductions, one per bench/*.cc file.
 BenchReport RunTable61MemcachedProfile(const BenchParams& params);
-BenchReport RunTable62LockstatMemcached(const BenchParams& params);
-BenchReport RunTable63OprofileMemcached(const BenchParams& params);
+BenchReport RunTable62And63LockstatOprofileMemcached(const BenchParams& params);
 BenchReport RunTable64And65ApacheProfile(const BenchParams& params);
 BenchReport RunTable66LockstatApache(const BenchParams& params);
 BenchReport RunTable67To69History(const BenchParams& params);
@@ -44,7 +43,7 @@ BenchReport RunCaseStudyFixes(const BenchParams& params);
 
 // The paper's evaluation machine: the `paper-amd` preset (four quad-core
 // sockets, each with its own 4MB L3 slice) with the typed allocator and
-// kernel environment. No executor is set: reproductions run on the direct
+// kernel environment. No engine is set: reproductions run on the direct
 // loop.
 inline std::unique_ptr<ScenarioRig> MakePaperRig(uint64_t seed) {
   RunSpec spec;

@@ -162,6 +162,12 @@ def check_table_6_3(doc, c):
                 f"(rank {names.index('dev_queue_xmit') + 1})")
 
 
+def check_lockstat_oprofile(doc, c):
+    """Tables 6.2 and 6.3 are two profilers watching one memcached run."""
+    check_table_6_2(doc, c)
+    check_table_6_3(doc, c)
+
+
 def check_table_6_6(doc, c):
     """Lock-stat under Apache at drop-off: futex dominates, Qdisc is quiet
     (all Apache handling is core-local, unlike the memcached tx path)."""
@@ -287,8 +293,7 @@ def check_table_6_10(doc, c):
 
 SPECS = {
     "table_6_1_memcached_profile": check_table_6_1,
-    "table_6_2_lockstat_memcached": check_table_6_2,
-    "table_6_3_oprofile_memcached": check_table_6_3,
+    "table_6_2_6_3_lockstat_oprofile_memcached": check_lockstat_oprofile,
     "table_6_4_6_5_apache_profile": check_table_6_4_6_5,
     "table_6_6_lockstat_apache": check_table_6_6,
     "table_6_7_6_8_6_9_history": check_history,

@@ -412,27 +412,11 @@ void SlabAllocator::FlushMagazine(CoreContext& ctx, KmemCache& cache, PerCoreCac
   ctx.LockRelease(*cache.lock, fn_free_);
 }
 
-void SlabAllocator::TouchLiveAccounting(KmemCache& cache, uint64_t now, int delta) {
-  AllocatorTypeStats& st = cache.stats;
-  // Per-core clocks are only loosely synchronized; never integrate backwards.
-  if (now > st.last_event) {
-    st.live_cycles += static_cast<double>(st.live) * static_cast<double>(now - st.last_event);
-    st.last_event = now;
-  }
-  if (delta > 0) {
-    st.live += static_cast<uint64_t>(delta);
-    st.peak_live = std::max(st.peak_live, st.live);
-  } else {
-    DPROF_CHECK(st.live >= static_cast<uint64_t>(-delta));
-    st.live -= static_cast<uint64_t>(-delta);
-  }
-}
-
 void SlabAllocator::CommitAllocEvent(TypeId type, Addr base, uint32_t size, int core,
                                      uint64_t now) {
   KmemCache& cache = CacheFor(type);
   ++cache.stats.allocs;
-  TouchLiveAccounting(cache, now, +1);
+  ++cache.stats.live;
   for (AllocationObserver* obs : observers_) {
     obs->OnAlloc(type, base, size, core, now);
   }
@@ -445,7 +429,8 @@ void SlabAllocator::CommitFreeEvent(TypeId type, Addr base, uint32_t size, int c
   if (alien) {
     ++cache.stats.alien_frees;
   }
-  TouchLiveAccounting(cache, now, -1);
+  DPROF_CHECK(cache.stats.live > 0);
+  --cache.stats.live;
   for (AllocationObserver* obs : observers_) {
     obs->OnFree(type, base, size, core, now);
   }
@@ -650,23 +635,6 @@ uint32_t SlabAllocator::CacheIdOf(TypeId type) const {
 const AllocatorTypeStats& SlabAllocator::type_stats(TypeId type) const {
   const uint32_t id = CacheIdOf(type);
   return id == kNoCache ? empty_stats_ : caches_[id].stats;
-}
-
-double SlabAllocator::AverageLiveBytes(TypeId type, uint64_t now) const {
-  const uint32_t id = CacheIdOf(type);
-  if (id == kNoCache) {
-    return 0.0;
-  }
-  const KmemCache& cache = caches_[id];
-  const AllocatorTypeStats& st = cache.stats;
-  if (now == 0) {
-    return 0.0;
-  }
-  double integral = st.live_cycles;
-  if (now > st.last_event) {
-    integral += static_cast<double>(st.live) * static_cast<double>(now - st.last_event);
-  }
-  return integral / static_cast<double>(now) * cache.layout.obj_size;
 }
 
 uint64_t SlabAllocator::LiveCount(TypeId type) const { return type_stats(type).live; }

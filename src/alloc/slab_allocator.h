@@ -141,11 +141,6 @@ struct AllocatorTypeStats {
   uint64_t frees = 0;
   uint64_t alien_frees = 0;
   uint64_t live = 0;
-  uint64_t peak_live = 0;
-  // Time-weighted live-object integral, for average working set estimation:
-  // sum over events of live_count * cycles_at_that_count.
-  double live_cycles = 0.0;
-  uint64_t last_event = 0;
 };
 
 class SlabAllocator : public AllocatorIface {
@@ -238,8 +233,6 @@ class SlabAllocator : public AllocatorIface {
 
   TypeRegistry& registry() { return *registry_; }
   const AllocatorTypeStats& type_stats(TypeId type) const;
-  // Average live bytes of `type` over the window since construction.
-  double AverageLiveBytes(TypeId type, uint64_t now) const;
   uint64_t LiveCount(TypeId type) const;
 
   // Up to `max` currently-live objects of `type`, in deterministic
@@ -335,7 +328,6 @@ class SlabAllocator : public AllocatorIface {
   Addr AllocMeta(TypeId type, uint32_t size);
   void MarkUnallocatable(TypeId type);
   Addr BumpPages(Arena& arena, uint32_t num_pages, PageInfo info);
-  void TouchLiveAccounting(KmemCache& cache, uint64_t now, int delta);
 
   Machine* machine_;
   TypeRegistry* registry_;

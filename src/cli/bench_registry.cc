@@ -446,10 +446,9 @@ void RegisterBuiltinBenches(BenchRegistry& registry) {
   } kReproductions[] = {
       {"table_6_1_memcached_profile", "paper Table 6.1: memcached data profile",
        RunTable61MemcachedProfile},
-      {"table_6_2_lockstat_memcached", "paper Table 6.2: lock-stat under memcached",
-       RunTable62LockstatMemcached},
-      {"table_6_3_oprofile_memcached", "paper Table 6.3: function profile of memcached",
-       RunTable63OprofileMemcached},
+      {"table_6_2_6_3_lockstat_oprofile_memcached",
+       "paper Tables 6.2/6.3: lock-stat and function profile of one memcached run",
+       RunTable62And63LockstatOprofileMemcached},
       {"table_6_4_6_5_apache_profile",
        "paper Tables 6.4/6.5: Apache data profiles at peak and drop-off",
        RunTable64And65ApacheProfile},

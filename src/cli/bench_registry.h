@@ -7,10 +7,11 @@
 //    the merge base;
 //  - paper reproductions (bench/*.cc: table_*, figure_*, ablation_*,
 //    case_study_fixes), one per experiment, so tables that view one
-//    experiment share a bench (table_6_4_6_5_apache_profile,
-//    table_6_7_6_8_6_9_history). They fix their own seeds and lengths, print
-//    their tables as text and emit each row as `<view>.<row key>.<column>`
-//    metrics, which ci/check_tables.py reads.
+//    experiment share a bench (table_6_2_6_3_lockstat_oprofile_memcached,
+//    table_6_4_6_5_apache_profile, table_6_7_6_8_6_9_history). They fix
+//    their own seeds and lengths, print their tables as text and emit each
+//    row as `<view>.<row key>.<column>` metrics, which ci/check_tables.py
+//    reads.
 
 #ifndef DPROF_SRC_CLI_BENCH_REGISTRY_H_
 #define DPROF_SRC_CLI_BENCH_REGISTRY_H_

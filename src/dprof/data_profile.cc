@@ -3,14 +3,20 @@
 #include <algorithm>
 
 #include "src/util/stats.h"
-#include "src/util/json_writer.h"
 #include "src/util/table.h"
 
 namespace dprof {
 
+namespace {
+
+// A type bounces if at least this fraction of its samples were served from
+// another core's cache.
+constexpr double kBounceForeignThreshold = 0.005;
+
+}  // namespace
+
 DataProfile DataProfile::Build(const TypeRegistry& registry, const AccessSampleTable& samples,
-                               const AddressSet& addresses, uint64_t now,
-                               double bounce_foreign_threshold) {
+                               const AddressSet& addresses, uint64_t now) {
   DataProfile profile;
   const auto by_type = samples.AggregateByType();
   const double total_misses = static_cast<double>(samples.l1_miss_samples());
@@ -20,7 +26,7 @@ DataProfile DataProfile::Build(const TypeRegistry& registry, const AccessSampleT
     row.name = registry.Name(type);
     row.samples = agg.samples;
     row.miss_pct = Pct(static_cast<double>(agg.l1_misses), total_misses);
-    row.bounce = agg.ForeignFraction() >= bounce_foreign_threshold;
+    row.bounce = agg.ForeignFraction() >= kBounceForeignThreshold;
     row.working_set_bytes = addresses.AverageLiveBytes(type, now);
     if (row.working_set_bytes == 0.0) {
       // Statically allocated types never appear in the address set; fall
@@ -78,24 +84,6 @@ std::string DataProfile::ToTable(size_t top_n) const {
   table.AddRow({"Total", TablePrinter::Bytes(static_cast<uint64_t>(total_bytes)),
                 TablePrinter::Percent(total_pct), "-"});
   return table.ToString();
-}
-
-
-std::string DataProfile::ToJson() const {
-  JsonWriter json;
-  json.BeginArray();
-  for (const DataProfileRow& row : rows_) {
-    json.BeginObject();
-    json.Key("type").String(row.name);
-    json.Key("working_set_bytes").Number(row.working_set_bytes);
-    json.Key("miss_pct").Number(row.miss_pct);
-    json.Key("bounce").Bool(row.bounce);
-    json.Key("samples").UInt(row.samples);
-    json.Key("avg_miss_latency").Number(row.avg_miss_latency);
-    json.EndObject();
-  }
-  json.EndArray();
-  return json.str();
 }
 
 }  // namespace dprof

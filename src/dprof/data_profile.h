@@ -26,11 +26,8 @@ struct DataProfileRow {
 
 class DataProfile {
  public:
-  // `bounce_foreign_threshold`: a type bounces if at least this fraction of
-  // its samples were served from another core's cache.
   static DataProfile Build(const TypeRegistry& registry, const AccessSampleTable& samples,
-                           const AddressSet& addresses, uint64_t now,
-                           double bounce_foreign_threshold = 0.005);
+                           const AddressSet& addresses, uint64_t now);
 
   const std::vector<DataProfileRow>& rows() const { return rows_; }
 
@@ -43,9 +40,6 @@ class DataProfile {
 
   // Renders the Table 6.1-style view.
   std::string ToTable(size_t top_n) const;
-
-  // Machine-readable form: an array of row objects, ranked by miss share.
-  std::string ToJson() const;
 
  private:
   std::vector<DataProfileRow> rows_;

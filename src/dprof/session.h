@@ -35,7 +35,7 @@ struct DProfOptions {
   HistoryCollectorOptions history;
   // Safety cap for one type's history phase, in machine cycles.
   uint64_t history_phase_max_cycles = 4'000'000'000ull;
-  // Ask the executor for tight epochs while a mailbox-fed type's histories
+  // Ask the engine for tight epochs while a mailbox-fed type's histories
   // are being collected (Machine::SetEpochFocus). Stats-equivalence tests
   // turn this off to compare against fixed-epoch baselines.
   bool adaptive_epoch_focus = true;

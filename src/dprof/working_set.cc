@@ -5,7 +5,6 @@
 
 #include "src/util/check.h"
 #include "src/util/json_writer.h"
-#include "src/util/table.h"
 
 namespace dprof {
 
@@ -150,29 +149,6 @@ double WorkingSetView::ConflictedFraction(TypeId type) const {
   const uint64_t conflicted = conf_it == conflicted_lines_per_type_.end() ? 0 : conf_it->second;
   return static_cast<double>(conflicted) / static_cast<double>(total_it->second);
 }
-
-std::string WorkingSetView::ToTable(size_t top_n) const {
-  TablePrinter table({"Type name", "Avg objects", "Working Set Size", "Cache lines"});
-  size_t shown = 0;
-  for (const WorkingSetRow& row : rows_) {
-    if (shown >= top_n) {
-      break;
-    }
-    table.AddRow({row.name, TablePrinter::Fixed(row.avg_live_objects, 1),
-                  TablePrinter::Bytes(static_cast<uint64_t>(row.avg_live_bytes)),
-                  TablePrinter::Fixed(row.cache_lines_touched, 0)});
-    ++shown;
-  }
-  std::string out = table.ToString();
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "cache demand: %.0f lines of %.0f capacity; %zu conflicted assoc sets "
-                "(mean %.2f lines/set)\n",
-                demand_lines_, capacity_lines_, conflicted_.size(), mean_lines_per_set_);
-  out += buf;
-  return out;
-}
-
 
 std::string WorkingSetView::ToJson() const {
   JsonWriter json;

@@ -64,8 +64,6 @@ class WorkingSetView {
   // Fraction of `type`'s lines that land in conflicted sets.
   double ConflictedFraction(TypeId type) const;
 
-  std::string ToTable(size_t top_n) const;
-
   // Machine-readable form: rows plus demand/capacity and the conflicted
   // associativity sets.
   std::string ToJson() const;

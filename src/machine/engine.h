@@ -113,7 +113,7 @@ struct EnginePhaseStats {
   uint64_t ff_epochs = 0;      // epochs fast-forwarded by the sampling controller
 };
 
-class Engine final : public Executor {
+class Engine {
  public:
   // Matches CacheHierarchy's core-count bound; merge scratch is stack-sized.
   static constexpr int kMaxCores = 64;
@@ -125,9 +125,10 @@ class Engine final : public Executor {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Executor: runs epochs until every core clock >= MinClock() + cycles.
-  // CHECK-fails when a MachineObserver is attached to the machine.
-  void RunFor(uint64_t cycles) override;
+  // Runs epochs until every core clock >= MinClock() + cycles (Machine::RunFor
+  // delegates here once SetExecutor installs the engine). CHECK-fails when a
+  // MachineObserver is attached to the machine.
+  void RunFor(uint64_t cycles);
 
   const EngineConfig& config() const { return config_; }
   const EnginePhaseStats& phase_stats() const { return phase_stats_; }

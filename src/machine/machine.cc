@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/machine/engine.h"
 #include "src/util/check.h"
 
 namespace dprof {
@@ -73,8 +74,8 @@ void Machine::StepCore(int core) {
 }
 
 void Machine::RunFor(uint64_t cycles) {
-  if (executor_ != nullptr) {
-    executor_->RunFor(cycles);
+  if (engine_ != nullptr) {
+    engine_->RunFor(cycles);
     return;
   }
   const uint64_t deadline = MinClock() + cycles;

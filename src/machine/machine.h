@@ -8,7 +8,7 @@
 //
 // Two execution modes share this interface:
 //  - Direct mode (the legacy loop): every CoreContext operation executes
-//    against the hierarchy immediately. RunSteps and executor-less RunFor
+//    against the hierarchy immediately. RunSteps and engine-less RunFor
 //    use it, as do tests that drive contexts by hand.
 //  - Recorded mode: a CoreContext carries a CoreRecorder and operations are
 //    appended to per-core streams (an access column and an op stream)
@@ -65,7 +65,7 @@ struct AccessEvent {
 };
 
 // Sees every access and compute operation as it executes. Direct loop only
-// (RunSteps, executor-less RunFor, hand-driven contexts): whole-stream
+// (RunSteps, engine-less RunFor, hand-driven contexts): whole-stream
 // instrumentation is what DProf's PMU-based design avoids, so the epoch
 // engine serves PmuHooks alone and CHECK-fails with an observer attached.
 class MachineObserver {
@@ -209,13 +209,6 @@ class LockObserver {
                          uint64_t now) = 0;
   virtual void OnRelease(const SimLock& lock, int core, FunctionId ip, uint64_t hold_cycles,
                          uint64_t now) = 0;
-};
-
-// Pluggable execution strategy for Machine::RunFor (the epoch engine).
-class Executor {
- public:
-  virtual ~Executor() = default;
-  virtual void RunFor(uint64_t cycles) = 0;
 };
 
 // Cross-core host-state exchange point (transmit-queue mailboxes, allocator
@@ -501,9 +494,8 @@ class Machine {
   void SetEpochFocus(bool focus) { epoch_focus_ = focus; }
   bool epoch_focus() const { return epoch_focus_; }
 
-  // Installs an execution strategy; RunFor delegates to it when set.
-  void SetExecutor(Executor* executor) { executor_ = executor; }
-  Executor* executor() { return executor_; }
+  // Installs the epoch engine; RunFor delegates to it when set.
+  void SetExecutor(Engine* engine) { engine_ = engine; }
 
   // Deterministic fault-injection plan (src/machine/faults.h), or null for a
   // healthy machine. Set before the first epoch; every consumer (engine,
@@ -519,7 +511,7 @@ class Machine {
   Rng& CoreRng(int core) { return rngs_[core]; }
 
   // Runs the scheduling loop until every core clock is >= MinClock() + cycles.
-  // Delegates to the installed executor, when there is one.
+  // Delegates to the installed engine, when there is one.
   void RunFor(uint64_t cycles);
 
   // Steps the minimum-clock core exactly `steps` times (always direct mode).
@@ -555,7 +547,7 @@ class Machine {
   std::vector<EpochHook*> epoch_hooks_;
   AllocatorIface* allocator_ = nullptr;
   LockObserver* lock_observer_ = nullptr;
-  Executor* executor_ = nullptr;
+  Engine* engine_ = nullptr;
   FaultPlan* fault_plan_ = nullptr;
   std::vector<TypeId> mailbox_fed_types_;
   bool epoch_focus_ = false;

@@ -32,11 +32,12 @@ void LockStat::OnRelease(const SimLock& lock, int core, FunctionId ip, uint64_t 
 
 void LockStat::Reset() { by_name_.clear(); }
 
-std::vector<LockStatRow> LockStat::Report(uint64_t elapsed_cycles, int num_cores,
-                                          uint64_t min_acquisitions) const {
+std::vector<LockStatRow> LockStat::Report(uint64_t elapsed_cycles, int num_cores) const {
   std::vector<LockStatRow> rows;
   for (const auto& [name, counters] : by_name_) {
-    if (counters.acquisitions < min_acquisitions) {
+    // A lock acquired before Reset() and released after it has an entry
+    // (its hold time) but no acquisitions.
+    if (counters.acquisitions == 0) {
       continue;
     }
     LockStatRow row;

@@ -38,10 +38,9 @@ class LockStat final : public LockObserver {
 
   void Reset();
 
-  // Rows sorted by descending wait time; locks with zero waits and fewer
-  // than min_acquisitions are omitted.
-  std::vector<LockStatRow> Report(uint64_t elapsed_cycles, int num_cores,
-                                  uint64_t min_acquisitions = 1) const;
+  // Rows sorted by descending wait time; locks with no acquisitions since
+  // the last Reset() are omitted.
+  std::vector<LockStatRow> Report(uint64_t elapsed_cycles, int num_cores) const;
 
   std::string ReportTable(uint64_t elapsed_cycles, int num_cores) const;
 

@@ -153,27 +153,12 @@ TEST_F(AllocFixture, LiveStatsTrackAllocFree) {
   const Addr a = ctx.Alloc(widget, fn);
   const Addr b = ctx.Alloc(widget, fn);
   EXPECT_EQ(allocator.LiveCount(widget), 2u);
-  EXPECT_EQ(allocator.type_stats(widget).peak_live, 2u);
   ctx.Free(a, fn);
   EXPECT_EQ(allocator.LiveCount(widget), 1u);
   ctx.Free(b, fn);
   EXPECT_EQ(allocator.LiveCount(widget), 0u);
   EXPECT_EQ(allocator.type_stats(widget).allocs, 2u);
   EXPECT_EQ(allocator.type_stats(widget).frees, 2u);
-}
-
-TEST_F(AllocFixture, AverageLiveBytesReflectsResidency) {
-  CoreContext ctx = machine.Context(0);
-  const Addr a = ctx.Alloc(widget, fn);
-  const uint64_t alloc_done = machine.CoreClock(0);
-  ctx.Compute(fn, 100000);  // object stays live for a long stretch
-  ctx.Free(a, fn);
-  const uint64_t now = machine.CoreClock(0);
-  const double avg = allocator.AverageLiveBytes(widget, now);
-  // One ~104-byte object live for most of the window.
-  const double expected = 104.0 * 100000.0 / static_cast<double>(now);
-  EXPECT_NEAR(avg, expected, expected * 0.2);
-  (void)alloc_done;
 }
 
 TEST_F(AllocFixture, MultiPageSlabObjects) {

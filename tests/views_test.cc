@@ -229,18 +229,6 @@ TEST(MissKindTest, Names) {
   EXPECT_STREQ(MissKindName(MissKind::kNone), "none");
 }
 
-TEST_F(ViewsFixture, DataProfileJsonCarriesRankedRows) {
-  const DataProfile profile = DataProfile::Build(registry, samples, addresses, kNow);
-  const std::string json = profile.ToJson();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-  EXPECT_NE(json.find("\"type\":\"hot_type\""), std::string::npos);
-  EXPECT_NE(json.find("\"miss_pct\":"), std::string::npos);
-  EXPECT_NE(json.find("\"bounce\":"), std::string::npos);
-  // hot_type has the largest miss share, so it must come first.
-  EXPECT_LT(json.find("hot_type"), json.find("shared_type"));
-}
-
 TEST_F(ViewsFixture, WorkingSetJsonCarriesDemandAndRows) {
   const WorkingSetView view = WorkingSetView::Build(registry, addresses, samples, kNow, kL2);
   const std::string json = view.ToJson();
