@@ -2,7 +2,7 @@
 """Compares two `dprof bench ... --json` documents (micro_costs, parallel_engine).
 
 Usage: compare_bench.py BASELINE.json CURRENT.json [--threshold 0.20]
-                        [--only name1,name2] [--volatile-prefix prefix]
+                        [--only name1,name2]
 
 Fails (exit 1) when any host-cost metric (unit ns/op, ns/access, or s)
 regresses by more than the threshold relative to the baseline. With --only, only the listed
@@ -11,11 +11,6 @@ like parallel_engine where some timings (hardware-thread scaling on shared
 runners) are too noisy to gate on. Simulated-cost-model constants (unit
 "cycles") are reported but never fail the build: changing the model is a
 reviewed decision, not a perf regression.
-
-Metrics matching --volatile-prefix (e.g. whatif_candidate_) are SKIPped,
-never gated, and never treated as missing: the whatif bench names its rows
-after whichever candidate fixes the profile ranked that release, so the row
-set legitimately differs across baselines.
 """
 
 import argparse
@@ -39,61 +34,24 @@ def main():
         default="",
         help="comma-separated metric names eligible to fail the gate",
     )
-    parser.add_argument(
-        "--volatile-prefix",
-        default="",
-        help="metric-name prefix whose rows are informational only and may "
-        "appear on either side without failing (ranked whatif candidates)",
-    )
     args = parser.parse_args()
 
     base = load_metrics(args.baseline)
     cur = load_metrics(args.current)
     only = {name for name in args.only.split(",") if name}
 
-    def volatile(name):
-        return bool(args.volatile_prefix) and name.startswith(args.volatile_prefix)
-
-    # A gated metric the current run dropped must fail loudly, not pass
-    # silently (renamed metric, truncated bench output). A gated metric the
-    # *baseline* lacks is a newly added row (the merge base predates it) and
-    # gates from the next change on. One absent from both sides is accepted
-    # only when the bench says so itself — it must emit a matching
-    # *_skipped_* annotation (e.g. <stem>_skipped_hw_too_small for
-    # <stem>_seconds on a runner too small to time it); without one, a
-    # misspelled gate name or a silently dropped row must still fail.
-    def skip_annotated(name, metrics):
-        stem = name[: -len("_seconds")] if name.endswith("_seconds") else name
-        return any(m.startswith(stem + "_skipped") for m in metrics)
-
-    missing = []
-    for name in sorted(only):
-        if name in cur or volatile(name):
-            continue
-        if name in base:
-            missing.append(name)
-        elif skip_annotated(name, cur):
-            print(f"  SKIP       {name:40s} absent from baseline and current "
-                  f"(bench annotated the skip on this host)")
-        else:
-            missing.append(name)
+    # A gated metric the current run lacks must fail loudly, not pass
+    # silently (renamed metric, misspelled gate name, truncated bench
+    # output). A gated metric only the baseline lacks is a newly added row
+    # (the merge base predates it) and gates from the next change on.
+    missing = [name for name in sorted(only) if name not in cur]
     if missing:
         print(f"FAIL: gated metric(s) missing from current run: "
               f"{', '.join(missing)}")
         return 1
 
     failures = []
-    for name in sorted(base):
-        if name not in cur and volatile(name):
-            print(f"  SKIP       {name:40s} volatile row absent from current run")
     for name, metric in sorted(cur.items()):
-        if volatile(name):
-            side = "both runs" if name in base else "current run only"
-            print(
-                f"  SKIP       {name:40s} {metric['value']:10.2f} "
-                f"{metric.get('unit', '')} (volatile, {side})"
-            )
-            continue
         if name not in base:
             print(f"  NEW    {name:40s} {metric['value']:.2f} {metric['unit']}")
             continue

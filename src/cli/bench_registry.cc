@@ -3,14 +3,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <utility>
 
 #include "bench/bench_common.h"
 #include "src/cli/scenario_registry.h"
 #include "src/cli/whatif.h"
 #include "src/machine/engine.h"
 #include "src/sim/hierarchy.h"
-#include "src/util/check.h"
 #include "src/util/json_writer.h"
 #include "src/util/rng.h"
 #include "src/workload/kernel.h"
@@ -287,29 +285,19 @@ BenchReport RunHierarchyBench(const BenchParams& params) {
 }
 
 // Smoke-sized end-to-end run of the whatif engine: memcached at 8 cores,
-// --auto over the top two profiled types. Emits one stable wall-clock row
-// (whatif_smoke_seconds, CI-gated) plus one volatile delta row per
-// candidate (whatif_candidate_*, SKIP-not-fail in compare_bench.py — the
-// candidate set follows the profile ranking and may change release to
-// release).
+// --auto over the top two profiled types. Emits one wall-clock row
+// (whatif_smoke_seconds, CI-gated).
 BenchReport RunWhatIfSmoke(const BenchParams& params) {
   BenchReport report;
   report.bench = "whatif_smoke";
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec spec;
   spec.cores = 8;
   spec.seed = params.seed;
   spec.collect_cycles = Scaled(params.scale, 2'000'000);
 
   const auto start = Clock::now();
-  const WhatIfReport whatif = RunWhatIfAuto(registry, "memcached", spec, 2);
+  RunWhatIfAuto(ScenarioRegistry::Default(), "memcached", spec, 2);
   report.metrics.push_back({"whatif_smoke_seconds", ElapsedNs(start) / 1e9, "s"});
-
-  for (const WhatIfOutcome& out : whatif.outcomes) {
-    report.metrics.push_back({"whatif_candidate_" + out.candidate.type + "_" +
-                                  TypeTransformKindName(out.candidate.kind) + "_delta_pct",
-                              out.delta_pct, "%"});
-  }
   return report;
 }
 
@@ -385,95 +373,71 @@ BenchReport RunParallelEngine(const BenchParams& params) {
   return report;
 }
 
+// In name order, the order `dprof list` prints. The paper reproductions
+// (bench/*.cc) fix their own seeds and lengths and emit their rows as
+// `<view>.<row key>.<column>` metrics.
+const BenchInfo kBenches[] = {
+    {"ablation_pairwise", "ablation: pairwise vs single-offset path reconstruction",
+     RunAblationPairwise, true},
+    {"ablation_sampling_rate", "ablation: data-profile fidelity vs IBS sampling rate",
+     RunAblationSamplingRate, true},
+    {"case_study_fixes", "paper §6.1/§6.2 fixes: req/s before and after", RunCaseStudyFixes,
+     true},
+    {"figure_6_1_dataflow_skbuff", "paper Figure 6-1: skbuff data flow view",
+     RunFigure61DataflowSkbuff, true},
+    {"figure_6_2_ibs_overhead", "paper Figure 6-2: IBS overhead vs sampling rate",
+     RunFigure62IbsOverhead, true},
+    {"figure_6_3_unique_paths", "paper Figure 6-3: unique paths vs history sets",
+     RunFigure63UniquePaths, true},
+    {"hierarchy",
+     "ns/access of the cache-hierarchy model per access mix "
+     "(hits, misses, invalidation ping-pong, mixed)",
+     RunHierarchyBench, false},
+    {"micro_costs", "host cost of substrate primitives + paper cost constants", RunMicroCosts,
+     false},
+    {"parallel_engine",
+     "epoch-engine wall-clock: legacy loop vs exact vs sampled "
+     "on the 16-core memcached scenario",
+     RunParallelEngine, false},
+    {"table_6_10_pairwise", "paper Table 6.10: pairwise-sampling collection",
+     RunTable610Pairwise, true},
+    {"table_6_1_memcached_profile", "paper Table 6.1: memcached data profile",
+     RunTable61MemcachedProfile, true},
+    {"table_6_2_6_3_lockstat_oprofile_memcached",
+     "paper Tables 6.2/6.3: lock-stat and function profile of one memcached run",
+     RunTable62And63LockstatOprofileMemcached, true},
+    {"table_6_4_6_5_apache_profile",
+     "paper Tables 6.4/6.5: Apache data profiles at peak and drop-off",
+     RunTable64And65ApacheProfile, true},
+    {"table_6_6_lockstat_apache", "paper Table 6.6: lock-stat under Apache at drop-off",
+     RunTable66LockstatApache, true},
+    {"table_6_7_6_8_6_9_history",
+     "paper Tables 6.7/6.8/6.9: history collection time, rates and overhead breakdown",
+     RunTable67To69History, true},
+    {"whatif_smoke",
+     "end-to-end `dprof whatif --auto` smoke on memcached "
+     "(top-2 types x all fixes, ranked deltas)",
+     RunWhatIfSmoke, false},
+};
+
 }  // namespace
 
-bool BenchRegistry::Register(const std::string& name, const std::string& description,
-                             BenchFn fn, bool reproduction) {
-  DPROF_CHECK(fn != nullptr);
-  auto [it, inserted] =
-      benches_.emplace(name, BenchInfo{name, description, std::move(fn), reproduction});
-  (void)it;
-  return inserted;
-}
-
 const BenchInfo* BenchRegistry::Find(const std::string& name) const {
-  auto it = benches_.find(name);
-  return it == benches_.end() ? nullptr : &it->second;
+  for (const BenchInfo& info : kBenches) {
+    if (name == info.name) return &info;
+  }
+  return nullptr;
 }
 
 std::vector<std::string> BenchRegistry::Names() const {
   std::vector<std::string> names;
-  names.reserve(benches_.size());
-  for (const auto& [name, info] : benches_) {
-    (void)info;
-    names.push_back(name);
-  }
+  for (const BenchInfo& info : kBenches) names.emplace_back(info.name);
   return names;
 }
 
-BenchRegistry& BenchRegistry::Default() {
-  static BenchRegistry* registry = [] {
-    auto* r = new BenchRegistry();
-    RegisterBuiltinBenches(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void RegisterBuiltinBenches(BenchRegistry& registry) {
-  registry.Register("micro_costs",
-                    "host cost of substrate primitives + paper cost constants",
-                    RunMicroCosts);
-  registry.Register("hierarchy",
-                    "ns/access of the cache-hierarchy model per access mix "
-                    "(hits, misses, invalidation ping-pong, mixed)",
-                    RunHierarchyBench);
-  registry.Register("parallel_engine",
-                    "epoch-engine wall-clock: legacy loop vs exact vs sampled "
-                    "on the 16-core memcached scenario",
-                    RunParallelEngine);
-  registry.Register("whatif_smoke",
-                    "end-to-end `dprof whatif --auto` smoke on memcached "
-                    "(top-2 types x all fixes, ranked deltas)",
-                    RunWhatIfSmoke);
-
-  // Paper reproductions (bench/*.cc): fixed seeds and lengths, rows as
-  // `<view>.<row key>.<column>` metrics.
-  static const struct {
-    const char* name;
-    const char* description;
-    BenchReport (*fn)(const BenchParams&);
-  } kReproductions[] = {
-      {"table_6_1_memcached_profile", "paper Table 6.1: memcached data profile",
-       RunTable61MemcachedProfile},
-      {"table_6_2_6_3_lockstat_oprofile_memcached",
-       "paper Tables 6.2/6.3: lock-stat and function profile of one memcached run",
-       RunTable62And63LockstatOprofileMemcached},
-      {"table_6_4_6_5_apache_profile",
-       "paper Tables 6.4/6.5: Apache data profiles at peak and drop-off",
-       RunTable64And65ApacheProfile},
-      {"table_6_6_lockstat_apache", "paper Table 6.6: lock-stat under Apache at drop-off",
-       RunTable66LockstatApache},
-      {"table_6_7_6_8_6_9_history",
-       "paper Tables 6.7/6.8/6.9: history collection time, rates and overhead breakdown",
-       RunTable67To69History},
-      {"table_6_10_pairwise", "paper Table 6.10: pairwise-sampling collection",
-       RunTable610Pairwise},
-      {"figure_6_1_dataflow_skbuff", "paper Figure 6-1: skbuff data flow view",
-       RunFigure61DataflowSkbuff},
-      {"figure_6_2_ibs_overhead", "paper Figure 6-2: IBS overhead vs sampling rate",
-       RunFigure62IbsOverhead},
-      {"figure_6_3_unique_paths", "paper Figure 6-3: unique paths vs history sets",
-       RunFigure63UniquePaths},
-      {"ablation_pairwise", "ablation: pairwise vs single-offset path reconstruction",
-       RunAblationPairwise},
-      {"ablation_sampling_rate", "ablation: data-profile fidelity vs IBS sampling rate",
-       RunAblationSamplingRate},
-      {"case_study_fixes", "paper §6.1/§6.2 fixes: req/s before and after", RunCaseStudyFixes},
-  };
-  for (const auto& r : kReproductions) {
-    registry.Register(r.name, r.description, r.fn, /*reproduction=*/true);
-  }
+const BenchRegistry& BenchRegistry::Default() {
+  static const BenchRegistry registry{};
+  return registry;
 }
 
 std::string BenchReportToJson(const BenchReport& report) {

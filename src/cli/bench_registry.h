@@ -1,7 +1,7 @@
-// The bench registry behind `dprof bench <name> [--json]`.
+// The bench catalog behind `dprof bench <name> [--json]`.
 //
-// Each bench is a named function producing a flat list of metrics. Two
-// kinds are registered:
+// Each bench is a named function producing a flat list of metrics, one row
+// of a constant table (kBenches in bench_registry.cc). There are two kinds:
 //  - host-cost benches (micro_costs, hierarchy, parallel_engine,
 //    whatif_smoke), which take --scale/--seed and which CI compares against
 //    the merge base;
@@ -16,8 +16,6 @@
 #ifndef DPROF_SRC_CLI_BENCH_REGISTRY_H_
 #define DPROF_SRC_CLI_BENCH_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -43,34 +41,27 @@ struct BenchParams {
   uint64_t seed = 1;
 };
 
-using BenchFn = std::function<BenchReport(const BenchParams&)>;
+using BenchFn = BenchReport (*)(const BenchParams&);
 
 struct BenchInfo {
-  std::string name;
-  std::string description;
+  const char* name;
+  const char* description;
   BenchFn fn;
   // A paper reproduction: it fixes its own seeds and lengths, so the CLI
   // rejects --scale and --seed for it.
-  bool reproduction = false;
+  bool reproduction;
 };
 
+// The built-in benches.
 class BenchRegistry {
  public:
-  bool Register(const std::string& name, const std::string& description, BenchFn fn,
-                bool reproduction = false);
-
+  // Null for a name no bench has.
   const BenchInfo* Find(const std::string& name) const;
+  // Every bench name, in name order.
   std::vector<std::string> Names() const;
-  size_t size() const { return benches_.size(); }
 
-  // The registry with the built-in benches pre-registered.
-  static BenchRegistry& Default();
-
- private:
-  std::map<std::string, BenchInfo> benches_;
+  static const BenchRegistry& Default();
 };
-
-void RegisterBuiltinBenches(BenchRegistry& registry);
 
 // Renders `report` as the machine-readable JSON document
 // `dprof bench --json` prints.

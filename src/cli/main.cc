@@ -293,8 +293,8 @@ bool ParseFlags(const std::vector<std::string>& args, size_t start, Command comm
 // Scenarios and benches share one description column, as wide as the
 // longest name.
 int CmdList() {
-  ScenarioRegistry& scenarios = ScenarioRegistry::Default();
-  BenchRegistry& benches = BenchRegistry::Default();
+  const ScenarioRegistry& scenarios = ScenarioRegistry::Default();
+  const BenchRegistry& benches = BenchRegistry::Default();
   int width = 0;
   for (const std::vector<std::string>& names : {scenarios.Names(), benches.Names()}) {
     for (const std::string& name : names) {
@@ -303,11 +303,11 @@ int CmdList() {
   }
   std::printf("scenarios:\n");
   for (const std::string& name : scenarios.Names()) {
-    std::printf("  %-*s %s\n", width, name.c_str(), scenarios.Find(name)->description.c_str());
+    std::printf("  %-*s %s\n", width, name.c_str(), scenarios.Find(name)->description);
   }
   std::printf("\nbenches:\n");
   for (const std::string& name : benches.Names()) {
-    std::printf("  %-*s %s\n", width, name.c_str(), benches.Find(name)->description.c_str());
+    std::printf("  %-*s %s\n", width, name.c_str(), benches.Find(name)->description);
   }
   return 0;
 }
@@ -326,7 +326,7 @@ bool ParseScenarioCommand(const std::vector<std::string>& args, Command command,
     std::fprintf(stderr, "dprof: %s requires a scenario name\n", args[1].c_str());
     return false;
   }
-  if (!ScenarioRegistry::Default().Has(request->scenario)) {
+  if (ScenarioRegistry::Default().Find(request->scenario) == nullptr) {
     std::fprintf(stderr, "dprof: unknown scenario '%s'; try 'dprof list'\n",
                  request->scenario.c_str());
     return false;
@@ -413,7 +413,7 @@ int CmdWhatIf(const std::vector<std::string>& args) {
     return 2;
   }
 
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   const std::string& name = request.scenario;
   const RunSpec& spec = request;
   if (!ValidSpec(spec)) return 2;
@@ -470,8 +470,7 @@ int CmdBench(const std::vector<std::string>& args) {
     return 2;
   }
   const std::string& name = args[2];
-  BenchRegistry& registry = BenchRegistry::Default();
-  const BenchInfo* info = registry.Find(name);
+  const BenchInfo* info = BenchRegistry::Default().Find(name);
   if (info == nullptr) {
     std::fprintf(stderr, "dprof: unknown bench '%s'; try 'dprof list'\n", name.c_str());
     return 2;

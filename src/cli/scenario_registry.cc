@@ -91,6 +91,9 @@ std::string ValidateRunSpec(const RunSpec& spec) {
   }
   // The legacy loop has no engine: engine-only options would be ignored.
   if (!spec.use_engine) {
+    if (!spec.fault_seams.empty()) {
+      return "--fault needs the epoch engine; drop --legacy-loop";
+    }
     if (spec.sampled) {
       return "--sampled needs the epoch engine; drop --legacy-loop";
     }
@@ -169,102 +172,85 @@ std::unique_ptr<ScenarioRig> MakeBaseRig(const RunSpec& spec) {
   return rig;
 }
 
-bool ScenarioRegistry::Register(const std::string& name, const std::string& description,
-                                ScenarioFactory factory) {
-  DPROF_CHECK(factory != nullptr);
-  auto [it, inserted] =
-      scenarios_.emplace(name, ScenarioInfo{name, description, std::move(factory)});
-  (void)it;
-  return inserted;
-}
+namespace {
+
+// In name order, the order `dprof list` prints.
+const ScenarioInfo kScenarios[] = {
+    {"apache",
+     "Apache static-file serving past the throughput drop-off (paper §6.2): "
+     "deep accept queues evict tcp_socks before accept()",
+     [](const RunSpec& spec) {
+       auto rig = MakeBaseRig(spec);
+       rig->workload = std::make_unique<ApacheWorkload>(
+           rig->env.get(),
+           spec.admission_control ? ApacheConfig::Fixed() : ApacheConfig::DropOff());
+       rig->options.ibs_period_ops = 200;
+       ApplySpec(*rig, spec);
+       return rig;
+     }},
+    {"conflict_demo",
+     "associativity-conflict microbenchmark (paper §4.3): hot objects alias "
+     "to the same L1 sets and evict each other",
+     [](const RunSpec& spec) {
+       auto rig = MakeBaseRig(spec);
+       rig->workload = std::make_unique<ConflictDemoWorkload>(rig->env.get());
+       rig->options.ibs_period_ops = 100;
+       rig->collect_cycles = 20'000'000;
+       // Hot objects live forever: the collector arms debug registers on
+       // already-live objects (HistoryCollector::Poll). A coarse sweep with
+       // a small per-history element cap lets each type's sweep complete
+       // well before the phase cap instead of spinning to it.
+       rig->options.history_phase_max_cycles = 10'000'000;
+       rig->options.history.granularity = 8;
+       rig->options.history.max_elements_per_history = 256;
+       rig->history_sets = 1;
+       ApplySpec(*rig, spec);
+       return rig;
+     }},
+    {"kernel",
+     "kernel network stack with the paper's core-local transmit fix applied: "
+     "the post-fix memcached profile (paper §6.1, fixed)",
+     [](const RunSpec& spec) {
+       auto rig = MakeBaseRig(spec);
+       MemcachedConfig config;
+       config.local_queue_fix = true;
+       rig->workload = std::make_unique<MemcachedWorkload>(rig->env.get(), config);
+       rig->options.ibs_period_ops = 200;
+       ApplySpec(*rig, spec);
+       return rig;
+     }},
+    {"memcached",
+     "memcached/UDP with the stock skb_tx_hash() queue selection (paper §6.1): "
+     "skbuffs and payloads bounce between cores",
+     [](const RunSpec& spec) {
+       auto rig = MakeBaseRig(spec);
+       MemcachedConfig config;
+       config.local_queue_fix = spec.local_tx_queue;
+       rig->workload = std::make_unique<MemcachedWorkload>(rig->env.get(), config);
+       rig->options.ibs_period_ops = 200;
+       ApplySpec(*rig, spec);
+       return rig;
+     }},
+};
+
+}  // namespace
 
 const ScenarioInfo* ScenarioRegistry::Find(const std::string& name) const {
-  auto it = scenarios_.find(name);
-  return it == scenarios_.end() ? nullptr : &it->second;
+  for (const ScenarioInfo& info : kScenarios) {
+    if (name == info.name) return &info;
+  }
+  return nullptr;
 }
 
 std::vector<std::string> ScenarioRegistry::Names() const {
   std::vector<std::string> names;
-  names.reserve(scenarios_.size());
-  for (const auto& [name, info] : scenarios_) {
-    (void)info;
-    names.push_back(name);
-  }
+  for (const ScenarioInfo& info : kScenarios) names.emplace_back(info.name);
   return names;
 }
 
-ScenarioRegistry& ScenarioRegistry::Default() {
-  static ScenarioRegistry* registry = [] {
-    auto* r = new ScenarioRegistry();
-    RegisterBuiltinScenarios(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
-  registry.Register(
-      "memcached",
-      "memcached/UDP with the stock skb_tx_hash() queue selection (paper §6.1): "
-      "skbuffs and payloads bounce between cores",
-      [](const RunSpec& spec) {
-        auto rig = MakeBaseRig(spec);
-        MemcachedConfig config;
-        config.local_queue_fix = spec.local_tx_queue;
-        rig->workload = std::make_unique<MemcachedWorkload>(rig->env.get(), config);
-        rig->options.ibs_period_ops = 200;
-        ApplySpec(*rig, spec);
-        return rig;
-      });
-
-  registry.Register(
-      "apache",
-      "Apache static-file serving past the throughput drop-off (paper §6.2): "
-      "deep accept queues evict tcp_socks before accept()",
-      [](const RunSpec& spec) {
-        auto rig = MakeBaseRig(spec);
-        rig->workload = std::make_unique<ApacheWorkload>(
-            rig->env.get(),
-            spec.admission_control ? ApacheConfig::Fixed() : ApacheConfig::DropOff());
-        rig->options.ibs_period_ops = 200;
-        ApplySpec(*rig, spec);
-        return rig;
-      });
-
-  registry.Register(
-      "kernel",
-      "kernel network stack with the paper's core-local transmit fix applied: "
-      "the post-fix memcached profile (paper §6.1, fixed)",
-      [](const RunSpec& spec) {
-        auto rig = MakeBaseRig(spec);
-        MemcachedConfig config;
-        config.local_queue_fix = true;
-        rig->workload = std::make_unique<MemcachedWorkload>(rig->env.get(), config);
-        rig->options.ibs_period_ops = 200;
-        ApplySpec(*rig, spec);
-        return rig;
-      });
-
-  registry.Register(
-      "conflict_demo",
-      "associativity-conflict microbenchmark (paper §4.3): hot objects alias "
-      "to the same L1 sets and evict each other",
-      [](const RunSpec& spec) {
-        auto rig = MakeBaseRig(spec);
-        rig->workload = std::make_unique<ConflictDemoWorkload>(rig->env.get());
-        rig->options.ibs_period_ops = 100;
-        rig->collect_cycles = 20'000'000;
-        // Hot objects live forever: the collector arms debug registers on
-        // already-live objects (HistoryCollector::Poll). A coarse sweep with
-        // a small per-history element cap lets each type's sweep complete
-        // well before the phase cap instead of spinning to it.
-        rig->options.history_phase_max_cycles = 10'000'000;
-        rig->options.history.granularity = 8;
-        rig->options.history.max_elements_per_history = 256;
-        rig->history_sets = 1;
-        ApplySpec(*rig, spec);
-        return rig;
-      });
+const ScenarioRegistry& ScenarioRegistry::Default() {
+  static const ScenarioRegistry registry{};
+  return registry;
 }
 
 std::unique_ptr<ScenarioRig> BuildScenarioRig(const ScenarioRegistry& registry,
@@ -331,9 +317,8 @@ ScenarioReport RunRig(std::unique_ptr<ScenarioRig> rig, const std::string& name,
 
   DProfSession session(rig->machine.get(), rig->allocator.get(), rig->options);
   session.CollectAccessSamples(rig->collect_cycles);
-  // Once the engine raised an error status it refuses to run further epochs,
-  // so the history phases (which poll until simulated time advances) would
-  // spin. Skip them and carry the diagnostic into the report instead.
+  // A run that ended in a diagnostic during phase 1 reports what phase 1
+  // saw: no history or drill-down sections, only the diagnostic.
   const bool run_healthy = engine == nullptr || engine->status().ok();
   if (spec.collect_histories && run_healthy) {
     session.CollectHistoriesForTopTypes(rig->top_types, rig->history_sets);

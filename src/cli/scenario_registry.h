@@ -1,16 +1,14 @@
-// The scenario registry behind `dprof list` / `dprof run <name>`.
+// The scenario catalog behind `dprof list` / `dprof run <name>`.
 //
 // A scenario bundles everything one reproducible profiling run needs: the
 // simulated machine, the typed allocator, a workload, and the DProfOptions
-// the session should use. Scenarios are registered by name with a factory
-// lambda, so future workloads and operating points plug in with one
-// Register() call and immediately show up in the CLI, the tests, and CI.
+// the session should use. The scenarios are the paper's fixed set, one row
+// each of a constant table (kScenarios in scenario_registry.cc) that pairs a
+// name with the factory building its rig.
 
 #ifndef DPROF_SRC_CLI_SCENARIO_REGISTRY_H_
 #define DPROF_SRC_CLI_SCENARIO_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,7 +39,7 @@ struct ScenarioRig {
   uint64_t collect_cycles = 40'000'000;
   // Phase-2: history sets per type, for the top `top_types` profile entries.
   uint32_t history_sets = 4;
-  size_t top_types = 3;
+  static constexpr size_t top_types = 3;
 };
 
 // One reproducible run request: everything a caller — the CLI, a bench, or
@@ -123,36 +121,24 @@ struct RunSpec {
   double watchdog_wall_seconds = 0.0;
 };
 
-using ScenarioFactory = std::function<std::unique_ptr<ScenarioRig>(const RunSpec&)>;
+using ScenarioFactory = std::unique_ptr<ScenarioRig> (*)(const RunSpec&);
 
 struct ScenarioInfo {
-  std::string name;
-  std::string description;
+  const char* name;
+  const char* description;
   ScenarioFactory factory;
 };
 
+// The built-in scenarios (apache, conflict_demo, kernel, memcached).
 class ScenarioRegistry {
  public:
-  // Returns false (and leaves the registry unchanged) on duplicate names.
-  bool Register(const std::string& name, const std::string& description,
-                ScenarioFactory factory);
-
+  // Null for a name no scenario has.
   const ScenarioInfo* Find(const std::string& name) const;
-  bool Has(const std::string& name) const { return Find(name) != nullptr; }
+  // Every scenario name, in name order.
   std::vector<std::string> Names() const;
-  size_t size() const { return scenarios_.size(); }
 
-  // The registry with the built-in scenarios (memcached, apache, kernel,
-  // conflict_demo) pre-registered.
-  static ScenarioRegistry& Default();
-
- private:
-  std::map<std::string, ScenarioInfo> scenarios_;
+  static const ScenarioRegistry& Default();
 };
-
-// Registers the built-in scenarios into `registry` (used by Default() and by
-// tests that want a fresh registry).
-void RegisterBuiltinScenarios(ScenarioRegistry& registry);
 
 // Validates every field of `spec` against the limits the simulator actually
 // enforces (core count vs Engine::kMaxCores, thread bounds, sampling-flag
@@ -288,7 +274,7 @@ struct ScenarioReport {
 
 // Builds `name`'s rig for `spec` and installs its workload: every type,
 // static registration and transform query is made by the time it returns.
-// CHECK-fails if `name` is not registered — callers validate first. On
+// CHECK-fails if no scenario is named `name` — callers validate first. On
 // glibc the first call pins the process's mmap threshold at 128 KiB, so
 // every run's large tables are returned to the OS when it ends.
 std::unique_ptr<ScenarioRig> BuildScenarioRig(const ScenarioRegistry& registry,

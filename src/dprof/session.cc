@@ -56,7 +56,13 @@ uint64_t DProfSession::CollectHistories(TypeId type, uint32_t sets) {
   const uint64_t start = machine_->MaxClock();
   const uint64_t deadline = start + options_.history_phase_max_cycles;
   while (!collector.done() && machine_->MaxClock() < deadline) {
+    // A healthy RunFor advances the min clock by the whole slice; one that
+    // leaves it where it was means the executor has stopped (an engine that
+    // ended in a diagnostic runs no more epochs), so the deadline would
+    // never come.
+    const uint64_t before = machine_->MinClock();
     machine_->RunFor(200'000);
+    if (machine_->MinClock() == before) break;
     // For types whose objects never recycle, arm already-live objects
     // (debug-register semantics: watchpoints address memory, not
     // allocations). After the first slice, a recycling type has produced

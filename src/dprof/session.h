@@ -52,8 +52,10 @@ class DProfSession {
   // Phase 1: run the machine for `cycles` with IBS + address-set collection.
   void CollectAccessSamples(uint64_t cycles);
 
-  // Phase 2: collect `sets` object-access-history sets for `type`. Returns
-  // the elapsed machine cycles the collection took.
+  // Phase 2: collect `sets` object-access-history sets for `type`, until the
+  // sets are complete, the history_phase_max_cycles bound passes, or the
+  // machine stops advancing (its engine ended in a diagnostic). Returns the
+  // elapsed machine cycles the collection took.
   uint64_t CollectHistories(TypeId type, uint32_t sets);
 
   // Convenience: phase 2 for the top `top_k` types of the current profile.

@@ -22,7 +22,7 @@ struct SamplingConfig {
   uint64_t window_cycles = 20'000;
   // Seed for the deterministic window-placement jitter. The schedule is a
   // pure function of (seed, committed clock).
-  uint64_t seed = 0x5a17;
+  static constexpr uint64_t seed = 0x5a17;
 };
 
 // One confidence interval on a proportion, in percentage points.

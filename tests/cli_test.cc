@@ -1,10 +1,11 @@
-// Tests for the dprof CLI subsystem: scenario registration and lookup,
+// Tests for the dprof CLI subsystem: the scenario and bench catalogs,
 // unknown-scenario handling, end-to-end scenario runs, the shape of the
 // machine-readable JSON output, and the `dprof` binary's own surface
 // (listing layout, flag rejection).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -57,51 +58,22 @@ TEST(JsonWriterTest, NonFiniteNumbersBecomeNull) {
 }
 
 TEST(ScenarioRegistryTest, BuiltinsAreRegistered) {
-  ScenarioRegistry registry;
-  RegisterBuiltinScenarios(registry);
-  EXPECT_TRUE(registry.Has("memcached"));
-  EXPECT_TRUE(registry.Has("apache"));
-  EXPECT_TRUE(registry.Has("kernel"));
-  EXPECT_TRUE(registry.Has("conflict_demo"));
-  EXPECT_EQ(registry.size(), 4u);
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
+  EXPECT_EQ(registry.Names(),
+            (std::vector<std::string>{"apache", "conflict_demo", "kernel", "memcached"}));
   for (const std::string& name : registry.Names()) {
-    EXPECT_FALSE(registry.Find(name)->description.empty()) << name;
+    EXPECT_STRNE(registry.Find(name)->description, "") << name;
   }
 }
 
 TEST(ScenarioRegistryTest, UnknownScenarioIsReported) {
-  ScenarioRegistry registry;
-  RegisterBuiltinScenarios(registry);
-  EXPECT_FALSE(registry.Has("no_such_scenario"));
-  EXPECT_EQ(registry.Find("no_such_scenario"), nullptr);
-}
-
-TEST(ScenarioRegistryTest, DuplicateRegistrationIsRejected) {
-  ScenarioRegistry registry;
-  auto factory = [](const RunSpec&) { return std::unique_ptr<ScenarioRig>(); };
-  EXPECT_TRUE(registry.Register("x", "first", factory));
-  EXPECT_FALSE(registry.Register("x", "second", factory));
-  EXPECT_EQ(registry.Find("x")->description, "first");
-}
-
-TEST(ScenarioRegistryTest, CustomScenarioFactoryReceivesParams) {
-  ScenarioRegistry registry;
-  int seen_cores = 0;
-  registry.Register("probe", "records params", [&](const RunSpec& params) {
-    seen_cores = params.cores;
-    return std::unique_ptr<ScenarioRig>();
-  });
-  RunSpec params;
-  params.cores = 5;
-  registry.Find("probe")->factory(params);
-  EXPECT_EQ(seen_cores, 5);
+  EXPECT_EQ(ScenarioRegistry::Default().Find("no_such_scenario"), nullptr);
 }
 
 // A short end-to-end run of the cheapest scenario: the report must carry a
 // non-empty data profile and sane counters.
 TEST(ScenarioRunTest, ConflictDemoProducesProfile) {
-  ScenarioRegistry registry;
-  RegisterBuiltinScenarios(registry);
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec params;
   params.cores = 2;
   params.collect_cycles = 3'000'000;
@@ -120,8 +92,7 @@ TEST(ScenarioRunTest, ConflictDemoProducesProfile) {
 }
 
 TEST(ScenarioRunTest, ReportJsonHasExpectedShape) {
-  ScenarioRegistry registry;
-  RegisterBuiltinScenarios(registry);
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec params;
   params.cores = 2;
   params.collect_cycles = 2'000'000;
@@ -144,8 +115,7 @@ TEST(ScenarioRunTest, ReportJsonHasExpectedShape) {
 // freeing a large mapped block (which would raise glibc's mmap threshold to
 // its size) does not move the next rig's lattice tables into the heap.
 TEST(ScenarioRunTest, RigTablesStayMappedAfterALargeFree) {
-  ScenarioRegistry registry;
-  RegisterBuiltinScenarios(registry);
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec params;
   params.cores = 2;
   params.collect_cycles = 500'000;
@@ -160,8 +130,7 @@ TEST(ScenarioRunTest, RigTablesStayMappedAfterALargeFree) {
 #endif
 
 TEST(BenchRegistryTest, BuiltinsAreRegistered) {
-  BenchRegistry registry;
-  RegisterBuiltinBenches(registry);
+  const BenchRegistry& registry = BenchRegistry::Default();
   for (const char* name : {"micro_costs", "hierarchy", "parallel_engine", "whatif_smoke"}) {
     ASSERT_NE(registry.Find(name), nullptr) << name;
     EXPECT_FALSE(registry.Find(name)->reproduction) << name;
@@ -190,7 +159,10 @@ TEST(BenchRegistryTest, BuiltinsAreRegistered) {
                            "table_6_9_overhead_breakdown"}) {
     EXPECT_EQ(registry.Find(name), nullptr) << name;
   }
-  EXPECT_EQ(registry.size(), 16u);
+  const std::vector<std::string> names = registry.Names();
+  EXPECT_EQ(names.size(), 16u);
+  // `dprof list` prints the benches in name order.
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   EXPECT_EQ(registry.Find("no_such_bench"), nullptr);
 }
 
@@ -198,8 +170,7 @@ TEST(BenchRegistryTest, BuiltinsAreRegistered) {
 // second run must see no state the first one left behind, and the rows come
 // out in table order.
 TEST(BenchRegistryTest, ReproductionRunsInProcessAndRepeats) {
-  BenchRegistry registry;
-  RegisterBuiltinBenches(registry);
+  const BenchRegistry& registry = BenchRegistry::Default();
   const BenchInfo* info = registry.Find("table_6_6_lockstat_apache");
   ASSERT_NE(info, nullptr);
   const BenchReport first = info->fn(BenchParams{});
@@ -258,8 +229,7 @@ TEST(BenchRegistryTest, ReproductionRunsInProcessAndRepeats) {
 }
 
 TEST(BenchRegistryTest, MicroCostsJsonHasExpectedShape) {
-  BenchRegistry registry;
-  RegisterBuiltinBenches(registry);
+  const BenchRegistry& registry = BenchRegistry::Default();
   BenchParams params;
   params.scale = 0.01;  // keep the test fast; metric names are what matter
   const BenchReport report = registry.Find("micro_costs")->fn(params);
@@ -320,11 +290,8 @@ TEST(CliBinaryTest, ListAlignsEveryDescription) {
     EXPECT_EQ(description, column) << line;
     ++entries;
   }
-  ScenarioRegistry scenarios;
-  RegisterBuiltinScenarios(scenarios);
-  BenchRegistry benches;
-  RegisterBuiltinBenches(benches);
-  EXPECT_EQ(entries, scenarios.size() + benches.size());
+  EXPECT_EQ(entries, ScenarioRegistry::Default().Names().size() +
+                         BenchRegistry::Default().Names().size());
 }
 
 // Like every other flag a command does not honour, whatif's --top errors

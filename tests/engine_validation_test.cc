@@ -140,7 +140,7 @@ TEST(EngineValidationTest, AllScenariosMatchLegacyShape) {
       {"apache", 6'000'000},
       {"conflict_demo", 4'000'000},
   };
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   for (const std::string& name : registry.Names()) {
     auto it = cycles.find(name);
     const uint64_t collect = it != cycles.end() ? it->second : 4'000'000;

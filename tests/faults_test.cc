@@ -158,6 +158,19 @@ TEST(WatchdogTest, StallBecomesDeadlineDiagnostic) {
   EXPECT_NE(json.find("deadline_exceeded"), std::string::npos);
 }
 
+// With a short phase 1 the stall lands in phase 2's history collection: the
+// dead engine runs no more epochs, and the slice loop must end there instead
+// of waiting for a deadline the clock never reaches.
+TEST(WatchdogTest, StallDuringHistoryPhaseEndsTheRun) {
+  RunSpec spec = SmallSpec("epoch_stall");
+  spec.collect_cycles = 1'000'000;
+  spec.collect_histories = true;
+  const ScenarioReport report =
+      RunScenario(ScenarioRegistry::Default(), "memcached", spec);
+  EXPECT_EQ(report.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(report.status.seam(), "watchdog");
+}
+
 TEST(FaultPlanTest, SlabGrowFaultsRecoverAndRunStaysHealthy) {
   RunSpec spec = SmallSpec("slab_grow");
   spec.audit_epochs = 16;
@@ -334,6 +347,13 @@ TEST(ValidateRunSpecTest, LegacyLoopRejectsEngineOnlyFlags) {
   spec.use_engine = false;
   spec.watchdog_wall_seconds = 10.0;
   EXPECT_NE(ValidateRunSpec(spec).find("--watchdog"), std::string::npos);
+  // The direct loop has no engine-side seams; faults need the engine.
+  spec = RunSpec{};
+  spec.use_engine = false;
+  spec.fault_seams = "lane_drop";
+  error = ValidateRunSpec(spec);
+  EXPECT_NE(error.find("--fault"), std::string::npos) << error;
+  EXPECT_NE(error.find("--legacy-loop"), std::string::npos) << error;
 }
 
 }  // namespace

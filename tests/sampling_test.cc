@@ -40,7 +40,7 @@ RunSpec BaseSpec() {
 }
 
 TEST(SamplingTest, IntervalsCoverExactValuesForEveryScenario) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   for (const std::string& name : registry.Names()) {
     SCOPED_TRACE("scenario: " + name);
     RunSpec spec = BaseSpec();
@@ -92,7 +92,7 @@ TEST(SamplingTest, IntervalsCoverExactValuesForEveryScenario) {
 }
 
 TEST(SamplingTest, SampledRunActuallyFastForwards) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec spec = BaseSpec();
   spec.sampled = true;
   const ScenarioReport r = RunScenario(registry, "memcached", spec);
@@ -108,7 +108,7 @@ TEST(SamplingTest, SampledRunActuallyFastForwards) {
 }
 
 TEST(SamplingTest, ExactModeReportCarriesNoSamplingBlock) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec spec = BaseSpec();
   spec.build_view_json = true;
   const ScenarioReport r = RunScenario(registry, "memcached", spec);
@@ -118,7 +118,7 @@ TEST(SamplingTest, ExactModeReportCarriesNoSamplingBlock) {
 }
 
 TEST(SamplingTest, CustomPeriodAndWindowAreHonored) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec spec = BaseSpec();
   spec.sampled = true;
   spec.sampling_period = 200'000;
@@ -166,7 +166,7 @@ const SampledFingerprint kSampledFingerprints[] = {
 };
 
 TEST(SamplingTest, SampledRunsMatchRecordedFingerprint) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   for (const SampledFingerprint& want : kSampledFingerprints) {
     SCOPED_TRACE(want.collect_histories ? "memcached --sampled"
                                         : "memcached --sampled, measurement-shaped");

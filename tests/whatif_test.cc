@@ -30,7 +30,7 @@ RunSpec SmallConflictSpec() {
 // An all-identity TransformSet must leave every layout decision untouched:
 // the full report JSON is byte-identical to a run with no transforms.
 TEST(WhatIfTest, IdentityTransformIsByteIdenticalToPlainRun) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   const std::string plain =
       ScenarioReportToJson(RunScenario(registry, "conflict_demo", SmallConflictSpec()));
 
@@ -46,7 +46,7 @@ TEST(WhatIfTest, IdentityTransformIsByteIdenticalToPlainRun) {
 // fingerprint (tests/golden_stats_test.cc, memcached entry): the whatif
 // baseline is the same simulation the goldens pin.
 TEST(WhatIfTest, IdentityRunReproducesGoldenFingerprint) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec spec;
   spec.cores = 8;
   spec.threads = 1;
@@ -72,7 +72,7 @@ TEST(WhatIfTest, IdentityRunReproducesGoldenFingerprint) {
 // is byte-identical for any host thread count. Two threads race hardest
 // for the layout claims (no-op candidates on "slab" share the baseline's).
 TEST(WhatIfTest, TransformsAreDeterministicAcrossThreads) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   std::vector<WhatIfCandidate> candidates;
   for (const TypeTransformKind kind : AllTypeTransformKinds()) {
     SCOPED_TRACE(TypeTransformKindName(kind));
@@ -114,7 +114,7 @@ TEST(WhatIfTest, TransformsAreDeterministicAcrossThreads) {
 // transfers staged to the epoch boundary): exercise it on a workload that
 // actually frees across cores, in the same determinism matrix.
 TEST(WhatIfTest, PinHomeOnHeapTypeIsDeterministic) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   std::string reference;
   for (const int threads : {1, 4}) {
     RunSpec spec;
@@ -138,7 +138,7 @@ TEST(WhatIfTest, PinHomeOnHeapTypeIsDeterministic) {
 // so the what-if diff must measure a positive throughput gain. The identity
 // control arm must measure exactly zero.
 TEST(WhatIfTest, PadToLineOnAliasedTypeYieldsPositiveGain) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   const std::vector<WhatIfCandidate> candidates = {
       {"pkt_stat", TypeTransformKind::kPadToLine},
       {"pkt_stat", TypeTransformKind::kIdentity},
@@ -166,7 +166,7 @@ TEST(WhatIfTest, PadToLineOnAliasedTypeYieldsPositiveGain) {
 // be those of a standalone measurement run (no histories, no view JSON) at
 // any thread count, never a candidate's.
 TEST(WhatIfTest, PooledBaselineMatchesStandaloneRun) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   RunSpec measurement = SmallConflictSpec();
   measurement.collect_histories = false;
   measurement.build_view_json = false;
@@ -212,7 +212,7 @@ TEST(WhatIfTest, PooledBaselineMatchesStandaloneRun) {
 // of the key alone; only a static array's placement or a transform query
 // can still tell it apart.
 TEST(WhatIfTest, SharedLayoutCandidatesReproduceTheirOwnRuns) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   struct Case {
     const char* scenario;
     bool sampled;
@@ -277,7 +277,7 @@ TEST(WhatIfTest, SharedLayoutCandidatesReproduceTheirOwnRuns) {
 // what a separate probe (a measurement-shaped RunScenario) followed by
 // RunWhatIf reports, the experiment count included, at every thread count.
 TEST(WhatIfTest, AutoSearchEqualsProbeThenRunWhatIf) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  const ScenarioRegistry& registry = ScenarioRegistry::Default();
   for (const char* scenario : {"memcached", "apache"}) {
     for (const bool sampled : {false, true}) {
       SCOPED_TRACE(std::string(scenario) + (sampled ? " sampled" : " exact"));
